@@ -154,6 +154,8 @@ def cmd_sensitivity(args, config: io.RunConfig) -> dict:
         "weights": result.weights.w,
         "residual": result.residual,
         "exact": result.exact,
+        "iterations": result.iterations,
+        "duality_gap": result.duality_gap,
         "equal_weight_residual": float(np.linalg.norm(gradients.T @ np.full(n, 1.0 / n))),
     }
     return {"seed": seed, "body": body}

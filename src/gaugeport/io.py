@@ -239,15 +239,18 @@ def write_report(
     if timestamp:
         provenance["generated_at"] = datetime.now().isoformat(timespec="seconds")
     document = {"provenance": provenance, "report": _plain(body)}
+    # libyaml's emitter when PyYAML was built with it: same bytes, ~4x faster
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     Path(path).write_text(
-        yaml.safe_dump(document, sort_keys=True, default_flow_style=False),
+        yaml.dump(document, Dumper=dumper, sort_keys=True, default_flow_style=False),
         encoding="utf-8",
     )
     return document
 
 
 def read_report(path: str | Path) -> dict:
-    document = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    document = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
     if "provenance" not in document or "report" not in document:
         raise ValueError("report file is missing its provenance block")
     return document

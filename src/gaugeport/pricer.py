@@ -8,6 +8,11 @@ is solved backward in time on a log-price grid with Crank-Nicolson stepping
 and a Rannacher start-up (implicit-Euler half steps) to damp the payoff
 kink.  Setting A = -r, B = 0 recovers the textbook equation with rate r;
 the zero-rate closed form is the oracle for the A' = 0 gauge.
+
+Every implicit half step solves the same tridiagonal system I - (dt/2) L,
+so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
+coefficients change between intervals) and each step is one ``dgttrs``
+solve.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.stats import norm
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.special import ndtr
 
 from .grid import TimeGrid
 
@@ -133,7 +138,7 @@ def bs_closed_form(s: float, e: float, sigma: float, tau: float) -> float:
     st = sigma * np.sqrt(tau)
     d1 = (np.log(s / e) + 0.5 * sigma**2 * tau) / st
     d2 = d1 - st
-    return float(s * norm.cdf(d1) - e * norm.cdf(d2))
+    return float(s * ndtr(d1) - e * ndtr(d2))
 
 
 def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) -> float:
@@ -145,7 +150,7 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
     st = sigma * np.sqrt(tau)
     d1 = (np.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
     d2 = d1 - st
-    return float(s * norm.cdf(d1) - e * np.exp(-r * tau) * norm.cdf(d2))
+    return float(s * ndtr(d1) - e * np.exp(-r * tau) * ndtr(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +198,7 @@ def vanilla_problem(
 # Solver
 # ---------------------------------------------------------------------------
 
-def _operator_bands(sigma: float, a: float, b: float, dx: float, n: int):
+def _operator_bands(sigma: float, a: float, b: float, dx: float):
     """Tridiagonal coefficients of the spatial operator in x = ln s.
 
     L V = (1/2) sigma^2 V_xx - (1/2 sigma^2 + a) V_x + (a + b) V.
@@ -206,7 +211,7 @@ def _operator_bands(sigma: float, a: float, b: float, dx: float, n: int):
     return lower, diag, upper
 
 
-def _boundary_values(problem: PdeProblem, k: int, int_a_b: float, int_b: float):
+def _boundary_values(problem: PdeProblem, int_a_b: float, int_b: float):
     """Dirichlet data at s_min/s_max from the exact asymptotic solutions.
 
     For large s the equation is solved by s * exp(int B d tau); a constant
@@ -225,17 +230,34 @@ def _boundary_values(problem: PdeProblem, k: int, int_a_b: float, int_b: float):
     return terminal[0] * growth_s, terminal[-1] * growth_s
 
 
+def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n: int):
+    """LU factors of (I - theta_dt L) with identity rows at the Dirichlet ends."""
+    dl = np.full(n - 1, -theta_dt * lower)
+    d = np.full(n, 1.0 - theta_dt * diag)
+    du = np.full(n - 1, -theta_dt * upper)
+    dl[-1] = 0.0
+    d[0] = d[-1] = 1.0
+    du[0] = 0.0
+    *factors, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise DegenerateProblem("singular implicit step matrix")
+    return factors
+
+
 def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurface:
     """Backward Crank-Nicolson solve of the gauge-field pricing equation.
 
     The first ``rannacher_steps`` time steps run as pairs of implicit-Euler
-    half steps; second-order accurate in space and time thereafter.
+    half steps; second-order accurate in space and time thereafter.  All
+    implicit half steps share the matrix I - (dt/2) L, whose LU factors are
+    reused until an interval's (sigma, A, B) differs from the previous one.
     """
     s = problem.s_grid
     x = np.log(s)
     dx = x[1] - x[0]
     grid = problem.t_grid
     dt = grid.dt
+    half_dt = 0.5 * dt
     steps = grid.steps
     n = s.size
 
@@ -248,44 +270,33 @@ def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurfa
         [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
     )[::-1]
 
-    v = values[steps].copy()
+    # refactor at the last interval and wherever (sigma, A, B) changes
+    sig, a_f, b_f = problem.sigma, problem.a_field, problem.b_scalar
+    refactor = np.ones(steps, dtype=bool)
+    refactor[:-1] = (sig[:-1] != sig[1:]) | (a_f[:-1] != a_f[1:]) | (b_f[:-1] != b_f[1:])
+
     for k in range(steps - 1, -1, -1):
-        sig, a, b = problem.sigma[k], problem.a_field[k], problem.b_scalar[k]
-        lower, diag, upper = _operator_bands(sig, a, b, dx, n)
-        lo_val, hi_val = _boundary_values(problem, k, int_ab_rev[k], int_b_rev[k])
-
-        def implicit_step(v_in: np.ndarray, theta_dt: float, bc: tuple) -> np.ndarray:
-            # (I - theta_dt L) v_out = v_in with Dirichlet ends.
-            ab = np.zeros((3, n))
-            ab[0, 2:] = -theta_dt * upper
-            ab[1, 1:-1] = 1.0 - theta_dt * diag
-            ab[2, :-2] = -theta_dt * lower
-            ab[1, 0] = 1.0
-            ab[1, -1] = 1.0
-            ab[0, 1] = 0.0
-            ab[2, -2] = 0.0
-            rhs = v_in.copy()
-            rhs[0], rhs[-1] = bc
-            return solve_banded((1, 1), ab, rhs)
-
-        def explicit_apply(v_in: np.ndarray, theta_dt: float) -> np.ndarray:
-            out = v_in.copy()
-            out[1:-1] = v_in[1:-1] + theta_dt * (
-                lower * v_in[:-2] + diag * v_in[1:-1] + upper * v_in[2:]
-            )
-            return out
-
+        if refactor[k]:
+            lower, diag, upper = _operator_bands(sig[k], a_f[k], b_f[k], dx)
+            factors = _factor_implicit(lower, diag, upper, half_dt, n)
+        bc = _boundary_values(problem, int_ab_rev[k], int_b_rev[k])
+        v = values[k + 1]
+        rhs = v.copy()
         if steps - 1 - k < rannacher_steps:
-            # Rannacher start-up: two implicit-Euler half steps.
-            v = implicit_step(v, 0.5 * dt, (lo_val, hi_val))
-            v = implicit_step(v, 0.5 * dt, (lo_val, hi_val))
+            # Rannacher start-up: an implicit-Euler half step in place of
+            # the explicit one
+            rhs[0], rhs[-1] = bc
+            rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
         else:
-            half = explicit_apply(v, 0.5 * dt)
-            v = implicit_step(half, 0.5 * dt, (lo_val, hi_val))
-        values[k] = v
+            rhs[1:-1] += half_dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
+        rhs[0], rhs[-1] = bc
+        values[k] = dgttrs(*factors, rhs, overwrite_b=1)[0]
 
     deltas = np.empty_like(values)
-    deltas[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx) / s[1:-1]
+    # in place: a full-surface temporary would add ~20 MB of peak memory at 1600^2
+    inner = deltas[:, 1:-1]
+    np.divide(np.subtract(values[:, 2:], values[:, :-2], out=inner), 2.0 * dx, out=inner)
+    np.divide(inner, s[1:-1], out=inner)
     deltas[:, 0] = (values[:, 1] - values[:, 0]) / (dx * s[0])
     deltas[:, -1] = (values[:, -1] - values[:, -2]) / (dx * s[-1])
     return OptionSurface(s_grid=s, t_grid=grid, values=values, deltas=deltas)

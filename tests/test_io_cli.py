@@ -1,8 +1,11 @@
+import argparse
+
 import numpy as np
 import pytest
 import yaml
 
 from gaugeport import PricePanel, TimeGrid
+from gaugeport import cli
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
     PanelFormatError,
@@ -148,6 +151,16 @@ class TestReports:
         write_report(path, "price", {}, RunConfig({}), timestamp=False)
         assert "generated_at" not in read_report(path)["provenance"]
 
+    @pytest.mark.parametrize("command", ["gauge", "discount"])
+    def test_emitted_bytes_match_safe_dump(self, command, fixture_csv, tmp_path):
+        args = argparse.Namespace(panel=str(fixture_csv), normalize=True)
+        outcome = getattr(cli, f"cmd_{command}")(args, RunConfig({}))
+        path = tmp_path / f"{command}.yaml"
+        document = write_report(path, command, outcome["body"], RunConfig({}), timestamp=False)
+        expected = yaml.safe_dump(document, sort_keys=True, default_flow_style=False)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_report(path) == document
+
     def test_missing_provenance_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text(yaml.safe_dump({"report": {}}))
@@ -219,6 +232,8 @@ class TestCli:
         doc = read_report(out)
         assert doc["report"]["residual"] < 1e-8
         assert doc["report"]["residual"] < doc["report"]["equal_weight_residual"]
+        assert 0 < doc["report"]["iterations"] <= 2000
+        assert abs(doc["report"]["duality_gap"]) < 1e-8
 
     def test_riskfree_command(self, tmp_path):
         config = tmp_path / "run.yaml"

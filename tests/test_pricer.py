@@ -105,6 +105,93 @@ class TestPdeSolver:
         )
 
 
+def banded_reference(problem, rannacher_steps=2):
+    """Per-step reference solve: rebuild the banded matrix, solve_banded each step."""
+    from scipy.linalg import solve_banded
+
+    s = problem.s_grid
+    dx = np.log(s)[1] - np.log(s)[0]
+    dt, steps, n = problem.t_grid.dt, problem.t_grid.steps, s.size
+    values = np.empty((steps + 1, n))
+    values[steps] = problem.payoff(s)
+    int_b = np.concatenate([[0.0], np.cumsum((problem.b_scalar * dt)[::-1])])[::-1]
+    int_ab = np.concatenate(
+        [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
+    )[::-1]
+    v = values[steps].copy()
+    for k in range(steps - 1, -1, -1):
+        sig, a, b = problem.sigma[k], problem.a_field[k], problem.b_scalar[k]
+        diff = 0.5 * sig**2 / dx**2
+        conv = (0.5 * sig**2 + a) / (2.0 * dx)
+        lower, diag, upper = diff + conv, -2.0 * diff + (a + b), diff - conv
+        growth_s, growth_c = np.exp(int_b[k]), np.exp(int_ab[k])
+        if problem.payoff_kind == "call":
+            bc = (0.0, s[-1] * growth_s - problem.strike * growth_c)
+        elif problem.payoff_kind == "put":
+            bc = (problem.strike * growth_c - s[0] * growth_s, 0.0)
+        else:
+            bc = (values[steps][0] * growth_s, values[steps][-1] * growth_s)
+
+        def implicit(v_in, theta_dt):
+            ab = np.zeros((3, n))
+            ab[0, 2:] = -theta_dt * upper
+            ab[1, 1:-1] = 1.0 - theta_dt * diag
+            ab[2, :-2] = -theta_dt * lower
+            ab[1, 0] = ab[1, -1] = 1.0
+            rhs = v_in.copy()
+            rhs[0], rhs[-1] = bc
+            return solve_banded((1, 1), ab, rhs)
+
+        if steps - 1 - k < rannacher_steps:
+            v = implicit(implicit(v, 0.5 * dt), 0.5 * dt)
+        else:
+            half = v.copy()
+            half[1:-1] = v[1:-1] + 0.5 * dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
+            v = implicit(half, 0.5 * dt)
+        values[k] = v
+    deltas = np.empty_like(values)
+    deltas[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx) / s[1:-1]
+    deltas[:, 0] = (values[:, 1] - values[:, 0]) / (dx * s[0])
+    deltas[:, -1] = (values[:, -1] - values[:, -2]) / (dx * s[-1])
+    return values, deltas
+
+
+class TestFactorOnceSolver:
+    """The factor-once LAPACK solve reproduces the per-step banded solve bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["call", "put", "linear"])
+    def test_per_interval_series_bit_identical(self, kind):
+        # piecewise-constant coefficients: the solver must refactor exactly
+        # where (sigma, A, B) changes between intervals
+        steps = 120
+        rng = np.random.default_rng(21)
+        sigma = np.repeat(rng.uniform(0.1, 0.4, 6), steps // 6)
+        a_field = np.repeat(rng.uniform(-0.1, 0.1, 4), steps // 4)
+        b_scalar = np.repeat(rng.uniform(-0.02, 0.02, 3), steps // 3)
+        payoffs = {
+            "call": lambda sg: np.maximum(sg - STRIKE, 0.0),
+            "put": lambda sg: np.maximum(STRIKE - sg, 0.0),
+            "linear": lambda sg: 2.0 * sg,
+        }
+        problem = PdeProblem(
+            s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(0.0, TAU / steps, steps),
+            sigma=sigma, a_field=a_field, b_scalar=b_scalar, payoff=payoffs[kind],
+            payoff_kind=kind, strike=None if kind == "linear" else STRIKE,
+        )
+        values, deltas = banded_reference(problem)
+        surface = solve_gauge_bs(problem)
+        assert np.array_equal(surface.values, values)
+        assert np.array_equal(surface.deltas, deltas)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_default_grid_bit_identical(self, kind):
+        problem = vanilla_problem(kind, STRIKE, 0.1, TAU, a_field=-0.05)
+        values, deltas = banded_reference(problem)
+        surface = solve_gauge_bs(problem)
+        assert np.array_equal(surface.values, values)
+        assert np.array_equal(surface.deltas, deltas)
+
+
 class TestLinearPayoffs:
     def test_forward_contract_no_fields_is_exact(self):
         # payoff 2s with sigma = a = b = 0 propagates unchanged

@@ -204,6 +204,34 @@ class TestEtemadi:
             etemadi_check(spec, env, self.GRID8, wa, WeightVector.equal(4), 100, seed=0)
 
 
+def bisection_projection(v, cap):
+    """Reference projection: 80 halvings of the bracket on the shift tau."""
+    lo, hi = v.min() - cap - 1.0, v.max()
+    for _ in range(80):
+        tau = 0.5 * (lo + hi)
+        if np.clip(v - tau, 0.0, cap).sum() > 1.0:
+            lo = tau
+        else:
+            hi = tau
+    return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
+
+
+def assert_single_shift(v, w, cap):
+    """w = clip(v - tau, 0, cap) for one shift tau, and w sums to one."""
+    atol = 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(v)))
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert np.all(w >= 0.0) and np.all(w <= cap)
+    lo = np.max(v[w == 0.0], initial=-np.inf)  # tau >= v_i wherever w_i = 0
+    hi = np.min(v[w == cap] - cap, initial=np.inf)  # tau <= v_i - cap wherever w_i = cap
+    free = (w > 0.0) & (w < cap)
+    if free.any():
+        shifts = v[free] - w[free]
+        assert np.ptp(shifts) <= atol
+        lo = max(lo, shifts.max() - atol)
+        hi = min(hi, shifts.min() + atol)
+    assert lo <= hi + atol
+
+
 class TestCappedSimplexProjection:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -236,6 +264,55 @@ class TestCappedSimplexProjection:
         w = np.array([0.3, 0.3, 0.2, 0.2])
         np.testing.assert_allclose(project_capped_simplex(w, 0.5), w, atol=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v=arrays(np.float64, st.integers(1, 40),
+                 elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        c=st.floats(1.0, 4.0),
+    )
+    def test_matches_bisection_reference(self, v, c):
+        cap = max(c / v.size, 1.0 / v.size)
+        expected = bisection_projection(v, cap)
+        atol = 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(v)))
+        np.testing.assert_allclose(project_capped_simplex(v, cap), expected, rtol=0, atol=atol)
+
+    def test_ties_share_one_weight(self):
+        v = np.array([0.3, 0.3, 0.3, 0.1, 0.1, -0.2])
+        w = project_capped_simplex(v, 0.3)
+        assert_single_shift(v, w, 0.3)
+        assert w[0] == w[1] == w[2] and w[3] == w[4]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 49, 64])
+    def test_cap_times_n_one_forces_equal_weights(self, n):
+        v = np.random.default_rng(n).standard_normal(n)
+        w = project_capped_simplex(v, 1.0 / n)
+        assert_single_shift(v, w, 1.0 / n)
+        np.testing.assert_allclose(w, 1.0 / n, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("cap", [1.0, 2.5])
+    def test_single_asset_takes_everything(self, cap):
+        v = np.array([-3.7])
+        w = project_capped_simplex(v, cap)
+        assert_single_shift(v, w, cap)
+        assert w[0] == 1.0
+
+    def test_random_feasible_point_is_fixed(self):
+        rng = np.random.default_rng(11)
+        v = rng.uniform(0.5, 1.5, 32)
+        v /= v.sum()
+        w = project_capped_simplex(v, 4.0 / 32)
+        assert_single_shift(v, w, 4.0 / 32)
+        np.testing.assert_allclose(w, v, rtol=0, atol=1e-16)
+
+    def test_large_magnitude_input(self):
+        # the shift tau lives on the ulp(1e8) = 2**-26 grid, so the weights
+        # can sum to one exactly only when the free weights are multiples of
+        # it: here two capped weights of 3/8 and one free weight of 1/4
+        v = np.array([1e8 + 0.5, 1e8, 1e8 - 0.125, -2e8, 3e7, 1e8 - 7.0])
+        w = project_capped_simplex(v, 0.375)
+        assert_single_shift(v, w, 0.375)
+        np.testing.assert_array_equal(w, [0.375, 0.375, 0.25, 0.0, 0.0, 0.0])
+
 
 class TestSensitivityNeutralWeights:
     def test_zero_gradient_keeps_equal_weights(self):
@@ -252,6 +329,21 @@ class TestSensitivityNeutralWeights:
         problem = SensitivityProblem(g, cap=0.4)
         result = sensitivity_neutral_weights(problem)
         assert result.residual < 1e-12
+
+    def test_duality_gap_bounds_suboptimality(self):
+        # f = residual^2 is convex, so the Frank-Wolfe gap certifies
+        # f(w) - f* <= gap against the multistart oracle's optimum
+        rng = np.random.default_rng(5)
+        problem = SensitivityProblem(rng.standard_normal((6, 3)) + 0.3, cap=4.0 / 6)
+        result = sensitivity_neutral_weights(problem)
+        oracle = simplex_grid_oracle(problem, grid_divisions=4)
+        assert 0 < result.iterations <= 2000
+        assert result.duality_gap >= -1e-12
+        assert result.residual**2 - oracle**2 <= result.duality_gap + 1e-12
+
+    def test_zero_gradient_needs_no_iterations(self):
+        result = sensitivity_neutral_weights(SensitivityProblem(np.zeros((8, 2)), cap=0.5))
+        assert result.iterations == 0 and result.duality_gap == 0.0
 
     def test_matches_global_grid_oracle_small_n(self):
         rng = np.random.default_rng(5)
