@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .sim import ProcessSpec
+from .sim import ProcessSpec, constant_spec
 
 CATALOG_NAMES = ("constant", "affine", "sector-block")
 
@@ -25,23 +25,23 @@ def build_process(
     sector-block: per-sector mu/sigma lists, assets assigned round-robin
     """
     if name == "constant":
-        mu = np.broadcast_to(np.asarray(params.get("mu", 0.0), dtype=float), (n_assets,)).copy()
-        sigma = np.broadcast_to(np.asarray(params.get("sigma", 0.2), dtype=float), (n_assets,)).copy()
-        if np.any(sigma < 0):
+        sigma = params.get("sigma", 0.2)
+        if np.any(np.asarray(sigma, dtype=float) < 0):
             raise ValueError("constant catalog entry has negative sigma")
-        return ProcessSpec(n_assets, lambda i, xi: mu[i], lambda i, xi: sigma[i], noise)
+        return constant_spec(n_assets, params.get("mu", 0.0), sigma, noise)
 
     if name == "affine":
         mu0 = float(params.get("mu0", 0.0))
         mu1 = float(params.get("mu1", 0.0))
         sigma0 = float(params.get("sigma0", 0.2))
         sigma1 = float(params.get("sigma1", 0.0))
-        return ProcessSpec(
-            n_assets,
-            lambda i, xi: mu0 + mu1 * xi[0],
-            lambda i, xi: max(sigma0 + sigma1 * xi[0], 0.0),
-            noise,
-        )
+
+        def sigma(xi):
+            s = sigma0 + sigma1 * xi[:, :1]
+            # max(s, 0.0) cell by cell; np.maximum would turn -0.0 into 0.0
+            return np.where(s < 0.0, 0.0, s)
+
+        return ProcessSpec(n_assets, lambda xi: mu0 + mu1 * xi[:, :1], sigma, noise)
 
     if name == "sector-block":
         mus = np.asarray(params.get("mu_sectors", [0.0]), dtype=float)
@@ -50,9 +50,7 @@ def build_process(
             raise ValueError("sector-block catalog entry has negative sigma")
         if mus.size != sigmas.size:
             raise ValueError("mu_sectors and sigma_sectors must have equal length")
-        k = mus.size
-        return ProcessSpec(
-            n_assets, lambda i, xi: mus[i % k], lambda i, xi: sigmas[i % k], noise
-        )
+        sector = np.arange(n_assets) % mus.size
+        return constant_spec(n_assets, mus[sector], sigmas[sector], noise)
 
     raise ValueError(f"unknown catalog entry {name!r}; known: {CATALOG_NAMES}")

@@ -2,8 +2,10 @@
 
 Subcommands: simulate, gauge, riskfree, price, discount, sensitivity.
 Every run embeds the config hash and seed in its report.  Exit codes:
-0 success, 1 usage error, 2 computation error.  GAUGEPORT_THREADS overrides
-the simulation worker count; nothing else reads the environment.
+0 success, 1 usage error, 2 computation error.  GAUGEPORT_THREADS (an
+integer >= 1, default 1) sets the Monte Carlo worker count of simulate and
+riskfree, whose reports do not depend on it; any other value is a usage
+error.  Nothing else reads the environment.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,10 +28,14 @@ EXIT_COMPUTE = 2
 
 
 def _thread_count() -> int:
+    raw = os.environ.get("GAUGEPORT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GAUGEPORT_THREADS", "1")))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise UsageError(f"GAUGEPORT_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def _sim_inputs(config: io.RunConfig):
@@ -84,15 +91,19 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
     big_spec = build_process(
         section["process"], section.get("process_params", {}), max(sizes), section["noise"]
     )
-    study = riskfree.convergence_study(big_spec, env, grid, sizes, int(rf["n_paths"]), seed)
+    n_paths = int(rf["n_paths"])
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     w_b = rng.uniform(0.5, 1.5, max(sizes))
     w_b /= w_b.sum()
-    etemadi = riskfree.etemadi_check(
-        big_spec, env, grid,
-        riskfree.WeightVector.equal(max(sizes)), riskfree.WeightVector(w_b),
-        int(rf["n_paths"]), seed, sizes=sizes,
-    )
+    weights = (riskfree.WeightVector.equal(max(sizes)), riskfree.WeightVector(w_b))
+    with sim.TaskPool(_thread_count()) as pool:
+        # both studies on one pool, so their independent streams overlap
+        study, etemadi = pool.map(lambda run: run(), [
+            (partial(riskfree.convergence_study, big_spec, env, grid, sizes, n_paths, seed,
+                     n_jobs=pool),),
+            (partial(riskfree.etemadi_check, big_spec, env, grid, *weights, n_paths, seed,
+                     sizes=sizes, n_jobs=pool),),
+        ])
     body = {
         "sizes": list(study.sizes),
         "sigma_hats": study.sigma_hats,

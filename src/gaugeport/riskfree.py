@@ -13,16 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .gauge import GaugeFieldA, GaugeFieldB, PricePanel
 from .grid import TimeGrid
-from .sim import EnvironmentSeries, ProcessSpec, iter_step_ratio_chunks
+from .sim import EnvironmentSeries, ProcessSpec, StepKernel, TaskPool, iter_blocks
 
 #: Default diversification cap constant: weights must satisfy w_i <= DIVERSIFICATION_C / N.
 DIVERSIFICATION_C = 4.0
+
+#: How far the weights of a WeightVector may sum from one.
+WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class WeightVector:
         object.__setattr__(self, "w", w)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
 
     @property
@@ -235,22 +238,12 @@ class ScalingReport:
     analytic_slope: float
 
 
-def _streamed_sigma_hat(
-    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, weights: np.ndarray,
-    n_paths: int, seed: int,
-) -> float:
-    """Pooled std of per-step portfolio log-returns, annualized."""
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    for ratios in iter_step_ratio_chunks(spec, env, grid, n_paths, seed):
-        logret = np.log(ratios @ weights)
-        count += logret.size
-        total += logret.sum()
-        total_sq += np.sum(logret**2)
-    mean = total / count
-    var = total_sq / count - mean**2
-    return float(np.sqrt(max(var, 0.0))) / np.sqrt(grid.dt)
+def _log_return_moments(
+    kernel: StepKernel, weights: np.ndarray, seed: int, block: int, size: int
+) -> tuple[int, float, float]:
+    """Count, sum and sum of squares of one block's per-step portfolio log-returns."""
+    logret = np.log(kernel.ratios(seed, block, size) @ weights)
+    return logret.size, logret.sum(), np.sum(logret**2)
 
 
 def convergence_study(
@@ -260,11 +253,15 @@ def convergence_study(
     sizes: Sequence[int],
     n_paths: int,
     seed: int,
+    n_jobs: Union[int, TaskPool] = 1,
 ) -> ScalingReport:
     """Fit log sigma_hat vs log N for equal-weight prefix universes.
 
-    The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the
-    volatilities evaluated at the initial environment.
+    sigma_hat is the pooled std of per-step portfolio log-returns, annualized;
+    universe j streams its own Philox seed ``seed + j``.  The analytic slope
+    comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the volatilities
+    evaluated at the initial environment.  Every (universe, path block) is
+    one task on ``n_jobs``; the results do not depend on it.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 4 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -272,14 +269,30 @@ def convergence_study(
     if max(sizes) > spec.n_assets:
         raise ValueError("largest size exceeds the process's asset count")
 
-    sigma0 = np.array([spec.sigma_fn(i, env.xi[0]) for i in range(max(sizes))])
-    sigma_hats = []
+    blocks = list(iter_blocks(n_paths))
+    tasks = []
     analytic = []
     for j, n in enumerate(sizes):
-        sub = ProcessSpec(n, spec.mu_fn, spec.sigma_fn, spec.noise)
+        sub = spec.prefix(n)
+        sigma = sub.vol_matrix(env)
+        kernel = StepKernel(sub.drift_matrix(env), sigma, grid.dt, sub.noise)
         weights = np.full(n, 1.0 / n)
-        sigma_hats.append(_streamed_sigma_hat(sub, env, grid, weights, n_paths, seed + j))
-        analytic.append(np.sqrt(np.sum((sigma0[:n] / n) ** 2)))
+        tasks += [(kernel, weights, seed + j, block, size) for block, _start, size in blocks]
+        analytic.append(np.sqrt(np.sum((sigma[0] / n) ** 2)))
+    moments = TaskPool.run(n_jobs, _log_return_moments, tasks)
+
+    sigma_hats = []
+    for j in range(len(sizes)):
+        count = 0
+        total = 0.0
+        total_sq = 0.0
+        for block_count, block_sum, block_sq in moments[j * len(blocks) : (j + 1) * len(blocks)]:
+            count += block_count
+            total += block_sum
+            total_sq += block_sq
+        mean = total / count
+        var = total_sq / count - mean**2
+        sigma_hats.append(float(np.sqrt(max(var, 0.0))) / np.sqrt(grid.dt))
     sigma_hats = np.array(sigma_hats)
     analytic = np.array(analytic)
     finite = np.isfinite(np.log(sigma_hats))
@@ -313,13 +326,15 @@ def etemadi_check(
     n_paths: int,
     seed: int,
     sizes: Optional[Sequence[int]] = None,
+    n_jobs: Union[int, TaskPool] = 1,
 ) -> EtemadiReport:
     """Divergence of cumulative returns under two positive weightings.
 
     Sub-universes are nested prefixes of the fixed asset ordering; within
     each prefix the full-universe weights are renormalized.  All positive-
     weight diversified averages share one limit, so the divergence must decay
-    with N.
+    with N.  Every path block is one task on ``n_jobs``; the results do not
+    depend on it.
     """
     for wv in (weight_a, weight_b):
         if np.any(wv.w <= 0):
@@ -337,18 +352,24 @@ def etemadi_check(
     if max(sizes) > spec.n_assets:
         raise ValueError("largest sub-universe exceeds the asset count")
 
+    kernel = StepKernel.of(spec, env, grid)
+    prefix_a = [weight_a.w[:n] / weight_a.w[:n].sum() for n in sizes]
+    prefix_b = [weight_b.w[:n] / weight_b.w[:n].sum() for n in sizes]
+
+    def log_return_sums(block: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        ratios = kernel.ratios(seed, block, size)
+        sums_a = [np.sum(np.log(ratios[:, :, :n] @ wa)) for n, wa in zip(sizes, prefix_a)]
+        sums_b = [np.sum(np.log(ratios[:, :, :n] @ wb)) for n, wb in zip(sizes, prefix_b)]
+        return np.array(sums_a), np.array(sums_b)
+
+    blocks = [(block, size) for block, _start, size in iter_blocks(n_paths)]
     sums_a = np.zeros(len(sizes))
     sums_b = np.zeros(len(sizes))
-    n_done = 0
-    for ratios in iter_step_ratio_chunks(spec, env, grid, n_paths, seed):
-        for j, n in enumerate(sizes):
-            wa = weight_a.w[:n] / weight_a.w[:n].sum()
-            wb = weight_b.w[:n] / weight_b.w[:n].sum()
-            sums_a[j] += np.sum(np.log(ratios[:, :, :n] @ wa))
-            sums_b[j] += np.sum(np.log(ratios[:, :, :n] @ wb))
-        n_done += ratios.shape[0]
-    cum_a = sums_a / n_done
-    cum_b = sums_b / n_done
+    for block_a, block_b in TaskPool.run(n_jobs, log_return_sums, blocks):
+        sums_a += block_a
+        sums_b += block_b
+    cum_a = sums_a / n_paths
+    cum_b = sums_b / n_paths
     div = np.abs(cum_a - cum_b)
     return EtemadiReport(sizes=sizes, divergences=div, terminal_divergence=float(div[-1]))
 
@@ -369,8 +390,22 @@ def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
     slope times width give S at every breakpoint and bracket S = 1.  Inside
     the bracket the capped and free weights are fixed, and tau solves
     n_capped * cap + sum_free (v_i - tau) = 1.  O(N log N).
+
+    For |v| >> 1, tau and every v - tau are rounded on the ulp grid of v, so
+    the free weights can miss their share by a few ulp(v) each.  When the sum
+    misses 1 by more than ``WEIGHT_SUM_TOL``, the free weights are shifted
+    once more, on their own O(1) values, to the share the others leave them.
     """
     v = np.asarray(v, dtype=float)
+    w = _shift_clip(v, cap, 1.0)
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        free = (w > 0.0) & (w < cap)
+        w[free] = _shift_clip(w[free], cap, 1.0 - w[~free].sum())
+    return w
+
+
+def _shift_clip(v: np.ndarray, cap: float, total: float) -> np.ndarray:
+    """clip(v - tau, 0, cap) with the tau that makes it sum to ``total``."""
     n = v.size
     points = np.concatenate([v, v - cap])
     order = np.argsort(points)[::-1]
@@ -379,17 +414,17 @@ def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
     inside = np.cumsum(np.where(order < n, 1, -1))
     s_at = np.zeros(2 * n)
     np.cumsum(inside[:-1] * (breaks[:-1] - breaks[1:]), out=s_at[1:])
-    j = int(np.searchsorted(s_at, 1.0))
+    j = int(np.searchsorted(s_at, total))
     if j == 2 * n:
-        # S never reaches 1: n * cap rounds to just below one, so every
-        # weight sits at the cap
+        # S never reaches the total: n * cap rounds to just below it, so
+        # every weight sits at the cap
         return np.full(n, float(cap))
-    # S crosses 1 for tau between lo = breaks[j] and hi = breaks[j - 1]
+    # S crosses the total for tau between lo = breaks[j] and hi = breaks[j - 1]
     lo, hi = breaks[j], breaks[j - 1]
     v_capped = points[n:]
     free = (v >= hi) & (v_capped <= lo)
     n_capped = np.count_nonzero(v_capped >= hi)
-    tau = (v[free].sum() - (1.0 - n_capped * cap)) / inside[j - 1]
+    tau = (v[free].sum() - (total - n_capped * cap)) / inside[j - 1]
     return np.clip(v - tau, 0.0, cap)
 
 

@@ -6,15 +6,18 @@ Each asset follows the exact log-normal step
                         + sigma_i(xi_k) sqrt(dt) z)
 
 with independent cross-asset noises.  Noise is drawn from counter-based
-Philox streams keyed by (seed, path block), so results are bit-identical
-regardless of how many worker threads fill the path blocks.
+Philox streams keyed by (seed, path block, stream), so every path block is an
+independent task.  One :class:`TaskPool` runs the blocks of every Monte Carlo
+routine and partial results are combined in fixed block order, so results
+are bit-identical regardless of how many worker threads run the blocks.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +64,64 @@ def iter_blocks(n_paths: int) -> Iterator[tuple[int, int, int]]:
         yield block, start, min(PATH_BLOCK, n_paths - start)
 
 
+class TaskPool:
+    """Worker threads for independent Monte Carlo tasks, shared by nested maps.
+
+    ``map(fn, tasks)`` returns ``[fn(*task) for task in tasks]`` in task
+    order.  With ``n_jobs = 1`` the tasks run in the calling thread; otherwise
+    ``n_jobs`` worker threads run them while a caller outside the pool waits.
+    A task may map on its own pool: its worker runs every subtask that no
+    other worker has started yet and waits only on running ones, so nested
+    maps cannot deadlock, and the subtasks of two concurrent tasks share the
+    same threads.  Tasks must not depend on one another; then the results do
+    not depend on which thread ran them.
+    """
+
+    def __init__(self, n_jobs: int = 1):
+        if n_jobs < 1:
+            raise ValueError("n_jobs must be >= 1")
+        self._in_worker = threading.local()
+        self._executor = (
+            ThreadPoolExecutor(n_jobs, initializer=self._mark_worker) if n_jobs > 1 else None
+        )
+
+    def _mark_worker(self) -> None:
+        self._in_worker.flag = True
+
+    def __enter__(self) -> "TaskPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
+        if self._executor is None:
+            return [fn(*task) for task in tasks]
+        futures = [self._executor.submit(fn, *task) for task in tasks]
+        try:
+            if getattr(self._in_worker, "flag", False):
+                return [
+                    fn(*task) if future.cancel() else future.result()
+                    for future, task in zip(futures, tasks)
+                ]
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:  # after a failure, drop what has not started
+                future.cancel()
+
+    @classmethod
+    def run(cls, n_jobs: Union[int, "TaskPool"], fn: Callable, tasks: Sequence[tuple]) -> list:
+        """``map`` on the pool ``n_jobs``, or on a new pool of that many threads."""
+        if isinstance(n_jobs, TaskPool):
+            return n_jobs.map(fn, tasks)
+        with cls(n_jobs) as pool:
+            return pool.map(fn, tasks)
+
+
 @dataclass(frozen=True)
 class EnvironmentSeries:
     """Deterministic environment factors xi(t), shared by all paths."""
@@ -85,16 +146,18 @@ class EnvironmentSeries:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Per-asset drift/volatility functionals of the environment factor.
+    """Per-asset drift and volatility as array functions of the environment.
 
-    ``mu_fn(i, xi)`` and ``sigma_fn(i, xi)`` map an asset index and a factor
-    vector to a drift (1/yr) and volatility (1/sqrt(yr)).  Nonstandard noise
-    tags are moment-checked at construction.
+    ``mu(xi)`` and ``sigma(xi)`` map the factor rows ``xi`` [steps, n_factors]
+    to drifts (1/yr) and volatilities (1/sqrt(yr)) of shape [steps, n_assets],
+    or of any shape that broadcasts to it: a per-asset vector [n_assets], a
+    per-step column [steps, 1], a scalar.  Nonstandard noise tags are
+    moment-checked at construction.
     """
 
     n_assets: int
-    mu_fn: Callable[[int, np.ndarray], float]
-    sigma_fn: Callable[[int, np.ndarray], float]
+    mu: Callable[[np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray], np.ndarray]
     noise: str = "normal"
 
     def __post_init__(self):
@@ -107,22 +170,37 @@ class ProcessSpec:
             if abs(sample.mean()) > 0.01 or abs(sample.var() - 1.0) > 0.01:
                 raise ValueError(f"noise tag {self.noise!r} fails the zero-mean/unit-variance check")
 
+    def _evaluate(self, fn: Callable, xi: np.ndarray) -> np.ndarray:
+        values = np.asarray(fn(xi), dtype=float)
+        shape = (xi.shape[0], self.n_assets)
+        try:
+            return np.broadcast_to(values, shape)
+        except ValueError:
+            raise ValueError(
+                f"process function returned shape {values.shape}, not broadcastable to {shape}"
+            ) from None
+
     def drift_matrix(self, env: EnvironmentSeries) -> np.ndarray:
         """mu[k, i] at interval left endpoints, shape [steps, n_assets]."""
-        xi = env.xi[:-1]
-        return np.array(
-            [[self.mu_fn(i, xi[k]) for i in range(self.n_assets)] for k in range(xi.shape[0])]
-        )
+        return self._evaluate(self.mu, env.xi[:-1])
 
     def vol_matrix(self, env: EnvironmentSeries) -> np.ndarray:
         """sigma[k, i] at interval left endpoints; rejects negative values."""
-        xi = env.xi[:-1]
-        sig = np.array(
-            [[self.sigma_fn(i, xi[k]) for i in range(self.n_assets)] for k in range(xi.shape[0])]
-        )
+        sig = self._evaluate(self.sigma, env.xi[:-1])
         if np.any(sig < 0):
-            raise ValueError("sigma_fn returned a negative volatility")
+            raise ValueError("sigma returned a negative volatility")
         return sig
+
+    def prefix(self, n: int) -> "ProcessSpec":
+        """The process of the first n assets, for nested sub-universes."""
+        if n > self.n_assets:
+            raise ValueError(f"prefix size {n} exceeds {self.n_assets} assets")
+        return ProcessSpec(
+            n,
+            lambda xi: self._evaluate(self.mu, xi)[:, :n],
+            lambda xi: self._evaluate(self.sigma, xi)[:, :n],
+            self.noise,
+        )
 
 
 def constant_spec(
@@ -131,12 +209,33 @@ def constant_spec(
     """ProcessSpec with environment-independent per-asset mu and sigma."""
     mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (n_assets,)).copy()
     sigma_arr = np.broadcast_to(np.asarray(sigma, dtype=float), (n_assets,)).copy()
-    return ProcessSpec(
-        n_assets=n_assets,
-        mu_fn=lambda i, xi: mu_arr[i],
-        sigma_fn=lambda i, xi: sigma_arr[i],
-        noise=noise,
-    )
+    return ProcessSpec(n_assets, lambda xi: mu_arr, lambda xi: sigma_arr, noise)
+
+
+class StepKernel:
+    """Exact log-normal step of one process on one grid, applied to Philox noise.
+
+    Holds the per-step terms (mu - sigma^2/2) dt and sigma sqrt(dt), each
+    [steps, n_assets]; :meth:`ratios` turns one noise block into gross step
+    ratios inside the noise array, so a block costs one array of memory.
+    """
+
+    def __init__(self, mu: np.ndarray, sigma: np.ndarray, dt: float, noise: str):
+        self.drift = (mu - 0.5 * sigma**2) * dt
+        self.scale = sigma * np.sqrt(dt)
+        self.noise = noise
+
+    @classmethod
+    def of(cls, spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid) -> "StepKernel":
+        require_same_grid(env.grid, grid, "environment/grid")
+        return cls(spec.drift_matrix(env), spec.vol_matrix(env), grid.dt, spec.noise)
+
+    def ratios(self, seed: int, block: int, size: int) -> np.ndarray:
+        """Gross step ratios s[k+1]/s[k] of one path block, [size, steps, n_assets]."""
+        z = noise_block(seed, block, size, *self.drift.shape, self.noise)
+        z *= self.scale
+        z += self.drift
+        return np.exp(z, out=z)
 
 
 @dataclass(frozen=True)
@@ -199,13 +298,6 @@ class NumeraireSpec:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _log_increments(
-    z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, dt: float
-) -> np.ndarray:
-    # z: [paths, steps, assets]; mu, sigma: [steps, assets]
-    return (mu - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * z
-
-
 def simulate(
     spec: ProcessSpec,
     env: EnvironmentSeries,
@@ -213,14 +305,12 @@ def simulate(
     n_paths: int,
     seed: int,
     s0: Union[float, np.ndarray] = 1.0,
-    n_jobs: int = 1,
+    n_jobs: Union[int, TaskPool] = 1,
 ) -> PathSet:
     """Simulate asset price paths; bit-identical for any n_jobs."""
-    require_same_grid(env.grid, grid, "environment/grid")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    mu = spec.drift_matrix(env)
-    sigma = spec.vol_matrix(env)
+    kernel = StepKernel.of(spec, env, grid)
     s0 = np.broadcast_to(np.asarray(s0, dtype=float), (spec.n_assets,))
     if np.any(s0 <= 0):
         raise ValueError("initial prices must be strictly positive")
@@ -229,19 +319,13 @@ def simulate(
     out[:, 0, :] = s0
 
     def fill(block: int, start: int, size: int) -> None:
-        z = noise_block(seed, block, size, grid.steps, spec.n_assets, spec.noise)
-        inc = _log_increments(z, mu, sigma, grid.dt)
         # cumulative product of gross ratios, so the streaming form in
         # iter_step_ratio_chunks reproduces these paths bit for bit
-        out[start : start + size, 1:, :] = s0 * np.cumprod(np.exp(inc), axis=1)
+        dest = out[start : start + size, 1:, :]
+        np.cumprod(kernel.ratios(seed, block, size), axis=1, out=dest)
+        dest *= s0
 
-    blocks = list(iter_blocks(n_paths))
-    if n_jobs == 1:
-        for block, start, size in blocks:
-            fill(block, start, size)
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(lambda args: fill(*args), blocks))
+    TaskPool.run(n_jobs, fill, list(iter_blocks(n_paths)))
     return PathSet(grid=grid, paths=out, seed=seed, noise=spec.noise)
 
 
@@ -258,12 +342,9 @@ def iter_step_ratio_chunks(
     full PathSet.  Uses the identical noise scheme, so a PathSet built from
     the concatenated ratios matches ``simulate`` bit for bit.
     """
-    require_same_grid(env.grid, grid, "environment/grid")
-    mu = spec.drift_matrix(env)
-    sigma = spec.vol_matrix(env)
+    kernel = StepKernel.of(spec, env, grid)
     for block, _start, size in iter_blocks(n_paths):
-        z = noise_block(seed, block, size, grid.steps, spec.n_assets, spec.noise)
-        yield np.exp(_log_increments(z, mu, sigma, grid.dt))
+        yield kernel.ratios(seed, block, size)
 
 
 @dataclass(frozen=True)
@@ -304,7 +385,9 @@ def portfolio_dynamics(
     return PortfolioDynamics(paths.grid, returns, sigma_real, sigma_analytic)
 
 
-def apply_numeraire(paths: PathSet, y: NumeraireSpec, seed2: int) -> PathSet:
+def apply_numeraire(
+    paths: PathSet, y: NumeraireSpec, seed2: int, n_jobs: Union[int, TaskPool] = 1
+) -> PathSet:
     """Rescale paths by a simulated numeraire factor Y, s' = Y s.
 
     In stochastic mode the numeraire noise is mixed from the asset noises
@@ -328,13 +411,16 @@ def apply_numeraire(paths: PathSet, y: NumeraireSpec, seed2: int) -> PathSet:
     resid_scale = np.sqrt(max(0.0, 1.0 - float(rho @ rho)))
 
     scaled = np.empty_like(paths.paths)
-    for block, start, size in iter_blocks(n_paths):
+
+    def fill(block: int, start: int, size: int) -> None:
         z_assets = noise_block(paths.seed, block, size, steps, paths.n_assets, paths.noise)
         z_resid = noise_block(seed2, block, size, steps, 1, "normal")[:, :, 0]
         z_phi = z_assets @ rho + resid_scale * z_resid
         inc = (phi_mu - 0.5 * y.phi_sigma**2) * dt + y.phi_sigma * np.sqrt(dt) * z_phi
         log_y = np.concatenate([np.zeros((size, 1)), np.cumsum(inc, axis=1)], axis=1)
         scaled[start : start + size] = paths.paths[start : start + size] * np.exp(log_y)[:, :, None]
+
+    TaskPool.run(n_jobs, fill, list(iter_blocks(n_paths)))
     return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)
 
 
@@ -347,6 +433,7 @@ def sample_joint_numeraire(
     phi_mu: float,
     phi_sigma: float,
     rho: float,
+    n_jobs: Union[int, TaskPool] = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly sample a numeraire Y and a portfolio Pi with correlated noise.
 
@@ -358,17 +445,20 @@ def sample_joint_numeraire(
     steps = grid.steps
     y = np.empty((n_paths, grid.n_points))
     pi = np.empty((n_paths, grid.n_points))
-    for block, start, size in iter_blocks(n_paths):
+    pi[:, 0] = 1.0
+    y[:, 0] = 1.0
+
+    def fill(block: int, start: int, size: int) -> None:
         z = noise_block(seed, block, size, steps, 2, "normal")
         z_pi = z[:, :, 0]
         z_y = rho * z_pi + np.sqrt(1.0 - rho**2) * z[:, :, 1]
         inc_pi = (pi_mu - 0.5 * pi_sigma**2) * dt + pi_sigma * np.sqrt(dt) * z_pi
         inc_y = (phi_mu - 0.5 * phi_sigma**2) * dt + phi_sigma * np.sqrt(dt) * z_y
         sl = slice(start, start + size)
-        pi[sl, 0] = 1.0
-        y[sl, 0] = 1.0
         pi[sl, 1:] = np.exp(np.cumsum(inc_pi, axis=1))
         y[sl, 1:] = np.exp(np.cumsum(inc_y, axis=1))
+
+    TaskPool.run(n_jobs, fill, list(iter_blocks(n_paths)))
     return y, pi
 
 

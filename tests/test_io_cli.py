@@ -252,6 +252,33 @@ class TestCli:
         assert -0.7 < doc["report"]["slope"] < -0.3
         assert doc["report"]["analytic_slope"] == pytest.approx(-0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_is_usage_error(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GAUGEPORT_THREADS", value)
+        for command in ("simulate", "riskfree"):
+            assert main([command, "--out", str(tmp_path / "r.yaml")]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "GAUGEPORT_THREADS" in err and repr(value) in err
+
+    def test_riskfree_report_does_not_depend_on_threads(self, tmp_path, monkeypatch):
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            yaml.safe_dump(
+                {
+                    "simulate": {"n_assets": 32, "dt": 1.0 / 64, "horizon": 0.125},
+                    "riskfree": {"sizes": [4, 8, 16, 32], "n_paths": 1100},
+                }
+            )
+        )
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GAUGEPORT_THREADS", threads)
+            out = tmp_path / f"r{threads}.yaml"
+            argv = ["riskfree", "--config", str(config), "--out", str(out), "--no-timestamp"]
+            assert main(argv) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -27,7 +27,7 @@ from gaugeport.riskfree import (
     rebalanced_quantities,
     simplex_grid_oracle,
 )
-from gaugeport.sim import EnvironmentSeries
+from gaugeport.sim import EnvironmentSeries, TaskPool
 
 GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
 
@@ -164,6 +164,18 @@ class TestConvergenceStudy:
         # realized estimates near their analytic targets
         np.testing.assert_allclose(report.sigma_hats, report.analytic_sigma_hats, rtol=0.1)
 
+    def test_thread_count_does_not_change_report(self):
+        spec = constant_spec(32, np.linspace(0.0, 0.1, 32), 0.25)
+        env = EnvironmentSeries.constant(self.GRID8)
+        with TaskPool(2) as pool:
+            runs = [
+                convergence_study(spec, env, self.GRID8, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
+                for jobs in (1, 2, pool)
+            ]
+        for report in runs[1:]:
+            assert np.array_equal(report.sigma_hats, runs[0].sigma_hats)
+            assert report.slope == runs[0].slope
+
     def test_size_validation(self):
         spec = constant_spec(16, 0.05, 0.25)
         env = EnvironmentSeries.constant(self.GRID8)
@@ -195,6 +207,16 @@ class TestEtemadi:
             2000, seed=2, sizes=[4, 16, 64, 256],
         )
         assert report.terminal_divergence < report.divergences[0]
+
+    def test_thread_count_does_not_change_divergences(self):
+        n = 32
+        spec = constant_spec(n, np.linspace(0.0, 0.1, n), 0.2)
+        env = EnvironmentSeries.constant(self.GRID8)
+        wb = np.random.default_rng(5).uniform(0.5, 1.5, n)
+        args = (spec, env, self.GRID8, WeightVector.equal(n), WeightVector(wb / wb.sum()), 1100)
+        a = etemadi_check(*args, seed=2, sizes=[8, 32], n_jobs=1)
+        b = etemadi_check(*args, seed=2, sizes=[8, 32], n_jobs=2)
+        assert np.array_equal(a.divergences, b.divergences)
 
     def test_short_positions_rejected(self):
         spec = constant_spec(4, 0.05, 0.2)
@@ -312,6 +334,16 @@ class TestCappedSimplexProjection:
         w = project_capped_simplex(v, 0.375)
         assert_single_shift(v, w, 0.375)
         np.testing.assert_array_equal(w, [0.375, 0.375, 0.25, 0.0, 0.0, 0.0])
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_huge_inputs_still_sum_to_one(self, seed):
+        # v - tau is rounded on the ulp(1e8) grid, about 1.5e-8 per weight
+        v = 1e8 + np.random.default_rng(seed).uniform(0.0, 0.2, 16)
+        cap = 4.0 / 16
+        w = project_capped_simplex(v, cap)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(w >= 0.0) and np.all(w <= cap)
 
 
 class TestSensitivityNeutralWeights:

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,12 @@ from gaugeport import (
     return_volatility,
     simulate,
 )
+from gaugeport.catalog import build_process
 from gaugeport.sim import (
+    PATH_BLOCK,
     EnvironmentSeries,
     ProcessSpec,
+    TaskPool,
     iter_step_ratio_chunks,
     noise_block,
     sample_joint_numeraire,
@@ -73,15 +80,30 @@ class TestSimulate:
     def test_environment_dependent_drift(self):
         xi = np.linspace(0.0, 1.0, GRID.n_points)[:, None]
         env = EnvironmentSeries(GRID, xi)
-        spec = ProcessSpec(1, mu_fn=lambda i, x: 0.1 * x[0], sigma_fn=lambda i, x: 0.0)
+        spec = ProcessSpec(1, mu=lambda x: 0.1 * x[:, :1], sigma=lambda x: 0.0)
         paths = simulate(spec, env, GRID, 1, seed=0)
         expected = np.exp(0.1 * np.sum(xi[:-1, 0]) * GRID.dt)
         np.testing.assert_allclose(paths.paths[0, -1, 0], expected, rtol=1e-12)
 
     def test_negative_sigma_rejected(self):
-        spec = ProcessSpec(1, mu_fn=lambda i, x: 0.0, sigma_fn=lambda i, x: -0.1)
+        spec = ProcessSpec(1, mu=lambda x: 0.0, sigma=lambda x: -0.1)
         with pytest.raises(ValueError, match="negative"):
             simulate(spec, ENV, GRID, 1, seed=0)
+
+    def test_peak_memory_is_output_plus_noise_blocks(self):
+        # each worker holds one noise block, computed in place into the output
+        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+        spec = constant_spec(256, 0.05, 0.2)
+        env = EnvironmentSeries.constant(grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            paths = simulate(spec, env, grid, n_paths=2048, seed=3, n_jobs=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        noise_bytes = PATH_BLOCK * grid.steps * spec.n_assets * 8
+        assert peak <= paths.paths.nbytes + 4 * noise_bytes
 
     def test_streaming_ratios_match_simulate(self):
         spec = constant_spec(3, 0.04, 0.3)
@@ -89,6 +111,101 @@ class TestSimulate:
         chunks = np.concatenate(list(iter_step_ratio_chunks(spec, ENV, GRID, 700, seed=5)))
         rebuilt = np.cumprod(chunks, axis=1)
         assert np.array_equal(paths.paths[:, 1:, :], rebuilt)
+
+
+def per_cell(fn, env: EnvironmentSeries, n_assets: int) -> np.ndarray:
+    """The scalar process model: one fn(asset, factor row) call per cell."""
+    xi = env.xi[:-1]
+    return np.array([[fn(i, xi[k]) for i in range(n_assets)] for k in range(xi.shape[0])])
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestProcessModel:
+    """Array-valued catalog families against the per-cell formulas they replace."""
+
+    XI = 1.5 * np.sin(np.linspace(0.0, 9.0, GRID.n_points))[:, None]
+
+    def test_constant_family(self):
+        mu = [0.01, -0.02, 0.05, 0.0, 0.07]
+        sigma = [0.1, 0.0, 0.3, 0.25, 0.2]
+        spec = build_process("constant", {"mu": mu, "sigma": sigma}, 5)
+        env = EnvironmentSeries(GRID, self.XI)
+        assert_same_bits(spec.drift_matrix(env), per_cell(lambda i, x: np.array(mu)[i], env, 5))
+        assert_same_bits(spec.vol_matrix(env), per_cell(lambda i, x: np.array(sigma)[i], env, 5))
+
+    def test_affine_family_with_vol_clamp(self):
+        p = {"mu0": 0.03, "mu1": -0.7, "sigma0": 0.1, "sigma1": 0.2}
+        spec = build_process("affine", p, 4)
+        env = EnvironmentSeries(GRID, self.XI)
+        sigma = spec.vol_matrix(env)
+        # xi swings to -1.5, which drives sigma0 + sigma1 xi below 0 and onto the clamp
+        assert np.any(sigma == 0.0) and np.any(sigma > 0.1)
+        drift_ref = per_cell(lambda i, x: p["mu0"] + p["mu1"] * x[0], env, 4)
+        vol_ref = per_cell(lambda i, x: max(p["sigma0"] + p["sigma1"] * x[0], 0.0), env, 4)
+        assert_same_bits(spec.drift_matrix(env), drift_ref)
+        assert_same_bits(sigma, vol_ref)
+
+    def test_sector_block_family(self):
+        mus = [0.01, 0.05, 0.09]
+        sigmas = [0.1, 0.2, 0.3]
+        spec = build_process("sector-block", {"mu_sectors": mus, "sigma_sectors": sigmas}, 8)
+        env = EnvironmentSeries(GRID, self.XI)
+        assert_same_bits(spec.drift_matrix(env), per_cell(lambda i, x: np.array(mus)[i % 3], env, 8))
+        assert_same_bits(spec.vol_matrix(env), per_cell(lambda i, x: np.array(sigmas)[i % 3], env, 8))
+
+    def test_prefix_keeps_leading_assets(self):
+        spec = build_process("constant", {"mu": np.linspace(0.0, 0.07, 8)}, 8)
+        env = EnvironmentSeries(GRID, self.XI)
+        assert_same_bits(spec.prefix(5).drift_matrix(env), spec.drift_matrix(env)[:, :5])
+
+    def test_unbroadcastable_shape_rejected(self):
+        spec = ProcessSpec(3, mu=lambda x: np.zeros(2), sigma=lambda x: 0.1)
+        with pytest.raises(ValueError, match="broadcastable"):
+            spec.drift_matrix(ENV)
+
+
+class TestTaskPool:
+    def test_results_in_task_order(self):
+        with TaskPool(3) as pool:
+            assert pool.map(lambda a, b: a * b, [(k, k + 1) for k in range(20)]) == [
+                k * (k + 1) for k in range(20)
+            ]
+
+    def test_nested_maps_on_one_pool_finish(self):
+        # more workers than cores and a short switch interval, so tasks
+        # interleave; every outer task maps its own subtasks on the same pool
+        def subtask(j, k):
+            return noise_block(j, k, 2, 3, 4, "normal").sum()
+
+        nested = []
+
+        def run():
+            with TaskPool(4) as pool:
+                outer = lambda j: pool.map(subtask, [(j, k) for k in range(6)])  # noqa: E731
+                nested.extend(pool.map(outer, [(j,) for j in range(8)]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert nested == [[subtask(j, k) for k in range(6)] for j in range(8)]
+
+    def test_task_error_propagates(self):
+        def fail(k):
+            raise ValueError(f"task {k}")
+
+        with TaskPool(2) as pool, pytest.raises(ValueError, match="task"):
+            pool.map(fail, [(0,), (1,)])
 
 
 class TestNoiseTags:
@@ -180,6 +297,14 @@ class TestNumeraire:
         var_se = eff_sigma**2 * t_end * np.sqrt(2.0 / n)
         assert abs(log_t.var() - eff_sigma**2 * t_end) < 3 * var_se
 
+    def test_thread_count_does_not_change_rescaling(self):
+        spec = constant_spec(3, 0.05, 0.2)
+        paths = simulate(spec, ENV, GRID, n_paths=1100, seed=8)
+        y = NumeraireSpec(phi_mu=0.02, phi_sigma=0.1, rho=np.array([0.3, -0.2, 0.1]))
+        a = apply_numeraire(paths, y, seed2=9, n_jobs=1)
+        b = apply_numeraire(paths, y, seed2=9, n_jobs=2)
+        assert np.array_equal(a.paths, b.paths)
+
     def test_rho_vector_validated(self):
         with pytest.raises(ValueError, match="rho"):
             NumeraireSpec(phi_mu=0.0, phi_sigma=0.1, rho=np.array([0.9, 0.9]))
@@ -213,6 +338,12 @@ class TestCrossTerm:
         )
         estimate, se = cross_term(y, pi, GRID.horizon)
         assert abs(estimate - 0.04) < 3 * se + 1e-4
+
+    def test_thread_count_does_not_change_joint_sample(self):
+        args = (GRID, 1100, 12, 0.05, 0.2, 0.03, 0.1, 0.4)
+        y1, pi1 = sample_joint_numeraire(*args, n_jobs=1)
+        y2, pi2 = sample_joint_numeraire(*args, n_jobs=2)
+        assert np.array_equal(y1, y2) and np.array_equal(pi1, pi2)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
