@@ -139,7 +139,7 @@ def cmd_discount(args, config: io.RunConfig) -> dict:
     disc = config.section("discount")
     panel = io.ingest(args.panel, normalize=args.normalize)
     report = discounting.empirical_pipeline(panel, window=int(disc["window"]))
-    series = discounting.cash_value_series(panel)
+    series = report.cash_series
     body = {
         "asset_ids": list(report.asset_ids),
         "final_values": report.final_values,

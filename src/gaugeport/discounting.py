@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gauge import GaugeFieldA, PricePanel
-from .riskfree import WeightVector, extract_market_gauge, to_riskfree_units
+from .riskfree import MarketGaugeResult, WeightVector, extract_market_gauge, to_riskfree_units
 
 CASH_TAG = "#cash"
 
@@ -43,14 +43,23 @@ class DiscountSpec:
 
 
 @dataclass(frozen=True)
+class LabeledSeries:
+    label: str
+    times: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class DiscountReport:
-    """Final values and discount factors in risk-free units (table shape)."""
+    """Final values and discount factors in risk-free units (table shape),
+    plus the cash value in risk-free units over time."""
 
     asset_ids: tuple[str, ...]
     final_values: np.ndarray
     discount_factors: np.ndarray
     riskfree_label: str
     metadata: dict = field(default_factory=dict)
+    cash_series: Optional[LabeledSeries] = None
 
     def __post_init__(self):
         if np.any(self.discount_factors <= 0):
@@ -155,19 +164,11 @@ def rolling_drift_vol(
     return mu, sigma
 
 
-def empirical_pipeline(
-    panel: PricePanel,
-    weights: Optional[WeightVector] = None,
-    window: int = 63,
-) -> DiscountReport:
-    """Build the risk-free portfolio, switch to the A' = 0 gauge, and report.
-
-    The panel must carry exactly one cash column (unit price at inception)
-    and every series must be normalized to 1 at inception.  The risk-free
-    portfolio is built from the non-cash columns, every instrument is quoted
-    in its units, and each asset's realized discount factor is its final
-    value in those units.
-    """
+def _riskfree_gauge(
+    panel: PricePanel, weights: Optional[WeightVector]
+) -> tuple[int, WeightVector, MarketGaugeResult]:
+    """Cash column, weights and market gauge of the risk-free portfolio,
+    which is built from the panel's non-cash columns."""
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels")
     cash_idx = find_cash_column(panel.asset_ids)
@@ -188,7 +189,32 @@ def empirical_pipeline(
         prices=panel.prices[:, non_cash],
         asset_ids=tuple(panel.asset_ids[i] for i in non_cash),
     )
-    gauge = extract_market_gauge(riskfree_panel, weights)
+    return cash_idx, weights, extract_market_gauge(riskfree_panel, weights)
+
+
+def _cash_series(panel: PricePanel, cash_idx: int, values: np.ndarray) -> LabeledSeries:
+    return LabeledSeries(
+        label=f"{panel.asset_ids[cash_idx]} (risk-free units)",
+        times=panel.grid.points(),
+        values=values,
+    )
+
+
+def empirical_pipeline(
+    panel: PricePanel,
+    weights: Optional[WeightVector] = None,
+    window: int = 63,
+) -> DiscountReport:
+    """Build the risk-free portfolio, switch to the A' = 0 gauge, and report.
+
+    The panel must carry exactly one cash column (unit price at inception)
+    and every series must be normalized to 1 at inception.  The risk-free
+    portfolio is built from the non-cash columns, every instrument is quoted
+    in its units, and each asset's realized discount factor is its final
+    value in those units.  The report also carries the cash column over
+    time in those units, as :func:`cash_value_series` gives it.
+    """
+    cash_idx, weights, gauge = _riskfree_gauge(panel, weights)
     converted = to_riskfree_units(panel, gauge.portfolio_value_series)
 
     final_values = converted.prices[-1].copy()
@@ -218,36 +244,11 @@ def empirical_pipeline(
         discount_factors=discount_factors,
         riskfree_label="risk-free portfolio",
         metadata=metadata,
+        cash_series=_cash_series(panel, cash_idx, converted.prices[:, cash_idx].copy()),
     )
-
-
-@dataclass(frozen=True)
-class LabeledSeries:
-    label: str
-    times: np.ndarray
-    values: np.ndarray
 
 
 def cash_value_series(panel: PricePanel, weights: Optional[WeightVector] = None) -> LabeledSeries:
     """Cash value in risk-free units over time (plot-ready)."""
-    if panel.asset_ids is None:
-        raise ValueError("panel must carry asset labels")
-    cash_idx = find_cash_column(panel.asset_ids)
-    if np.max(np.abs(panel.prices[0] - 1.0)) > 1e-9:
-        raise ValueError("panel is not normalized: scale every series to price 1 at inception")
-    non_cash = [i for i in range(panel.n_assets) if i != cash_idx]
-    if weights is None:
-        weights = WeightVector.equal(len(non_cash))
-    weights.require_riskfree()
-    riskfree_panel = PricePanel(
-        grid=panel.grid,
-        prices=panel.prices[:, non_cash],
-        asset_ids=tuple(panel.asset_ids[i] for i in non_cash),
-    )
-    gauge = extract_market_gauge(riskfree_panel, weights)
-    series = panel.prices[:, cash_idx] / gauge.portfolio_value_series
-    return LabeledSeries(
-        label=f"{panel.asset_ids[cash_idx]} (risk-free units)",
-        times=panel.grid.points(),
-        values=series,
-    )
+    cash_idx, _weights, gauge = _riskfree_gauge(panel, weights)
+    return _cash_series(panel, cash_idx, panel.prices[:, cash_idx] / gauge.portfolio_value_series)

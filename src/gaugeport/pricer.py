@@ -12,7 +12,8 @@ the zero-rate closed form is the oracle for the A' = 0 gauge.
 Every implicit half step solves the same tridiagonal system I - (dt/2) L,
 so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
 coefficients change between intervals) and each step is one ``dgttrs``
-solve.
+solve.  scipy is imported inside the functions that use it, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import ndtr
 
 from .grid import TimeGrid
 
@@ -131,6 +130,8 @@ def effective_vol(sigma1: float, sigma_hat: float) -> EffectiveVol:
 
 def bs_closed_form(s: float, e: float, sigma: float, tau: float) -> float:
     """Zero-rate Black-Scholes call value (the natural A' = 0 gauge)."""
+    from scipy.special import ndtr
+
     if tau <= 0:
         return max(s - e, 0.0)
     if sigma <= 0:
@@ -143,6 +144,8 @@ def bs_closed_form(s: float, e: float, sigma: float, tau: float) -> float:
 
 def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) -> float:
     """Textbook Black-Scholes call with constant rate r (reduction oracle)."""
+    from scipy.special import ndtr
+
     if tau <= 0:
         return max(s - e, 0.0)
     if sigma <= 0:
@@ -232,6 +235,8 @@ def _boundary_values(problem: PdeProblem, int_a_b: float, int_b: float):
 
 def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n: int):
     """LU factors of (I - theta_dt L) with identity rows at the Dirichlet ends."""
+    from scipy.linalg.lapack import dgttrf
+
     dl = np.full(n - 1, -theta_dt * lower)
     d = np.full(n, 1.0 - theta_dt * diag)
     du = np.full(n - 1, -theta_dt * upper)
@@ -252,6 +257,8 @@ def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurfa
     implicit half steps share the matrix I - (dt/2) L, whose LU factors are
     reused until an interval's (sigma, A, B) differs from the previous one.
     """
+    from scipy.linalg.lapack import dgttrs
+
     s = problem.s_grid
     x = np.log(s)
     dx = x[1] - x[0]

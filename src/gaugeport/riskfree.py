@@ -242,7 +242,9 @@ def _log_return_moments(
     kernel: StepKernel, weights: np.ndarray, seed: int, block: int, size: int
 ) -> tuple[int, float, float]:
     """Count, sum and sum of squares of one block's per-step portfolio log-returns."""
-    logret = np.log(kernel.ratios(seed, block, size) @ weights)
+    logret = np.empty((size, kernel.drift.shape[0]))
+    for first, z in kernel.sub_blocks(seed, block, size):
+        np.log(kernel.gross(z) @ weights, out=logret[first : first + len(z)])
     return logret.size, logret.sum(), np.sum(logret**2)
 
 
@@ -357,10 +359,16 @@ def etemadi_check(
     prefix_b = [weight_b.w[:n] / weight_b.w[:n].sum() for n in sizes]
 
     def log_return_sums(block: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        ratios = kernel.ratios(seed, block, size)
-        sums_a = [np.sum(np.log(ratios[:, :, :n] @ wa)) for n, wa in zip(sizes, prefix_a)]
-        sums_b = [np.sum(np.log(ratios[:, :, :n] @ wb)) for n, wb in zip(sizes, prefix_b)]
-        return np.array(sums_a), np.array(sums_b)
+        # per-step log-returns of the block, [weighting, universe, path, step],
+        # filled sub-block by sub-block; each [path, step] array is summed once
+        logret = np.empty((2, len(sizes), size, grid.steps))
+        for first, z in kernel.sub_blocks(seed, block, size):
+            ratios = kernel.gross(z)
+            rows = slice(first, first + len(z))
+            for j, (n, wa, wb) in enumerate(zip(sizes, prefix_a, prefix_b)):
+                np.log(ratios[:, :, :n] @ wa, out=logret[0, j, rows])
+                np.log(ratios[:, :, :n] @ wb, out=logret[1, j, rows])
+        return tuple(np.array([np.sum(per_size) for per_size in side]) for side in logret)
 
     blocks = [(block, size) for block, _start, size in iter_blocks(n_paths)]
     sums_a = np.zeros(len(sizes))

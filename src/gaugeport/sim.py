@@ -10,14 +10,24 @@ Philox streams keyed by (seed, path block, stream), so every path block is an
 independent task.  One :class:`TaskPool` runs the blocks of every Monte Carlo
 routine and partial results are combined in fixed block order, so results
 are bit-identical regardless of how many worker threads run the blocks.
+
+A block's noise is drawn from its one generator as consecutive path
+sub-blocks of at most ~2^18 cells (at least one path).  Philox draws in the
+same order either way, so the samples are those of the whole block, while a
+task holds a few sub-blocks instead of a [PATH_BLOCK, steps, N] array.
+:func:`simulate` hands each sub-block's transform to the other workers, so
+drawing and transforming overlap even within one block.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -28,6 +38,10 @@ from .grid import TimeGrid, require_same_grid
 PATH_BLOCK = 512
 
 NOISE_TAGS = ("normal", "uniform", "two-point")
+
+# Cells per noise sub-block (at least one path is drawn at a time).  Does not
+# change the sample, only how much of a block is held at once.
+_SUB_CELLS = 1 << 18
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -58,10 +72,30 @@ def noise_block(
     return _draw(gen, (n_paths, steps, n_assets), noise)
 
 
+def noise_sub_blocks(
+    seed: int, block: int, n_paths: int, steps: int, n_assets: int, noise: str, stream: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """One path block's noise as consecutive sub-blocks (first path, noise).
+
+    Drawn in order from the block's one generator, so the sub-blocks
+    concatenate to :func:`noise_block` bit for bit.
+    """
+    gen = _block_generator(seed, block, stream)
+    sub = max(1, _SUB_CELLS // (steps * n_assets))
+    for first in range(0, n_paths, sub):
+        yield first, _draw(gen, (min(sub, n_paths - first), steps, n_assets), noise)
+
+
 def iter_blocks(n_paths: int) -> Iterator[tuple[int, int, int]]:
     """Yield (block index, start path, block length) covering n_paths."""
     for block, start in enumerate(range(0, n_paths, PATH_BLOCK)):
         yield block, start, min(PATH_BLOCK, n_paths - start)
+
+
+def _run_slot(fn: Callable, slot: list):
+    # the task leaves the slot when it starts, so a cancelled work item still
+    # waiting in the executor queue holds no reference to its arguments
+    return fn(*slot.pop())
 
 
 class TaskPool:
@@ -70,17 +104,21 @@ class TaskPool:
     ``map(fn, tasks)`` returns ``[fn(*task) for task in tasks]`` in task
     order.  With ``n_jobs = 1`` the tasks run in the calling thread; otherwise
     ``n_jobs`` worker threads run them while a caller outside the pool waits.
-    A task may map on its own pool: its worker runs every subtask that no
-    other worker has started yet and waits only on running ones, so nested
-    maps cannot deadlock, and the subtasks of two concurrent tasks share the
-    same threads.  Tasks must not depend on one another; then the results do
-    not depend on which thread ran them.
+    ``tasks`` may be any iterable and is consumed lazily, with at most
+    ``2 * n_jobs`` submitted tasks outstanding, so a generator that produces
+    large arguments keeps only a few of them alive.  A task may map on its
+    own pool: its worker runs every subtask that no other worker has started
+    yet and waits only on running ones, so nested maps cannot deadlock, and
+    the subtasks of two concurrent tasks share the same threads.  Tasks must
+    not depend on one another; then the results do not depend on which
+    thread ran them.
     """
 
     def __init__(self, n_jobs: int = 1):
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         self._in_worker = threading.local()
+        self._window = 2 * n_jobs
         self._executor = (
             ThreadPoolExecutor(n_jobs, initializer=self._mark_worker) if n_jobs > 1 else None
         )
@@ -98,27 +136,59 @@ class TaskPool:
         if self._executor is not None:
             self._executor.shutdown()
 
-    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
+    def map(self, fn: Callable, tasks: Iterable[tuple]) -> list:
         if self._executor is None:
             return [fn(*task) for task in tasks]
-        futures = [self._executor.submit(fn, *task) for task in tasks]
+        nested = getattr(self._in_worker, "flag", False)
+        results: list = []
+        pending: deque = deque()  # (result index, future, slot) in submission order
         try:
-            if getattr(self._in_worker, "flag", False):
-                return [
-                    fn(*task) if future.cancel() else future.result()
-                    for future, task in zip(futures, tasks)
-                ]
-            return [future.result() for future in futures]
+            for task in tasks:
+                slot = [task]
+                del task  # only the slot holds the task until it starts
+                pending.append((len(results), self._executor.submit(_run_slot, fn, slot), slot))
+                results.append(None)
+                while len(pending) > self._window:
+                    self._settle(fn, pending, results, nested)
+            while pending:
+                self._settle(fn, pending, results, nested)
+            return results
         finally:
-            for future in futures:  # after a failure, drop what has not started
-                future.cancel()
+            for _index, future, slot in pending:  # after a failure, drop what has not started
+                if future.cancel():
+                    slot.clear()
+
+    @staticmethod
+    def _settle(fn: Callable, pending: deque, results: list, nested: bool) -> None:
+        """Finish one pending task.
+
+        A worker runs the oldest task no thread has started yet itself; a
+        caller outside the pool, or a worker whose tasks have all started,
+        waits for the oldest.
+        """
+        if nested and not pending[0][1].done():
+            for i, (index, future, slot) in enumerate(pending):
+                if future.cancel():
+                    del pending[i]
+                    results[index] = _run_slot(fn, slot)
+                    return
+        index, future, _slot = pending.popleft()
+        results[index] = future.result()
 
     @classmethod
-    def run(cls, n_jobs: Union[int, "TaskPool"], fn: Callable, tasks: Sequence[tuple]) -> list:
-        """``map`` on the pool ``n_jobs``, or on a new pool of that many threads."""
+    @contextmanager
+    def using(cls, n_jobs: Union[int, "TaskPool"]) -> Iterator["TaskPool"]:
+        """The pool ``n_jobs``, or a new pool of that many threads closed on exit."""
         if isinstance(n_jobs, TaskPool):
-            return n_jobs.map(fn, tasks)
-        with cls(n_jobs) as pool:
+            yield n_jobs
+        else:
+            with cls(n_jobs) as pool:
+                yield pool
+
+    @classmethod
+    def run(cls, n_jobs: Union[int, "TaskPool"], fn: Callable, tasks: Iterable[tuple]) -> list:
+        """``map`` on the pool ``n_jobs``, or on a new pool of that many threads."""
+        with cls.using(n_jobs) as pool:
             return pool.map(fn, tasks)
 
 
@@ -216,8 +286,9 @@ class StepKernel:
     """Exact log-normal step of one process on one grid, applied to Philox noise.
 
     Holds the per-step terms (mu - sigma^2/2) dt and sigma sqrt(dt), each
-    [steps, n_assets]; :meth:`ratios` turns one noise block into gross step
-    ratios inside the noise array, so a block costs one array of memory.
+    [steps, n_assets].  :meth:`sub_blocks` draws a path block's noise as
+    consecutive sub-blocks and :meth:`gross` turns noise into gross step
+    ratios inside the noise array, so a sub-block costs one array of memory.
     """
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, dt: float, noise: str):
@@ -230,9 +301,12 @@ class StepKernel:
         require_same_grid(env.grid, grid, "environment/grid")
         return cls(spec.drift_matrix(env), spec.vol_matrix(env), grid.dt, spec.noise)
 
-    def ratios(self, seed: int, block: int, size: int) -> np.ndarray:
-        """Gross step ratios s[k+1]/s[k] of one path block, [size, steps, n_assets]."""
-        z = noise_block(seed, block, size, *self.drift.shape, self.noise)
+    def sub_blocks(self, seed: int, block: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Noise of one path block as (first path, [sub, steps, n_assets]) pairs."""
+        return noise_sub_blocks(seed, block, size, *self.drift.shape, self.noise)
+
+    def gross(self, z: np.ndarray) -> np.ndarray:
+        """Gross step ratios s[k+1]/s[k] of noise z [paths, steps, n_assets], in place."""
         z *= self.scale
         z += self.drift
         return np.exp(z, out=z)
@@ -252,7 +326,8 @@ class PathSet:
         object.__setattr__(self, "paths", paths)
         if paths.ndim != 3 or paths.shape[1] != self.grid.n_points:
             raise ValueError("paths must be [n_paths, steps+1, n_assets]")
-        if np.any(paths <= 0) or not np.all(np.isfinite(paths)):
+        # two reductions and no full-size temporaries; a NaN makes the min NaN
+        if paths.size and not (paths.min() > 0 and np.isfinite(paths.max())):
             raise ValueError("paths must be finite and strictly positive")
 
     @property
@@ -318,14 +393,23 @@ def simulate(
     out = np.empty((n_paths, grid.n_points, spec.n_assets))
     out[:, 0, :] = s0
 
-    def fill(block: int, start: int, size: int) -> None:
-        # cumulative product of gross ratios, so the streaming form in
-        # iter_step_ratio_chunks reproduces these paths bit for bit
-        dest = out[start : start + size, 1:, :]
-        np.cumprod(kernel.ratios(seed, block, size), axis=1, out=dest)
+    def fill(start: int, first: int, z: np.ndarray) -> None:
+        # cumprod along the steps as one multiply per step: the same products
+        # in the same order, so iter_step_ratio_chunks reproduces these paths
+        # bit for bit
+        ratios = kernel.gross(z)
+        dest = out[start + first : start + first + len(z), 1:, :]
+        dest[:, 0] = ratios[:, 0]
+        for k in range(1, grid.steps):
+            np.multiply(dest[:, k - 1], ratios[:, k], out=dest[:, k])
         dest *= s0
 
-    TaskPool.run(n_jobs, fill, list(iter_blocks(n_paths)))
+    with TaskPool.using(n_jobs) as pool:
+        # the task that draws a block hands its sub-blocks to the pool
+        def fill_block(block: int, start: int, size: int) -> None:
+            pool.map(partial(fill, start), kernel.sub_blocks(seed, block, size))
+
+        pool.map(fill_block, iter_blocks(n_paths))
     return PathSet(grid=grid, paths=out, seed=seed, noise=spec.noise)
 
 
@@ -336,15 +420,17 @@ def iter_step_ratio_chunks(
     n_paths: int,
     seed: int,
 ) -> Iterator[np.ndarray]:
-    """Yield per-block gross step ratios s[k+1]/s[k], shape [block, steps, N].
+    """Yield gross step ratios s[k+1]/s[k] in path chunks [chunk, steps, N].
 
     Streaming form of :func:`simulate` for universes too large to hold as a
-    full PathSet.  Uses the identical noise scheme, so a PathSet built from
-    the concatenated ratios matches ``simulate`` bit for bit.
+    full PathSet; each chunk is one noise sub-block.  Uses the identical
+    noise scheme, so a PathSet built from the concatenated ratios matches
+    ``simulate`` bit for bit.
     """
     kernel = StepKernel.of(spec, env, grid)
     for block, _start, size in iter_blocks(n_paths):
-        yield kernel.ratios(seed, block, size)
+        for _first, z in kernel.sub_blocks(seed, block, size):
+            yield kernel.gross(z)
 
 
 @dataclass(frozen=True)
@@ -413,12 +499,15 @@ def apply_numeraire(
     scaled = np.empty_like(paths.paths)
 
     def fill(block: int, start: int, size: int) -> None:
-        z_assets = noise_block(paths.seed, block, size, steps, paths.n_assets, paths.noise)
         z_resid = noise_block(seed2, block, size, steps, 1, "normal")[:, :, 0]
-        z_phi = z_assets @ rho + resid_scale * z_resid
-        inc = (phi_mu - 0.5 * y.phi_sigma**2) * dt + y.phi_sigma * np.sqrt(dt) * z_phi
-        log_y = np.concatenate([np.zeros((size, 1)), np.cumsum(inc, axis=1)], axis=1)
-        scaled[start : start + size] = paths.paths[start : start + size] * np.exp(log_y)[:, :, None]
+        sub_blocks = noise_sub_blocks(paths.seed, block, size, steps, paths.n_assets, paths.noise)
+        for first, z_assets in sub_blocks:
+            rows = slice(first, first + len(z_assets))
+            z_phi = z_assets @ rho + resid_scale * z_resid[rows]
+            inc = (phi_mu - 0.5 * y.phi_sigma**2) * dt + y.phi_sigma * np.sqrt(dt) * z_phi
+            log_y = np.concatenate([np.zeros((len(z_phi), 1)), np.cumsum(inc, axis=1)], axis=1)
+            sl = slice(start + first, start + first + len(z_phi))
+            scaled[sl] = paths.paths[sl] * np.exp(log_y)[:, :, None]
 
     TaskPool.run(n_jobs, fill, list(iter_blocks(n_paths)))
     return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)

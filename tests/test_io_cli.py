@@ -1,11 +1,16 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import gaugeport
 from gaugeport import PricePanel, TimeGrid
-from gaugeport import cli
+from gaugeport import cli, discounting
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
     PanelFormatError,
@@ -225,6 +230,38 @@ class TestCli:
         assert report["asset_ids"][-1] == "risk-free portfolio"
         assert report["final_values"][-1] == 1.0
         assert report["table"].startswith("Final Asset Values")
+
+    def test_discount_extracts_the_gauge_once(self, fixture_csv, tmp_path, monkeypatch):
+        calls = []
+        extract = discounting.extract_market_gauge
+        monkeypatch.setattr(
+            discounting, "extract_market_gauge", lambda *a: calls.append(1) or extract(*a)
+        )
+        out = tmp_path / "d.yaml"
+        assert main(["discount", "--panel", str(fixture_csv), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        series = discounting.cash_value_series(ingest(fixture_csv))
+        report = read_report(out)["report"]
+        assert report["cash_series_label"] == series.label
+        assert report["cash_series_values"] == series.values.tolist()
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import gaugeport.cli as cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"print(cli.main(['price', '--out', {str(tmp_path / 'p.yaml')!r}]))\n"
+        )
+        src = str(Path(gaugeport.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules, _wrote, code = proc.stdout.splitlines()
+        assert modules == "[]"
+        assert code == str(EXIT_OK)
+        assert read_report(tmp_path / "p.yaml")["report"]["at_the_money_value"] > 0
 
     def test_sensitivity_command(self, tmp_path):
         out = tmp_path / "s.yaml"

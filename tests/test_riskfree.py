@@ -19,6 +19,7 @@ from gaugeport import (
     simulate,
     to_riskfree_units,
 )
+from gaugeport import sim
 from gaugeport.riskfree import (
     convergence_study,
     etemadi_check,
@@ -27,7 +28,7 @@ from gaugeport.riskfree import (
     rebalanced_quantities,
     simplex_grid_oracle,
 )
-from gaugeport.sim import EnvironmentSeries, TaskPool
+from gaugeport.sim import PATH_BLOCK, EnvironmentSeries, TaskPool
 
 GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
 
@@ -224,6 +225,54 @@ class TestEtemadi:
         wa = WeightVector(np.array([0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError, match="positive"):
             etemadi_check(spec, env, self.GRID8, wa, WeightVector.equal(4), 100, seed=0)
+
+
+class TestSubBlockStreaming:
+    """The studies give the same bits whether a block is drawn whole or in sub-blocks."""
+
+    # 8 steps x 325 assets: 100-path sub-blocks, ragged at the end of each block
+    GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+    N = 325
+    SIZES = [40, 80, 160, 325]
+    N_PATHS = PATH_BLOCK + 25
+
+    def spec(self, tag):
+        return constant_spec(self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag)
+
+    def runs(self, study, monkeypatch):
+        with TaskPool(2) as pool:
+            streamed = [study(n_jobs) for n_jobs in (1, 2, pool)]
+        monkeypatch.setattr(sim, "_SUB_CELLS", 1 << 62)  # one sub-block per block
+        return streamed, study(1)
+
+    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    def test_convergence_study(self, tag, monkeypatch):
+        env = EnvironmentSeries.constant(self.GRID8)
+        spec = self.spec(tag)
+
+        def study(n_jobs):
+            return convergence_study(spec, env, self.GRID8, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
+
+        streamed, whole = self.runs(study, monkeypatch)
+        for report in streamed:
+            assert report.sigma_hats.tobytes() == whole.sigma_hats.tobytes()
+            assert report.slope == whole.slope
+
+    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    def test_etemadi_check(self, tag, monkeypatch):
+        env = EnvironmentSeries.constant(self.GRID8)
+        spec = self.spec(tag)
+        wb = np.random.default_rng(6).uniform(0.5, 1.5, self.N)
+        weights = (WeightVector.equal(self.N), WeightVector(wb / wb.sum()))
+
+        def study(n_jobs):
+            return etemadi_check(
+                spec, env, self.GRID8, *weights, self.N_PATHS, 4, sizes=self.SIZES, n_jobs=n_jobs
+            )
+
+        streamed, whole = self.runs(study, monkeypatch)
+        for report in streamed:
+            assert report.divergences.tobytes() == whole.divergences.tobytes()
 
 
 def bisection_projection(v, cap):

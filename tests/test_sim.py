@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,21 +10,28 @@ from gaugeport import (
     NumeraireSpec,
     PathSet,
     TimeGrid,
+    WeightVector,
     apply_numeraire,
     constant_spec,
+    convergence_study,
     cross_term,
+    etemadi_check,
     portfolio_dynamics,
     return_volatility,
     simulate,
 )
+from gaugeport import sim
 from gaugeport.catalog import build_process
 from gaugeport.sim import (
     PATH_BLOCK,
     EnvironmentSeries,
     ProcessSpec,
+    StepKernel,
     TaskPool,
+    iter_blocks,
     iter_step_ratio_chunks,
     noise_block,
+    noise_sub_blocks,
     sample_joint_numeraire,
 )
 
@@ -169,6 +177,119 @@ class TestProcessModel:
             spec.drift_matrix(ENV)
 
 
+def run_with_switch_interval(fn, interval=1e-6, timeout=60):
+    """Run fn in a thread under a short switch interval; True if it finished."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        runner = threading.Thread(target=fn, daemon=True)
+        runner.start()
+        runner.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(previous)
+    return not runner.is_alive()
+
+
+#: 8 steps x 325 assets: 2600 cells per path, so a noise sub-block holds 100
+#: paths and a 512-path block ends in a ragged 12-path sub-block.
+GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+WIDE = 325
+RAGGED_PATHS = PATH_BLOCK + 25
+
+
+class TestSubBlocks:
+    """Drawing a block as consecutive sub-blocks gives the whole block's sample."""
+
+    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    def test_sub_blocks_concatenate_to_the_block(self, tag):
+        subs = list(noise_sub_blocks(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag, stream=3))
+        sizes = [len(z) for _first, z in subs]
+        assert [first for first, _z in subs] == list(np.cumsum([0] + sizes[:-1]))
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        whole = noise_block(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag, stream=3)
+        assert_same_bits(np.concatenate([z for _first, z in subs]), whole)
+
+    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    def test_simulate_matches_whole_block_cumprod(self, tag):
+        spec = constant_spec(WIDE, np.linspace(-0.05, 0.1, WIDE), np.linspace(0.0, 0.4, WIDE), tag)
+        env = EnvironmentSeries.constant(GRID8)
+        s0 = np.linspace(0.5, 2.0, WIDE)
+        kernel = StepKernel.of(spec, env, GRID8)
+        expected = np.empty((RAGGED_PATHS, GRID8.n_points, WIDE))
+        expected[:, 0] = s0
+        for block, start, size in iter_blocks(RAGGED_PATHS):
+            z = noise_block(7, block, size, GRID8.steps, WIDE, tag)
+            z *= kernel.scale
+            z += kernel.drift
+            expected[start : start + size, 1:] = np.cumprod(np.exp(z), axis=1) * s0
+        with TaskPool(2) as pool:
+            for n_jobs in (1, 2, pool):
+                paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
+                assert_same_bits(paths.paths, expected)
+
+    def test_streaming_chunks_are_sub_blocks(self):
+        spec = constant_spec(WIDE, 0.04, 0.3)
+        env = EnvironmentSeries.constant(GRID8)
+        chunks = list(iter_step_ratio_chunks(spec, env, GRID8, RAGGED_PATHS, seed=5))
+        assert [len(c) for c in chunks] == [100] * 5 + [12, 25]
+        paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=5)
+        assert_same_bits(paths.paths[:, 1:, :], np.cumprod(np.concatenate(chunks), axis=1))
+
+    def test_numeraire_matches_whole_blocks(self, monkeypatch):
+        spec = constant_spec(WIDE, 0.05, 0.2)
+        env = EnvironmentSeries.constant(GRID8)
+        paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=8)
+        rho = np.full(WIDE, 0.5 / np.sqrt(WIDE))
+        y = NumeraireSpec(phi_mu=0.02, phi_sigma=0.1, rho=rho)
+        streamed = apply_numeraire(paths, y, seed2=9, n_jobs=2)
+        monkeypatch.setattr(sim, "_SUB_CELLS", 1 << 62)  # one sub-block per block
+        assert_same_bits(streamed.paths, apply_numeraire(paths, y, seed2=9).paths)
+
+    def test_studies_hold_sub_blocks_not_blocks(self):
+        # 1024 assets x 64 steps: one block of noise is 256 MiB, a sub-block 2 MiB
+        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=64)
+        n = 1024
+        spec = constant_spec(n, 0.05, 0.2)
+        env = EnvironmentSeries.constant(grid)
+        sub_bytes = sim._SUB_CELLS * 8
+        assert PATH_BLOCK * grid.steps * n * 8 == 128 * sub_bytes
+        wb = np.random.default_rng(1).uniform(0.5, 1.5, n)
+        weights = (WeightVector.equal(n), WeightVector(wb / wb.sum()))
+        sizes = [16, 64, 256, n]
+        studies = [
+            lambda: convergence_study(spec, env, grid, sizes, PATH_BLOCK, seed=3, n_jobs=2),
+            lambda: etemadi_check(spec, env, grid, *weights, PATH_BLOCK, seed=3, sizes=sizes, n_jobs=2),
+        ]
+        for study in studies:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                study()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # two tasks, each with a sub-block, its per-block log-returns and
+            # the kernels' [steps, N] terms
+            assert peak <= 8 * sub_bytes
+
+    def test_long_simulate_holds_output_plus_few_sub_blocks(self):
+        # 1260 steps x 512 assets: a sub-block is one path
+        grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=1260)
+        spec = constant_spec(512, 0.05, 0.2)
+        env = EnvironmentSeries.constant(grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            paths = simulate(spec, env, grid, n_paths=16, seed=3, n_jobs=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        path_bytes = grid.steps * spec.n_assets * 8
+        # the kernel's two [steps, N] terms, at most 2 * n_jobs + 1 sub-blocks
+        # in flight, one to spare
+        assert peak <= paths.paths.nbytes + 8 * path_bytes
+
+
 class TestTaskPool:
     def test_results_in_task_order(self):
         with TaskPool(3) as pool:
@@ -199,6 +320,59 @@ class TestTaskPool:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert nested == [[subtask(j, k) for k in range(6)] for j in range(8)]
+
+    def test_nested_pipelines_on_one_pool_finish(self, monkeypatch):
+        # every outer task streams generated subtasks onto the same pool, as
+        # simulate's block tasks stream their noise sub-blocks (one path each)
+        monkeypatch.setattr(sim, "_SUB_CELLS", 1)
+
+        def transform(first, z):
+            return float(z.sum())
+
+        nested = []
+
+        def run():
+            with TaskPool(4) as pool:
+                def produce(j):
+                    return pool.map(transform, noise_sub_blocks(j, 0, 40, 3, 4, "normal"))
+
+                nested.extend(pool.map(produce, ((j,) for j in range(8))))
+
+        assert run_with_switch_interval(run)
+        assert nested == [
+            [float(z.sum()) for z in noise_block(j, 0, 40, 3, 4, "normal")] for j in range(8)
+        ]
+
+    def test_generator_mapped_from_a_worker(self):
+        with TaskPool(2) as pool:
+            inner = lambda j: pool.map(lambda k: j * k, ((k,) for k in range(5)))  # noqa: E731
+            assert pool.map(inner, [(1,), (2,)]) == [[0, 1, 2, 3, 4], [0, 2, 4, 6, 8]]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_generated_arguments_are_released(self, n_jobs):
+        # two producers whose subtasks mostly run inline after a cancel: a
+        # cancelled work item still queued in the executor must not keep its
+        # argument alive
+        live = set()
+        most = []
+
+        def produce(j):
+            for k in range(40):
+                arg = np.zeros(8)
+                live.add((j, k))
+                weakref.finalize(arg, live.discard, (j, k))
+                most.append(len(live))
+                yield (arg,)
+                del arg
+
+        def run(pool):
+            return pool.map(lambda j: len(pool.map(lambda arg: arg.sum(), produce(j))), [(0,), (1,)])
+
+        with TaskPool(n_jobs) as pool:
+            assert run(pool) == [40, 40]
+        assert not live
+        # per producer: the 2 * n_jobs pending tasks and the one being drawn
+        assert max(most) <= 2 * (2 * n_jobs + 1)
 
     def test_task_error_propagates(self):
         def fail(k):
@@ -377,6 +551,13 @@ class TestPathSetValidation:
         bad = np.ones((1, GRID.n_points, 1))
         bad[0, 3, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
+            PathSet(grid=GRID, paths=bad, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.5])
+    def test_nonfinite_or_negative_price_rejected(self, value):
+        bad = np.ones((3, GRID.n_points, 2))
+        bad[1, 5, 1] = value
+        with pytest.raises(ValueError, match="^paths must be finite and strictly positive$"):
             PathSet(grid=GRID, paths=bad, seed=0)
 
     def test_wrong_time_axis_rejected(self):
