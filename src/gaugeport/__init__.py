@@ -5,6 +5,8 @@ prices, extract the market gauge fields, price options under the
 gauge-field pricing equation, and discount cash flows gauge-invariantly.
 """
 
+__version__ = "0.1.0"
+
 from .grid import TimeGrid
 from .gauge import (
     GaugeFieldA,
@@ -61,12 +63,9 @@ from .pricer import (
 )
 from .discounting import (
     DiscountReport,
-    DiscountSpec,
     empirical_pipeline,
     cash_value_series,
     forward_translate,
     gauge_discount,
     textbook_discount,
 )
-
-__version__ = "0.1.0"

@@ -62,8 +62,10 @@ def cmd_simulate(args, config: io.RunConfig) -> dict:
         "dt": grid.dt,
         "terminal_mean": terminal.mean(axis=0),
         "terminal_std": terminal.std(axis=0),
-        "log_return_mean": np.log(terminal / paths.paths[:, 0, :]).mean(axis=0),
     }
+    # the log is taken in place: one [n_paths, N] temporary beside the paths
+    log_return = terminal / paths.paths[:, 0, :]
+    body["log_return_mean"] = np.log(log_return, out=log_return).mean(axis=0)
     return {"seed": seed, "body": body}
 
 
@@ -73,11 +75,10 @@ def cmd_gauge(args, config: io.RunConfig) -> dict:
     panel = io.ingest(args.panel, normalize=args.normalize)
     weights = riskfree.WeightVector.equal(panel.n_assets)
     result = riskfree.extract_market_gauge(panel, weights)
-    diag = np.einsum("kii->ki", result.b_n.bfield)
     body = {
         "asset_ids": list(panel.asset_ids or ()),
         "a_field": result.a.a,
-        "b_diag": diag,
+        "b_diag": result.b_diag,
         "portfolio_value": result.portfolio_value_series,
     }
     return {"seed": None, "body": body}
@@ -143,7 +144,7 @@ def cmd_discount(args, config: io.RunConfig) -> dict:
     body = {
         "asset_ids": list(report.asset_ids),
         "final_values": report.final_values,
-        "discount_factors": report.discount_factors,
+        "discount_factors": report.final_values,
         "metadata": report.metadata,
         "cash_series_label": series.label,
         "cash_series_times": series.times,

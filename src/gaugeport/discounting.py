@@ -27,22 +27,6 @@ RateLike = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
-class DiscountSpec:
-    """Inputs for one asset's discounting run."""
-
-    horizon: float
-    asset: str = "cash"
-    rate: Optional[RateLike] = None  # textbook mode
-    mu: Optional[RateLike] = None  # gauge-invariant mode
-    sigma: Optional[RateLike] = None
-    a: Optional[RateLike] = None
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-
-
-@dataclass(frozen=True)
 class LabeledSeries:
     label: str
     times: np.ndarray
@@ -51,19 +35,21 @@ class LabeledSeries:
 
 @dataclass(frozen=True)
 class DiscountReport:
-    """Final values and discount factors in risk-free units (table shape),
-    plus the cash value in risk-free units over time."""
+    """Final values in risk-free units (table shape), plus the cash value in
+    risk-free units over time.
+
+    Each final value is that asset's realized discount factor.
+    """
 
     asset_ids: tuple[str, ...]
     final_values: np.ndarray
-    discount_factors: np.ndarray
     riskfree_label: str
     metadata: dict = field(default_factory=dict)
     cash_series: Optional[LabeledSeries] = None
 
     def __post_init__(self):
-        if np.any(self.discount_factors <= 0):
-            raise ValueError("discount factors must be positive")
+        if np.any(self.final_values <= 0):
+            raise ValueError("final values (discount factors) must be positive")
 
     def as_table(self) -> str:
         """Aligned plain-text table of final asset values."""
@@ -85,7 +71,7 @@ def _as_rate_series(value: RateLike, n_intervals: int, name: str) -> np.ndarray:
     return arr
 
 
-def _resolve_intervals(T: float, *series: RateLike) -> int:
+def _resolve_intervals(*series: RateLike) -> int:
     lengths = {np.asarray(s).shape[0] for s in series if np.asarray(s).ndim > 0}
     if len(lengths) > 1:
         raise ValueError(f"coverage gap: rate series lengths differ: {sorted(lengths)}")
@@ -96,7 +82,7 @@ def textbook_discount(r: RateLike, T: float) -> float:
     """Discount factor e^{-int_0^T r dt}; gauge dependent by construction."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    n = _resolve_intervals(T, r)
+    n = _resolve_intervals(r)
     rates = _as_rate_series(r, n, "r")
     dt = T / n
     return float(np.exp(-np.sum(rates) * dt))
@@ -112,7 +98,7 @@ def gauge_discount(mu: RateLike, sigma: RateLike, a: Union[RateLike, GaugeFieldA
         raise ValueError("horizon must be positive")
     if isinstance(a, GaugeFieldA):
         a = a.a
-    n = _resolve_intervals(T, mu, sigma, a)
+    n = _resolve_intervals(mu, sigma, a)
     mu_s = _as_rate_series(mu, n, "mu")
     sigma_s = _as_rate_series(sigma, n, "sigma")
     a_s = _as_rate_series(a, n, "A")
@@ -222,7 +208,6 @@ def empirical_pipeline(
     # The risk-free portfolio itself is the unit of account.
     labels.append("risk-free portfolio")
     final_values = np.append(final_values, 1.0)
-    discount_factors = final_values.copy()
 
     cash_mu, cash_sigma = rolling_drift_vol(panel.prices[:, cash_idx], panel.grid.dt, window)
     windowed_cash_discount = gauge_discount(cash_mu, cash_sigma, gauge.a, panel.grid.horizon)
@@ -241,7 +226,6 @@ def empirical_pipeline(
     return DiscountReport(
         asset_ids=tuple(labels),
         final_values=final_values,
-        discount_factors=discount_factors,
         riskfree_label="risk-free portfolio",
         metadata=metadata,
         cash_series=_cash_series(panel, cash_idx, converted.prices[:, cash_idx].copy()),

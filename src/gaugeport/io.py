@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -19,12 +20,12 @@ from typing import Any, Mapping, Optional
 import numpy as np
 import yaml
 
+from . import __version__
 from .catalog import CATALOG_NAMES
 from .gauge import PricePanel
 from .grid import TimeGrid
 
 DAYS_PER_YEAR = 365.25
-VERSION = "0.1.0"
 
 
 class PanelFormatError(ValueError):
@@ -38,6 +39,54 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
     freedom of the price gauge).
     """
     path = Path(path)
+    labels, dates, prices = _parse_block(path) or _parse_cells(path)
+    if normalize:
+        prices /= prices[0]
+    span_years = (dates[-1] - dates[0]).days / DAYS_PER_YEAR
+    steps = len(dates) - 1
+    grid = TimeGrid(t0=0.0, dt=span_years / steps, steps=steps)
+    return PricePanel(grid=grid, prices=prices, asset_ids=tuple(labels))
+
+
+def _parse_block(path: Path) -> Optional[tuple[list[str], list[date], np.ndarray]]:
+    """Labels, dates and prices of a well-formed file, or None.
+
+    All price cells go through one ``np.loadtxt`` call, which parses with
+    the same correctly rounded conversion as ``float`` and accepts a subset
+    of what ``float`` accepts, so no cell is held as a Python string.  Any
+    file it does not take whole goes to :func:`_parse_cells`.
+    """
+    with path.open(newline="", encoding="utf-8") as handle:
+        header = [h.strip() for h in next(csv.reader(handle), [])]
+        lines = list(handle)
+    labels = header[1:]
+    if not labels or sum(l.endswith("#cash") for l in labels) > 1 or len(lines) < 2:
+        return None
+    try:
+        dates = [date.fromisoformat(line.partition(",")[0].strip()) for line in lines]
+        with warnings.catch_warnings():
+            # an all-blank block warns "no data"; the shape check rejects it
+            warnings.simplefilter("ignore", UserWarning)
+            prices = np.loadtxt(
+                (line.partition(",")[2] for line in lines),
+                delimiter=",", comments=None, quotechar=None, ndmin=2,
+            )
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, so the shape also catches rows without prices
+    well_formed = (
+        prices.shape == (len(lines), len(labels))
+        and all(a < b for a, b in zip(dates, dates[1:]))
+        # min > 0 fails on NaN as well as on nonpositive prices
+        and prices.min() > 0
+        and prices.max() < np.inf
+    )
+    return (labels, dates, prices) if well_formed else None
+
+
+def _parse_cells(path: Path) -> tuple[list[str], list[date], np.ndarray]:
+    """Row-by-row, cell-by-cell parse that raises at the first bad field,
+    naming its row and column."""
     with path.open(newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     if len(rows) < 3:
@@ -79,13 +128,7 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
                     f"{path}: row {r}, column {labels[c]!r}: nonpositive price {cell!r}"
                 )
             prices[r - 1, c] = value
-
-    if normalize:
-        prices = prices / prices[0]
-    span_years = (dates[-1] - dates[0]).days / DAYS_PER_YEAR
-    steps = len(dates) - 1
-    grid = TimeGrid(t0=0.0, dt=span_years / steps, steps=steps)
-    return PricePanel(grid=grid, prices=prices, asset_ids=tuple(labels))
+    return labels, dates, prices
 
 
 def export_panel(panel: PricePanel, path: str | Path, start: date = date(2005, 7, 1)) -> None:
@@ -118,9 +161,6 @@ _DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
         "xi": 0.0,
     },
     "riskfree": {
-        "weight_scheme": "equal",
-        "cap_c": 4.0,
-        "rebalance": "every-step",
         "sizes": [16, 64, 256, 1024],
         "n_paths": 2000,
     },
@@ -184,8 +224,6 @@ def _validate(config: RunConfig) -> None:
     _require(float(sim["horizon"]) > 0, "simulate.horizon must be positive")
     _require(float(sim["dt"]) > 0, "simulate.dt must be positive")
     _require(sim["noise"] in ("normal", "uniform", "two-point"), f"unknown noise {sim['noise']!r}")
-    rf = config.section("riskfree")
-    _require(float(rf["cap_c"]) >= 1.0, "riskfree.cap_c must be >= 1")
     pde = config.section("pde")
     _require(pde["payoff"] in ("call", "put"), f"unknown payoff {pde['payoff']!r}")
     _require(float(pde["strike"]) > 0, "pde.strike must be positive")
@@ -234,7 +272,7 @@ def write_report(
         "command": command,
         "config_sha256": config.sha256(),
         "seed": seed,
-        "version": VERSION,
+        "version": __version__,
     }
     if timestamp:
         provenance["generated_at"] = datetime.now().isoformat(timespec="seconds")

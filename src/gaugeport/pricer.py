@@ -12,8 +12,9 @@ the zero-rate closed form is the oracle for the A' = 0 gauge.
 Every implicit half step solves the same tridiagonal system I - (dt/2) L,
 so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
 coefficients change between intervals) and each step is one ``dgttrs``
-solve.  scipy is imported inside the functions that use it, so importing
-the package does not load it.
+solve.  The solve keeps one [time, price] surface, the values; deltas are
+differentiated from it on demand.  scipy is imported inside the functions
+that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -91,21 +92,50 @@ class PdeProblem:
                     raise DegenerateProblem("sigma = 0 with a discontinuous payoff")
 
 
+def _log_step(s: np.ndarray) -> float:
+    """Spacing of the uniform log-price grid, as the solver computes it."""
+    x = np.log(s)
+    return x[1] - x[0]
+
+
+def _differentiate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """dV/ds along the last axis: central differences inside, one-sided at the ends."""
+    dx = _log_step(s)
+    deltas = np.empty_like(values)
+    inner = deltas[..., 1:-1]  # formed in place: no surface-sized temporaries
+    np.subtract(values[..., 2:], values[..., :-2], out=inner)
+    inner /= 2.0 * dx
+    inner /= s[1:-1]
+    deltas[..., 0] = (values[..., 1] - values[..., 0]) / (dx * s[0])
+    deltas[..., -1] = (values[..., -1] - values[..., -2]) / (dx * s[-1])
+    return deltas
+
+
 @dataclass(frozen=True)
 class OptionSurface:
-    """Option values and deltas on the [time, price] grid."""
+    """Option values on the [time, price] grid; deltas are derived on demand.
+
+    Only the value surface is stored.  ``deltas`` differentiates the whole
+    surface each time it is read (a second surface-sized array), while
+    ``delta_at`` differentiates one time slice; both give the same bits.
+    """
 
     s_grid: np.ndarray
     t_grid: TimeGrid
     values: np.ndarray  # [steps+1, n_s]
-    deltas: np.ndarray  # [steps+1, n_s]
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """dV/ds on the whole [steps+1, n_s] grid."""
+        return _differentiate(self.values, self.s_grid)
 
     def value_at(self, s: float, k: int = 0) -> float:
         """Linear interpolation of the time-k slice at price s."""
         return float(np.interp(s, self.s_grid, self.values[k]))
 
     def delta_at(self, s: float, k: int = 0) -> float:
-        return float(np.interp(s, self.s_grid, self.deltas[k]))
+        """Linear interpolation of the time-k delta slice at price s."""
+        return float(np.interp(s, self.s_grid, _differentiate(self.values[k], self.s_grid)))
 
 
 @dataclass(frozen=True)
@@ -260,8 +290,7 @@ def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurfa
     from scipy.linalg.lapack import dgttrs
 
     s = problem.s_grid
-    x = np.log(s)
-    dx = x[1] - x[0]
+    dx = _log_step(s)
     grid = problem.t_grid
     dt = grid.dt
     half_dt = 0.5 * dt
@@ -299,14 +328,7 @@ def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurfa
         rhs[0], rhs[-1] = bc
         values[k] = dgttrs(*factors, rhs, overwrite_b=1)[0]
 
-    deltas = np.empty_like(values)
-    # in place: a full-surface temporary would add ~20 MB of peak memory at 1600^2
-    inner = deltas[:, 1:-1]
-    np.divide(np.subtract(values[:, 2:], values[:, :-2], out=inner), 2.0 * dx, out=inner)
-    np.divide(inner, s[1:-1], out=inner)
-    deltas[:, 0] = (values[:, 1] - values[:, 0]) / (dx * s[0])
-    deltas[:, -1] = (values[:, -1] - values[:, -2]) / (dx * s[-1])
-    return OptionSurface(s_grid=s, t_grid=grid, values=values, deltas=deltas)
+    return OptionSurface(s_grid=s, t_grid=grid, values=values)
 
 
 def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSurface:

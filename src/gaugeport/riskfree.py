@@ -1,7 +1,8 @@
 """Approximately risk-free portfolios and market gauge extraction.
 
 A diversified portfolio rebalanced to fixed positive weights defines the
-market gauge A(t) = -d/dt ln(s.q) and the trade-unit field B_N = q_dot/q.
+market gauge A(t) = -d/dt ln(s.q) and the trade-unit field B_N = q_dot/q,
+stored as its diagonal, so extraction memory grows as O(steps N).
 The module also checks price insensitivity, verifies the 1/sqrt(N) decay of
 portfolio volatility, and solves for weights whose expected return is
 insensitive to forecasting errors in the environment factors: accelerated
@@ -17,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .gauge import GaugeFieldA, GaugeFieldB, PricePanel
+from .gauge import GaugeFieldA, PricePanel
 from .grid import TimeGrid
 from .sim import EnvironmentSeries, ProcessSpec, StepKernel, TaskPool, iter_blocks
 
@@ -63,10 +64,15 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class MarketGaugeResult:
-    """Extracted gauge fields and the generating portfolio's value path."""
+    """Extracted gauge fields and the generating portfolio's value path.
+
+    ``b_diag`` is the diagonal of B_N, q_dot^i / q^i per interval: the whole
+    field, since extraction never produces off-diagonal entries.  The dense
+    ``GaugeFieldB`` is for the trade-unit algebra that mixes assets.
+    """
 
     a: GaugeFieldA
-    b_n: GaugeFieldB
+    b_diag: np.ndarray  # [steps, N]
     portfolio_value_series: np.ndarray  # [steps+1]
     quantities: np.ndarray  # [steps+1, N], holdings after each rebalance
 
@@ -161,20 +167,23 @@ def extract_market_gauge(
 ) -> MarketGaugeResult:
     """Market gauge A = -d/dt ln(s.q) and diagonal B_N = q_dot/q.
 
-    B_N is stored diagonal: with vector holdings the defining relation
-    s.q_dot = s.B_N.q is under-determined and the diagonal entries
-    q_dot^i / q^i are its minimal solution.
+    With vector holdings the defining relation s.q_dot = s.B_N.q is
+    under-determined and the diagonal entries q_dot^i / q^i are its minimal
+    solution, so B_N is returned as that [steps, N] diagonal: memory is
+    O(steps N), where the dense [steps, N, N] stack would be O(steps N^2).
     """
     quantities, values = rebalanced_quantities(panel, w, initial_value)
     grid = panel.grid
     a = GaugeFieldA(grid, -np.diff(np.log(values)) / grid.dt)
-    q_dot = np.diff(quantities, axis=0) / grid.dt
-    diag_rates = q_dot / quantities[:-1]
-    bfield = np.zeros((grid.steps, panel.n_assets, panel.n_assets))
-    idx = np.arange(panel.n_assets)
-    bfield[:, idx, idx] = diag_rates
-    b_n = GaugeFieldB(grid, bfield)
-    return MarketGaugeResult(a=a, b_n=b_n, portfolio_value_series=values, quantities=quantities)
+    # q_dot / q, formed in place
+    b_diag = np.diff(quantities, axis=0)
+    b_diag /= grid.dt
+    b_diag /= quantities[:-1]
+    if not np.all(np.isfinite(b_diag)):
+        raise ValueError("gauge field B must be finite")
+    return MarketGaugeResult(
+        a=a, b_diag=b_diag, portfolio_value_series=values, quantities=quantities
+    )
 
 
 def balance_residuals(panel: PricePanel, result: MarketGaugeResult) -> tuple[np.ndarray, np.ndarray]:
@@ -197,9 +206,8 @@ def balance_residuals(panel: PricePanel, result: MarketGaugeResult) -> tuple[np.
     values = result.portfolio_value_series
     s_dot = np.diff(s, axis=0) / dt
     q_dot = np.diff(q, axis=0) / dt
-    diag = np.einsum("kii->ki", result.b_n.bfield)
-    # s.B_N.q with the diagonal field reduces to s . (diag * q).
-    s_bq = np.einsum("ki,ki->k", s[1:], diag * q[:-1])
+    # s.B_N.q with the diagonal field reduces to s . (b_diag * q).
+    s_bq = np.einsum("ki,ki->k", s[1:], result.b_diag * q[:-1])
     s_qdot = np.einsum("ki,ki->k", s[1:], q_dot)
     a_arith = (1.0 - np.exp(-result.a.a * dt)) / dt
     r_constancy = (

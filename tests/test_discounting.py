@@ -14,7 +14,6 @@ from gaugeport import (
 )
 from gaugeport.discounting import (
     DiscountReport,
-    DiscountSpec,
     find_cash_column,
     rolling_drift_vol,
 )
@@ -123,7 +122,6 @@ class TestEmpiricalPipeline:
         assert by_label["EM Stock"] == pytest.approx(0.8710668901597364, rel=1e-10)
         assert by_label["USD#cash"] == pytest.approx(0.9013243287111123, rel=1e-10)
         assert by_label["Broad Bond"] == pytest.approx(1.0534584805682377, rel=1e-10)
-        np.testing.assert_allclose(report.discount_factors, report.final_values)
         # the windowed rate estimate should land near the realized cash value
         assert report.metadata["cash_discount_windowed"] == pytest.approx(
             by_label["USD#cash"], rel=5e-3
@@ -174,11 +172,4 @@ class TestCashValueSeries:
 class TestReportTypes:
     def test_nonpositive_discount_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            DiscountReport(
-                asset_ids=("A",), final_values=np.array([1.0]),
-                discount_factors=np.array([-0.5]), riskfree_label="rf",
-            )
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="horizon"):
-            DiscountSpec(horizon=-1.0)
+            DiscountReport(asset_ids=("A",), final_values=np.array([-0.5]), riskfree_label="rf")

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 import yaml
 
 import gaugeport
-from gaugeport import PricePanel, TimeGrid
+from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
 from gaugeport import cli, discounting
+from gaugeport.sim import EnvironmentSeries
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
     PanelFormatError,
@@ -54,9 +56,35 @@ class TestIngest:
         np.testing.assert_allclose(panel.prices[0], 1.0)
         assert panel.prices[1, 0] == pytest.approx(1.015)
 
+    def test_prices_equal_float_of_each_cell(self, tmp_path):
+        rng = np.random.default_rng(4)
+        formats = [
+            lambda v: repr(float(v)), "{:.17g}".format, "{:.6e}".format, " {:.3f}\t".format,
+            "{:.25f}".format,
+        ]
+        values = rng.uniform(0.01, 500.0, (8, len(formats))) * 10.0 ** rng.integers(-3, 4, (8, 1))
+        cells = [[fmt(v) for fmt, v in zip(formats, row)] for row in values]
+        cells[0] = ["7", "+2.5", "1e-3", "1E2", "0.1"]
+        lines = ["date," + ",".join(f"A{c}" for c in range(len(formats)))]
+        lines += [f"2020-01-{r + 1:02d}," + ",".join(row) for r, row in enumerate(cells)]
+        panel = ingest(write_csv(tmp_path, "\n".join(lines) + "\n"))
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert np.array_equal(panel.prices.view(np.int64), expected.view(np.int64))
+
+    def test_cells_numpy_rejects_parse_as_float(self, tmp_path):
+        # underscores, non-ASCII digits and quoting take the cell-by-cell path
+        text = 'date,A,B,C\n2020-01-01,1_000,\u0661\u0662,"2.5"\n2020-01-02,1.0,2.0,3.0\n'
+        panel = ingest(write_csv(tmp_path, text))
+        assert panel.prices.tolist() == [[1000.0, 12.0, 2.5], [1.0, 2.0, 3.0]]
+
     def test_ragged_row_reports_coordinates(self, tmp_path):
         bad = GOOD_CSV.replace("2020-01-02,101.5,1.0001", "2020-01-02,101.5")
         with pytest.raises(PanelFormatError, match="row 2"):
+            ingest(write_csv(tmp_path, bad))
+
+    def test_row_without_prices_is_ragged(self, tmp_path):
+        bad = GOOD_CSV.replace("2020-01-02,101.5,1.0001", "2020-01-02")
+        with pytest.raises(PanelFormatError, match="ragged row 2: expected 3 fields, got 1"):
             ingest(write_csv(tmp_path, bad))
 
     def test_bad_number_reports_row_and_column(self, tmp_path):
@@ -208,6 +236,34 @@ class TestCli:
         assert len(doc["report"]["asset_ids"]) == 12
         assert doc["report"]["portfolio_value"][0] == 1.0
 
+    def test_gauge_command_memory_is_a_few_steps_by_n_arrays(self, tmp_path, monkeypatch):
+        # 401 dates x 256 assets: a dense [steps, N, N] B_N alone would be
+        # 210 MB.  The bound covers ingest, extraction and the report body,
+        # measured when the body is handed to the report writer.
+        grid = TimeGrid(t0=0.0, dt=1.0 / 365.25, steps=400)
+        n = 256
+        paths = simulate(constant_spec(n, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, 8)
+        labels = tuple(f"a{i:03d}" for i in range(n))
+        csv_path = tmp_path / "wide.csv"
+        export_panel(PricePanel(grid=grid, prices=paths.paths[0], asset_ids=labels), csv_path)
+        peaks = []
+        write = cli.io.write_report
+
+        def traced_write(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(cli.io, "write_report", traced_write)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = str(tmp_path / "g.yaml")
+            assert main(["gauge", "--panel", str(csv_path), "--normalize", "--out", out]) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] <= 8 * grid.steps * n * 8
+
     def test_malformed_panel_is_compute_error(self, tmp_path):
         path = write_csv(tmp_path, GOOD_CSV.replace("99.75", "broken"))
         code = main(["gauge", "--panel", str(path), "--out", str(tmp_path / "g.yaml")])
@@ -229,6 +285,7 @@ class TestCli:
         report = doc["report"]
         assert report["asset_ids"][-1] == "risk-free portfolio"
         assert report["final_values"][-1] == 1.0
+        assert report["discount_factors"] == report["final_values"]
         assert report["table"].startswith("Final Asset Values")
 
     def test_discount_extracts_the_gauge_once(self, fixture_csv, tmp_path, monkeypatch):

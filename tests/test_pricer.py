@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,30 @@ class TestFactorOnceSolver:
         surface = solve_gauge_bs(problem)
         assert np.array_equal(surface.values, values)
         assert np.array_equal(surface.deltas, deltas)
+
+
+class TestDeltasOnDemand:
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_delta_at_matches_surface_deltas(self, kind):
+        problem = vanilla_problem(kind, STRIKE, SIGMA, TAU, a_field=-0.03, n_s=200, n_t=120)
+        surface = solve_gauge_bs(problem)
+        deltas = surface.deltas
+        s_grid = surface.s_grid
+        for k in (0, problem.t_grid.steps // 2, problem.t_grid.steps):
+            for s in (STRIKE, 87.3, 131.9, s_grid[0], s_grid[-1], 0.5 * s_grid[0]):
+                assert surface.delta_at(s, k) == np.interp(s, s_grid, deltas[k])
+
+    def test_solve_holds_one_surface(self):
+        problem = vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=1600, n_t=1600)
+        solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=10, n_t=2))  # imports scipy
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            surface = solve_gauge_bs(problem)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * surface.values.nbytes
 
 
 class TestLinearPayoffs:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,7 +111,28 @@ class TestMarketGauge:
         result = extract_market_gauge(panel, WeightVector.equal(3))
         np.testing.assert_allclose(result.a.a, -g, rtol=1e-10)
         # constant weights on proportional prices mean constant holdings
-        np.testing.assert_allclose(result.b_n.bfield, 0.0, atol=1e-10)
+        np.testing.assert_allclose(result.b_diag, 0.0, atol=1e-10)
+
+    def test_b_diag_is_q_dot_over_q(self):
+        panel = random_panel(5, seed=6)
+        result = extract_market_gauge(panel, WeightVector.equal(5))
+        q = result.quantities
+        assert result.b_diag.shape == (GRID.steps, 5)
+        assert np.array_equal(result.b_diag, np.diff(q, axis=0) / GRID.dt / q[:-1])
+
+    def test_peak_memory_is_a_few_steps_by_n_arrays(self):
+        # 401 dates x 256 assets: a dense [steps, N, N] B_N alone would be 210 MB
+        grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=400)
+        panel = random_panel(256, seed=7, grid=grid)
+        weights = WeightVector.equal(256)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            extract_market_gauge(panel, weights)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid.steps * panel.n_assets * 8
 
     def test_value_series_starts_at_initial_value(self):
         panel = random_panel(4, seed=2)
