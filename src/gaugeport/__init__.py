@@ -46,6 +46,7 @@ from .riskfree import (
     etemadi_check,
     extract_market_gauge,
     insensitivity_residual,
+    riskfree_studies,
     sensitivity_neutral_weights,
     to_riskfree_units,
 )

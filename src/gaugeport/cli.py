@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,16 +41,19 @@ def _sim_inputs(config: io.RunConfig):
     section = config.section("simulate")
     steps = max(1, round(float(section["horizon"]) / float(section["dt"])))
     grid = TimeGrid(t0=0.0, dt=float(section["dt"]), steps=steps)
-    spec = build_process(
-        section["process"], section.get("process_params", {}),
-        int(section["n_assets"]), section["noise"],
-    )
     env = sim.EnvironmentSeries.constant(grid, float(section.get("xi", 0.0)))
-    return section, grid, spec, env
+    return section, grid, env
+
+
+def _process(section: dict, n_assets: int) -> sim.ProcessSpec:
+    return build_process(
+        section["process"], section.get("process_params", {}), n_assets, section["noise"]
+    )
 
 
 def cmd_simulate(args, config: io.RunConfig) -> dict:
-    section, grid, spec, env = _sim_inputs(config)
+    section, grid, env = _sim_inputs(config)
+    spec = _process(section, int(section["n_assets"]))
     seed = int(section["seed"])
     paths = sim.simulate(spec, env, grid, int(section["n_paths"]), seed, n_jobs=_thread_count())
     terminal = paths.paths[:, -1, :]
@@ -85,26 +87,19 @@ def cmd_gauge(args, config: io.RunConfig) -> dict:
 
 
 def cmd_riskfree(args, config: io.RunConfig) -> dict:
-    section, grid, spec, env = _sim_inputs(config)
+    section, grid, env = _sim_inputs(config)
     rf = config.section("riskfree")
     seed = int(section["seed"])
-    sizes = [int(n) for n in rf["sizes"]]
-    big_spec = build_process(
-        section["process"], section.get("process_params", {}), max(sizes), section["noise"]
-    )
-    n_paths = int(rf["n_paths"])
+    sizes = list(rf["sizes"])
+    n_max = max(sizes)
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
-    w_b = rng.uniform(0.5, 1.5, max(sizes))
+    w_b = rng.uniform(0.5, 1.5, n_max)
     w_b /= w_b.sum()
-    weights = (riskfree.WeightVector.equal(max(sizes)), riskfree.WeightVector(w_b))
-    with sim.TaskPool(_thread_count()) as pool:
-        # both studies on one pool, so their independent streams overlap
-        study, etemadi = pool.map(lambda run: run(), [
-            (partial(riskfree.convergence_study, big_spec, env, grid, sizes, n_paths, seed,
-                     n_jobs=pool),),
-            (partial(riskfree.etemadi_check, big_spec, env, grid, *weights, n_paths, seed,
-                     sizes=sizes, n_jobs=pool),),
-        ])
+    study, etemadi = riskfree.riskfree_studies(
+        _process(section, n_max), env, grid,
+        riskfree.WeightVector.equal(n_max), riskfree.WeightVector(w_b),
+        sizes, int(rf["n_paths"]), seed, n_jobs=_thread_count(),
+    )
     body = {
         "sizes": list(study.sizes),
         "sigma_hats": study.sigma_hats,

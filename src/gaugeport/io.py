@@ -224,6 +224,15 @@ def _validate(config: RunConfig) -> None:
     _require(float(sim["horizon"]) > 0, "simulate.horizon must be positive")
     _require(float(sim["dt"]) > 0, "simulate.dt must be positive")
     _require(sim["noise"] in ("normal", "uniform", "two-point"), f"unknown noise {sim['noise']!r}")
+    rf = config.section("riskfree")
+    sizes = rf["sizes"]
+    _require(
+        isinstance(sizes, list) and len(sizes) >= 4
+        and all(type(n) is int and n >= 1 for n in sizes)
+        and all(b > a for a, b in zip(sizes, sizes[1:])),
+        "riskfree.sizes must be at least 4 strictly increasing positive integers",
+    )
+    _require(int(rf["n_paths"]) >= 1, "riskfree.n_paths must be >= 1")
     pde = config.section("pde")
     _require(pde["payoff"] in ("call", "put"), f"unknown payoff {pde['payoff']!r}")
     _require(float(pde["strike"]) > 0, "pde.strike must be positive")

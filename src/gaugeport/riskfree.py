@@ -8,10 +8,15 @@ portfolio volatility, and solves for weights whose expected return is
 insensitive to forecasting errors in the environment factors: accelerated
 projected gradient over the capped simplex, with an exact sort-based
 projection and a Frank-Wolfe duality gap certifying the result.
+
+The volatility-scaling and common-limit studies reduce nested prefixes of
+one draw of the largest universe, so their per-size estimates are correlated,
+not independent points; :func:`riskfree_studies` runs both in one pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -19,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .gauge import GaugeFieldA, PricePanel
-from .grid import TimeGrid
+from .grid import TimeGrid, require_same_grid
 from .sim import EnvironmentSeries, ProcessSpec, StepKernel, TaskPool, iter_blocks
 
 #: Default diversification cap constant: weights must satisfy w_i <= DIVERSIFICATION_C / N.
@@ -246,65 +251,89 @@ class ScalingReport:
     analytic_slope: float
 
 
-def _log_return_moments(
-    kernel: StepKernel, weights: np.ndarray, seed: int, block: int, size: int
-) -> tuple[int, float, float]:
-    """Count, sum and sum of squares of one block's per-step portfolio log-returns."""
-    logret = np.empty((size, kernel.drift.shape[0]))
-    for first, z in kernel.sub_blocks(seed, block, size):
-        np.log(kernel.gross(z) @ weights, out=logret[first : first + len(z)])
-    return logret.size, logret.sum(), np.sum(logret**2)
+@dataclass(frozen=True)
+class EtemadiReport:
+    sizes: tuple[int, ...]
+    divergences: np.ndarray  # |mean cumulative return difference| per size
+    terminal_divergence: float
 
 
-def convergence_study(
-    spec: ProcessSpec,
-    env: EnvironmentSeries,
-    grid: TimeGrid,
-    sizes: Sequence[int],
-    n_paths: int,
-    seed: int,
-    n_jobs: Union[int, TaskPool] = 1,
-) -> ScalingReport:
-    """Fit log sigma_hat vs log N for equal-weight prefix universes.
+def _check_sizes(sizes: Sequence[int], n_assets: int, n_paths: int, at_least: int = 1) -> tuple:
+    """Universe sizes as a tuple of strictly increasing integers in [1, n_assets]."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    sizes = tuple(operator.index(n) for n in sizes)
+    if len(sizes) < at_least or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"need at least {at_least} strictly increasing positive universe sizes")
+    if sizes[-1] > n_assets:
+        raise ValueError(f"largest universe size {sizes[-1]} exceeds the {n_assets} assets")
+    return sizes
 
-    sigma_hat is the pooled std of per-step portfolio log-returns, annualized;
-    universe j streams its own Philox seed ``seed + j``.  The analytic slope
-    comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the volatilities
-    evaluated at the initial environment.  Every (universe, path block) is
-    one task on ``n_jobs``; the results do not depend on it.
+
+def _positive_weights(spec: ProcessSpec, *weights: WeightVector) -> list[np.ndarray]:
+    for wv in weights:
+        if np.any(wv.w <= 0):
+            raise ValueError("weights must be strictly positive (no shorts, no leverage)")
+        if wv.n != spec.n_assets:
+            raise ValueError("weight length does not match the asset universe")
+    return [wv.w for wv in weights]
+
+
+def _prefix_log_return_sums(
+    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, rows: Sequence[np.ndarray],
+    sizes: tuple, n_paths: int, seed: int, n_jobs: Union[int, TaskPool],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and sum of squares of per-step portfolio log-returns, each [row, size].
+
+    Row r's portfolio on the first n assets holds rows[r][:n], renormalized.
+    One draw of the first max(sizes) assets on ``seed`` serves every row and
+    size; per row, einsum segment sums between consecutive sizes (no BLAS, so
+    no BLAS threads start beside the workers), a cumulative sum and a divide
+    by the prefix weight totals.  Blocks are summed whole, row by row, in
+    block order: the sums depend on neither the thread count, the sub-block
+    size nor the other rows.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 4 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("need at least 4 strictly increasing universe sizes")
-    if max(sizes) > spec.n_assets:
-        raise ValueError("largest size exceeds the process's asset count")
+    n_max = sizes[-1]
+    require_same_grid(env.grid, grid, "environment/grid")
+    kernel = StepKernel(
+        spec.drift_matrix(env)[:, :n_max], spec.vol_matrix(env)[:, :n_max], grid.dt, spec.noise
+    )
+    starts = (0,) + sizes[:-1]
+    weights = [(w, np.cumsum(np.add.reduceat(w[:n_max], starts))) for w in rows]
 
-    blocks = list(iter_blocks(n_paths))
-    tasks = []
-    analytic = []
-    for j, n in enumerate(sizes):
-        sub = spec.prefix(n)
-        sigma = sub.vol_matrix(env)
-        kernel = StepKernel(sub.drift_matrix(env), sigma, grid.dt, sub.noise)
-        weights = np.full(n, 1.0 / n)
-        tasks += [(kernel, weights, seed + j, block, size) for block, _start, size in blocks]
-        analytic.append(np.sqrt(np.sum((sigma[0] / n) ** 2)))
-    moments = TaskPool.run(n_jobs, _log_return_moments, tasks)
+    with TaskPool.using(n_jobs) as pool:
+        def reduce_block(block: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+            # [row, size, path, step], so each prefix's log-returns are contiguous
+            logret = np.empty((len(rows), len(sizes), size, grid.steps))
 
-    sigma_hats = []
-    for j in range(len(sizes)):
-        count = 0
-        total = 0.0
-        total_sq = 0.0
-        for block_count, block_sum, block_sq in moments[j * len(blocks) : (j + 1) * len(blocks)]:
-            count += block_count
-            total += block_sum
-            total_sq += block_sq
-        mean = total / count
-        var = total_sq / count - mean**2
-        sigma_hats.append(float(np.sqrt(max(var, 0.0))) / np.sqrt(grid.dt))
-    sigma_hats = np.array(sigma_hats)
-    analytic = np.array(analytic)
+            def reduce_sub_block(first: int, z: np.ndarray) -> None:
+                ratios = kernel.gross(z).reshape(-1, n_max)  # [path * step, asset]
+                for out, (w, totals) in zip(logret[:, :, first : first + len(z)], weights):
+                    for j, (lo, hi) in enumerate(zip(starts, sizes)):
+                        np.einsum("ij,j->i", ratios[:, lo:hi], w[lo:hi], out=out[j].reshape(-1))
+                    np.cumsum(out, axis=0, out=out)
+                    out /= totals[:, None, None]
+                    np.log(out, out=out)
+
+            pool.map(reduce_sub_block, kernel.sub_blocks(seed, block, size))
+            flat = logret.reshape(len(rows), len(sizes), -1)
+            return flat.sum(axis=2), np.square(flat, out=flat).sum(axis=2)
+
+        parts = pool.map(reduce_block, ((b, size) for b, _start, size in iter_blocks(n_paths)))
+    total, total_sq = (sum(part) for part in zip(*parts))  # in block order
+    return total, total_sq
+
+
+def _scaling_report(
+    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, sizes: tuple, n_paths: int,
+    total: np.ndarray, total_sq: np.ndarray,
+) -> ScalingReport:
+    """The convergence study of row 0 of the prefix sums."""
+    count = n_paths * grid.steps
+    mean = total[0] / count
+    sigma_hats = np.sqrt(np.maximum(total_sq[0] / count - mean**2, 0.0)) / np.sqrt(grid.dt)
+    sigma = spec.vol_matrix(env)[0]
+    analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
     finite = np.isfinite(np.log(sigma_hats))
     if finite.sum() < 3:
         raise ValueError("degenerate fit: fewer than 3 finite points")
@@ -320,11 +349,35 @@ def convergence_study(
     )
 
 
-@dataclass(frozen=True)
-class EtemadiReport:
-    sizes: tuple[int, ...]
-    divergences: np.ndarray  # |mean cumulative return difference| per size
-    terminal_divergence: float
+def _etemadi_report(sizes: tuple, n_paths: int, total: np.ndarray) -> EtemadiReport:
+    """The common-limit check of the last two rows of the prefix sums."""
+    cum_a, cum_b = total[-2:] / n_paths
+    div = np.abs(cum_a - cum_b)
+    return EtemadiReport(sizes=sizes, divergences=div, terminal_divergence=float(div[-1]))
+
+
+def convergence_study(
+    spec: ProcessSpec,
+    env: EnvironmentSeries,
+    grid: TimeGrid,
+    sizes: Sequence[int],
+    n_paths: int,
+    seed: int,
+    n_jobs: Union[int, TaskPool] = 1,
+) -> ScalingReport:
+    """Fit log sigma_hat vs log N for equal-weight prefix universes.
+
+    sigma_hat is the pooled std of per-step portfolio log-returns, annualized.
+    The universes are nested prefixes of one draw of the first max(sizes)
+    assets on ``seed``, so the sigma_hats are correlated, not independent
+    points.  The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2
+    with the volatilities evaluated at the initial environment.  The results
+    do not depend on ``n_jobs``.
+    """
+    sizes = _check_sizes(sizes, spec.n_assets, n_paths, at_least=4)
+    equal = np.full(sizes[-1], 1.0 / sizes[-1])
+    sums = _prefix_log_return_sums(spec, env, grid, [equal], sizes, n_paths, seed, n_jobs)
+    return _scaling_report(spec, env, grid, sizes, n_paths, *sums)
 
 
 def etemadi_check(
@@ -340,17 +393,13 @@ def etemadi_check(
 ) -> EtemadiReport:
     """Divergence of cumulative returns under two positive weightings.
 
-    Sub-universes are nested prefixes of the fixed asset ordering; within
-    each prefix the full-universe weights are renormalized.  All positive-
-    weight diversified averages share one limit, so the divergence must decay
-    with N.  Every path block is one task on ``n_jobs``; the results do not
-    depend on it.
+    Sub-universes are nested prefixes of one draw of the first max(sizes)
+    assets on ``seed``; within each prefix the full-universe weights are
+    renormalized.  All positive-weight diversified averages share one limit,
+    so the divergence must decay with N.  The results do not depend on
+    ``n_jobs``.
     """
-    for wv in (weight_a, weight_b):
-        if np.any(wv.w <= 0):
-            raise ValueError("weights must be strictly positive (no shorts, no leverage)")
-        if wv.n != spec.n_assets:
-            raise ValueError("weight length does not match the asset universe")
+    rows = _positive_weights(spec, weight_a, weight_b)
     if sizes is None:
         sizes = []
         n = 64
@@ -358,36 +407,26 @@ def etemadi_check(
             sizes.append(n)
             n *= 4
         sizes.append(spec.n_assets)
-    sizes = tuple(int(n) for n in sizes)
-    if max(sizes) > spec.n_assets:
-        raise ValueError("largest sub-universe exceeds the asset count")
+    sizes = _check_sizes(sizes, spec.n_assets, n_paths)
+    total, _ = _prefix_log_return_sums(spec, env, grid, rows, sizes, n_paths, seed, n_jobs)
+    return _etemadi_report(sizes, n_paths, total)
 
-    kernel = StepKernel.of(spec, env, grid)
-    prefix_a = [weight_a.w[:n] / weight_a.w[:n].sum() for n in sizes]
-    prefix_b = [weight_b.w[:n] / weight_b.w[:n].sum() for n in sizes]
 
-    def log_return_sums(block: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        # per-step log-returns of the block, [weighting, universe, path, step],
-        # filled sub-block by sub-block; each [path, step] array is summed once
-        logret = np.empty((2, len(sizes), size, grid.steps))
-        for first, z in kernel.sub_blocks(seed, block, size):
-            ratios = kernel.gross(z)
-            rows = slice(first, first + len(z))
-            for j, (n, wa, wb) in enumerate(zip(sizes, prefix_a, prefix_b)):
-                np.log(ratios[:, :, :n] @ wa, out=logret[0, j, rows])
-                np.log(ratios[:, :, :n] @ wb, out=logret[1, j, rows])
-        return tuple(np.array([np.sum(per_size) for per_size in side]) for side in logret)
+def riskfree_studies(
+    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, weight_a: WeightVector,
+    weight_b: WeightVector, sizes: Sequence[int], n_paths: int, seed: int,
+    n_jobs: Union[int, TaskPool] = 1,
+) -> tuple[ScalingReport, EtemadiReport]:
+    """:func:`convergence_study` and :func:`etemadi_check` from one pass over one draw.
 
-    blocks = [(block, size) for block, _start, size in iter_blocks(n_paths)]
-    sums_a = np.zeros(len(sizes))
-    sums_b = np.zeros(len(sizes))
-    for block_a, block_b in TaskPool.run(n_jobs, log_return_sums, blocks):
-        sums_a += block_a
-        sums_b += block_b
-    cum_a = sums_a / n_paths
-    cum_b = sums_b / n_paths
-    div = np.abs(cum_a - cum_b)
-    return EtemadiReport(sizes=sizes, divergences=div, terminal_divergence=float(div[-1]))
+    The reports are bit for bit those of the two separate calls.
+    """
+    sizes = _check_sizes(sizes, spec.n_assets, n_paths, at_least=4)
+    equal = np.full(sizes[-1], 1.0 / sizes[-1])
+    rows = [equal, *_positive_weights(spec, weight_a, weight_b)]
+    total, total_sq = _prefix_log_return_sums(spec, env, grid, rows, sizes, n_paths, seed, n_jobs)
+    scaling = _scaling_report(spec, env, grid, sizes, n_paths, total, total_sq)
+    return scaling, _etemadi_report(sizes, n_paths, total)
 
 
 # ---------------------------------------------------------------------------

@@ -261,17 +261,6 @@ class ProcessSpec:
             raise ValueError("sigma returned a negative volatility")
         return sig
 
-    def prefix(self, n: int) -> "ProcessSpec":
-        """The process of the first n assets, for nested sub-universes."""
-        if n > self.n_assets:
-            raise ValueError(f"prefix size {n} exceeds {self.n_assets} assets")
-        return ProcessSpec(
-            n,
-            lambda xi: self._evaluate(self.mu, xi)[:, :n],
-            lambda xi: self._evaluate(self.sigma, xi)[:, :n],
-            self.noise,
-        )
-
 
 def constant_spec(
     n_assets: int, mu: Union[float, np.ndarray], sigma: Union[float, np.ndarray], noise: str = "normal"

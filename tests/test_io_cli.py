@@ -11,7 +11,7 @@ import yaml
 
 import gaugeport
 from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
-from gaugeport import cli, discounting
+from gaugeport import cli, discounting, sim
 from gaugeport.sim import EnvironmentSeries
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
@@ -149,6 +149,10 @@ class TestRunConfig:
             ("simulate", "process", "garch", "unknown process"),
             ("simulate", "noise", "levy", "unknown noise"),
             ("simulate", "dt", -0.1, "dt must be positive"),
+            ("riskfree", "sizes", [16, 64.5, 256, 1024], "riskfree.sizes"),
+            ("riskfree", "sizes", [0, 16, 64, 256], "riskfree.sizes"),
+            ("riskfree", "sizes", [16, 64, 256], "riskfree.sizes"),
+            ("riskfree", "n_paths", -3, "riskfree.n_paths"),
             ("pde", "payoff", "digital", "unknown payoff"),
             ("pde", "n_s", 4, "too coarse"),
             ("sensitivity", "n_factors", 99, "n_factors"),
@@ -372,6 +376,43 @@ class TestCli:
             assert main(argv) == EXIT_OK
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_riskfree_draws_each_cell_once(self, tmp_path, monkeypatch):
+        # both studies reduce one draw of the largest universe
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            yaml.safe_dump(
+                {
+                    "simulate": {"n_assets": 4, "dt": 1.0 / 64, "horizon": 0.125},
+                    "riskfree": {"sizes": [4, 8, 16, 48], "n_paths": 600},
+                }
+            )
+        )
+        cells = []
+        draw = sim._draw
+
+        def counted(gen, shape, noise):
+            cells.append(int(np.prod(shape)))
+            return draw(gen, shape, noise)
+
+        monkeypatch.setattr(sim, "_draw", counted)
+        monkeypatch.setenv("GAUGEPORT_THREADS", "2")
+        assert main(["riskfree", "--config", str(config), "--out", str(tmp_path / "r.yaml")]) == EXIT_OK
+        assert sum(cells) == 600 * 8 * 48
+
+    @pytest.mark.parametrize(
+        "riskfree_section,message",
+        [
+            ({"n_paths": 0}, "riskfree.n_paths must be >= 1"),
+            ({"sizes": [16, 16, 64, 256]}, "riskfree.sizes must be at least 4 strictly increasing"),
+        ],
+    )
+    def test_bad_riskfree_config_is_usage_error(self, riskfree_section, message, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml.safe_dump({"riskfree": riskfree_section}))
+        assert main(["riskfree", "--config", str(config), "--out", str(tmp_path / "r.yaml")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

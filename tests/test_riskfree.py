@@ -23,14 +23,16 @@ from gaugeport import (
 )
 from gaugeport import sim
 from gaugeport.riskfree import (
+    _prefix_log_return_sums,
     convergence_study,
     etemadi_check,
     is_price_insensitive,
     project_capped_simplex,
     rebalanced_quantities,
+    riskfree_studies,
     simplex_grid_oracle,
 )
-from gaugeport.sim import PATH_BLOCK, EnvironmentSeries, TaskPool
+from gaugeport.sim import PATH_BLOCK, EnvironmentSeries, StepKernel, TaskPool, iter_blocks, noise_block
 
 GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
 
@@ -242,6 +244,32 @@ class TestEtemadi:
         b = etemadi_check(*args, seed=2, sizes=[8, 32], n_jobs=2)
         assert np.array_equal(a.divergences, b.divergences)
 
+    def test_sizes_must_be_positive(self):
+        spec = constant_spec(16, 0.05, 0.2)
+        env = EnvironmentSeries.constant(self.GRID8)
+        w = WeightVector.equal(16)
+        with pytest.raises(ValueError, match="positive"):
+            etemadi_check(spec, env, self.GRID8, w, w, 100, seed=0, sizes=[0, 8, 16])
+
+    def test_sizes_must_increase(self):
+        spec = constant_spec(16, 0.05, 0.2)
+        env = EnvironmentSeries.constant(self.GRID8)
+        w = WeightVector.equal(16)
+        for sizes in ([8, 8, 16], [16, 8]):
+            with pytest.raises(ValueError, match="increasing"):
+                etemadi_check(spec, env, self.GRID8, w, w, 100, seed=0, sizes=sizes)
+        with pytest.raises(TypeError, match="integer"):
+            etemadi_check(spec, env, self.GRID8, w, w, 100, seed=0, sizes=[4.0, 8, 16])
+
+    def test_needs_a_path(self):
+        spec = constant_spec(16, 0.05, 0.2)
+        env = EnvironmentSeries.constant(self.GRID8)
+        w = WeightVector.equal(16)
+        with pytest.raises(ValueError, match="n_paths"):
+            etemadi_check(spec, env, self.GRID8, w, w, 0, seed=0, sizes=[4, 8, 16])
+        with pytest.raises(ValueError, match="n_paths"):
+            convergence_study(spec, env, self.GRID8, [2, 4, 8, 16], 0, seed=0)
+
     def test_short_positions_rejected(self):
         spec = constant_spec(4, 0.05, 0.2)
         env = EnvironmentSeries.constant(self.GRID8)
@@ -296,6 +324,78 @@ class TestSubBlockStreaming:
         streamed, whole = self.runs(study, monkeypatch)
         for report in streamed:
             assert report.divergences.tobytes() == whole.divergences.tobytes()
+
+
+class TestPrefixReduction:
+    """The one-draw prefix reduction against a plain numpy re-computation."""
+
+    # 8 steps x 325 assets: 100-path sub-blocks, and a ragged last block
+    GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+    N = 325
+    SIZES = (5, 40, 160, 325)
+    N_PATHS = PATH_BLOCK + 25
+    SEED = 9
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.spec = constant_spec(self.N, rng.uniform(0.0, 0.1, self.N), rng.uniform(0.1, 0.4, self.N))
+        self.env = EnvironmentSeries.constant(self.GRID8)
+        wb = rng.uniform(0.5, 1.5, self.N)
+        self.weights = {"equal": np.full(self.N, 1.0 / self.N), "random": wb / wb.sum()}
+
+    def reference_log_returns(self, w):
+        """Per-step log-returns [size, path, step] from whole-block noise and prefix gemv."""
+        kernel = StepKernel.of(self.spec, self.env, self.GRID8)
+        out = []
+        for block, _start, size in iter_blocks(self.N_PATHS):
+            z = noise_block(self.SEED, block, size, self.GRID8.steps, self.N, "normal")
+            ratios = np.exp(z * kernel.scale + kernel.drift)
+            out.append([np.log(ratios[..., :n] @ (w[:n] / w[:n].sum())) for n in self.SIZES])
+        return np.concatenate(out, axis=1)
+
+    @pytest.mark.parametrize("name", ["equal", "random"])
+    def test_sums_match_reference(self, name):
+        w = self.weights[name]
+        logret = self.reference_log_returns(w)
+        total, total_sq = _prefix_log_return_sums(
+            self.spec, self.env, self.GRID8, [w], self.SIZES, self.N_PATHS, self.SEED, 2
+        )
+        np.testing.assert_allclose(total[0], logret.sum(axis=(1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(total_sq[0], (logret**2).sum(axis=(1, 2)), rtol=1e-12)
+
+    def test_studies_match_reference(self):
+        equal = self.reference_log_returns(self.weights["equal"])
+        random = self.reference_log_returns(self.weights["random"])
+        sigma_hats = equal.reshape(len(self.SIZES), -1).std(axis=1) / np.sqrt(self.GRID8.dt)
+        cum_equal = equal.sum(axis=(1, 2)) / self.N_PATHS
+        cum_random = random.sum(axis=(1, 2)) / self.N_PATHS
+        a, b = (WeightVector(self.weights[name]) for name in ("equal", "random"))
+        scaling, etemadi = riskfree_studies(
+            self.spec, self.env, self.GRID8, a, b, self.SIZES, self.N_PATHS, self.SEED
+        )
+        np.testing.assert_allclose(scaling.sigma_hats, sigma_hats, rtol=1e-12)
+        # a divergence is a difference of two cumulative returns ~100x its
+        # size, so it is held to 1e-12 of those returns, not of itself
+        scale = np.maximum(np.abs(cum_equal), np.abs(cum_random))
+        assert np.all(np.abs(etemadi.divergences - np.abs(cum_equal - cum_random)) <= 1e-12 * scale)
+
+    def test_studies_give_the_separate_calls_bits(self):
+        a, b = (WeightVector(self.weights[name]) for name in ("random", "equal"))
+        args = (self.spec, self.env, self.GRID8)
+        with TaskPool(2) as pool:
+            scaling, etemadi = riskfree_studies(
+                *args, a, b, self.SIZES, self.N_PATHS, self.SEED, n_jobs=pool
+            )
+            alone = convergence_study(*args, self.SIZES, self.N_PATHS, self.SEED, n_jobs=pool)
+        pair = etemadi_check(*args, a, b, self.N_PATHS, self.SEED, sizes=self.SIZES)
+        for field in ("sigma_hats", "analytic_sigma_hats"):
+            assert getattr(scaling, field).tobytes() == getattr(alone, field).tobytes()
+        assert (scaling.slope, scaling.intercept, scaling.analytic_slope) == (
+            alone.slope, alone.intercept, alone.analytic_slope,
+        )
+        assert scaling.sizes == alone.sizes == etemadi.sizes == pair.sizes
+        assert etemadi.divergences.tobytes() == pair.divergences.tobytes()
+        assert etemadi.terminal_divergence == pair.terminal_divergence
 
 
 def bisection_projection(v, cap):

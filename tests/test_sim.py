@@ -18,6 +18,7 @@ from gaugeport import (
     etemadi_check,
     portfolio_dynamics,
     return_volatility,
+    riskfree_studies,
     simulate,
 )
 from gaugeport import sim
@@ -166,11 +167,6 @@ class TestProcessModel:
         assert_same_bits(spec.drift_matrix(env), per_cell(lambda i, x: np.array(mus)[i % 3], env, 8))
         assert_same_bits(spec.vol_matrix(env), per_cell(lambda i, x: np.array(sigmas)[i % 3], env, 8))
 
-    def test_prefix_keeps_leading_assets(self):
-        spec = build_process("constant", {"mu": np.linspace(0.0, 0.07, 8)}, 8)
-        env = EnvironmentSeries(GRID, self.XI)
-        assert_same_bits(spec.prefix(5).drift_matrix(env), spec.drift_matrix(env)[:, :5])
-
     def test_unbroadcastable_shape_rejected(self):
         spec = ProcessSpec(3, mu=lambda x: np.zeros(2), sigma=lambda x: 0.1)
         with pytest.raises(ValueError, match="broadcastable"):
@@ -259,6 +255,7 @@ class TestSubBlocks:
         studies = [
             lambda: convergence_study(spec, env, grid, sizes, PATH_BLOCK, seed=3, n_jobs=2),
             lambda: etemadi_check(spec, env, grid, *weights, PATH_BLOCK, seed=3, sizes=sizes, n_jobs=2),
+            lambda: riskfree_studies(spec, env, grid, *weights, sizes, PATH_BLOCK, seed=3, n_jobs=2),
         ]
         for study in studies:
             tracemalloc.start()
@@ -268,8 +265,8 @@ class TestSubBlocks:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            # two tasks, each with a sub-block, its per-block log-returns and
-            # the kernels' [steps, N] terms
+            # a few sub-blocks in flight, the block's per-row, per-size
+            # log-returns and the kernel's [steps, N] terms
             assert peak <= 8 * sub_bytes
 
     def test_long_simulate_holds_output_plus_few_sub_blocks(self):
