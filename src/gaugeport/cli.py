@@ -39,16 +39,15 @@ def _thread_count() -> int:
 
 def _sim_inputs(config: io.RunConfig):
     section = config.section("simulate")
-    steps = max(1, round(float(section["horizon"]) / float(section["dt"])))
+    # load_config checks that horizon is a whole number of dt steps
+    steps = round(float(section["horizon"]) / float(section["dt"]))
     grid = TimeGrid(t0=0.0, dt=float(section["dt"]), steps=steps)
-    env = sim.EnvironmentSeries.constant(grid, float(section.get("xi", 0.0)))
+    env = sim.EnvironmentSeries.constant(grid, float(section["xi"]))
     return section, grid, env
 
 
 def _process(section: dict, n_assets: int) -> sim.ProcessSpec:
-    return build_process(
-        section["process"], section.get("process_params", {}), n_assets, section["noise"]
-    )
+    return build_process(section["process"], section["process_params"], n_assets, section["noise"])
 
 
 def cmd_simulate(args, config: io.RunConfig) -> dict:
@@ -220,10 +219,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    io.write_report(
-        args.out, args.command, outcome["body"], config,
-        seed=outcome["seed"], timestamp=not args.no_timestamp,
-    )
+    try:
+        io.write_report(
+            args.out, args.command, outcome["body"], config,
+            seed=outcome["seed"], timestamp=not args.no_timestamp,
+        )
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {args.out}")
     return EXIT_OK
 

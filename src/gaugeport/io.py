@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -196,16 +198,43 @@ class RunConfig:
         ).hexdigest()
 
 
+#: Each key takes values of its default's type: an integer key rejects floats
+#: and bools, a float key takes any finite number.  ``process_params`` is a
+#: free-form mapping that the catalog entry reads.
+_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list", lambda v: type(v) is list),
+    dict: ("a mapping", lambda v: type(v) is dict),
+}
+
+
 def load_config(path: Optional[str | Path]) -> RunConfig:
-    """Load and validate a YAML RunConfig; missing path means all defaults."""
+    """Load and validate a YAML RunConfig; missing path means all defaults.
+
+    Raises ValueError with a one-line message for malformed YAML, unknown
+    sections or keys, values of the wrong type and out-of-range values.
+    """
     if path is None:
         return RunConfig({})
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a mapping of sections")
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValueError(f"invalid config: {path} is not valid YAML{where}: {problem}") from None
+    _require(isinstance(raw, dict), "config must be a mapping of sections")
     unknown = set(raw) - set(_DEFAULT_CONFIG)
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    _require(not unknown, f"unknown config sections: {sorted(unknown, key=str)}")
+    for name, section in raw.items():
+        _require(isinstance(section, dict), f"section {name} must be a mapping of keys")
+        unknown = set(section) - set(_DEFAULT_CONFIG[name])
+        _require(not unknown, f"unknown keys in section {name}: {sorted(unknown, key=str)}")
+        for key, value in section.items():
+            kind, accepts = _KINDS[type(_DEFAULT_CONFIG[name][key])]
+            _require(accepts(value), f"{name}.{key} must be {kind}, got {value!r}")
     config = RunConfig(raw)
     _validate(config)
     return config
@@ -219,10 +248,15 @@ def _require(cond: bool, message: str) -> None:
 def _validate(config: RunConfig) -> None:
     sim = config.section("simulate")
     _require(sim["process"] in CATALOG_NAMES, f"unknown process {sim['process']!r}")
-    _require(int(sim["n_assets"]) >= 1, "simulate.n_assets must be >= 1")
-    _require(int(sim["n_paths"]) >= 1, "simulate.n_paths must be >= 1")
-    _require(float(sim["horizon"]) > 0, "simulate.horizon must be positive")
-    _require(float(sim["dt"]) > 0, "simulate.dt must be positive")
+    _require(sim["n_assets"] >= 1, "simulate.n_assets must be >= 1")
+    _require(sim["n_paths"] >= 1, "simulate.n_paths must be >= 1")
+    _require(sim["horizon"] > 0, "simulate.horizon must be positive")
+    _require(sim["dt"] > 0, "simulate.dt must be positive")
+    steps = sim["horizon"] / sim["dt"]
+    _require(
+        steps < math.inf and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps,
+        f"simulate.horizon {sim['horizon']!r} is not a whole number of dt = {sim['dt']!r} steps",
+    )
     _require(sim["noise"] in ("normal", "uniform", "two-point"), f"unknown noise {sim['noise']!r}")
     rf = config.section("riskfree")
     sizes = rf["sizes"]
@@ -232,19 +266,19 @@ def _validate(config: RunConfig) -> None:
         and all(b > a for a, b in zip(sizes, sizes[1:])),
         "riskfree.sizes must be at least 4 strictly increasing positive integers",
     )
-    _require(int(rf["n_paths"]) >= 1, "riskfree.n_paths must be >= 1")
+    _require(rf["n_paths"] >= 1, "riskfree.n_paths must be >= 1")
     pde = config.section("pde")
     _require(pde["payoff"] in ("call", "put"), f"unknown payoff {pde['payoff']!r}")
-    _require(float(pde["strike"]) > 0, "pde.strike must be positive")
-    _require(int(pde["n_s"]) >= 10 and int(pde["n_t"]) >= 2, "pde grid too coarse")
-    _require(float(pde["tau"]) > 0, "pde.tau must be positive")
-    _require(float(pde["sigma"]) >= 0, "pde.sigma must be nonnegative")
+    _require(pde["strike"] > 0, "pde.strike must be positive")
+    _require(pde["n_s"] >= 10 and pde["n_t"] >= 2, "pde grid too coarse")
+    _require(pde["n_s"] % 2 == 0, "pde.n_s must be even so the strike is a grid node")
+    _require(pde["tau"] > 0, "pde.tau must be positive")
+    _require(pde["sigma"] >= 0, "pde.sigma must be nonnegative")
     disc = config.section("discount")
-    _require(int(disc["window"]) >= 2, "discount.window must be >= 2")
+    _require(disc["window"] >= 2, "discount.window must be >= 2")
     sens = config.section("sensitivity")
     _require(
-        0 < int(sens["n_factors"]) < int(sens["n_assets"]),
-        "sensitivity needs 0 < n_factors < n_assets",
+        0 < sens["n_factors"] < sens["n_assets"], "sensitivity needs 0 < n_factors < n_assets"
     )
 
 

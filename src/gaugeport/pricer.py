@@ -19,7 +19,7 @@ that use it, so importing the package does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -27,6 +27,9 @@ import numpy as np
 from .grid import TimeGrid
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Implicit-Euler start-up steps of the Crank-Nicolson solve.
+RANNACHER_STEPS = 2
 
 
 class DegenerateProblem(ValueError):
@@ -279,10 +282,10 @@ def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n
     return factors
 
 
-def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurface:
+def solve_gauge_bs(problem: PdeProblem) -> OptionSurface:
     """Backward Crank-Nicolson solve of the gauge-field pricing equation.
 
-    The first ``rannacher_steps`` time steps run as pairs of implicit-Euler
+    The first ``RANNACHER_STEPS`` time steps run as pairs of implicit-Euler
     half steps; second-order accurate in space and time thereafter.  All
     implicit half steps share the matrix I - (dt/2) L, whose LU factors are
     reused until an interval's (sigma, A, B) differs from the previous one.
@@ -318,7 +321,7 @@ def solve_gauge_bs(problem: PdeProblem, rannacher_steps: int = 2) -> OptionSurfa
         bc = _boundary_values(problem, int_ab_rev[k], int_b_rev[k])
         v = values[k + 1]
         rhs = v.copy()
-        if steps - 1 - k < rannacher_steps:
+        if steps - 1 - k < RANNACHER_STEPS:
             # Rannacher start-up: an implicit-Euler half step in place of
             # the explicit one
             rhs[0], rhs[-1] = bc
@@ -340,16 +343,8 @@ def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSur
     """
     if sigma_hat < 0:
         raise ValueError("sigma_hat must be nonnegative")
-    combined = np.hypot(problem.sigma, sigma_hat)
-    primed = PdeProblem(
-        s_grid=problem.s_grid,
-        t_grid=problem.t_grid,
-        sigma=combined,
-        a_field=np.zeros(problem.t_grid.steps),
-        b_scalar=problem.b_scalar,
-        payoff=problem.payoff,
-        payoff_kind=problem.payoff_kind,
-        strike=problem.strike,
+    primed = replace(
+        problem, sigma=np.hypot(problem.sigma, sigma_hat), a_field=np.zeros(problem.t_grid.steps)
     )
     return solve_gauge_bs(primed)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ DIVERSIFICATION_C = 4.0
 
 #: How far the weights of a WeightVector may sum from one.
 WEIGHT_SUM_TOL = 1e-12
+
+#: projected_gradient stops once no weight moves by more than this in an iteration.
+MOVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ def _positive_weights(spec: ProcessSpec, *weights: WeightVector) -> list[np.ndar
 
 def _prefix_log_return_sums(
     spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, rows: Sequence[np.ndarray],
-    sizes: tuple, n_paths: int, seed: int, n_jobs: Union[int, TaskPool],
+    sizes: tuple, n_paths: int, seed: int, n_jobs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum of squares of per-step portfolio log-returns, each [row, size].
 
@@ -301,7 +304,7 @@ def _prefix_log_return_sums(
     starts = (0,) + sizes[:-1]
     weights = [(w, np.cumsum(np.add.reduceat(w[:n_max], starts))) for w in rows]
 
-    with TaskPool.using(n_jobs) as pool:
+    with TaskPool(n_jobs) as pool:
         def reduce_block(block: int, size: int) -> tuple[np.ndarray, np.ndarray]:
             # [row, size, path, step], so each prefix's log-returns are contiguous
             logret = np.empty((len(rows), len(sizes), size, grid.steps))
@@ -363,7 +366,7 @@ def convergence_study(
     sizes: Sequence[int],
     n_paths: int,
     seed: int,
-    n_jobs: Union[int, TaskPool] = 1,
+    n_jobs: int = 1,
 ) -> ScalingReport:
     """Fit log sigma_hat vs log N for equal-weight prefix universes.
 
@@ -389,7 +392,7 @@ def etemadi_check(
     n_paths: int,
     seed: int,
     sizes: Optional[Sequence[int]] = None,
-    n_jobs: Union[int, TaskPool] = 1,
+    n_jobs: int = 1,
 ) -> EtemadiReport:
     """Divergence of cumulative returns under two positive weightings.
 
@@ -415,7 +418,7 @@ def etemadi_check(
 def riskfree_studies(
     spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, weight_a: WeightVector,
     weight_b: WeightVector, sizes: Sequence[int], n_paths: int, seed: int,
-    n_jobs: Union[int, TaskPool] = 1,
+    n_jobs: int = 1,
 ) -> tuple[ScalingReport, EtemadiReport]:
     """:func:`convergence_study` and :func:`etemadi_check` from one pass over one draw.
 
@@ -509,7 +512,6 @@ def projected_gradient(
     w0: np.ndarray,
     cap: float,
     max_iter: int = 2000,
-    tol: float = 1e-12,
 ) -> tuple[np.ndarray, int]:
     """Accelerated projected gradient for min ||g^T w||^2 over the capped simplex.
 
@@ -533,7 +535,7 @@ def projected_gradient(
         res = _residual(g, w)
         if res < best_res:
             best, best_res = w.copy(), res
-        if move < tol or best_res < 1e-13:
+        if move < MOVE_TOL or best_res < 1e-13:
             break
     return best, iterations
 
@@ -589,8 +591,6 @@ def sensitivity_neutral_weights(
         polished = project_capped_simplex(polished, problem.cap)
         if _residual(g, polished) < _residual(g, w):
             w = polished
-    if _residual(g, w) > _residual(g, w0):
-        w = w0
     res = _residual(g, w)
     gap = _frank_wolfe_gap(g, w, problem.cap)
     return SensitivityResult(WeightVector(w), res, res <= tol, iterations, gap)

@@ -421,3 +421,35 @@ class TestCli:
         config = tmp_path / "run.yaml"
         config.write_text(yaml.safe_dump({"simulate": {"noise": "levy"}}))
         assert main(["simulate", "--config", str(config)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("simulate", "simulate: {n_assets: 4\n", "not valid YAML at line 2"),
+            ("simulate", "simulate: 3\n", "section simulate must be a mapping"),
+            ("simulate", "simulate: {n_assets: [1, 2]}\n", "simulate.n_assets must be an integer"),
+            ("simulate", "simulate: {n_asets: 4}\n", "unknown keys in section simulate: ['n_asets']"),
+            ("discount", "discount: {window: 2.7}\n", "discount.window must be an integer, got 2.7"),
+            ("price", "pde: {n_s: 401}\n", "pde.n_s must be even"),
+            ("simulate", "simulate: {horizon: 1.0, dt: 0.3}\n", "not a whole number of dt"),
+        ],
+        ids=[
+            "yaml-syntax", "section-type", "int-type", "unknown-key", "float-for-int", "odd-n_s",
+            "horizon-steps",
+        ],
+    )
+    def test_config_error_is_one_line(self, command, text, message, fixture_csv, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        out = tmp_path / "r.yaml"
+        argv = [command, "--config", str(config), "--panel", str(fixture_csv), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.yaml"
+        assert main(["price", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err

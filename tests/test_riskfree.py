@@ -32,7 +32,7 @@ from gaugeport.riskfree import (
     riskfree_studies,
     simplex_grid_oracle,
 )
-from gaugeport.sim import PATH_BLOCK, EnvironmentSeries, StepKernel, TaskPool, iter_blocks, noise_block
+from gaugeport.sim import PATH_BLOCK, EnvironmentSeries, StepKernel, iter_blocks, noise_block
 
 GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
 
@@ -193,11 +193,10 @@ class TestConvergenceStudy:
     def test_thread_count_does_not_change_report(self):
         spec = constant_spec(32, np.linspace(0.0, 0.1, 32), 0.25)
         env = EnvironmentSeries.constant(self.GRID8)
-        with TaskPool(2) as pool:
-            runs = [
-                convergence_study(spec, env, self.GRID8, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
-                for jobs in (1, 2, pool)
-            ]
+        runs = [
+            convergence_study(spec, env, self.GRID8, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
+            for jobs in (1, 2)
+        ]
         for report in runs[1:]:
             assert np.array_equal(report.sigma_hats, runs[0].sigma_hats)
             assert report.slope == runs[0].slope
@@ -291,8 +290,7 @@ class TestSubBlockStreaming:
         return constant_spec(self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag)
 
     def runs(self, study, monkeypatch):
-        with TaskPool(2) as pool:
-            streamed = [study(n_jobs) for n_jobs in (1, 2, pool)]
+        streamed = [study(n_jobs) for n_jobs in (1, 2)]
         monkeypatch.setattr(sim, "_SUB_CELLS", 1 << 62)  # one sub-block per block
         return streamed, study(1)
 
@@ -382,11 +380,10 @@ class TestPrefixReduction:
     def test_studies_give_the_separate_calls_bits(self):
         a, b = (WeightVector(self.weights[name]) for name in ("random", "equal"))
         args = (self.spec, self.env, self.GRID8)
-        with TaskPool(2) as pool:
-            scaling, etemadi = riskfree_studies(
-                *args, a, b, self.SIZES, self.N_PATHS, self.SEED, n_jobs=pool
-            )
-            alone = convergence_study(*args, self.SIZES, self.N_PATHS, self.SEED, n_jobs=pool)
+        scaling, etemadi = riskfree_studies(
+            *args, a, b, self.SIZES, self.N_PATHS, self.SEED, n_jobs=2
+        )
+        alone = convergence_study(*args, self.SIZES, self.N_PATHS, self.SEED, n_jobs=2)
         pair = etemadi_check(*args, a, b, self.N_PATHS, self.SEED, sizes=self.SIZES)
         for field in ("sigma_hats", "analytic_sigma_hats"):
             assert getattr(scaling, field).tobytes() == getattr(alone, field).tobytes()

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from gaugeport import (
+    GaugeScalar,
     NumeraireSpec,
     PathSet,
+    PricePanel,
     TimeGrid,
     WeightVector,
     apply_numeraire,
+    apply_price_gauge,
     constant_spec,
     convergence_study,
     cross_term,
@@ -30,7 +33,6 @@ from gaugeport.sim import (
     StepKernel,
     TaskPool,
     iter_blocks,
-    iter_step_ratio_chunks,
     noise_block,
     noise_sub_blocks,
     sample_joint_numeraire,
@@ -114,13 +116,6 @@ class TestSimulate:
         noise_bytes = PATH_BLOCK * grid.steps * spec.n_assets * 8
         assert peak <= paths.paths.nbytes + 4 * noise_bytes
 
-    def test_streaming_ratios_match_simulate(self):
-        spec = constant_spec(3, 0.04, 0.3)
-        paths = simulate(spec, ENV, GRID, n_paths=700, seed=5)
-        chunks = np.concatenate(list(iter_step_ratio_chunks(spec, ENV, GRID, 700, seed=5)))
-        rebuilt = np.cumprod(chunks, axis=1)
-        assert np.array_equal(paths.paths[:, 1:, :], rebuilt)
-
 
 def per_cell(fn, env: EnvironmentSeries, n_assets: int) -> np.ndarray:
     """The scalar process model: one fn(asset, factor row) call per cell."""
@@ -198,11 +193,11 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
     def test_sub_blocks_concatenate_to_the_block(self, tag):
-        subs = list(noise_sub_blocks(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag, stream=3))
+        subs = list(noise_sub_blocks(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag))
         sizes = [len(z) for _first, z in subs]
         assert [first for first, _z in subs] == list(np.cumsum([0] + sizes[:-1]))
         assert len(sizes) > 1 and sizes[-1] < sizes[0]
-        whole = noise_block(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag, stream=3)
+        whole = noise_block(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag)
         assert_same_bits(np.concatenate([z for _first, z in subs]), whole)
 
     @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
@@ -218,18 +213,9 @@ class TestSubBlocks:
             z *= kernel.scale
             z += kernel.drift
             expected[start : start + size, 1:] = np.cumprod(np.exp(z), axis=1) * s0
-        with TaskPool(2) as pool:
-            for n_jobs in (1, 2, pool):
-                paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
-                assert_same_bits(paths.paths, expected)
-
-    def test_streaming_chunks_are_sub_blocks(self):
-        spec = constant_spec(WIDE, 0.04, 0.3)
-        env = EnvironmentSeries.constant(GRID8)
-        chunks = list(iter_step_ratio_chunks(spec, env, GRID8, RAGGED_PATHS, seed=5))
-        assert [len(c) for c in chunks] == [100] * 5 + [12, 25]
-        paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=5)
-        assert_same_bits(paths.paths[:, 1:, :], np.cumprod(np.concatenate(chunks), axis=1))
+        for n_jobs in (1, 2):
+            paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
+            assert_same_bits(paths.paths, expected)
 
     def test_numeraire_matches_whole_blocks(self, monkeypatch):
         spec = constant_spec(WIDE, 0.05, 0.2)
@@ -386,6 +372,12 @@ class TestNoiseTags:
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("seed,block", [(0, 0), (5, 3), (2**63 - 1, 41)])
+    def test_block_key_is_seed_then_block(self, seed, block):
+        # the seeding scheme: one Philox stream per (seed, path block) key
+        gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+        assert_same_bits(noise_block(seed, block, 7, 3, 2, "normal"), gen.standard_normal((7, 3, 2)))
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="noise tag"):
             constant_spec(1, 0.0, 0.1, noise="cauchy")
@@ -431,12 +423,30 @@ class TestNumeraire:
     def test_deterministic_mode_is_price_gauge(self):
         spec = constant_spec(2, 0.05, 0.2)
         paths = simulate(spec, ENV, GRID, n_paths=20, seed=6)
-        y = NumeraireSpec(phi_mu=0.03, mode="deterministic")
+        y = NumeraireSpec(phi_mu=0.03)
         scaled = apply_numeraire(paths, y, seed2=0)
         factor = np.exp(0.03 * GRID.points())
         np.testing.assert_allclose(
             scaled.paths, paths.paths * factor[None, :, None], rtol=1e-12
         )
+
+    def test_zero_phi_sigma_ignores_rho(self):
+        # no numeraire noise, so the correlations do not enter: the result is
+        # the price-gauge rescaling by exp(cumulative phi_mu dt), bit for bit
+        paths = simulate(constant_spec(3, 0.05, 0.2), ENV, GRID, n_paths=20, seed=6)
+        phi_mu = np.linspace(-0.02, 0.04, GRID.steps)
+        y = NumeraireSpec(phi_mu=phi_mu, rho=np.array([0.3, -0.2, 0.1]))
+        scaled = apply_numeraire(paths, y, seed2=5)
+        phi = GaugeScalar(GRID, np.concatenate([[0.0], np.cumsum(phi_mu * GRID.dt)]))
+        for path, out in zip(paths.paths, scaled.paths):
+            assert_same_bits(out, apply_price_gauge(PricePanel(GRID, path), phi).prices)
+
+    def test_wrong_rho_shape_rejected(self):
+        paths = simulate(constant_spec(3, 0.05, 0.2), ENV, GRID, n_paths=4, seed=6)
+        for phi_sigma in (0.0, 0.1):
+            y = NumeraireSpec(phi_mu=0.01, phi_sigma=phi_sigma, rho=np.array([0.1, 0.2]))
+            with pytest.raises(ValueError, match="one correlation per asset"):
+                apply_numeraire(paths, y, seed2=0)
 
     def test_inverse_asset_numeraire_freezes_the_asset(self):
         # Y = 1/s up to drift: phi_sigma = sigma, rho = -1, phi_mu = -mu + sigma^2
@@ -479,8 +489,6 @@ class TestNumeraire:
     def test_rho_vector_validated(self):
         with pytest.raises(ValueError, match="rho"):
             NumeraireSpec(phi_mu=0.0, phi_sigma=0.1, rho=np.array([0.9, 0.9]))
-        with pytest.raises(ValueError, match="deterministic"):
-            NumeraireSpec(phi_mu=0.0, phi_sigma=0.1, mode="deterministic")
 
 
 class TestCrossTerm:
