@@ -12,7 +12,14 @@ import numpy as np
 
 from .sim import ProcessSpec, constant_spec
 
-CATALOG_NAMES = ("constant", "affine", "sector-block")
+#: Each family's parameters with their defaults, and whether its parameters
+#: also take lists of numbers (per asset for constant, per sector for
+#: sector-block).  Configs may set only these parameters.
+FAMILIES = {
+    "constant": ({"mu": 0.0, "sigma": 0.2}, True),
+    "affine": ({"mu0": 0.0, "mu1": 0.0, "sigma0": 0.2, "sigma1": 0.0}, False),
+    "sector-block": ({"mu_sectors": [0.0], "sigma_sectors": [0.2]}, True),
+}
 
 
 def build_process(
@@ -23,18 +30,20 @@ def build_process(
     constant:     mu, sigma (scalar or per-asset list)
     affine:       mu = mu0 + mu1 * xi[0]; sigma = max(sigma0 + sigma1 * xi[0], 0)
     sector-block: per-sector mu/sigma lists, assets assigned round-robin
+
+    Parameters missing from ``params`` take their ``FAMILIES`` defaults.
     """
+    if name not in FAMILIES:
+        raise ValueError(f"unknown catalog entry {name!r}; known: {tuple(FAMILIES)}")
+    p = {**FAMILIES[name][0], **params}
+
     if name == "constant":
-        sigma = params.get("sigma", 0.2)
-        if np.any(np.asarray(sigma, dtype=float) < 0):
+        if np.any(np.asarray(p["sigma"], dtype=float) < 0):
             raise ValueError("constant catalog entry has negative sigma")
-        return constant_spec(n_assets, params.get("mu", 0.0), sigma, noise)
+        return constant_spec(n_assets, p["mu"], p["sigma"], noise)
 
     if name == "affine":
-        mu0 = float(params.get("mu0", 0.0))
-        mu1 = float(params.get("mu1", 0.0))
-        sigma0 = float(params.get("sigma0", 0.2))
-        sigma1 = float(params.get("sigma1", 0.0))
+        mu0, mu1, sigma0, sigma1 = (float(p[k]) for k in ("mu0", "mu1", "sigma0", "sigma1"))
 
         def sigma(xi):
             s = sigma0 + sigma1 * xi[:, :1]
@@ -43,14 +52,12 @@ def build_process(
 
         return ProcessSpec(n_assets, lambda xi: mu0 + mu1 * xi[:, :1], sigma, noise)
 
-    if name == "sector-block":
-        mus = np.asarray(params.get("mu_sectors", [0.0]), dtype=float)
-        sigmas = np.asarray(params.get("sigma_sectors", [0.2]), dtype=float)
-        if np.any(sigmas < 0):
-            raise ValueError("sector-block catalog entry has negative sigma")
-        if mus.size != sigmas.size:
-            raise ValueError("mu_sectors and sigma_sectors must have equal length")
-        sector = np.arange(n_assets) % mus.size
-        return constant_spec(n_assets, mus[sector], sigmas[sector], noise)
-
-    raise ValueError(f"unknown catalog entry {name!r}; known: {CATALOG_NAMES}")
+    # sector-block
+    mus = np.atleast_1d(np.asarray(p["mu_sectors"], dtype=float))
+    sigmas = np.atleast_1d(np.asarray(p["sigma_sectors"], dtype=float))
+    if np.any(sigmas < 0):
+        raise ValueError("sector-block catalog entry has negative sigma")
+    if mus.size != sigmas.size:
+        raise ValueError("mu_sectors and sigma_sectors must have equal length")
+    sector = np.arange(n_assets) % mus.size
+    return constant_spec(n_assets, mus[sector], sigmas[sector], noise)

@@ -43,7 +43,6 @@ class DiscountReport:
 
     asset_ids: tuple[str, ...]
     final_values: np.ndarray
-    riskfree_label: str
     metadata: dict = field(default_factory=dict)
     cash_series: Optional[LabeledSeries] = None
 
@@ -150,11 +149,9 @@ def rolling_drift_vol(
     return mu, sigma
 
 
-def _riskfree_gauge(
-    panel: PricePanel, weights: Optional[WeightVector]
-) -> tuple[int, WeightVector, MarketGaugeResult]:
-    """Cash column, weights and market gauge of the risk-free portfolio,
-    which is built from the panel's non-cash columns."""
+def _riskfree_gauge(panel: PricePanel) -> tuple[int, WeightVector, MarketGaugeResult]:
+    """Cash column, weights and market gauge of the risk-free portfolio, the
+    equal-weight portfolio of the panel's non-cash columns."""
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels")
     cash_idx = find_cash_column(panel.asset_ids)
@@ -164,10 +161,7 @@ def _riskfree_gauge(
             "(ingest with normalize=True)"
         )
     non_cash = [i for i in range(panel.n_assets) if i != cash_idx]
-    if weights is None:
-        weights = WeightVector.equal(len(non_cash))
-    elif weights.n != len(non_cash):
-        raise ValueError("weights must cover the non-cash columns")
+    weights = WeightVector.equal(len(non_cash))
     weights.require_riskfree()
 
     riskfree_panel = PricePanel(
@@ -186,11 +180,7 @@ def _cash_series(panel: PricePanel, cash_idx: int, values: np.ndarray) -> Labele
     )
 
 
-def empirical_pipeline(
-    panel: PricePanel,
-    weights: Optional[WeightVector] = None,
-    window: int = 63,
-) -> DiscountReport:
+def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
     """Build the risk-free portfolio, switch to the A' = 0 gauge, and report.
 
     The panel must carry exactly one cash column (unit price at inception)
@@ -200,7 +190,7 @@ def empirical_pipeline(
     value in those units.  The report also carries the cash column over
     time in those units, as :func:`cash_value_series` gives it.
     """
-    cash_idx, weights, gauge = _riskfree_gauge(panel, weights)
+    cash_idx, weights, gauge = _riskfree_gauge(panel)
     converted = to_riskfree_units(panel, gauge.portfolio_value_series)
 
     final_values = converted.prices[-1].copy()
@@ -226,13 +216,12 @@ def empirical_pipeline(
     return DiscountReport(
         asset_ids=tuple(labels),
         final_values=final_values,
-        riskfree_label="risk-free portfolio",
         metadata=metadata,
         cash_series=_cash_series(panel, cash_idx, converted.prices[:, cash_idx].copy()),
     )
 
 
-def cash_value_series(panel: PricePanel, weights: Optional[WeightVector] = None) -> LabeledSeries:
+def cash_value_series(panel: PricePanel) -> LabeledSeries:
     """Cash value in risk-free units over time (plot-ready)."""
-    cash_idx, _weights, gauge = _riskfree_gauge(panel, weights)
+    cash_idx, _weights, gauge = _riskfree_gauge(panel)
     return _cash_series(panel, cash_idx, panel.prices[:, cash_idx] / gauge.portfolio_value_series)

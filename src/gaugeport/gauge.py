@@ -152,15 +152,10 @@ class TradeUnitMap:
 
 @dataclass(frozen=True)
 class GaugeFieldB:
-    """GL(N) trade-unit gauge field, one N x N rate matrix per interval.
-
-    ``block_sizes`` optionally records the (M options, N assets) diagonal
-    block structure; when set, off-diagonal blocks must be exactly zero.
-    """
+    """GL(N) trade-unit gauge field, one N x N rate matrix per interval."""
 
     grid: TimeGrid
     bfield: np.ndarray  # [steps, N, N]
-    block_sizes: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         bf = np.asarray(self.bfield, dtype=float)
@@ -171,12 +166,6 @@ class GaugeFieldB:
             raise ValueError("bfield must hold one matrix per interval")
         if not np.all(np.isfinite(bf)):
             raise ValueError("gauge field B must be finite")
-        if self.block_sizes is not None:
-            m, n = self.block_sizes
-            if m + n != bf.shape[1]:
-                raise ValueError("block sizes must sum to the matrix dimension")
-            if np.any(bf[:, :m, m:] != 0.0) or np.any(bf[:, m:, :m] != 0.0):
-                raise ValueError("off-diagonal blocks must be exactly zero")
 
     @staticmethod
     def zeros(grid: TimeGrid, n: int) -> "GaugeFieldB":

@@ -23,9 +23,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .catalog import CATALOG_NAMES
+from .catalog import FAMILIES
 from .gauge import PricePanel
 from .grid import TimeGrid
+from .sim import SEED_LIMIT
 
 DAYS_PER_YEAR = 365.25
 
@@ -200,7 +201,7 @@ class RunConfig:
 
 #: Each key takes values of its default's type: an integer key rejects floats
 #: and bools, a float key takes any finite number.  ``process_params`` is a
-#: free-form mapping that the catalog entry reads.
+#: mapping checked against the chosen family in ``catalog.FAMILIES``.
 _KINDS = {
     int: ("an integer", lambda v: type(v) is int),
     float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
@@ -247,7 +248,20 @@ def _require(cond: bool, message: str) -> None:
 
 def _validate(config: RunConfig) -> None:
     sim = config.section("simulate")
-    _require(sim["process"] in CATALOG_NAMES, f"unknown process {sim['process']!r}")
+    _require(sim["process"] in FAMILIES, f"unknown process {sim['process']!r}")
+    # the user's process_params only (the defaults belong to the default family):
+    # the family's names, each a finite number or, if allowed, a nonempty list of them
+    params = config.data.get("simulate", {}).get("process_params", {})
+    names, lists = FAMILIES[sim["process"]]
+    unknown = sorted(set(params) - set(names), key=str)
+    _require(not unknown, f"unknown process_params for process {sim['process']}: {unknown}")
+    number = _KINDS[float][1]
+    kind = "a finite number or a nonempty list of them" if lists else "a finite number"
+    for key, value in params.items():
+        _require(
+            number(value) or (lists and type(value) is list and value and all(map(number, value))),
+            f"simulate.process_params.{key} must be {kind}, got {value!r}",
+        )
     _require(sim["n_assets"] >= 1, "simulate.n_assets must be >= 1")
     _require(sim["n_paths"] >= 1, "simulate.n_paths must be >= 1")
     _require(sim["horizon"] > 0, "simulate.horizon must be positive")
@@ -280,6 +294,8 @@ def _validate(config: RunConfig) -> None:
     _require(
         0 < sens["n_factors"] < sens["n_assets"], "sensitivity needs 0 < n_factors < n_assets"
     )
+    for name, seed in (("simulate", sim["seed"]), ("sensitivity", sens["seed"])):
+        _require(0 <= seed < SEED_LIMIT, f"{name}.seed must be in [0, 2^63), got {seed}")
 
 
 # ---------------------------------------------------------------------------

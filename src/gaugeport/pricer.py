@@ -9,6 +9,12 @@ and a Rannacher start-up (implicit-Euler half steps) to damp the payoff
 kink.  Setting A = -r, B = 0 recovers the textbook equation with rate r;
 the zero-rate closed form is the oracle for the A' = 0 gauge.
 
+:func:`vanilla_problem` spans [K/span, K*span] with ln(span) = 8 sigma_max
+sqrt(tau) + int |A| dtau, clipped to [0.2, ln 8]: eight log-price standard
+deviations plus the drift, far enough out that the Dirichlet data's
+truncation error is negligible (Kangro & Nicolaides, SIAM J. Numer. Anal. 38,
+2000).  The floor keeps sigma = A = 0 on a strictly increasing grid.
+
 Every implicit half step solves the same tridiagonal system I - (dt/2) L,
 so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
 coefficients change between intervals) and each step is one ``dgttrs``
@@ -163,16 +169,7 @@ def effective_vol(sigma1: float, sigma_hat: float) -> EffectiveVol:
 
 def bs_closed_form(s: float, e: float, sigma: float, tau: float) -> float:
     """Zero-rate Black-Scholes call value (the natural A' = 0 gauge)."""
-    from scipy.special import ndtr
-
-    if tau <= 0:
-        return max(s - e, 0.0)
-    if sigma <= 0:
-        return max(s - e, 0.0)
-    st = sigma * np.sqrt(tau)
-    d1 = (np.log(s / e) + 0.5 * sigma**2 * tau) / st
-    d2 = d1 - st
-    return float(s * ndtr(d1) - e * ndtr(d2))
+    return bs_closed_form_rate(s, e, sigma, tau, 0.0)
 
 
 def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) -> float:
@@ -213,11 +210,13 @@ def vanilla_problem(
     b_scalar: ArrayLike = 0.0,
     n_s: int = 400,
     n_t: int = 400,
-    span: float = 8.0,
 ) -> PdeProblem:
-    """Standard call/put problem on the default grid."""
-    s = log_price_grid(strike, n_s, span)
+    """Standard call/put problem on a grid sized to sigma and A (see the module docstring)."""
     grid = TimeGrid(t0=0.0, dt=tau / n_t, steps=n_t)
+    sigma_max = np.max(_per_interval(sigma, n_t, "sigma"))
+    int_abs_a = np.sum(np.abs(_per_interval(a_field, n_t, "a_field"))) * grid.dt
+    span = min(8.0, np.exp(max(8.0 * sigma_max * np.sqrt(tau) + int_abs_a, 0.2)))
+    s = log_price_grid(strike, n_s, span)
     if kind == "call":
         payoff = lambda sg: np.maximum(sg - strike, 0.0)
     elif kind == "put":

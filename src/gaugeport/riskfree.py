@@ -27,7 +27,7 @@ from .gauge import GaugeFieldA, PricePanel
 from .grid import TimeGrid, require_same_grid
 from .sim import EnvironmentSeries, ProcessSpec, StepKernel, TaskPool, iter_blocks
 
-#: Default diversification cap constant: weights must satisfy w_i <= DIVERSIFICATION_C / N.
+#: Diversification cap: risk-free weights must satisfy w_i <= DIVERSIFICATION_C / N.
 DIVERSIFICATION_C = 4.0
 
 #: How far the weights of a WeightVector may sum from one.
@@ -35,6 +35,14 @@ WEIGHT_SUM_TOL = 1e-12
 
 #: projected_gradient stops once no weight moves by more than this in an iteration.
 MOVE_TOL = 1e-12
+
+#: sensitivity_neutral_weights runs at most MAX_ITER projected-gradient
+#: iterations and calls its weights exact when ||w^T dmu_dxi|| <= NEUTRAL_TOL.
+MAX_ITER = 2000
+NEUTRAL_TOL = 1e-8
+
+#: is_price_insensitive's bound on max|residual| relative to |K| |dP|.
+INSENSITIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,11 @@ class WeightVector:
     def n(self) -> int:
         return self.w.size
 
-    def require_riskfree(self, c: float = DIVERSIFICATION_C) -> None:
+    def require_riskfree(self) -> None:
         """Enforce long-only, unlevered, O(1/N)-diluted weights."""
         if np.any(self.w <= 0):
             raise ValueError("risk-free candidacy requires strictly positive weights")
+        c = DIVERSIFICATION_C
         if self.w.max() > c / self.n + 1e-15:
             raise ValueError(
                 f"risk-free candidacy requires max weight <= {c}/N = {c / self.n:g}"
@@ -91,7 +100,6 @@ class SensitivityProblem:
 
     dmu_dxi: np.ndarray  # [N, n_factors]
     cap: float
-    base_weights: Optional[WeightVector] = None
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.dmu_dxi, dtype=float))
@@ -127,13 +135,11 @@ def insensitivity_residual(panel: PricePanel, deltas: np.ndarray, k: int = 0) ->
     return panel.quantities[k] @ deltas
 
 
-def is_price_insensitive(
-    panel: PricePanel, deltas: np.ndarray, k: int = 0, rel_tol: float = 1e-8
-) -> bool:
-    """Declare insensitivity when max|residual| <= rel_tol * |K| * |dP|."""
+def is_price_insensitive(panel: PricePanel, deltas: np.ndarray, k: int = 0) -> bool:
+    """Declare insensitivity when max|residual| <= INSENSITIVE_TOL * |K| * |dP|."""
     residual = insensitivity_residual(panel, deltas, k)
     scale = np.linalg.norm(panel.quantities[k]) * np.linalg.norm(deltas)
-    return float(np.max(np.abs(residual))) <= rel_tol * max(scale, 1.0)
+    return float(np.max(np.abs(residual))) <= INSENSITIVE_TOL * max(scale, 1.0)
 
 
 def delta_hedge(option_delta: float, option_qty: float) -> float:
@@ -147,10 +153,8 @@ def delta_hedge(option_delta: float, option_qty: float) -> float:
 # Market gauge extraction
 # ---------------------------------------------------------------------------
 
-def rebalanced_quantities(
-    panel: PricePanel, w: WeightVector, initial_value: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Holdings and value path of a portfolio rebalanced to w each step.
+def rebalanced_quantities(panel: PricePanel, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
+    """Holdings and value path, from 1, of a portfolio rebalanced to w each step.
 
     q[k] = w * Pi[k] / s[k] immediately after the step-k rebalance;
     Pi[k+1] = s[k+1] . q[k].  Rebalancing is cost neutral at current prices.
@@ -160,7 +164,7 @@ def rebalanced_quantities(
     n_points = panel.grid.n_points
     values = np.empty(n_points)
     quantities = np.empty_like(panel.prices)
-    values[0] = initial_value
+    values[0] = 1.0
     for k in range(n_points):
         quantities[k] = w.w * values[k] / panel.prices[k]
         if k + 1 < n_points:
@@ -170,9 +174,7 @@ def rebalanced_quantities(
     return quantities, values
 
 
-def extract_market_gauge(
-    panel: PricePanel, w: WeightVector, initial_value: float = 1.0
-) -> MarketGaugeResult:
+def extract_market_gauge(panel: PricePanel, w: WeightVector) -> MarketGaugeResult:
     """Market gauge A = -d/dt ln(s.q) and diagonal B_N = q_dot/q.
 
     With vector holdings the defining relation s.q_dot = s.B_N.q is
@@ -180,7 +182,7 @@ def extract_market_gauge(
     solution, so B_N is returned as that [steps, N] diagonal: memory is
     O(steps N), where the dense [steps, N, N] stack would be O(steps N^2).
     """
-    quantities, values = rebalanced_quantities(panel, w, initial_value)
+    quantities, values = rebalanced_quantities(panel, w)
     grid = panel.grid
     a = GaugeFieldA(grid, -np.diff(np.log(values)) / grid.dt)
     # q_dot / q, formed in place
@@ -391,7 +393,7 @@ def etemadi_check(
     weight_b: WeightVector,
     n_paths: int,
     seed: int,
-    sizes: Optional[Sequence[int]] = None,
+    sizes: Sequence[int],
     n_jobs: int = 1,
 ) -> EtemadiReport:
     """Divergence of cumulative returns under two positive weightings.
@@ -403,13 +405,6 @@ def etemadi_check(
     ``n_jobs``.
     """
     rows = _positive_weights(spec, weight_a, weight_b)
-    if sizes is None:
-        sizes = []
-        n = 64
-        while n < spec.n_assets:
-            sizes.append(n)
-            n *= 4
-        sizes.append(spec.n_assets)
     sizes = _check_sizes(sizes, spec.n_assets, n_paths)
     total, _ = _prefix_log_return_sums(spec, env, grid, rows, sizes, n_paths, seed, n_jobs)
     return _etemadi_report(sizes, n_paths, total)
@@ -511,7 +506,7 @@ def projected_gradient(
     g: np.ndarray,
     w0: np.ndarray,
     cap: float,
-    max_iter: int = 2000,
+    max_iter: int = MAX_ITER,
 ) -> tuple[np.ndarray, int]:
     """Accelerated projected gradient for min ||g^T w||^2 over the capped simplex.
 
@@ -566,13 +561,11 @@ class SensitivityResult:
     duality_gap: float  # Frank-Wolfe gap: bounds residual^2 - optimum^2
 
 
-def sensitivity_neutral_weights(
-    problem: SensitivityProblem, tol: float = 1e-8, max_iter: int = 2000
-) -> SensitivityResult:
+def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResult:
     """Weights minimizing the drift sensitivity ||w^T dmu_dxi|| on the capped simplex.
 
-    Deterministic initialization at equal weights (or the supplied base
-    weights), accelerated projected gradient, then a final projection onto
+    Deterministic initialization at equal weights, ``MAX_ITER`` iterations of
+    accelerated projected gradient at most, then a final projection onto
     the exact-neutrality affine subspace when that projection stays feasible.
     The returned residual never exceeds the starting point's; the result
     carries the iteration count and the Frank-Wolfe duality gap of the
@@ -580,12 +573,11 @@ def sensitivity_neutral_weights(
     """
     g = problem.dmu_dxi
     n = problem.n
-    w0 = problem.base_weights.w if problem.base_weights is not None else np.full(n, 1.0 / n)
-    w0 = project_capped_simplex(w0, problem.cap)
+    w0 = project_capped_simplex(np.full(n, 1.0 / n), problem.cap)
     if _residual(g, w0) == 0.0:
         # zero residual means a zero gradient, so the gap is zero too
         return SensitivityResult(WeightVector(w0), 0.0, True, 0, 0.0)
-    w, iterations = projected_gradient(g, w0, problem.cap, max_iter=max_iter)
+    w, iterations = projected_gradient(g, w0, problem.cap)
     polished = _affine_polish(g, w, problem.cap)
     if polished is not None:
         polished = project_capped_simplex(polished, problem.cap)
@@ -593,7 +585,7 @@ def sensitivity_neutral_weights(
             w = polished
     res = _residual(g, w)
     gap = _frank_wolfe_gap(g, w, problem.cap)
-    return SensitivityResult(WeightVector(w), res, res <= tol, iterations, gap)
+    return SensitivityResult(WeightVector(w), res, res <= NEUTRAL_TOL, iterations, gap)
 
 
 def simplex_grid_oracle(

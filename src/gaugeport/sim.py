@@ -38,6 +38,9 @@ PATH_BLOCK = 512
 
 NOISE_TAGS = ("normal", "uniform", "two-point")
 
+#: Seeds are integers in [0, SEED_LIMIT).
+SEED_LIMIT = 2**63
+
 # Cells per noise sub-block (at least one path is drawn at a time).  Does not
 # change the sample, only how much of a block is held at once.
 _SUB_CELLS = 1 << 18
@@ -46,8 +49,11 @@ _SQRT3 = np.sqrt(3.0)
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
-    # 128-bit Philox key: the seed in the first word, the block in the second
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, block]))
+    # 128-bit Philox key: the seed in the first word, the block in the second;
+    # numpy casts a word >= 2^63 through float64, so such seeds would collide
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2^63), got {seed}")
+    return np.random.Generator(np.random.Philox(key=[seed, block]))
 
 
 def _draw(gen: np.random.Generator, shape: tuple, noise: str) -> np.ndarray:

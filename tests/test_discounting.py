@@ -5,7 +5,6 @@ from gaugeport import (
     GaugeFieldA,
     PricePanel,
     TimeGrid,
-    WeightVector,
     cash_value_series,
     empirical_pipeline,
     forward_translate,
@@ -147,13 +146,6 @@ class TestEmpiricalPipeline:
             empirical_pipeline(panel)
         assert find_cash_column(("A", "B#cash")) == 1
 
-    def test_weights_must_cover_non_cash_columns(self):
-        grid = TimeGrid(0.0, 0.01, 10)
-        prices = np.ones((grid.n_points, 3))
-        panel = PricePanel(grid=grid, prices=prices, asset_ids=("A", "B", "C#cash"))
-        with pytest.raises(ValueError, match="non-cash"):
-            empirical_pipeline(panel, weights=WeightVector.equal(3))
-
 
 class TestCashValueSeries:
     def test_starts_at_one(self, fixture_panel):
@@ -172,4 +164,4 @@ class TestCashValueSeries:
 class TestReportTypes:
     def test_nonpositive_discount_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            DiscountReport(asset_ids=("A",), final_values=np.array([-0.5]), riskfree_label="rf")
+            DiscountReport(asset_ids=("A",), final_values=np.array([-0.5]))

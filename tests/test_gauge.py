@@ -205,11 +205,6 @@ class TestGaugeFieldB:
         direct = transform_gauge_b(bf, product)
         np.testing.assert_allclose(sequential.bfield, direct.bfield, atol=1e-6)
 
-    def test_block_structure_enforced(self):
-        bad = np.ones((GRID.steps, 3, 3))
-        with pytest.raises(ValueError, match="off-diagonal"):
-            GaugeFieldB(GRID, bad, block_sizes=(1, 2))
-
 
 class TestReturns:
     def test_constant_series_zero_return(self):

@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -282,6 +284,40 @@ class TestCli:
         exact = bs_closed_form(100, 100, 0.2, 1.0)
         assert doc["report"]["at_the_money_value"] == pytest.approx(exact, rel=1e-3)
 
+    def test_price_with_zero_sigma(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("pde: {sigma: 0}\n")
+        out = tmp_path / "p.yaml"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert read_report(out)["report"]["at_the_money_value"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_wide_price_report_is_unchanged(self, tmp_path):
+        # 8 sigma sqrt(tau) >= ln 8 keeps the [K/8, 8K] grid: the digest is of
+        # the report body written before the grid was sized to sigma
+        config = tmp_path / "run.yaml"
+        config.write_text("pde: {sigma: 0.4}\n")
+        out = tmp_path / "p.yaml"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == (
+            "7a53a2cad8f902373964b4ae1b1d8adc78adf6baa0c7bc8ced18485a8d760625"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "simulate: {process: affine}\n",
+            "simulate: {process: sector-block, process_params: {mu_sectors: 0.1}}\n",
+            f"simulate: {{seed: {2**63 - 1}}}\n",
+        ],
+        ids=["family-without-params", "scalar-sectors", "largest-seed"],
+    )
+    def test_simulate_config_accepted(self, text, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        out = tmp_path / "s.yaml"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+
     def test_discount_pipeline(self, fixture_csv, tmp_path):
         out = tmp_path / "d.yaml"
         assert main(["discount", "--panel", str(fixture_csv), "--out", str(out)]) == EXIT_OK
@@ -432,10 +468,26 @@ class TestCli:
             ("discount", "discount: {window: 2.7}\n", "discount.window must be an integer, got 2.7"),
             ("price", "pde: {n_s: 401}\n", "pde.n_s must be even"),
             ("simulate", "simulate: {horizon: 1.0, dt: 0.3}\n", "not a whole number of dt"),
+            ("simulate", "simulate: {seed: -1}\n", "simulate.seed must be in [0, 2^63), got -1"),
+            ("riskfree", f"simulate: {{seed: {2**64 - 1}}}\n", "simulate.seed must be in [0, 2^63)"),
+            ("sensitivity", "sensitivity: {seed: -2}\n", "sensitivity.seed must be in [0, 2^63)"),
+            (
+                "simulate", "simulate: {process: affine, process_params: {mu0: [1, 2]}}\n",
+                "simulate.process_params.mu0 must be a finite number, got [1, 2]",
+            ),
+            (
+                "simulate", "simulate: {process_params: {sigma: abc}}\n",
+                "simulate.process_params.sigma must be a finite number or a nonempty list",
+            ),
+            (
+                "simulate", "simulate: {process_params: {sgima: 0.3}}\n",
+                "unknown process_params for process constant: ['sgima']",
+            ),
         ],
         ids=[
             "yaml-syntax", "section-type", "int-type", "unknown-key", "float-for-int", "odd-n_s",
-            "horizon-steps",
+            "horizon-steps", "negative-seed", "seed-2^64-1", "sensitivity-seed", "param-list",
+            "param-string", "param-typo",
         ],
     )
     def test_config_error_is_one_line(self, command, text, message, fixture_csv, tmp_path, capsys):

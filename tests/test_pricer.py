@@ -95,6 +95,31 @@ class TestPdeSolver:
         d1 = 0.5 * SIGMA * np.sqrt(TAU)
         assert surface.delta_at(STRIKE) == pytest.approx(norm.cdf(d1), abs=1e-3)
 
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("a", [0.0, -0.05])
+    @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.4])
+    def test_ladder_within_1e_3(self, sigma, a, kind):
+        surface = solve_gauge_bs(vanilla_problem(kind, STRIKE, sigma, TAU, a_field=a))
+        r = -a  # A = -r is textbook pricing at rate r
+        exact = bs_closed_form_rate(STRIKE, STRIKE, sigma, TAU, r)
+        if kind == "put":
+            exact += STRIKE * np.exp(-r * TAU) - STRIKE
+        assert abs(surface.value_at(STRIKE) - exact) / exact < 1e-3
+
+    def test_grid_span_follows_sigma_and_a(self):
+        # ln(span) = 8 sigma_max sqrt(tau) + int |A| dtau, clipped to [0.2, ln 8]
+        sigma = np.full(400, 0.1)
+        sigma[:100] = 0.15
+        a_field = np.linspace(-0.05, 0.05, 400)
+        s = vanilla_problem("call", STRIKE, sigma, TAU, a_field=a_field).s_grid
+        span = np.exp(8.0 * 0.15 + np.sum(np.abs(a_field)) / 400)
+        np.testing.assert_allclose([s[0], s[-1]], [STRIKE / span, STRIKE * span], rtol=1e-12)
+        flat = vanilla_problem("put", STRIKE, 0.0, TAU).s_grid
+        np.testing.assert_allclose(flat[-1] / flat[0], np.exp(0.4), rtol=1e-12)
+        # 8 sigma sqrt(tau) >= ln 8: exactly the [K/8, 8K] grid
+        wide = vanilla_problem("call", STRIKE, 0.4, TAU).s_grid
+        assert np.array_equal(wide, log_price_grid(STRIKE, 400, 8.0))
+
     def test_put_call_parity_with_fields(self):
         a, b = -0.03, 0.05
         call = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=a, b_scalar=b))

@@ -63,8 +63,8 @@ class TestWeightVector:
         # one concentrated weight above c/N fails the dilution requirement
         w = WeightVector(np.concatenate([[0.6], np.full(9, 0.4 / 9)]))
         with pytest.raises(ValueError, match="max weight"):
-            w.require_riskfree(c=4.0)
-        WeightVector.equal(10).require_riskfree(c=4.0)
+            w.require_riskfree()
+        WeightVector.equal(10).require_riskfree()
 
 
 class TestPriceInsensitivity:
@@ -120,6 +120,7 @@ class TestMarketGauge:
         result = extract_market_gauge(panel, WeightVector.equal(5))
         q = result.quantities
         assert result.b_diag.shape == (GRID.steps, 5)
+        assert q.shape == panel.prices.shape and result.portfolio_value_series[0] == 1.0
         assert np.array_equal(result.b_diag, np.diff(q, axis=0) / GRID.dt / q[:-1])
 
     def test_peak_memory_is_a_few_steps_by_n_arrays(self):
@@ -135,12 +136,6 @@ class TestMarketGauge:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * grid.steps * panel.n_assets * 8
-
-    def test_value_series_starts_at_initial_value(self):
-        panel = random_panel(4, seed=2)
-        result = extract_market_gauge(panel, WeightVector.equal(4), initial_value=2.5)
-        assert result.portfolio_value_series[0] == 2.5
-        assert result.quantities.shape == panel.prices.shape
 
     def test_riskfree_units_round_trip(self):
         # re-extracting the gauge in risk-free units gives A' = 0 exactly
@@ -274,7 +269,9 @@ class TestEtemadi:
         env = EnvironmentSeries.constant(self.GRID8)
         wa = WeightVector(np.array([0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError, match="positive"):
-            etemadi_check(spec, env, self.GRID8, wa, WeightVector.equal(4), 100, seed=0)
+            etemadi_check(
+                spec, env, self.GRID8, wa, WeightVector.equal(4), 100, seed=0, sizes=[2, 4]
+            )
 
 
 class TestSubBlockStreaming:

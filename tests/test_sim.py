@@ -162,6 +162,10 @@ class TestProcessModel:
         assert_same_bits(spec.drift_matrix(env), per_cell(lambda i, x: np.array(mus)[i % 3], env, 8))
         assert_same_bits(spec.vol_matrix(env), per_cell(lambda i, x: np.array(sigmas)[i % 3], env, 8))
 
+    def test_scalar_sectors_are_one_sector(self):
+        spec = build_process("sector-block", {"mu_sectors": 0.04, "sigma_sectors": 0.3}, 3)
+        assert_same_bits(spec.vol_matrix(ENV), np.full((GRID.steps, 3), 0.3))
+
     def test_unbroadcastable_shape_rejected(self):
         spec = ProcessSpec(3, mu=lambda x: np.zeros(2), sigma=lambda x: 0.1)
         with pytest.raises(ValueError, match="broadcastable"):
@@ -377,6 +381,12 @@ class TestNoiseTags:
         # the seeding scheme: one Philox stream per (seed, path block) key
         gen = np.random.Generator(np.random.Philox(key=[seed, block]))
         assert_same_bits(noise_block(seed, block, 7, 3, 2, "normal"), gen.standard_normal((7, 3, 2)))
+
+    @pytest.mark.parametrize("seed", [-1, -2, 2**63, 2**64 - 1])
+    def test_seed_outside_range_rejected(self, seed):
+        # numpy passes key words >= 2^63 through float64, so such keys collide
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^63\)"):
+            noise_block(seed, 0, 2, 3, 1, "normal")
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="noise tag"):
