@@ -47,6 +47,13 @@ def _sim_inputs(config: io.RunConfig):
 
 
 def _process(section: dict, n_assets: int) -> sim.ProcessSpec:
+    if section["process"] == "constant":
+        for key, value in section["process_params"].items():
+            if type(value) is list and len(value) not in (1, n_assets):
+                raise UsageError(
+                    f"invalid config: simulate.process_params.{key} has {len(value)} values, "
+                    f"not 1 or one per asset of the run ({n_assets})"
+                )
     return build_process(section["process"], section["process_params"], n_assets, section["noise"])
 
 

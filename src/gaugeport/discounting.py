@@ -155,6 +155,8 @@ def _riskfree_gauge(panel: PricePanel) -> tuple[int, WeightVector, MarketGaugeRe
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels")
     cash_idx = find_cash_column(panel.asset_ids)
+    if panel.n_assets < 2:
+        raise ValueError("panel needs a non-cash column to build the risk-free portfolio")
     if np.max(np.abs(panel.prices[0] - 1.0)) > 1e-9:
         raise ValueError(
             "panel is not normalized: scale every series to price 1 at inception "

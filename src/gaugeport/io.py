@@ -12,12 +12,14 @@ import csv
 import hashlib
 import json
 import math
+import re
+import secrets
 import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, TextIO
 
 import numpy as np
 import yaml
@@ -220,7 +222,8 @@ def load_config(path: Optional[str | Path]) -> RunConfig:
     if path is None:
         return RunConfig({})
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader) or {}
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -262,6 +265,14 @@ def _validate(config: RunConfig) -> None:
             number(value) or (lists and type(value) is list and value and all(map(number, value))),
             f"simulate.process_params.{key} must be {kind}, got {value!r}",
         )
+    if sim["process"] == "sector-block":
+        mus, sigmas = ({**names, **params}[k] for k in ("mu_sectors", "sigma_sectors"))
+        counts = [len(v) if type(v) is list else 1 for v in (mus, sigmas)]
+        _require(
+            counts[0] == counts[1],
+            "simulate.process_params.mu_sectors and sigma_sectors must have equal length, "
+            f"got {counts[0]} and {counts[1]}",
+        )
     _require(sim["n_assets"] >= 1, "simulate.n_assets must be >= 1")
     _require(sim["n_paths"] >= 1, "simulate.n_paths must be >= 1")
     _require(sim["horizon"] > 0, "simulate.horizon must be positive")
@@ -302,15 +313,48 @@ def _validate(config: RunConfig) -> None:
 # Report files
 # ---------------------------------------------------------------------------
 
-def _plain(value: Any) -> Any:
+#: What opens a YAML block line before its key or scalar: indentation, "- "
+#: of a sequence item and ": " of a long key's value (after "? key").
+_LEAD = re.compile(r"(?:  |- |: )*")
+
+
+def _float_text(x: float) -> str:
+    """A float as PyYAML's SafeRepresenter writes it."""
+    if x != x:
+        return ".nan"
+    if x in (math.inf, -math.inf):
+        return ".inf" if x > 0 else "-.inf"
+    text = repr(x).lower()
+    # the !!float pattern needs a dot: 1e+16 -> 1.0e+16
+    return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
+
+
+def _write_block(out: TextIO, array: np.ndarray, first: str, col: int) -> None:
+    """Write a float array as a YAML block sequence: the first item's "- "
+    after ``first``, every other item at column ``col``, one row at a time."""
+    if array.ndim > 1:
+        for k, row in enumerate(array):
+            _write_block(out, row, (first if k == 0 else " " * col) + "- ", col + 2)
+        return
+    item = "\n" + " " * col + "- "
+    out.write(first + "- " + item.join(map(_float_text, array.tolist())) + "\n")
+
+
+def _plain(value: Any, tag: str, arrays: list[np.ndarray]) -> Any:
+    """``value`` with numpy values as plain Python ones, except that each
+    nonempty float array is appended to ``arrays`` and stands as the
+    placeholder ``tag`` + its index."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        if value.dtype != np.float64 or value.size == 0 or value.ndim == 0:
+            return value.tolist()
+        arrays.append(value)
+        return f"{tag}{len(arrays) - 1}"
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in value.items()}
+        return {k: _plain(v, tag, arrays) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, tag, arrays) for v in value]
     return value
 
 
@@ -321,11 +365,15 @@ def write_report(
     config: RunConfig,
     seed: Optional[int] = None,
     timestamp: bool = True,
-) -> dict:
+) -> None:
     """Serialize a report with its mandatory provenance block.
 
     ``timestamp=False`` selects the canonical form used for determinism
-    comparisons.
+    comparisons.  The file holds the bytes of ``yaml.dump(document,
+    sort_keys=True, default_flow_style=False)`` with numpy values as plain
+    Python ones, but float arrays never become lists: ``yaml.dump`` writes
+    the document with a placeholder in each array's place, and each array
+    is then written as text where its placeholder stood.
     """
     provenance: dict[str, Any] = {
         "command": command,
@@ -335,14 +383,32 @@ def write_report(
     }
     if timestamp:
         provenance["generated_at"] = datetime.now().isoformat(timespec="seconds")
-    document = {"provenance": provenance, "report": _plain(body)}
+    # a random tag, so no string in the body can be mistaken for a placeholder
+    tag = f"gaugeport-array-{secrets.token_hex(16)}-"
+    arrays: list[np.ndarray] = []
+    document = {"provenance": provenance, "report": _plain(body, tag, arrays)}
     # libyaml's emitter when PyYAML was built with it: same bytes, ~4x faster
     dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-    Path(path).write_text(
-        yaml.dump(document, Dumper=dumper, sort_keys=True, default_flow_style=False),
-        encoding="utf-8",
-    )
-    return document
+    skeleton = yaml.dump(document, Dumper=dumper, sort_keys=True, default_flow_style=False)
+    with Path(path).open("w", encoding="utf-8") as out:
+        done = 0
+        for slot in re.finditer(re.escape(tag) + r"(\d+)\n", skeleton):
+            start = skeleton.rfind("\n", 0, slot.start()) + 1
+            before = skeleton[start : slot.start()]
+            lead = _LEAD.match(before).group()
+            if before == lead:
+                # a sequence item or a long key's value: the array starts on
+                # the placeholder's line
+                out.write(skeleton[done:start])
+                first, col = before, len(before)
+            else:
+                # "key: placeholder": the array starts on the next line, at
+                # the key's column
+                out.write(skeleton[done : slot.start() - 1] + "\n")
+                first, col = " " * len(lead), len(lead)
+            _write_block(out, arrays[int(slot.group(1))], first, col)
+            done = slot.end()
+        out.write(skeleton[done:])
 
 
 def read_report(path: str | Path) -> dict:

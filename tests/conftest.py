@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
 from gaugeport.sim import EnvironmentSeries
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, and no
+# per-example time limit on a slow runner
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 FIXTURE_SEED = 20050701
 

@@ -1,7 +1,9 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import gaugeport
 from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
@@ -173,6 +178,79 @@ class TestRunConfig:
         assert a.sha256() != b.sha256()
 
 
+def plain_document(command, body, seed=None):
+    """The canonical report document with numpy values as plain Python ones."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, (np.floating, np.integer)):
+            return value.item()
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return value
+
+    provenance = {
+        "command": command,
+        "config_sha256": RunConfig({}).sha256(),
+        "seed": seed,
+        "version": gaugeport.__version__,
+    }
+    return {"provenance": provenance, "report": plain(body)}
+
+
+def same_values(a, b):
+    """Equal documents, with nan equal to nan and 0.0 told from -0.0."""
+    if isinstance(a, float) and isinstance(b, float):
+        if np.isnan(a) or np.isnan(b):
+            return bool(np.isnan(a) and np.isnan(b))
+        return a == b and np.signbit(a) == np.signbit(b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same_values(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same_values, a, b))
+    return type(a) is type(b) and a == b
+
+
+# floats that take each branch of the float format: nan, the infinities,
+# signed zeros, subnormals, integer values and bare exponents (1e+16 -> 1.0e+16)
+EDGE_FLOATS = [
+    np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 3.0,
+    -7.0, 2.0**53, 1e16, -1e16, 1e-5, 1.5e-7, 1e300, 1.7976931348623157e308, 0.1,
+]
+
+
+@st.composite
+def report_bodies(draw):
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+    float_arrays = arrays(
+        np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4), elements=floats
+    )
+    leaves = st.one_of(
+        float_arrays,
+        float_arrays,
+        arrays(np.int64, array_shapes(max_dims=2, max_side=3)),
+        floats,
+        floats.map(np.float64),
+        st.integers(),
+        st.booleans(),
+        st.none(),
+        st.text(alphabet=string.ascii_letters + string.digits + " #:-'\n", max_size=12),
+        st.just([]),
+    )
+    # a key this long is written in the explicit "? key" form
+    keys = st.text(alphabet="ab_-#AZ0 ", min_size=1, max_size=6) | st.just("long" * 40)
+    values = st.one_of(
+        leaves,
+        st.lists(float_arrays, max_size=3),
+        st.dictionaries(keys, leaves, max_size=3),
+        st.lists(st.dictionaries(keys, float_arrays, max_size=2), max_size=2),
+    )
+    return draw(st.dictionaries(keys, values, max_size=5))
+
+
 class TestReports:
     def test_provenance_block(self, tmp_path):
         path = tmp_path / "report.yaml"
@@ -195,10 +273,32 @@ class TestReports:
         args = argparse.Namespace(panel=str(fixture_csv), normalize=True)
         outcome = getattr(cli, f"cmd_{command}")(args, RunConfig({}))
         path = tmp_path / f"{command}.yaml"
-        document = write_report(path, command, outcome["body"], RunConfig({}), timestamp=False)
+        write_report(path, command, outcome["body"], RunConfig({}), timestamp=False)
+        document = plain_document(command, outcome["body"])
         expected = yaml.safe_dump(document, sort_keys=True, default_flow_style=False)
         assert path.read_bytes() == expected.encode("utf-8")
         assert read_report(path) == document
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=report_bodies())
+    def test_float_arrays_written_as_safe_dump_writes_them(self, body, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "property.yaml"
+        write_report(path, "simulate", body, RunConfig({}), seed=5, timestamp=False)
+        document = plain_document("simulate", body, seed=5)
+        expected = yaml.safe_dump(document, sort_keys=True, default_flow_style=False)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert same_values(read_report(path), document)
+
+    def test_writer_keeps_no_reference_to_the_body(self, tmp_path):
+        # a report slice is often a view of a large array, such as a price surface
+        array = np.arange(4.0)
+        refs = sys.getrefcount(array)
+        gc.disable()
+        try:
+            write_report(tmp_path / "r.yaml", "price", {"x": [array]}, RunConfig({}))
+            assert sys.getrefcount(array) == refs
+        finally:
+            gc.enable()
 
     def test_missing_provenance_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -242,33 +342,26 @@ class TestCli:
         assert len(doc["report"]["asset_ids"]) == 12
         assert doc["report"]["portfolio_value"][0] == 1.0
 
-    def test_gauge_command_memory_is_a_few_steps_by_n_arrays(self, tmp_path, monkeypatch):
+    def test_gauge_command_memory_is_a_few_steps_by_n_arrays(self, tmp_path):
         # 401 dates x 256 assets: a dense [steps, N, N] B_N alone would be
-        # 210 MB.  The bound covers ingest, extraction and the report body,
-        # measured when the body is handed to the report writer.
+        # 210 MB, and the body as lists of Python floats about 4 arrays'
+        # worth.  The bound covers the whole command: ingest, extraction,
+        # the report body and the report writer.
         grid = TimeGrid(t0=0.0, dt=1.0 / 365.25, steps=400)
         n = 256
         paths = simulate(constant_spec(n, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, 8)
         labels = tuple(f"a{i:03d}" for i in range(n))
         csv_path = tmp_path / "wide.csv"
         export_panel(PricePanel(grid=grid, prices=paths.paths[0], asset_ids=labels), csv_path)
-        peaks = []
-        write = cli.io.write_report
-
-        def traced_write(*args, **kwargs):
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            return write(*args, **kwargs)
-
-        monkeypatch.setattr(cli.io, "write_report", traced_write)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             out = str(tmp_path / "g.yaml")
             assert main(["gauge", "--panel", str(csv_path), "--normalize", "--out", out]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 1
-        assert peaks[0] <= 8 * grid.steps * n * 8
+        assert peak <= 8 * grid.steps * n * 8
 
     def test_malformed_panel_is_compute_error(self, tmp_path):
         path = write_csv(tmp_path, GOOD_CSV.replace("99.75", "broken"))
@@ -327,6 +420,14 @@ class TestCli:
         assert report["final_values"][-1] == 1.0
         assert report["discount_factors"] == report["final_values"]
         assert report["table"].startswith("Final Asset Values")
+
+    def test_discount_needs_a_non_cash_column(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "date,USD#cash\n2020-01-01,1.0\n2020-01-02,1.0001\n2020-01-03,1.0002\n")
+        out = tmp_path / "d.yaml"
+        assert main(["discount", "--panel", str(path), "--normalize", "--out", str(out)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-cash column" in err
+        assert not out.exists()
 
     def test_discount_extracts_the_gauge_once(self, fixture_csv, tmp_path, monkeypatch):
         calls = []
@@ -483,11 +584,25 @@ class TestCli:
                 "simulate", "simulate: {process_params: {sgima: 0.3}}\n",
                 "unknown process_params for process constant: ['sgima']",
             ),
+            (
+                "simulate", "simulate: {process_params: {sigma: [0.1, 0.2]}}\n",
+                "simulate.process_params.sigma has 2 values, not 1 or one per asset of the run (8)",
+            ),
+            (
+                "riskfree", "simulate: {n_assets: 2, process_params: {mu: [0.1, 0.2]}}\n",
+                "simulate.process_params.mu has 2 values, not 1 or one per asset of the run (1024)",
+            ),
+            (
+                "simulate",
+                "simulate: {process: sector-block, process_params: {mu_sectors: [0.1, 0.2]}}\n",
+                "mu_sectors and sigma_sectors must have equal length, got 2 and 1",
+            ),
         ],
         ids=[
             "yaml-syntax", "section-type", "int-type", "unknown-key", "float-for-int", "odd-n_s",
             "horizon-steps", "negative-seed", "seed-2^64-1", "sensitivity-seed", "param-list",
-            "param-string", "param-typo",
+            "param-string", "param-typo", "param-length", "param-length-riskfree",
+            "sector-lengths",
         ],
     )
     def test_config_error_is_one_line(self, command, text, message, fixture_csv, tmp_path, capsys):
