@@ -35,6 +35,7 @@ from .sim import (
     portfolio_dynamics,
     return_volatility,
     simulate,
+    terminal_prices,
 )
 from .riskfree import (
     MarketGaugeResult,

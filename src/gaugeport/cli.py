@@ -61,19 +61,20 @@ def cmd_simulate(args, config: io.RunConfig) -> dict:
     section, grid, env = _sim_inputs(config)
     spec = _process(section, int(section["n_assets"]))
     seed = int(section["seed"])
-    paths = sim.simulate(spec, env, grid, int(section["n_paths"]), seed, n_jobs=_thread_count())
-    terminal = paths.paths[:, -1, :]
+    # the paths start at 1, so the terminal prices are the gross returns
+    terminal = sim.terminal_prices(
+        spec, env, grid, int(section["n_paths"]), seed, n_jobs=_thread_count()
+    )
+    n_paths, n_assets = terminal.shape
     body = {
-        "n_paths": paths.n_paths,
-        "n_assets": paths.n_assets,
+        "n_paths": n_paths,
+        "n_assets": n_assets,
         "steps": grid.steps,
         "dt": grid.dt,
         "terminal_mean": terminal.mean(axis=0),
         "terminal_std": terminal.std(axis=0),
+        "log_return_mean": np.log(terminal).mean(axis=0),
     }
-    # the log is taken in place: one [n_paths, N] temporary beside the paths
-    log_return = terminal / paths.paths[:, 0, :]
-    body["log_return_mean"] = np.log(log_return, out=log_return).mean(axis=0)
     return {"seed": seed, "body": body}
 
 
@@ -169,6 +170,7 @@ def cmd_sensitivity(args, config: io.RunConfig) -> dict:
         "exact": result.exact,
         "iterations": result.iterations,
         "duality_gap": result.duality_gap,
+        "stop_reason": result.stop_reason,
         "equal_weight_residual": float(np.linalg.norm(gradients.T @ np.full(n, 1.0 / n))),
     }
     return {"seed": seed, "body": body}

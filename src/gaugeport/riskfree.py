@@ -25,7 +25,7 @@ import numpy as np
 
 from .gauge import GaugeFieldA, PricePanel
 from .grid import TimeGrid, require_same_grid
-from .sim import EnvironmentSeries, ProcessSpec, StepKernel, TaskPool, iter_blocks
+from .sim import EnvironmentSeries, ProcessSpec, StepKernel, _map_gross
 
 #: Diversification cap: risk-free weights must satisfy w_i <= DIVERSIFICATION_C / N.
 DIVERSIFICATION_C = 4.0
@@ -306,25 +306,23 @@ def _prefix_log_return_sums(
     starts = (0,) + sizes[:-1]
     weights = [(w, np.cumsum(np.add.reduceat(w[:n_max], starts))) for w in rows]
 
-    with TaskPool(n_jobs) as pool:
-        def reduce_block(block: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-            # [row, size, path, step], so each prefix's log-returns are contiguous
-            logret = np.empty((len(rows), len(sizes), size, grid.steps))
+    def sub_block_log_returns(_first: int, ratios: np.ndarray) -> np.ndarray:
+        # [row, size, path, step], so each prefix's log-returns are contiguous
+        logret = np.empty((len(rows), len(sizes), len(ratios), grid.steps))
+        ratios = ratios.reshape(-1, n_max)  # [path * step, asset]
+        for out, (w, totals) in zip(logret, weights):
+            for j, (lo, hi) in enumerate(zip(starts, sizes)):
+                np.einsum("ij,j->i", ratios[:, lo:hi], w[lo:hi], out=out[j].reshape(-1))
+            np.cumsum(out, axis=0, out=out)
+            out /= totals[:, None, None]
+            np.log(out, out=out)
+        return logret
 
-            def reduce_sub_block(first: int, z: np.ndarray) -> None:
-                ratios = kernel.gross(z).reshape(-1, n_max)  # [path * step, asset]
-                for out, (w, totals) in zip(logret[:, :, first : first + len(z)], weights):
-                    for j, (lo, hi) in enumerate(zip(starts, sizes)):
-                        np.einsum("ij,j->i", ratios[:, lo:hi], w[lo:hi], out=out[j].reshape(-1))
-                    np.cumsum(out, axis=0, out=out)
-                    out /= totals[:, None, None]
-                    np.log(out, out=out)
+    def block_sums(parts: list) -> tuple[np.ndarray, np.ndarray]:
+        flat = np.concatenate(parts, axis=2).reshape(len(rows), len(sizes), -1)
+        return flat.sum(axis=2), np.square(flat, out=flat).sum(axis=2)
 
-            pool.map(reduce_sub_block, kernel.sub_blocks(seed, block, size))
-            flat = logret.reshape(len(rows), len(sizes), -1)
-            return flat.sum(axis=2), np.square(flat, out=flat).sum(axis=2)
-
-        parts = pool.map(reduce_block, ((b, size) for b, _start, size in iter_blocks(n_paths)))
+    parts = _map_gross(kernel, seed, n_paths, n_jobs, sub_block_log_returns, block_sums)
     total, total_sq = (sum(part) for part in zip(*parts))  # in block order
     return total, total_sq
 
@@ -507,10 +505,12 @@ def projected_gradient(
     w0: np.ndarray,
     cap: float,
     max_iter: int = MAX_ITER,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, str]:
     """Accelerated projected gradient for min ||g^T w||^2 over the capped simplex.
 
-    Returns the best iterate and the number of iterations run.
+    Returns the best iterate, the number of iterations run and why the
+    iterations stopped: ``"residual"`` (best residual below 1e-13),
+    ``"move"`` (no weight moved by ``MOVE_TOL``) or ``"max_iter"``.
     """
     lips = 2.0 * np.linalg.norm(g, 2) ** 2
     step = 1.0 / max(lips, 1e-300)
@@ -520,6 +520,7 @@ def projected_gradient(
     best = w.copy()
     best_res = _residual(g, w)
     iterations = 0
+    reason = "max_iter"
     for iterations in range(1, max_iter + 1):
         grad = 2.0 * g @ (g.T @ y)
         w_new = project_capped_simplex(y - step * grad, cap)
@@ -530,9 +531,13 @@ def projected_gradient(
         res = _residual(g, w)
         if res < best_res:
             best, best_res = w.copy(), res
-        if move < MOVE_TOL or best_res < 1e-13:
+        if best_res < 1e-13:
+            reason = "residual"
             break
-    return best, iterations
+        if move < MOVE_TOL:
+            reason = "move"
+            break
+    return best, iterations, reason
 
 
 def _frank_wolfe_gap(g: np.ndarray, w: np.ndarray, cap: float) -> float:
@@ -559,6 +564,9 @@ class SensitivityResult:
     exact: bool  # residual below the neutrality tolerance
     iterations: int  # projected-gradient iterations
     duality_gap: float  # Frank-Wolfe gap: bounds residual^2 - optimum^2
+    # why the solve stopped: "zero_gradient" (the start is already neutral,
+    # no iterations) or projected_gradient's "residual", "move", "max_iter"
+    stop_reason: str
 
 
 def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResult:
@@ -568,16 +576,16 @@ def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResul
     accelerated projected gradient at most, then a final projection onto
     the exact-neutrality affine subspace when that projection stays feasible.
     The returned residual never exceeds the starting point's; the result
-    carries the iteration count and the Frank-Wolfe duality gap of the
-    returned weights.
+    carries the iteration count, the reason the iterations stopped and the
+    Frank-Wolfe duality gap of the returned weights.
     """
     g = problem.dmu_dxi
     n = problem.n
     w0 = project_capped_simplex(np.full(n, 1.0 / n), problem.cap)
     if _residual(g, w0) == 0.0:
         # zero residual means a zero gradient, so the gap is zero too
-        return SensitivityResult(WeightVector(w0), 0.0, True, 0, 0.0)
-    w, iterations = projected_gradient(g, w0, problem.cap)
+        return SensitivityResult(WeightVector(w0), 0.0, True, 0, 0.0, "zero_gradient")
+    w, iterations, reason = projected_gradient(g, w0, problem.cap)
     polished = _affine_polish(g, w, problem.cap)
     if polished is not None:
         polished = project_capped_simplex(polished, problem.cap)
@@ -585,7 +593,7 @@ def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResul
             w = polished
     res = _residual(g, w)
     gap = _frank_wolfe_gap(g, w, problem.cap)
-    return SensitivityResult(WeightVector(w), res, res <= NEUTRAL_TOL, iterations, gap)
+    return SensitivityResult(WeightVector(w), res, res <= NEUTRAL_TOL, iterations, gap, reason)
 
 
 def simplex_grid_oracle(
@@ -602,7 +610,7 @@ def simplex_grid_oracle(
     for bars in combinations(range(m + n - 1), n - 1):
         parts = np.diff(np.concatenate([[-1], np.array(bars), [m + n - 1]])) - 1
         start = project_capped_simplex(parts / m, problem.cap)
-        w, _ = projected_gradient(g, start, problem.cap, max_iter=max_iter)
+        w, _, _ = projected_gradient(g, start, problem.cap, max_iter=max_iter)
         polished = _affine_polish(g, w, problem.cap)
         if polished is not None and _residual(g, polished) < _residual(g, w):
             w = polished

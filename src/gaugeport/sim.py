@@ -15,8 +15,11 @@ A block's noise is drawn from its one generator as consecutive path
 sub-blocks of at most ~2^18 cells (at least one path).  Philox draws in the
 same order either way, so the samples are those of the whole block, while a
 task holds a few sub-blocks instead of a [PATH_BLOCK, steps, N] array.
-:func:`simulate` hands each sub-block's transform to the other workers, so
-drawing and transforming overlap even within one block.
+:func:`simulate`, :func:`terminal_prices` and the risk-free prefix
+reductions share one block executor, which hands each sub-block's transform to
+the other workers, so drawing and transforming overlap even within one block.
+:func:`terminal_prices` multiplies each sub-block along its steps and stores
+no paths, so its memory grows with paths times assets, not with steps.
 """
 
 from __future__ import annotations
@@ -340,6 +343,46 @@ class NumeraireSpec:
 # Simulation
 # ---------------------------------------------------------------------------
 
+def _map_gross(
+    kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Callable,
+    reduce: Optional[Callable] = None,
+) -> Optional[list]:
+    """The one block executor: ``fn(first_path, ratios)`` on every noise sub-block.
+
+    ``ratios`` are a sub-block's gross step ratios [paths, steps, N], formed
+    in place in its noise, and ``first_path`` the index of its first path
+    among all ``n_paths``.  Path blocks and their sub-blocks run as tasks on
+    one :class:`TaskPool`: the task that draws a block hands its sub-blocks
+    to the pool.  With ``reduce``, each block's task passes the list of its
+    sub-blocks' ``fn`` results, in path order, to ``reduce`` and the
+    per-block values come back in block order.
+    """
+    with TaskPool(n_jobs) as pool:
+        def run_sub_block(start: int, first: int, z: np.ndarray):
+            return fn(start + first, kernel.gross(z))
+
+        def run_block(block: int, start: int, size: int):
+            parts = pool.map(partial(run_sub_block, start), kernel.sub_blocks(seed, block, size))
+            return None if reduce is None else reduce(parts)
+
+        values = pool.map(run_block, iter_blocks(n_paths))
+    return None if reduce is None else values
+
+
+def _start(
+    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, n_paths: int,
+    s0: Union[float, np.ndarray],
+) -> tuple[StepKernel, np.ndarray]:
+    """The step kernel and the per-asset initial prices, checked."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    kernel = StepKernel.of(spec, env, grid)
+    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (spec.n_assets,))
+    if np.any(s0 <= 0):
+        raise ValueError("initial prices must be strictly positive")
+    return kernel, s0
+
+
 def simulate(
     spec: ProcessSpec,
     env: EnvironmentSeries,
@@ -350,33 +393,58 @@ def simulate(
     n_jobs: int = 1,
 ) -> PathSet:
     """Simulate asset price paths; bit-identical for any n_jobs."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    kernel = StepKernel.of(spec, env, grid)
-    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (spec.n_assets,))
-    if np.any(s0 <= 0):
-        raise ValueError("initial prices must be strictly positive")
-
+    kernel, s0 = _start(spec, env, grid, n_paths, s0)
     out = np.empty((n_paths, grid.n_points, spec.n_assets))
     out[:, 0, :] = s0
 
-    def fill(start: int, first: int, z: np.ndarray) -> None:
+    def fill(first: int, ratios: np.ndarray) -> None:
         # cumprod along the steps as one multiply per step: the same products
         # in the same order as np.cumprod, without a temporary
-        ratios = kernel.gross(z)
-        dest = out[start + first : start + first + len(z), 1:, :]
+        dest = out[first : first + len(ratios), 1:, :]
         dest[:, 0] = ratios[:, 0]
         for k in range(1, grid.steps):
             np.multiply(dest[:, k - 1], ratios[:, k], out=dest[:, k])
         dest *= s0
 
-    with TaskPool(n_jobs) as pool:
-        # the task that draws a block hands its sub-blocks to the pool
-        def fill_block(block: int, start: int, size: int) -> None:
-            pool.map(partial(fill, start), kernel.sub_blocks(seed, block, size))
-
-        pool.map(fill_block, iter_blocks(n_paths))
+    _map_gross(kernel, seed, n_paths, n_jobs, fill)
     return PathSet(grid=grid, paths=out, seed=seed, noise=spec.noise)
+
+
+def terminal_prices(
+    spec: ProcessSpec,
+    env: EnvironmentSeries,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    s0: Union[float, np.ndarray] = 1.0,
+    n_jobs: int = 1,
+) -> np.ndarray:
+    """Terminal prices [n_paths, n_assets], without storing the paths.
+
+    Bit for bit ``simulate(...).paths[:, -1, :]`` for the same arguments:
+    the same sub-blocks of gross ratios are multiplied along the steps in
+    the same order as :func:`simulate`'s per-step loop, then by ``s0``.
+    Memory is O(n_paths N) plus the sub-blocks in flight.
+
+    The check rejects exactly what :class:`PathSet` rejects, with the same
+    message.  Each path value is s0 times a running product of ratios
+    exp(.), which lie in [0, inf] or are NaN.  A 0, inf or NaN reached at
+    any step stays 0, inf or NaN, or becomes NaN (0 * inf), up to the last
+    step; so every value of a path is finite and > 0 exactly when its
+    terminal value is.
+    """
+    kernel, s0 = _start(spec, env, grid, n_paths, s0)
+    out = np.empty((n_paths, spec.n_assets))
+
+    def multiply_steps(first: int, ratios: np.ndarray) -> None:
+        np.multiply.reduce(ratios, axis=1, out=out[first : first + len(ratios)])
+
+    _map_gross(kernel, seed, n_paths, n_jobs, multiply_steps)
+    out *= s0
+    # a NaN makes the min NaN
+    if not (out.min() > 0 and np.isfinite(out.max())):
+        raise ValueError("paths must be finite and strictly positive")
+    return out
 
 
 @dataclass(frozen=True)
@@ -407,9 +475,9 @@ def portfolio_dynamics(
         raise ValueError("weights must sum to one")
     dt = paths.grid.dt
     ratios = paths.paths[:, 1:, :] / paths.paths[:, :-1, :]
-    gross = ratios @ weights
-    returns = np.log(gross) / dt
-    sigma_real = float(np.std(np.log(gross))) / np.sqrt(dt)
+    log_gross = np.log(ratios @ weights)
+    returns = log_gross / dt
+    sigma_real = float(np.std(log_gross)) / np.sqrt(dt)
     sigma_analytic = None
     if sigmas is not None:
         sigmas = np.asarray(sigmas, dtype=float)

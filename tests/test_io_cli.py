@@ -363,6 +363,37 @@ class TestCli:
             tracemalloc.stop()
         assert peak <= 8 * grid.steps * n * 8
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_command_memory_does_not_grow_with_steps(self, threads, tmp_path, monkeypatch):
+        # 1024 paths x 64 assets at 256 and 512 steps: the paths alone would
+        # be 135 and 269 MB; the command keeps only the terminal prices
+        monkeypatch.setenv("GAUGEPORT_THREADS", threads)
+        peaks = []
+        for horizon in (1.0, 2.0):
+            config = tmp_path / "run.yaml"
+            config.write_text(
+                f"simulate: {{n_paths: 1024, n_assets: 64, dt: 0.00390625, horizon: {horizon}}}\n"
+            )
+            argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "s.yaml")]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 32e6
+        assert peaks[1] < 1.1 * peaks[0]
+
+    def test_simulate_zero_prices_are_a_one_line_compute_error(self, tmp_path, capsys):
+        # at sigma = 1000 the drift -sigma^2/2 dt underflows every gross ratio to 0
+        config = tmp_path / "run.yaml"
+        config.write_text("simulate: {process_params: {sigma: 1000.0}}\n")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.yaml")])
+        assert code == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: paths must be finite and strictly positive\n"
+
     def test_malformed_panel_is_compute_error(self, tmp_path):
         path = write_csv(tmp_path, GOOD_CSV.replace("99.75", "broken"))
         code = main(["gauge", "--panel", str(path), "--out", str(tmp_path / "g.yaml")])
@@ -469,6 +500,17 @@ class TestCli:
         assert doc["report"]["residual"] < doc["report"]["equal_weight_residual"]
         assert 0 < doc["report"]["iterations"] <= 2000
         assert abs(doc["report"]["duality_gap"]) < 1e-8
+        assert doc["report"]["stop_reason"] == "move"
+
+    def test_sensitivity_reports_the_iteration_cap(self, tmp_path):
+        # 64 assets x 32 factors at cap 2/N, gradient seed 2: a non-neutral
+        # optimum that projected gradient approaches without stopping
+        config = tmp_path / "run.yaml"
+        config.write_text("sensitivity: {n_assets: 64, n_factors: 32, cap_c: 2.0, seed: 2}\n")
+        out = tmp_path / "s.yaml"
+        assert main(["sensitivity", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        report = read_report(out)["report"]
+        assert (report["iterations"], report["stop_reason"]) == (2000, "max_iter")
 
     def test_riskfree_command(self, tmp_path):
         config = tmp_path / "run.yaml"

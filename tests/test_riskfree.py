@@ -28,6 +28,7 @@ from gaugeport.riskfree import (
     etemadi_check,
     is_price_insensitive,
     project_capped_simplex,
+    projected_gradient,
     rebalanced_quantities,
     riskfree_studies,
     simplex_grid_oracle,
@@ -542,6 +543,28 @@ class TestSensitivityNeutralWeights:
     def test_zero_gradient_needs_no_iterations(self):
         result = sensitivity_neutral_weights(SensitivityProblem(np.zeros((8, 2)), cap=0.5))
         assert result.iterations == 0 and result.duality_gap == 0.0
+        assert result.stop_reason == "zero_gradient"
+
+    def test_stops_on_residual_at_a_neutral_point(self):
+        g = np.array([[1.0], [-1.0], [0.5], [-0.4]])
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=0.5))
+        assert result.stop_reason == "residual"
+        assert 0 < result.iterations < 2000 and result.residual < 1e-13
+
+    def test_stops_on_move_at_a_vertex(self):
+        # one positive factor: the optimum caps the two smallest gradients,
+        # and the iterates stop there exactly
+        g = np.array([[1.0], [2.0], [3.0], [4.0]])
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=0.5))
+        assert result.stop_reason == "move"
+        assert 0 < result.iterations < 2000 and not result.exact
+        np.testing.assert_array_equal(result.weights.w, [0.5, 0.5, 0.0, 0.0])
+
+    def test_stops_at_the_iteration_cap(self):
+        g = np.random.default_rng(5).standard_normal((6, 3)) + 0.3
+        w0 = np.full(6, 1.0 / 6)
+        _w, iterations, reason = projected_gradient(g, w0, cap=4.0 / 6, max_iter=3)
+        assert (iterations, reason) == (3, "max_iter")
 
     def test_matches_global_grid_oracle_small_n(self):
         rng = np.random.default_rng(5)

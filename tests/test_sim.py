@@ -27,6 +27,7 @@ from gaugeport import (
 from gaugeport import sim
 from gaugeport.catalog import build_process
 from gaugeport.sim import (
+    NOISE_TAGS,
     PATH_BLOCK,
     EnvironmentSeries,
     ProcessSpec,
@@ -36,6 +37,7 @@ from gaugeport.sim import (
     noise_block,
     noise_sub_blocks,
     sample_joint_numeraire,
+    terminal_prices,
 )
 
 GRID = TimeGrid(t0=0.0, dt=1.0 / 64, steps=64)
@@ -277,6 +279,42 @@ class TestSubBlocks:
         assert peak <= paths.paths.nbytes + 8 * path_bytes
 
 
+class TestTerminalPrices:
+    """terminal_prices is the last time slice of simulate, bit for bit."""
+
+    @pytest.mark.parametrize("tag", NOISE_TAGS)
+    @pytest.mark.parametrize(
+        "grid, n_assets, n_paths",
+        [
+            (GRID8, WIDE, RAGGED_PATHS),  # short last block and last sub-block
+            (GRID, 1, RAGGED_PATHS),  # one asset
+            (TimeGrid(t0=0.0, dt=1.0 / 252, steps=1024), 256, 3),  # one path per sub-block
+        ],
+    )
+    def test_matches_the_last_slice_of_simulate(self, tag, grid, n_assets, n_paths):
+        mu, sigma = np.linspace(-0.05, 0.1, n_assets), np.linspace(0.0, 0.4, n_assets)
+        spec = constant_spec(n_assets, mu, sigma, tag)
+        env = EnvironmentSeries.constant(grid)
+        s0 = np.linspace(0.5, 2.0, n_assets)
+        for n_jobs in (1, 2):
+            paths = simulate(spec, env, grid, n_paths, seed=7, s0=s0, n_jobs=n_jobs)
+            terminal = terminal_prices(spec, env, grid, n_paths, seed=7, s0=s0, n_jobs=n_jobs)
+            assert_same_bits(terminal, paths.paths[:, -1, :])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [(1e5, 0.2), (0.05, 1e3)],  # exp overflows to inf; exp underflows to 0
+    )
+    def test_rejects_what_simulate_rejects(self, mu, sigma):
+        spec = constant_spec(2, [0.05, mu], [0.2, sigma])
+        with pytest.raises(ValueError) as stored:
+            simulate(spec, ENV, GRID, 8, seed=1)
+        with pytest.raises(ValueError) as streamed:
+            terminal_prices(spec, ENV, GRID, 8, seed=1)
+        assert str(streamed.value) == str(stored.value) == "paths must be finite and strictly positive"
+
+
 class TestTaskPool:
     def test_results_in_task_order(self):
         with TaskPool(3) as pool:
@@ -421,6 +459,15 @@ class TestPortfolioDynamics:
         expected = np.sqrt(0.49 * 0.01 + 0.09 * 0.16)
         assert dyn.sigma_hat_analytic == pytest.approx(expected, rel=1e-14)
         assert dyn.returns.shape == (50, GRID.steps)
+
+    def test_log_returns_taken_once_keep_their_bits(self):
+        spec = constant_spec(5, 0.05, np.linspace(0.1, 0.3, 5))
+        paths = simulate(spec, ENV, GRID, n_paths=40, seed=12)
+        w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        dyn = portfolio_dynamics(paths, w)
+        gross = (paths.paths[:, 1:, :] / paths.paths[:, :-1, :]) @ w
+        assert_same_bits(dyn.returns, np.log(gross) / GRID.dt)
+        assert dyn.sigma_hat_realized == float(np.std(np.log(gross))) / np.sqrt(GRID.dt)
 
     def test_weights_must_sum_to_one(self):
         spec = constant_spec(2, 0.0, 0.1)
