@@ -66,7 +66,6 @@ from .pricer import (
 from .discounting import (
     DiscountReport,
     empirical_pipeline,
-    cash_value_series,
     forward_translate,
     gauge_discount,
     textbook_discount,

@@ -174,14 +174,6 @@ def _riskfree_gauge(panel: PricePanel) -> tuple[int, WeightVector, MarketGaugeRe
     return cash_idx, weights, extract_market_gauge(riskfree_panel, weights)
 
 
-def _cash_series(panel: PricePanel, cash_idx: int, values: np.ndarray) -> LabeledSeries:
-    return LabeledSeries(
-        label=f"{panel.asset_ids[cash_idx]} (risk-free units)",
-        times=panel.grid.points(),
-        values=values,
-    )
-
-
 def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
     """Build the risk-free portfolio, switch to the A' = 0 gauge, and report.
 
@@ -190,7 +182,7 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
     portfolio is built from the non-cash columns, every instrument is quoted
     in its units, and each asset's realized discount factor is its final
     value in those units.  The report also carries the cash column over
-    time in those units, as :func:`cash_value_series` gives it.
+    time in those units.
     """
     cash_idx, weights, gauge = _riskfree_gauge(panel)
     converted = to_riskfree_units(panel, gauge.portfolio_value_series)
@@ -219,11 +211,9 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
         asset_ids=tuple(labels),
         final_values=final_values,
         metadata=metadata,
-        cash_series=_cash_series(panel, cash_idx, converted.prices[:, cash_idx].copy()),
+        cash_series=LabeledSeries(
+            label=f"{panel.asset_ids[cash_idx]} (risk-free units)",
+            times=panel.grid.points(),
+            values=converted.prices[:, cash_idx].copy(),
+        ),
     )
-
-
-def cash_value_series(panel: PricePanel) -> LabeledSeries:
-    """Cash value in risk-free units over time (plot-ready)."""
-    cash_idx, _weights, gauge = _riskfree_gauge(panel)
-    return _cash_series(panel, cash_idx, panel.prices[:, cash_idx] / gauge.portfolio_value_series)

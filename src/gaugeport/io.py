@@ -195,9 +195,28 @@ class RunConfig:
         merged.update(self.data.get(name, {}))
         return merged
 
+    def effective(self) -> dict[str, dict[str, Any]]:
+        """Every section as the commands run it: the defaults under the
+        user's values, float keys as floats, and ``process_params`` as the
+        chosen family's parameters, each the given value or its default."""
+        config = {name: self.section(name) for name in _DEFAULT_CONFIG}
+        for name, section in config.items():
+            for key, value in section.items():
+                if type(_DEFAULT_CONFIG[name][key]) is float:
+                    section[key] = float(value)
+        sim = config["simulate"]
+        family = FAMILIES[sim["process"]][0]
+        params = {key: sim["process_params"].get(key, default) for key, default in family.items()}
+        sim["process_params"] = {
+            key: [float(v) for v in value] if type(value) is list else float(value)
+            for key, value in params.items()
+        }
+        return config
+
     def sha256(self) -> str:
+        """SHA-256 of the effective config, so restating a default keeps the hash."""
         return hashlib.sha256(
-            json.dumps(self.data, sort_keys=True, default=str).encode()
+            json.dumps(self.effective(), sort_keys=True, default=str).encode()
         ).hexdigest()
 
 

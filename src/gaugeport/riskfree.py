@@ -294,9 +294,9 @@ def _prefix_log_return_sums(
     One draw of the first max(sizes) assets on ``seed`` serves every row and
     size; per row, einsum segment sums between consecutive sizes (no BLAS, so
     no BLAS threads start beside the workers), a cumulative sum and a divide
-    by the prefix weight totals.  Blocks are summed whole, row by row, in
-    block order: the sums depend on neither the thread count, the sub-block
-    size nor the other rows.
+    by the prefix weight totals.  Each key block's task sums its own
+    log-returns, row by row, and the block sums are added in block order:
+    the sums depend on neither the thread count nor the other rows.
     """
     n_max = sizes[-1]
     require_same_grid(env.grid, grid, "environment/grid")
@@ -306,7 +306,7 @@ def _prefix_log_return_sums(
     starts = (0,) + sizes[:-1]
     weights = [(w, np.cumsum(np.add.reduceat(w[:n_max], starts))) for w in rows]
 
-    def sub_block_log_returns(_first: int, ratios: np.ndarray) -> np.ndarray:
+    def block_sums(_first: int, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # [row, size, path, step], so each prefix's log-returns are contiguous
         logret = np.empty((len(rows), len(sizes), len(ratios), grid.steps))
         ratios = ratios.reshape(-1, n_max)  # [path * step, asset]
@@ -316,13 +316,10 @@ def _prefix_log_return_sums(
             np.cumsum(out, axis=0, out=out)
             out /= totals[:, None, None]
             np.log(out, out=out)
-        return logret
-
-    def block_sums(parts: list) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.concatenate(parts, axis=2).reshape(len(rows), len(sizes), -1)
+        flat = logret.reshape(len(rows), len(sizes), -1)
         return flat.sum(axis=2), np.square(flat, out=flat).sum(axis=2)
 
-    parts = _map_gross(kernel, seed, n_paths, n_jobs, sub_block_log_returns, block_sums)
+    parts = _map_gross(kernel, seed, n_paths, n_jobs, block_sums)
     total, total_sq = (sum(part) for part in zip(*parts))  # in block order
     return total, total_sq
 
@@ -333,11 +330,13 @@ def _scaling_report(
 ) -> ScalingReport:
     """The convergence study of row 0 of the prefix sums."""
     count = n_paths * grid.steps
-    mean = total[0] / count
-    sigma_hats = np.sqrt(np.maximum(total_sq[0] / count - mean**2, 0.0)) / np.sqrt(grid.dt)
     sigma = spec.vol_matrix(env)[0]
     analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
-    finite = np.isfinite(np.log(sigma_hats))
+    # inf, 0 and NaN sums are left out of the fit, and too few points raise
+    with np.errstate(all="ignore"):
+        mean = total[0] / count
+        sigma_hats = np.sqrt(np.maximum(total_sq[0] / count - mean**2, 0.0)) / np.sqrt(grid.dt)
+        finite = np.isfinite(np.log(sigma_hats))
     if finite.sum() < 3:
         raise ValueError("degenerate fit: fewer than 3 finite points")
     slope, intercept = np.polyfit(np.log(np.array(sizes)[finite]), np.log(sigma_hats[finite]), 1)

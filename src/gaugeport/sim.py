@@ -6,60 +6,66 @@ Each asset follows the exact log-normal step
                         + sigma_i(xi_k) sqrt(dt) z)
 
 with independent cross-asset noises.  Noise is drawn from counter-based
-Philox streams keyed by (seed, path block), so every path block is an
-independent task.  Each Monte Carlo routine runs its blocks on a
-:class:`TaskPool` of ``n_jobs`` threads and combines partial results in fixed
-block order, so results are bit-identical for any ``n_jobs``.
+Philox streams, one per key block of ``max(1, 2^18 // (steps * N))`` paths
+(about 2^18 cells, at least one path): block b of seed s draws from the key
+[s, NOISE_KEY + b].  Every key block is an independent task.  Each Monte
+Carlo routine runs its blocks through one executor, a lazy, bounded
+:meth:`TaskPool.map` of ``n_jobs`` threads, and combines the per-block
+results in block order, so results are bit-identical for any ``n_jobs``.
+Samples drawn before this key and block rule (one stream per 512 paths,
+keyed [s, b]) differ from today's; they changed once, with the rule.
 
-A block's noise is drawn from its one generator as consecutive path
-sub-blocks of at most ~2^18 cells (at least one path).  Philox draws in the
-same order either way, so the samples are those of the whole block, while a
-task holds a few sub-blocks instead of a [PATH_BLOCK, steps, N] array.
-:func:`simulate`, :func:`terminal_prices` and the risk-free prefix
-reductions share one block executor, which hands each sub-block's transform to
-the other workers, so drawing and transforming overlap even within one block.
-:func:`terminal_prices` multiplies each sub-block along its steps and stores
-no paths, so its memory grows with paths times assets, not with steps.
+:func:`simulate`, :func:`terminal_prices`, the risk-free prefix reductions,
+:func:`apply_numeraire` and :func:`sample_joint_numeraire` all run on that
+executor, and a task holds one block of noise, transformed in place.
+:func:`terminal_prices` multiplies each block along its steps and stores no
+paths, so its memory grows with paths times assets, not with steps.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .grid import TimeGrid, require_same_grid
 
-#: Paths per Philox stream.  Part of the seeding scheme: changing it changes
-#: the sample, so it is a constant, not a tuning knob.
-PATH_BLOCK = 512
+#: Cells per Philox key block; a block holds max(1, BLOCK_CELLS // (steps * N))
+#: paths.  Part of the seeding scheme: changing it changes the sample, so it
+#: is a constant, not a tuning knob.
+BLOCK_CELLS = 1 << 18
+
+#: Noise block b of seed s draws from the Philox key [s, NOISE_KEY + b].  The
+#: offset keeps every noise key clear of the keys [s, 0] and [s, 1] that the
+#: CLI draws weights and gradients from, and below 2^63, where numpy casts a
+#: key word through float64.
+NOISE_KEY = 2**62
 
 NOISE_TAGS = ("normal", "uniform", "two-point")
 
 #: Seeds are integers in [0, SEED_LIMIT).
 SEED_LIMIT = 2**63
 
-# Cells per noise sub-block (at least one path is drawn at a time).  Does not
-# change the sample, only how much of a block is held at once.
-_SUB_CELLS = 1 << 18
-
 _SQRT3 = np.sqrt(3.0)
 
 
-def _block_generator(seed: int, block: int) -> np.random.Generator:
-    # 128-bit Philox key: the seed in the first word, the block in the second;
-    # numpy casts a word >= 2^63 through float64, so such seeds would collide
+def block_paths(steps: int, n_assets: int) -> int:
+    """Paths per key block of a [steps, n_assets] noise stream."""
+    return max(1, BLOCK_CELLS // (steps * n_assets))
+
+
+def noise_block(
+    seed: int, block: int, n_paths: int, steps: int, n_assets: int, noise: str
+) -> np.ndarray:
+    """Noise of key block ``block``, shape [n_paths, steps, n_assets]."""
+    # a key word >= 2^63 goes through float64 in numpy, so such seeds would collide
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^63), got {seed}")
-    return np.random.Generator(np.random.Philox(key=[seed, block]))
-
-
-def _draw(gen: np.random.Generator, shape: tuple, noise: str) -> np.ndarray:
+    gen = np.random.Generator(np.random.Philox(key=[seed, NOISE_KEY + block]))
+    shape = (n_paths, steps, n_assets)
     if noise == "normal":
         return gen.standard_normal(shape)
     if noise == "uniform":
@@ -70,67 +76,23 @@ def _draw(gen: np.random.Generator, shape: tuple, noise: str) -> np.ndarray:
     raise ValueError(f"unknown noise tag {noise!r}; expected one of {NOISE_TAGS}")
 
 
-def noise_block(
-    seed: int, block: int, n_paths: int, steps: int, n_assets: int, noise: str
-) -> np.ndarray:
-    """Noise for one path block, shape [n_paths, steps, n_assets]."""
-    gen = _block_generator(seed, block)
-    return _draw(gen, (n_paths, steps, n_assets), noise)
-
-
-def noise_sub_blocks(
-    seed: int, block: int, n_paths: int, steps: int, n_assets: int, noise: str
-) -> Iterator[tuple[int, np.ndarray]]:
-    """One path block's noise as consecutive sub-blocks (first path, noise).
-
-    Drawn in order from the block's one generator, so the sub-blocks
-    concatenate to :func:`noise_block` bit for bit.
-    """
-    gen = _block_generator(seed, block)
-    sub = max(1, _SUB_CELLS // (steps * n_assets))
-    for first in range(0, n_paths, sub):
-        yield first, _draw(gen, (min(sub, n_paths - first), steps, n_assets), noise)
-
-
-def iter_blocks(n_paths: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (block index, start path, block length) covering n_paths."""
-    for block, start in enumerate(range(0, n_paths, PATH_BLOCK)):
-        yield block, start, min(PATH_BLOCK, n_paths - start)
-
-
-def _run_slot(fn: Callable, slot: list):
-    # the task leaves the slot when it starts, so a cancelled work item still
-    # waiting in the executor queue holds no reference to its arguments
-    return fn(*slot.pop())
-
-
 class TaskPool:
-    """Worker threads for independent Monte Carlo tasks, shared by nested maps.
+    """Worker threads for independent Monte Carlo tasks.
 
     ``map(fn, tasks)`` returns ``[fn(*task) for task in tasks]`` in task
     order.  With ``n_jobs = 1`` the tasks run in the calling thread; otherwise
-    ``n_jobs`` worker threads run them while a caller outside the pool waits.
-    ``tasks`` may be any iterable and is consumed lazily, with at most
-    ``2 * n_jobs`` submitted tasks outstanding, so a generator that produces
-    large arguments keeps only a few of them alive.  A task may map on its
-    own pool: its worker runs every subtask that no other worker has started
-    yet and waits only on running ones, so nested maps cannot deadlock, and
-    the subtasks of two concurrent tasks share the same threads.  Tasks must
-    not depend on one another; then the results do not depend on which
-    thread ran them.
+    ``n_jobs`` worker threads run them while the caller waits.  ``tasks`` may
+    be any iterable and is consumed lazily, with at most ``2 * n_jobs``
+    submitted tasks outstanding.  Tasks must not depend on one another, nor
+    map on their own pool; then the results do not depend on which thread
+    ran them.
     """
 
     def __init__(self, n_jobs: int = 1):
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        self._in_worker = threading.local()
         self._window = 2 * n_jobs
-        self._executor = (
-            ThreadPoolExecutor(n_jobs, initializer=self._mark_worker) if n_jobs > 1 else None
-        )
-
-    def _mark_worker(self) -> None:
-        self._in_worker.flag = True
+        self._executor = ThreadPoolExecutor(n_jobs) if n_jobs > 1 else None
 
     def __enter__(self) -> "TaskPool":
         return self
@@ -145,41 +107,19 @@ class TaskPool:
     def map(self, fn: Callable, tasks: Iterable[tuple]) -> list:
         if self._executor is None:
             return [fn(*task) for task in tasks]
-        nested = getattr(self._in_worker, "flag", False)
         results: list = []
-        pending: deque = deque()  # (result index, future, slot) in submission order
+        pending: deque = deque()  # futures in submission order
         try:
             for task in tasks:
-                slot = [task]
-                del task  # only the slot holds the task until it starts
-                pending.append((len(results), self._executor.submit(_run_slot, fn, slot), slot))
-                results.append(None)
-                while len(pending) > self._window:
-                    self._settle(fn, pending, results, nested)
+                pending.append(self._executor.submit(fn, *task))
+                if len(pending) > self._window:
+                    results.append(pending.popleft().result())
             while pending:
-                self._settle(fn, pending, results, nested)
+                results.append(pending.popleft().result())
             return results
         finally:
-            for _index, future, slot in pending:  # after a failure, drop what has not started
-                if future.cancel():
-                    slot.clear()
-
-    @staticmethod
-    def _settle(fn: Callable, pending: deque, results: list, nested: bool) -> None:
-        """Finish one pending task.
-
-        A worker runs the oldest task no thread has started yet itself; a
-        caller outside the pool, or a worker whose tasks have all started,
-        waits for the oldest.
-        """
-        if nested and not pending[0][1].done():
-            for i, (index, future, slot) in enumerate(pending):
-                if future.cancel():
-                    del pending[i]
-                    results[index] = _run_slot(fn, slot)
-                    return
-        index, future, _slot = pending.popleft()
-        results[index] = future.result()
+            for future in pending:  # after a failure, drop what has not started
+                future.cancel()
 
 
 @dataclass(frozen=True)
@@ -261,9 +201,8 @@ class StepKernel:
     """Exact log-normal step of one process on one grid, applied to Philox noise.
 
     Holds the per-step terms (mu - sigma^2/2) dt and sigma sqrt(dt), each
-    [steps, n_assets].  :meth:`sub_blocks` draws a path block's noise as
-    consecutive sub-blocks and :meth:`gross` turns noise into gross step
-    ratios inside the noise array, so a sub-block costs one array of memory.
+    [steps, n_assets].  :meth:`gross` turns noise into gross step ratios
+    inside the noise array, so a block costs one array of memory.
     """
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, dt: float, noise: str):
@@ -275,10 +214,6 @@ class StepKernel:
     def of(cls, spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid) -> "StepKernel":
         require_same_grid(env.grid, grid, "environment/grid")
         return cls(spec.drift_matrix(env), spec.vol_matrix(env), grid.dt, spec.noise)
-
-    def sub_blocks(self, seed: int, block: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Noise of one path block as (first path, [sub, steps, n_assets]) pairs."""
-        return noise_sub_blocks(seed, block, size, *self.drift.shape, self.noise)
 
     def gross(self, z: np.ndarray) -> np.ndarray:
         """Gross step ratios s[k+1]/s[k] of noise z [paths, steps, n_assets], in place."""
@@ -343,30 +278,37 @@ class NumeraireSpec:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _map_gross(
-    kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Callable,
-    reduce: Optional[Callable] = None,
-) -> Optional[list]:
-    """The one block executor: ``fn(first_path, ratios)`` on every noise sub-block.
+def _map_blocks(
+    seed: int, n_paths: int, steps: int, n_assets: int, noise: str, n_jobs: int, fn: Callable
+) -> list:
+    """The one block executor: ``fn(block, first_path, z)`` on every key block.
 
-    ``ratios`` are a sub-block's gross step ratios [paths, steps, N], formed
-    in place in its noise, and ``first_path`` the index of its first path
-    among all ``n_paths``.  Path blocks and their sub-blocks run as tasks on
-    one :class:`TaskPool`: the task that draws a block hands its sub-blocks
-    to the pool.  With ``reduce``, each block's task passes the list of its
-    sub-blocks' ``fn`` results, in path order, to ``reduce`` and the
-    per-block values come back in block order.
+    ``z`` is key block ``block``'s noise [paths, steps, n_assets], drawn in
+    the task, and ``first_path`` the index of its first path among all
+    ``n_paths``.  The blocks run as tasks of one lazy, bounded
+    :meth:`TaskPool.map`, and the results come back in block order.
+    Floating-point warnings are off inside a task: ``np.errstate`` does not
+    cross threads, and the callers check for inf, 0 and NaN themselves.
     """
+    size = block_paths(steps, n_assets)
+
+    def task(block: int, first: int):
+        z = noise_block(seed, block, min(size, n_paths - first), steps, n_assets, noise)
+        with np.errstate(all="ignore"):
+            return fn(block, first, z)
+
     with TaskPool(n_jobs) as pool:
-        def run_sub_block(start: int, first: int, z: np.ndarray):
-            return fn(start + first, kernel.gross(z))
+        return pool.map(task, enumerate(range(0, n_paths, size)))
 
-        def run_block(block: int, start: int, size: int):
-            parts = pool.map(partial(run_sub_block, start), kernel.sub_blocks(seed, block, size))
-            return None if reduce is None else reduce(parts)
 
-        values = pool.map(run_block, iter_blocks(n_paths))
-    return None if reduce is None else values
+def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Callable) -> list:
+    """``fn(first_path, ratios)`` on every key block's gross step ratios
+    [paths, steps, N], formed in place in its noise; results in block order."""
+    steps, n_assets = kernel.drift.shape
+    return _map_blocks(
+        seed, n_paths, steps, n_assets, kernel.noise, n_jobs,
+        lambda _block, first, z: fn(first, kernel.gross(z)),
+    )
 
 
 def _start(
@@ -422,9 +364,9 @@ def terminal_prices(
     """Terminal prices [n_paths, n_assets], without storing the paths.
 
     Bit for bit ``simulate(...).paths[:, -1, :]`` for the same arguments:
-    the same sub-blocks of gross ratios are multiplied along the steps in
-    the same order as :func:`simulate`'s per-step loop, then by ``s0``.
-    Memory is O(n_paths N) plus the sub-blocks in flight.
+    the same blocks of gross ratios are multiplied along the steps in the
+    same order as :func:`simulate`'s per-step loop, then by ``s0``.  Memory
+    is O(n_paths N) plus the blocks in flight.
 
     The check rejects exactly what :class:`PathSet` rejects, with the same
     message.  Each path value is s0 times a running product of ratios
@@ -507,22 +449,20 @@ def apply_numeraire(paths: PathSet, y: NumeraireSpec, seed2: int, n_jobs: int = 
         return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)
 
     resid_scale = np.sqrt(max(0.0, 1.0 - float(rho @ rho)))
-
+    drift = (phi_mu - 0.5 * y.phi_sigma**2) * dt
+    scale = y.phi_sigma * np.sqrt(dt)
     scaled = np.empty_like(paths.paths)
+    scaled[:, 0] = paths.paths[:, 0]
 
-    def fill(block: int, start: int, size: int) -> None:
-        z_resid = noise_block(seed2, block, size, steps, 1, "normal")[:, :, 0]
-        sub_blocks = noise_sub_blocks(paths.seed, block, size, steps, paths.n_assets, paths.noise)
-        for first, z_assets in sub_blocks:
-            rows = slice(first, first + len(z_assets))
-            z_phi = z_assets @ rho + resid_scale * z_resid[rows]
-            inc = (phi_mu - 0.5 * y.phi_sigma**2) * dt + y.phi_sigma * np.sqrt(dt) * z_phi
-            log_y = np.concatenate([np.zeros((len(z_phi), 1)), np.cumsum(inc, axis=1)], axis=1)
-            sl = slice(start + first, start + first + len(z_phi))
-            scaled[sl] = paths.paths[sl] * np.exp(log_y)[:, :, None]
+    def fill(block: int, first: int, z_assets: np.ndarray) -> None:
+        # the residual is drawn per key block of the asset noise, so row for row
+        z_resid = noise_block(seed2, block, len(z_assets), steps, 1, "normal")[:, :, 0]
+        z_phi = z_assets @ rho + resid_scale * z_resid
+        log_y = np.cumsum(drift + scale * z_phi, axis=1)
+        rows = slice(first, first + len(z_assets))
+        np.multiply(paths.paths[rows, 1:], np.exp(log_y)[:, :, None], out=scaled[rows, 1:])
 
-    with TaskPool(n_jobs) as pool:
-        pool.map(fill, iter_blocks(n_paths))
+    _map_blocks(paths.seed, n_paths, steps, paths.n_assets, paths.noise, n_jobs, fill)
     return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)
 
 
@@ -543,25 +483,22 @@ def sample_joint_numeraire(
     """
     if abs(rho) > 1.0:
         raise ValueError("|rho| must be <= 1")
-    dt = grid.dt
-    steps = grid.steps
-    y = np.empty((n_paths, grid.n_points))
-    pi = np.empty((n_paths, grid.n_points))
-    pi[:, 0] = 1.0
-    y[:, 0] = 1.0
+    # column 0 is Pi, column 1 is Y
+    kernel = StepKernel(
+        np.array([[pi_mu, phi_mu]]), np.array([[pi_sigma, phi_sigma]]), grid.dt, "normal"
+    )
+    y = np.ones((n_paths, grid.n_points))
+    pi = np.ones((n_paths, grid.n_points))
 
-    def fill(block: int, start: int, size: int) -> None:
-        z = noise_block(seed, block, size, steps, 2, "normal")
-        z_pi = z[:, :, 0]
-        z_y = rho * z_pi + np.sqrt(1.0 - rho**2) * z[:, :, 1]
-        inc_pi = (pi_mu - 0.5 * pi_sigma**2) * dt + pi_sigma * np.sqrt(dt) * z_pi
-        inc_y = (phi_mu - 0.5 * phi_sigma**2) * dt + phi_sigma * np.sqrt(dt) * z_y
-        sl = slice(start, start + size)
-        pi[sl, 1:] = np.exp(np.cumsum(inc_pi, axis=1))
-        y[sl, 1:] = np.exp(np.cumsum(inc_y, axis=1))
+    def fill(_block: int, first: int, z: np.ndarray) -> None:
+        z[:, :, 1] *= np.sqrt(1.0 - rho**2)
+        z[:, :, 1] += rho * z[:, :, 0]
+        ratios = kernel.gross(z)
+        rows = slice(first, first + len(z))
+        np.cumprod(ratios[:, :, 0], axis=1, out=pi[rows, 1:])
+        np.cumprod(ratios[:, :, 1], axis=1, out=y[rows, 1:])
 
-    with TaskPool(n_jobs) as pool:
-        pool.map(fill, iter_blocks(n_paths))
+    _map_blocks(seed, n_paths, grid.steps, 2, "normal", n_jobs, fill)
     return y, pi
 
 

@@ -5,7 +5,6 @@ from gaugeport import (
     GaugeFieldA,
     PricePanel,
     TimeGrid,
-    cash_value_series,
     empirical_pipeline,
     forward_translate,
     gauge_discount,
@@ -118,9 +117,9 @@ class TestEmpiricalPipeline:
         report = empirical_pipeline(fixture_panel)
         by_label = dict(zip(report.asset_ids, report.final_values))
         assert by_label["risk-free portfolio"] == 1.0
-        assert by_label["EM Stock"] == pytest.approx(0.8710668901597364, rel=1e-10)
-        assert by_label["USD#cash"] == pytest.approx(0.9013243287111123, rel=1e-10)
-        assert by_label["Broad Bond"] == pytest.approx(1.0534584805682377, rel=1e-10)
+        assert by_label["EM Stock"] == pytest.approx(1.3504958070701585, rel=1e-10)
+        assert by_label["USD#cash"] == pytest.approx(0.8631345390058819, rel=1e-10)
+        assert by_label["Broad Bond"] == pytest.approx(1.0894360366447482, rel=1e-10)
         # the windowed rate estimate should land near the realized cash value
         assert report.metadata["cash_discount_windowed"] == pytest.approx(
             by_label["USD#cash"], rel=5e-3
@@ -148,17 +147,24 @@ class TestEmpiricalPipeline:
 
 
 class TestCashValueSeries:
+    """The cash column in risk-free units, as the pipeline reports it."""
+
     def test_starts_at_one(self, fixture_panel):
-        series = cash_value_series(fixture_panel)
+        series = empirical_pipeline(fixture_panel).cash_series
         assert series.values[0] == pytest.approx(1.0, abs=1e-14)
         assert series.times.shape == series.values.shape
         assert "#cash" in series.label
 
     def test_matches_pipeline_final_value(self, fixture_panel):
-        series = cash_value_series(fixture_panel)
         report = empirical_pipeline(fixture_panel)
+        series = report.cash_series
         cash_final = dict(zip(report.asset_ids, report.final_values))["USD#cash"]
         assert series.values[-1] == pytest.approx(cash_final, rel=1e-12)
+        # cash over the equal-weight portfolio of the other columns, rebalanced every step
+        prices = fixture_panel.prices
+        gross = np.mean(prices[1:, :-1] / prices[:-1, :-1], axis=1)
+        riskfree = np.concatenate([[1.0], np.cumprod(gross)])
+        np.testing.assert_allclose(series.values, prices[:, -1] / riskfree, rtol=1e-12)
 
 
 class TestReportTypes:

@@ -22,6 +22,7 @@ from gaugeport import cli, discounting, sim
 from gaugeport.sim import EnvironmentSeries
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
+    _DEFAULT_CONFIG,
     PanelFormatError,
     RunConfig,
     export_panel,
@@ -172,10 +173,46 @@ class TestRunConfig:
             load_config(path)
 
     def test_sha256_tracks_content(self):
+        # the hash is of the effective config: seed 1 is the default
         a = RunConfig({"simulate": {"seed": 1}})
         b = RunConfig({"simulate": {"seed": 2}})
-        assert a.sha256() == RunConfig({"simulate": {"seed": 1}}).sha256()
+        assert a.sha256() == RunConfig({}).sha256()
         assert a.sha256() != b.sha256()
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            (yaml.safe_dump(_DEFAULT_CONFIG), ""),
+            ("simulate: {horizon: 1, xi: 0, process_params: {mu: 0.05}}\npde: {strike: 100}\n", ""),
+            (
+                "simulate: {process: affine, process_params: {mu0: 0, sigma0: 0.2}}\n",
+                "simulate: {process: affine}\n",
+            ),
+        ],
+        ids=["every-default", "ints-and-family-defaults", "affine-defaults"],
+    )
+    def test_restated_defaults_hash_like_no_config(self, text, plain, tmp_path):
+        (tmp_path / "a.yaml").write_text(text)
+        (tmp_path / "b.yaml").write_text(plain)
+        restated = load_config(tmp_path / "a.yaml").sha256()
+        assert restated == load_config(tmp_path / "b.yaml").sha256()
+        if not plain:
+            assert restated == load_config(None).sha256()
+
+    def test_changing_any_default_changes_the_hash(self):
+        base = RunConfig({}).sha256()
+        other = {"process": "affine", "noise": "uniform", "payoff": "put"}
+        for name, section in _DEFAULT_CONFIG.items():
+            for key, value in section.items():
+                if isinstance(value, str):
+                    changed = other[key]
+                elif isinstance(value, list):
+                    changed = value + [2 * value[-1]]
+                elif isinstance(value, dict):
+                    changed = {**value, "sigma": 0.3}
+                else:
+                    changed = value + 1
+                assert RunConfig({name: {key: changed}}).sha256() != base, (name, key)
 
 
 def plain_document(command, body, seed=None):
@@ -192,9 +229,11 @@ def plain_document(command, body, seed=None):
             return [plain(v) for v in value]
         return value
 
+    # no config file runs the defaults, whose effective config is the default table
+    default_sha256 = hashlib.sha256(json.dumps(_DEFAULT_CONFIG, sort_keys=True).encode())
     provenance = {
         "command": command,
-        "config_sha256": RunConfig({}).sha256(),
+        "config_sha256": default_sha256.hexdigest(),
         "seed": seed,
         "version": gaugeport.__version__,
     }
@@ -469,10 +508,14 @@ class TestCli:
         out = tmp_path / "d.yaml"
         assert main(["discount", "--panel", str(fixture_csv), "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
-        series = discounting.cash_value_series(ingest(fixture_csv))
+        # cash prices over the value of the equal-weight portfolio of the
+        # other columns, rebalanced every step
+        prices = ingest(fixture_csv).prices
+        gross = np.mean(prices[1:, :-1] / prices[:-1, :-1], axis=1)
+        riskfree = np.concatenate([[1.0], np.cumprod(gross)])
         report = read_report(out)["report"]
-        assert report["cash_series_label"] == series.label
-        assert report["cash_series_values"] == series.values.tolist()
+        assert report["cash_series_label"] == "USD#cash (risk-free units)"
+        np.testing.assert_allclose(report["cash_series_values"], prices[:, -1] / riskfree, rtol=1e-12)
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         script = (
@@ -537,6 +580,30 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "GAUGEPORT_THREADS" in err and repr(value) in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command, message",
+        [("simulate", "paths must be finite"), ("riskfree", "degenerate fit")],
+    )
+    def test_overflow_is_a_one_line_error(self, command, message, threads, tmp_path):
+        # exp overflows in the Monte Carlo tasks; no numpy warning may reach
+        # stderr ahead of the error, whichever thread formed the ratios
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            "simulate: {process_params: {mu: 100000.0}}\n"
+            "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
+        )
+        src = str(Path(gaugeport.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env.update(GAUGEPORT_THREADS=threads, PYTHONPATH=src)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "r.yaml")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaugeport.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_COMPUTE
+        assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
+
     def test_riskfree_report_does_not_depend_on_threads(self, tmp_path, monkeypatch):
         config = tmp_path / "run.yaml"
         config.write_text(
@@ -568,13 +635,13 @@ class TestCli:
             )
         )
         cells = []
-        draw = sim._draw
+        draw = sim.noise_block
 
-        def counted(gen, shape, noise):
-            cells.append(int(np.prod(shape)))
-            return draw(gen, shape, noise)
+        def counted(seed, block, n_paths, steps, n_assets, noise):
+            cells.append(n_paths * steps * n_assets)
+            return draw(seed, block, n_paths, steps, n_assets, noise)
 
-        monkeypatch.setattr(sim, "_draw", counted)
+        monkeypatch.setattr(sim, "noise_block", counted)
         monkeypatch.setenv("GAUGEPORT_THREADS", "2")
         assert main(["riskfree", "--config", str(config), "--out", str(tmp_path / "r.yaml")]) == EXIT_OK
         assert sum(cells) == 600 * 8 * 48

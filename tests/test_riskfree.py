@@ -21,7 +21,6 @@ from gaugeport import (
     simulate,
     to_riskfree_units,
 )
-from gaugeport import sim
 from gaugeport.riskfree import (
     _prefix_log_return_sums,
     convergence_study,
@@ -33,7 +32,7 @@ from gaugeport.riskfree import (
     riskfree_studies,
     simplex_grid_oracle,
 )
-from gaugeport.sim import PATH_BLOCK, EnvironmentSeries, StepKernel, iter_blocks, noise_block
+from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block
 
 GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
 
@@ -276,37 +275,36 @@ class TestEtemadi:
 
 
 class TestSubBlockStreaming:
-    """The studies give the same bits whether a block is drawn whole or in sub-blocks."""
+    """The studies stream key blocks of ~2^18 cells; the same bits at 1, 2 and 3 threads."""
 
-    # 8 steps x 325 assets: 100-path sub-blocks, ragged at the end of each block
+    # 8 steps x 325 assets: 100-path key blocks, and a ragged 37-path last one
     GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
     N = 325
     SIZES = [40, 80, 160, 325]
-    N_PATHS = PATH_BLOCK + 25
+    N_PATHS = 537
 
     def spec(self, tag):
         return constant_spec(self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag)
 
-    def runs(self, study, monkeypatch):
-        streamed = [study(n_jobs) for n_jobs in (1, 2)]
-        monkeypatch.setattr(sim, "_SUB_CELLS", 1 << 62)  # one sub-block per block
-        return streamed, study(1)
+    def runs(self, study):
+        assert block_paths(self.GRID8.steps, self.N) == 100
+        return [study(n_jobs) for n_jobs in (2, 3)], study(1)
 
     @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
-    def test_convergence_study(self, tag, monkeypatch):
+    def test_convergence_study(self, tag):
         env = EnvironmentSeries.constant(self.GRID8)
         spec = self.spec(tag)
 
         def study(n_jobs):
             return convergence_study(spec, env, self.GRID8, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
 
-        streamed, whole = self.runs(study, monkeypatch)
-        for report in streamed:
-            assert report.sigma_hats.tobytes() == whole.sigma_hats.tobytes()
-            assert report.slope == whole.slope
+        threaded, serial = self.runs(study)
+        for report in threaded:
+            assert report.sigma_hats.tobytes() == serial.sigma_hats.tobytes()
+            assert report.slope == serial.slope
 
     @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
-    def test_etemadi_check(self, tag, monkeypatch):
+    def test_etemadi_check(self, tag):
         env = EnvironmentSeries.constant(self.GRID8)
         spec = self.spec(tag)
         wb = np.random.default_rng(6).uniform(0.5, 1.5, self.N)
@@ -317,19 +315,19 @@ class TestSubBlockStreaming:
                 spec, env, self.GRID8, *weights, self.N_PATHS, 4, sizes=self.SIZES, n_jobs=n_jobs
             )
 
-        streamed, whole = self.runs(study, monkeypatch)
-        for report in streamed:
-            assert report.divergences.tobytes() == whole.divergences.tobytes()
+        threaded, serial = self.runs(study)
+        for report in threaded:
+            assert report.divergences.tobytes() == serial.divergences.tobytes()
 
 
 class TestPrefixReduction:
     """The one-draw prefix reduction against a plain numpy re-computation."""
 
-    # 8 steps x 325 assets: 100-path sub-blocks, and a ragged last block
+    # 8 steps x 325 assets: 100-path key blocks, and a ragged last block
     GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
     N = 325
     SIZES = (5, 40, 160, 325)
-    N_PATHS = PATH_BLOCK + 25
+    N_PATHS = 537
     SEED = 9
 
     def setup_method(self):
@@ -340,11 +338,13 @@ class TestPrefixReduction:
         self.weights = {"equal": np.full(self.N, 1.0 / self.N), "random": wb / wb.sum()}
 
     def reference_log_returns(self, w):
-        """Per-step log-returns [size, path, step] from whole-block noise and prefix gemv."""
+        """Per-step log-returns [size, path, step] from each key block's noise and prefix gemv."""
         kernel = StepKernel.of(self.spec, self.env, self.GRID8)
         out = []
-        for block, _start, size in iter_blocks(self.N_PATHS):
-            z = noise_block(self.SEED, block, size, self.GRID8.steps, self.N, "normal")
+        size = block_paths(self.GRID8.steps, self.N)
+        for block, first in enumerate(range(0, self.N_PATHS, size)):
+            paths = min(size, self.N_PATHS - first)
+            z = noise_block(self.SEED, block, paths, self.GRID8.steps, self.N, "normal")
             ratios = np.exp(z * kernel.scale + kernel.drift)
             out.append([np.log(ratios[..., :n] @ (w[:n] / w[:n].sum())) for n in self.SIZES])
         return np.concatenate(out, axis=1)

@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -27,15 +25,15 @@ from gaugeport import (
 from gaugeport import sim
 from gaugeport.catalog import build_process
 from gaugeport.sim import (
+    BLOCK_CELLS,
+    NOISE_KEY,
     NOISE_TAGS,
-    PATH_BLOCK,
     EnvironmentSeries,
     ProcessSpec,
     StepKernel,
     TaskPool,
-    iter_blocks,
+    block_paths,
     noise_block,
-    noise_sub_blocks,
     sample_joint_numeraire,
     terminal_prices,
 )
@@ -104,7 +102,8 @@ class TestSimulate:
             simulate(spec, ENV, GRID, 1, seed=0)
 
     def test_peak_memory_is_output_plus_noise_blocks(self):
-        # each worker holds one noise block, computed in place into the output
+        # each of the 2 workers holds one 2^18-cell noise block at a time,
+        # turned in place into ratios and multiplied into the output
         grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
         spec = constant_spec(256, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
@@ -115,8 +114,8 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        noise_bytes = PATH_BLOCK * grid.steps * spec.n_assets * 8
-        assert peak <= paths.paths.nbytes + 4 * noise_bytes
+        assert block_paths(grid.steps, spec.n_assets) * grid.steps * spec.n_assets == BLOCK_CELLS
+        assert peak <= paths.paths.nbytes + 3 * BLOCK_CELLS * 8
 
 
 def per_cell(fn, env: EnvironmentSeries, n_assets: int) -> np.ndarray:
@@ -174,39 +173,63 @@ class TestProcessModel:
             spec.drift_matrix(ENV)
 
 
-def run_with_switch_interval(fn, interval=1e-6, timeout=60):
-    """Run fn in a thread under a short switch interval; True if it finished."""
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(interval)
-    try:
-        runner = threading.Thread(target=fn, daemon=True)
-        runner.start()
-        runner.join(timeout=timeout)
-    finally:
-        sys.setswitchinterval(previous)
-    return not runner.is_alive()
-
-
-#: 8 steps x 325 assets: 2600 cells per path, so a noise sub-block holds 100
-#: paths and a 512-path block ends in a ragged 12-path sub-block.
+#: 8 steps x 325 assets: 2600 cells per path, so a key block holds 100 paths
+#: and 537 paths end in a ragged 37-path block.
 GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
 WIDE = 325
-RAGGED_PATHS = PATH_BLOCK + 25
+RAGGED_PATHS = 537
+
+
+def reference_draw(seed: int, key: int, shape: tuple, tag: str) -> np.ndarray:
+    """Noise of one tag drawn straight from the Philox key [seed, key]."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, key]))
+    if tag == "normal":
+        return gen.standard_normal(shape)
+    if tag == "uniform":
+        return gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)
+    return gen.integers(0, 2, shape).astype(float) * 2.0 - 1.0
+
+
+def key_blocks(n_paths: int, steps: int, n_assets: int):
+    """(block, first path, paths) of every key block of a run."""
+    size = block_paths(steps, n_assets)
+    starts = range(0, n_paths, size)
+    return [(b, first, min(size, n_paths - first)) for b, first in enumerate(starts)]
 
 
 class TestSubBlocks:
-    """Drawing a block as consecutive sub-blocks gives the whole block's sample."""
+    """A run's noise comes in key blocks of ~2^18 cells, each from its own Philox key."""
 
-    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
-    def test_sub_blocks_concatenate_to_the_block(self, tag):
-        subs = list(noise_sub_blocks(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag))
-        sizes = [len(z) for _first, z in subs]
-        assert [first for first, _z in subs] == list(np.cumsum([0] + sizes[:-1]))
-        assert len(sizes) > 1 and sizes[-1] < sizes[0]
-        whole = noise_block(4, 1, PATH_BLOCK, GRID8.steps, WIDE, tag)
-        assert_same_bits(np.concatenate([z for _first, z in subs]), whole)
+    def test_block_size_rule(self):
+        assert block_paths(GRID8.steps, WIDE) == 100
+        assert block_paths(64, 1024) == 4
+        assert block_paths(1260, 512) == 1  # a path longer than a block is one block
+        assert [size for _b, _first, size in key_blocks(RAGGED_PATHS, GRID8.steps, WIDE)] == [
+            100, 100, 100, 100, 100, 37
+        ]
 
-    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    @pytest.mark.parametrize("tag", NOISE_TAGS)
+    def test_each_block_draws_from_its_own_key(self, tag):
+        # the executor hands block b, its first path and its noise, drawn from
+        # [seed, NOISE_KEY + b]; the last block is ragged
+        seen = sim._map_blocks(7, RAGGED_PATHS, GRID8.steps, WIDE, tag, 3, lambda *a: a)
+        assert [(b, first, len(z)) for b, first, z in seen] == key_blocks(
+            RAGGED_PATHS, GRID8.steps, WIDE
+        )
+        for block, _first, z in seen:
+            ref = reference_draw(7, NOISE_KEY + block, z.shape, tag)
+            assert_same_bits(z, ref)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+    def test_noise_keys_miss_the_cli_keys(self, seed):
+        # the CLI draws riskfree's second weighting from [seed, 1] and the
+        # sensitivity gradients from [seed, 0]; no noise block may share them
+        for block in range(4):
+            z = noise_block(seed, block, 4, 2, 3, "normal")
+            for key in (0, 1):
+                assert not np.array_equal(z, reference_draw(seed, key, z.shape, "normal"))
+
+    @pytest.mark.parametrize("tag", NOISE_TAGS)
     def test_simulate_matches_whole_block_cumprod(self, tag):
         spec = constant_spec(WIDE, np.linspace(-0.05, 0.1, WIDE), np.linspace(0.0, 0.4, WIDE), tag)
         env = EnvironmentSeries.constant(GRID8)
@@ -214,40 +237,47 @@ class TestSubBlocks:
         kernel = StepKernel.of(spec, env, GRID8)
         expected = np.empty((RAGGED_PATHS, GRID8.n_points, WIDE))
         expected[:, 0] = s0
-        for block, start, size in iter_blocks(RAGGED_PATHS):
+        for block, start, size in key_blocks(RAGGED_PATHS, GRID8.steps, WIDE):
             z = noise_block(7, block, size, GRID8.steps, WIDE, tag)
             z *= kernel.scale
             z += kernel.drift
             expected[start : start + size, 1:] = np.cumprod(np.exp(z), axis=1) * s0
-        for n_jobs in (1, 2):
+        for n_jobs in (1, 2, 3):
             paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
             assert_same_bits(paths.paths, expected)
 
-    def test_numeraire_matches_whole_blocks(self, monkeypatch):
+    def test_numeraire_matches_whole_blocks(self):
         spec = constant_spec(WIDE, 0.05, 0.2)
         env = EnvironmentSeries.constant(GRID8)
         paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=8)
         rho = np.full(WIDE, 0.5 / np.sqrt(WIDE))
         y = NumeraireSpec(phi_mu=0.02, phi_sigma=0.1, rho=rho)
-        streamed = apply_numeraire(paths, y, seed2=9, n_jobs=2)
-        monkeypatch.setattr(sim, "_SUB_CELLS", 1 << 62)  # one sub-block per block
-        assert_same_bits(streamed.paths, apply_numeraire(paths, y, seed2=9).paths)
+        dt = GRID8.dt
+        expected = paths.paths.copy()
+        # the residual noise is keyed by seed2 and drawn per key block of the assets
+        for block, start, size in key_blocks(RAGGED_PATHS, GRID8.steps, WIDE):
+            z = noise_block(8, block, size, GRID8.steps, WIDE, "normal")
+            resid = noise_block(9, block, size, GRID8.steps, 1, "normal")[:, :, 0]
+            z_phi = z @ rho + np.sqrt(1.0 - rho @ rho) * resid
+            log_y = np.cumsum((0.02 - 0.5 * 0.1**2) * dt + 0.1 * np.sqrt(dt) * z_phi, axis=1)
+            expected[start : start + size, 1:] *= np.exp(log_y)[:, :, None]
+        for n_jobs in (1, 2, 3):
+            assert_same_bits(apply_numeraire(paths, y, seed2=9, n_jobs=n_jobs).paths, expected)
 
-    def test_studies_hold_sub_blocks_not_blocks(self):
-        # 1024 assets x 64 steps: one block of noise is 256 MiB, a sub-block 2 MiB
+    def test_studies_hold_a_few_blocks(self):
+        # 1024 assets x 64 steps: a key block is 4 paths, 2 MiB of noise
         grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=64)
         n = 1024
         spec = constant_spec(n, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
-        sub_bytes = sim._SUB_CELLS * 8
-        assert PATH_BLOCK * grid.steps * n * 8 == 128 * sub_bytes
+        block_bytes = BLOCK_CELLS * 8
         wb = np.random.default_rng(1).uniform(0.5, 1.5, n)
         weights = (WeightVector.equal(n), WeightVector(wb / wb.sum()))
         sizes = [16, 64, 256, n]
         studies = [
-            lambda: convergence_study(spec, env, grid, sizes, PATH_BLOCK, seed=3, n_jobs=2),
-            lambda: etemadi_check(spec, env, grid, *weights, PATH_BLOCK, seed=3, sizes=sizes, n_jobs=2),
-            lambda: riskfree_studies(spec, env, grid, *weights, sizes, PATH_BLOCK, seed=3, n_jobs=2),
+            lambda: convergence_study(spec, env, grid, sizes, 256, seed=3, n_jobs=2),
+            lambda: etemadi_check(spec, env, grid, *weights, 256, seed=3, sizes=sizes, n_jobs=2),
+            lambda: riskfree_studies(spec, env, grid, *weights, sizes, 256, seed=3, n_jobs=2),
         ]
         for study in studies:
             tracemalloc.start()
@@ -257,12 +287,12 @@ class TestSubBlocks:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            # a few sub-blocks in flight, the block's per-row, per-size
-            # log-returns and the kernel's [steps, N] terms
-            assert peak <= 8 * sub_bytes
+            # a block per worker, its per-row, per-size log-returns and the
+            # kernel's [steps, N] terms; not the 128 MiB of the whole draw
+            assert peak <= 4 * block_bytes
 
     def test_long_simulate_holds_output_plus_few_sub_blocks(self):
-        # 1260 steps x 512 assets: a sub-block is one path
+        # 1260 steps x 512 assets: a key block is one path
         grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=1260)
         spec = constant_spec(512, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
@@ -274,8 +304,7 @@ class TestSubBlocks:
         finally:
             tracemalloc.stop()
         path_bytes = grid.steps * spec.n_assets * 8
-        # the kernel's two [steps, N] terms, at most 2 * n_jobs + 1 sub-blocks
-        # in flight, one to spare
+        # the kernel's two [steps, N] terms, a block per worker, some to spare
         assert peak <= paths.paths.nbytes + 8 * path_bytes
 
 
@@ -286,9 +315,9 @@ class TestTerminalPrices:
     @pytest.mark.parametrize(
         "grid, n_assets, n_paths",
         [
-            (GRID8, WIDE, RAGGED_PATHS),  # short last block and last sub-block
-            (GRID, 1, RAGGED_PATHS),  # one asset
-            (TimeGrid(t0=0.0, dt=1.0 / 252, steps=1024), 256, 3),  # one path per sub-block
+            (GRID8, WIDE, RAGGED_PATHS),  # ragged last block
+            (GRID, 1, RAGGED_PATHS),  # one asset, one ragged block
+            (TimeGrid(t0=0.0, dt=1.0 / 252, steps=1024), 256, 3),  # one path per block
         ],
     )
     def test_matches_the_last_slice_of_simulate(self, tag, grid, n_assets, n_paths):
@@ -296,12 +325,12 @@ class TestTerminalPrices:
         spec = constant_spec(n_assets, mu, sigma, tag)
         env = EnvironmentSeries.constant(grid)
         s0 = np.linspace(0.5, 2.0, n_assets)
-        for n_jobs in (1, 2):
+        for n_jobs in (1, 2, 3):
             paths = simulate(spec, env, grid, n_paths, seed=7, s0=s0, n_jobs=n_jobs)
             terminal = terminal_prices(spec, env, grid, n_paths, seed=7, s0=s0, n_jobs=n_jobs)
             assert_same_bits(terminal, paths.paths[:, -1, :])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # no numpy warning escapes the tasks
     @pytest.mark.parametrize(
         "mu, sigma",
         [(1e5, 0.2), (0.05, 1e3)],  # exp overflows to inf; exp underflows to 0
@@ -322,82 +351,27 @@ class TestTaskPool:
                 k * (k + 1) for k in range(20)
             ]
 
-    def test_nested_maps_on_one_pool_finish(self):
-        # more workers than cores and a short switch interval, so tasks
-        # interleave; every outer task maps its own subtasks on the same pool
-        def subtask(j, k):
-            return noise_block(j, k, 2, 3, 4, "normal").sum()
-
-        nested = []
-
-        def run():
-            with TaskPool(4) as pool:
-                outer = lambda j: pool.map(subtask, [(j, k) for k in range(6)])  # noqa: E731
-                nested.extend(pool.map(outer, [(j,) for j in range(8)]))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=run, daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
-        assert nested == [[subtask(j, k) for k in range(6)] for j in range(8)]
-
-    def test_nested_pipelines_on_one_pool_finish(self, monkeypatch):
-        # every outer task streams generated subtasks onto the same pool, as
-        # simulate's block tasks stream their noise sub-blocks (one path each)
-        monkeypatch.setattr(sim, "_SUB_CELLS", 1)
-
-        def transform(first, z):
-            return float(z.sum())
-
-        nested = []
-
-        def run():
-            with TaskPool(4) as pool:
-                def produce(j):
-                    return pool.map(transform, noise_sub_blocks(j, 0, 40, 3, 4, "normal"))
-
-                nested.extend(pool.map(produce, ((j,) for j in range(8))))
-
-        assert run_with_switch_interval(run)
-        assert nested == [
-            [float(z.sum()) for z in noise_block(j, 0, 40, 3, 4, "normal")] for j in range(8)
-        ]
-
-    def test_generator_mapped_from_a_worker(self):
-        with TaskPool(2) as pool:
-            inner = lambda j: pool.map(lambda k: j * k, ((k,) for k in range(5)))  # noqa: E731
-            assert pool.map(inner, [(1,), (2,)]) == [[0, 1, 2, 3, 4], [0, 2, 4, 6, 8]]
-
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_generated_arguments_are_released(self, n_jobs):
-        # two producers whose subtasks mostly run inline after a cancel: a
-        # cancelled work item still queued in the executor must not keep its
-        # argument alive
+        # the tasks are drawn lazily: only the outstanding ones keep their
+        # arguments alive, and none is left once the map returns
         live = set()
         most = []
 
-        def produce(j):
+        def produce():
             for k in range(40):
                 arg = np.zeros(8)
-                live.add((j, k))
-                weakref.finalize(arg, live.discard, (j, k))
+                live.add(k)
+                weakref.finalize(arg, live.discard, k)
                 most.append(len(live))
                 yield (arg,)
                 del arg
 
-        def run(pool):
-            return pool.map(lambda j: len(pool.map(lambda arg: arg.sum(), produce(j))), [(0,), (1,)])
-
         with TaskPool(n_jobs) as pool:
-            assert run(pool) == [40, 40]
+            assert pool.map(lambda arg: arg.sum(), produce()) == [0.0] * 40
         assert not live
-        # per producer: the 2 * n_jobs pending tasks and the one being drawn
-        assert max(most) <= 2 * (2 * n_jobs + 1)
+        # the 2 * n_jobs pending tasks, the one being settled and the one being drawn
+        assert max(most) <= 2 * n_jobs + 2
 
     def test_task_error_propagates(self):
         def fail(k):
@@ -416,8 +390,8 @@ class TestNoiseTags:
 
     @pytest.mark.parametrize("seed,block", [(0, 0), (5, 3), (2**63 - 1, 41)])
     def test_block_key_is_seed_then_block(self, seed, block):
-        # the seeding scheme: one Philox stream per (seed, path block) key
-        gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+        # the seeding scheme: one Philox stream per key [seed, NOISE_KEY + block]
+        gen = np.random.Generator(np.random.Philox(key=[seed, NOISE_KEY + block]))
         assert_same_bits(noise_block(seed, block, 7, 3, 2, "normal"), gen.standard_normal((7, 3, 2)))
 
     @pytest.mark.parametrize("seed", [-1, -2, 2**63, 2**64 - 1])
@@ -536,12 +510,13 @@ class TestNumeraire:
         assert abs(log_t.var() - eff_sigma**2 * t_end) < 3 * var_se
 
     def test_thread_count_does_not_change_rescaling(self):
-        spec = constant_spec(3, 0.05, 0.2)
-        paths = simulate(spec, ENV, GRID, n_paths=1100, seed=8)
+        # 3 assets x 64 steps: three key blocks of 1365 paths, the last ragged
         y = NumeraireSpec(phi_mu=0.02, phi_sigma=0.1, rho=np.array([0.3, -0.2, 0.1]))
-        a = apply_numeraire(paths, y, seed2=9, n_jobs=1)
-        b = apply_numeraire(paths, y, seed2=9, n_jobs=2)
-        assert np.array_equal(a.paths, b.paths)
+        for tag in NOISE_TAGS:
+            paths = simulate(constant_spec(3, 0.05, 0.2, tag), ENV, GRID, n_paths=3000, seed=8)
+            a = apply_numeraire(paths, y, seed2=9, n_jobs=1)
+            for n_jobs in (2, 3):
+                assert_same_bits(apply_numeraire(paths, y, seed2=9, n_jobs=n_jobs).paths, a.paths)
 
     def test_rho_vector_validated(self):
         with pytest.raises(ValueError, match="rho"):
@@ -576,10 +551,13 @@ class TestCrossTerm:
         assert abs(estimate - 0.04) < 3 * se + 1e-4
 
     def test_thread_count_does_not_change_joint_sample(self):
-        args = (GRID, 1100, 12, 0.05, 0.2, 0.03, 0.1, 0.4)
+        # 2 noise columns x 64 steps: three key blocks of 2048 paths, the last ragged
+        args = (GRID, 5000, 12, 0.05, 0.2, 0.03, 0.1, 0.4)
         y1, pi1 = sample_joint_numeraire(*args, n_jobs=1)
-        y2, pi2 = sample_joint_numeraire(*args, n_jobs=2)
-        assert np.array_equal(y1, y2) and np.array_equal(pi1, pi2)
+        for n_jobs in (2, 3):
+            y, pi = sample_joint_numeraire(*args, n_jobs=n_jobs)
+            assert_same_bits(y, y1)
+            assert_same_bits(pi, pi1)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
