@@ -53,6 +53,7 @@ from .riskfree import (
 )
 from .pricer import (
     EffectiveVol,
+    OptionSlice,
     OptionSurface,
     PdeProblem,
     bs_closed_form,
@@ -61,6 +62,7 @@ from .pricer import (
     merton_residual,
     solve_gauge_bs,
     solve_primed_gauge,
+    solve_today,
     vanilla_problem,
 )
 from .discounting import (

@@ -66,16 +66,41 @@ def cmd_simulate(args, config: io.RunConfig) -> dict:
         spec, env, grid, int(section["n_paths"]), seed, n_jobs=_thread_count()
     )
     n_paths, n_assets = terminal.shape
+    terminal_mean = terminal.mean(axis=0)
+    terminal_std = _column_std(terminal, terminal_mean)
     body = {
         "n_paths": n_paths,
         "n_assets": n_assets,
         "steps": grid.steps,
         "dt": grid.dt,
-        "terminal_mean": terminal.mean(axis=0),
-        "terminal_std": terminal.std(axis=0),
-        "log_return_mean": np.log(terminal).mean(axis=0),
+        "terminal_mean": terminal_mean,
+        "terminal_std": terminal_std,
+        # the terminal prices are not read again: take the log in place
+        "log_return_mean": np.log(terminal, out=terminal).mean(axis=0),
     }
     return {"seed": seed, "body": body}
+
+
+def _column_std(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x.std(axis=0)`` bit for bit, given ``mean = x.mean(axis=0)``.
+
+    numpy reduces axis 0 of a C-ordered array by adding its rows in order
+    into one accumulator row; this adds the squared deviations in the same
+    order, forming them a key block of cells at a time instead of all at once.
+    """
+    if x.shape[1] == 1:
+        # numpy sums a single column pairwise, not row by row; its deviations
+        # are no larger than the column itself
+        return x.std(axis=0)
+    rows = sim.block_paths(1, x.shape[1])
+    total = np.zeros(x.shape[1])
+    for start in range(0, len(x), rows):
+        dev = np.subtract(x[start:start + rows], mean)
+        np.square(dev, out=dev)
+        for row in dev:
+            total += row
+    total /= len(x)
+    return np.sqrt(total, out=total)
 
 
 def cmd_gauge(args, config: io.RunConfig) -> dict:
@@ -125,13 +150,14 @@ def cmd_price(args, config: io.RunConfig) -> dict:
         a_field=float(pde["a"]), b_scalar=float(pde["b"]),
         n_s=int(pde["n_s"]), n_t=int(pde["n_t"]),
     )
-    surface = pricer.solve_gauge_bs(problem)
+    today = pricer.solve_today(problem)
     strike = float(pde["strike"])
+    stride = max(1, today.s_grid.size // 32)
     body = {
-        "at_the_money_value": surface.value_at(strike, 0),
-        "at_the_money_delta": surface.delta_at(strike, 0),
-        "s_slice": surface.s_grid[:: max(1, surface.s_grid.size // 32)],
-        "value_slice": surface.values[0][:: max(1, surface.s_grid.size // 32)],
+        "at_the_money_value": today.value_at(strike),
+        "at_the_money_delta": today.delta_at(strike),
+        "s_slice": today.s_grid[::stride],
+        "value_slice": today.values[::stride],
     }
     return {"seed": None, "body": body}
 

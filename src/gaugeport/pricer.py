@@ -18,15 +18,18 @@ truncation error is negligible (Kangro & Nicolaides, SIAM J. Numer. Anal. 38,
 Every implicit half step solves the same tridiagonal system I - (dt/2) L,
 so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
 coefficients change between intervals) and each step is one ``dgttrs``
-solve.  The solve keeps one [time, price] surface, the values; deltas are
-differentiated from it on demand.  scipy is imported inside the functions
-that use it, so importing the package does not load it.
+solve.  One stepping loop yields the rows from expiry back to today and
+holds two price rows: :func:`solve_today` keeps only today's slice, and
+:func:`solve_gauge_bs` stores every row as a [time, price] surface for
+callers that need it.  Deltas are differentiated from the values on demand.
+scipy is imported inside the functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -121,6 +124,23 @@ def _differentiate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class OptionSlice:
+    """Option values on the price grid at one time, today for :func:`solve_today`."""
+
+    s_grid: np.ndarray
+    t_grid: TimeGrid
+    values: np.ndarray  # [n_s]
+
+    def value_at(self, s: float) -> float:
+        """Linear interpolation of the values at price s."""
+        return float(np.interp(s, self.s_grid, self.values))
+
+    def delta_at(self, s: float) -> float:
+        """Linear interpolation of dV/ds at price s."""
+        return float(np.interp(s, self.s_grid, _differentiate(self.values, self.s_grid)))
+
+
+@dataclass(frozen=True)
 class OptionSurface:
     """Option values on the [time, price] grid; deltas are derived on demand.
 
@@ -138,13 +158,16 @@ class OptionSurface:
         """dV/ds on the whole [steps+1, n_s] grid."""
         return _differentiate(self.values, self.s_grid)
 
+    def _slice(self, k: int) -> OptionSlice:
+        return OptionSlice(self.s_grid, self.t_grid, self.values[k])
+
     def value_at(self, s: float, k: int = 0) -> float:
         """Linear interpolation of the time-k slice at price s."""
-        return float(np.interp(s, self.s_grid, self.values[k]))
+        return self._slice(k).value_at(s)
 
     def delta_at(self, s: float, k: int = 0) -> float:
         """Linear interpolation of the time-k delta slice at price s."""
-        return float(np.interp(s, self.s_grid, _differentiate(self.values[k], self.s_grid)))
+        return self._slice(k).delta_at(s)
 
 
 @dataclass(frozen=True)
@@ -246,20 +269,24 @@ def _operator_bands(sigma: float, a: float, b: float, dx: float):
     return lower, diag, upper
 
 
-def _boundary_values(problem: PdeProblem, int_a_b: float, int_b: float):
+def _boundary_values(problem: PdeProblem, int_a_b: np.ndarray, int_b: np.ndarray):
     """Dirichlet data at s_min/s_max from the exact asymptotic solutions.
 
     For large s the equation is solved by s * exp(int B d tau); a constant
-    payoff piece grows as exp(int (A + B) d tau).
+    payoff piece grows as exp(int (A + B) d tau).  Takes and returns one
+    value per time step.
     """
     s_lo = problem.s_grid[0]
     s_hi = problem.s_grid[-1]
-    growth_s = np.exp(int_b)
-    growth_c = np.exp(int_a_b)
+    # np.exp on unit-stride data gives the bits of np.exp on each element
+    # alone; a strided view, even of one element, takes another kernel whose
+    # last bit can differ, so exponentiate copies
+    growth_s = np.exp(int_b.copy())
+    growth_c = np.exp(int_a_b.copy())
     if problem.payoff_kind == "call":
-        return 0.0, s_hi * growth_s - problem.strike * growth_c
+        return np.zeros_like(growth_s), s_hi * growth_s - problem.strike * growth_c
     if problem.payoff_kind == "put":
-        return problem.strike * growth_c - s_lo * growth_s, 0.0
+        return problem.strike * growth_c - s_lo * growth_s, np.zeros_like(growth_s)
     # linear: V proportional to s at both ends
     terminal = problem.payoff(problem.s_grid)
     return terminal[0] * growth_s, terminal[-1] * growth_s
@@ -281,56 +308,75 @@ def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n
     return factors
 
 
-def solve_gauge_bs(problem: PdeProblem) -> OptionSurface:
-    """Backward Crank-Nicolson solve of the gauge-field pricing equation.
+def _rows(problem: PdeProblem) -> Iterator[tuple[int, np.ndarray]]:
+    """Backward Crank-Nicolson steps: yield (k, V_k) for k = steps down to 0.
 
     The first ``RANNACHER_STEPS`` time steps run as pairs of implicit-Euler
     half steps; second-order accurate in space and time thereafter.  All
     implicit half steps share the matrix I - (dt/2) L, whose LU factors are
     reused until an interval's (sigma, A, B) differs from the previous one.
+    Two price rows are held: a yielded row is overwritten once the row after
+    next is requested.
     """
     from scipy.linalg.lapack import dgttrs
 
     s = problem.s_grid
     dx = _log_step(s)
-    grid = problem.t_grid
-    dt = grid.dt
+    dt = problem.t_grid.dt
     half_dt = 0.5 * dt
-    steps = grid.steps
+    steps = problem.t_grid.steps
     n = s.size
 
-    values = np.empty((steps + 1, n))
-    values[steps] = problem.payoff(s)
-
-    # Cumulative integrals of B and A+B over [t, T] for boundary data.
+    # Cumulative integrals of B and A+B over [t_k, T], then the boundary
+    # data of every step.
     int_b_rev = np.concatenate([[0.0], np.cumsum((problem.b_scalar * dt)[::-1])])[::-1]
     int_ab_rev = np.concatenate(
         [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
     )[::-1]
+    bc_lo, bc_hi = _boundary_values(problem, int_ab_rev[:-1], int_b_rev[:-1])
 
     # refactor at the last interval and wherever (sigma, A, B) changes
     sig, a_f, b_f = problem.sigma, problem.a_field, problem.b_scalar
     refactor = np.ones(steps, dtype=bool)
     refactor[:-1] = (sig[:-1] != sig[1:]) | (a_f[:-1] != a_f[1:]) | (b_f[:-1] != b_f[1:])
 
+    v = np.array(problem.payoff(s), dtype=float)
+    rhs = np.empty(n)
+    yield steps, v
     for k in range(steps - 1, -1, -1):
         if refactor[k]:
             lower, diag, upper = _operator_bands(sig[k], a_f[k], b_f[k], dx)
             factors = _factor_implicit(lower, diag, upper, half_dt, n)
-        bc = _boundary_values(problem, int_ab_rev[k], int_b_rev[k])
-        v = values[k + 1]
-        rhs = v.copy()
+        rhs[:] = v
         if steps - 1 - k < RANNACHER_STEPS:
             # Rannacher start-up: an implicit-Euler half step in place of
             # the explicit one
-            rhs[0], rhs[-1] = bc
+            rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
             rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
         else:
             rhs[1:-1] += half_dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
-        rhs[0], rhs[-1] = bc
-        values[k] = dgttrs(*factors, rhs, overwrite_b=1)[0]
+        rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
+        v, rhs = dgttrs(*factors, rhs, overwrite_b=1)[0], v
+        yield k, v
 
-    return OptionSurface(s_grid=s, t_grid=grid, values=values)
+
+def solve_gauge_bs(problem: PdeProblem) -> OptionSurface:
+    """Backward Crank-Nicolson solve of the gauge-field pricing equation.
+
+    Stores every row of the [steps+1, n_s] surface; see :func:`_rows` for the
+    scheme and :func:`solve_today` for today's slice alone.
+    """
+    values = np.empty((problem.t_grid.steps + 1, problem.s_grid.size))
+    for k, row in _rows(problem):
+        values[k] = row
+    return OptionSurface(s_grid=problem.s_grid, t_grid=problem.t_grid, values=values)
+
+
+def solve_today(problem: PdeProblem) -> OptionSlice:
+    """Today's (t = t0) slice of :func:`solve_gauge_bs`, bit for bit, in O(n_s) memory."""
+    for _, row in _rows(problem):
+        pass
+    return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=row)
 
 
 def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSurface:

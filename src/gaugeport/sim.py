@@ -433,7 +433,9 @@ def apply_numeraire(paths: PathSet, y: NumeraireSpec, seed2: int, n_jobs: int = 
     With phi_sigma > 0 the numeraire noise is mixed from the asset noises
     (regenerated from the PathSet's seed) and an independent residual keyed
     by ``seed2``: dZ_phi = sum_i rho_i dZ_i + sqrt(1 - sum rho^2) dZ_res.
-    With phi_sigma = 0, Y = exp(int phi_mu dt) is the price-gauge rescaling.
+    ``seed2`` must then differ from the PathSet's seed, or the residual would
+    be the asset noise itself.  With phi_sigma = 0, Y = exp(int phi_mu dt) is
+    the price-gauge rescaling.
     """
     grid = paths.grid
     dt = grid.dt
@@ -448,6 +450,10 @@ def apply_numeraire(paths: PathSet, y: NumeraireSpec, seed2: int, n_jobs: int = 
         scaled = paths.paths * np.exp(log_y)[None, :, None]
         return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)
 
+    if seed2 == paths.seed:
+        raise ValueError(
+            f"seed2 ({seed2}) equals the paths' seed: the residual noise would be the asset noise"
+        )
     resid_scale = np.sqrt(max(0.0, 1.0 - float(rho @ rho)))
     drift = (phi_mu - 0.5 * y.phi_sigma**2) * dt
     scale = y.phi_sigma * np.sqrt(dt)

@@ -31,6 +31,7 @@ from gaugeport.io import (
     read_report,
     write_report,
 )
+from test_sim import assert_same_bits
 
 
 def write_csv(tmp_path, text, name="panel.csv"):
@@ -424,6 +425,32 @@ class TestCli:
         assert max(peaks) <= 32e6
         assert peaks[1] < 1.1 * peaks[0]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_report_adds_no_terminal_sized_arrays(self, threads, tmp_path, monkeypatch):
+        # 4096 paths x 8 steps x 512 assets: the terminal prices are 16.8 MB
+        # and a key block of noise 2 MiB; the report's std and log form no
+        # terminal-sized temporaries
+        monkeypatch.setenv("GAUGEPORT_THREADS", threads)
+        config = tmp_path / "run.yaml"
+        config.write_text("simulate: {n_paths: 4096, n_assets: 512, dt: 0.125, horizon: 1.0}\n")
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "s.yaml")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096 * 512 * 8 + 4 * sim.BLOCK_CELLS * 8
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 7), (5000, 1), (3, 2), (1000, 3), (700, 513), (4096, 64), (9, 1000)]
+    )
+    def test_simulate_std_is_numpy_std(self, shape):
+        # summed a key block of cells at a time, in numpy's row order
+        x = np.exp(0.3 * np.random.default_rng(7).standard_normal(shape))
+        assert_same_bits(cli._column_std(x, x.mean(axis=0)), x.std(axis=0))
+
     def test_simulate_zero_prices_are_a_one_line_compute_error(self, tmp_path, capsys):
         # at sigma = 1000 the drift -sigma^2/2 dt underflows every gross ratio to 0
         config = tmp_path / "run.yaml"
@@ -453,6 +480,41 @@ class TestCli:
         out = tmp_path / "p.yaml"
         assert main(["price", "--config", str(config), "--out", str(out)]) == EXIT_OK
         assert read_report(out)["report"]["at_the_money_value"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "pde", ["{}", "{payoff: put, sigma: 0.1, a: -0.05, b: 0.02}", "{sigma: 0, n_t: 2}"]
+    )
+    def test_price_report_is_row_zero_of_the_surface(self, pde, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(f"pde: {pde}\n")
+        out = tmp_path / "p.yaml"
+        assert main(["price", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        p = load_config(str(config)).section("pde")
+        surface = gaugeport.solve_gauge_bs(gaugeport.vanilla_problem(
+            p["payoff"], p["strike"], p["sigma"], p["tau"], a_field=p["a"], b_scalar=p["b"],
+            n_s=p["n_s"], n_t=p["n_t"],
+        ))
+        stride = surface.s_grid.size // 32
+        report = read_report(out)["report"]
+        assert report["at_the_money_value"] == surface.value_at(p["strike"], 0)
+        assert report["at_the_money_delta"] == surface.delta_at(p["strike"], 0)
+        assert report["s_slice"] == surface.s_grid[::stride].tolist()
+        assert report["value_slice"] == surface.values[0][::stride].tolist()
+
+    def test_price_command_holds_rows_not_the_surface(self, tmp_path):
+        # at 1600 x 1600 the surface alone would be 20.5 MB
+        config = tmp_path / "run.yaml"
+        config.write_text("pde: {n_s: 1600, n_t: 1600}\n")
+        argv = ["price", "--config", str(config), "--out", str(tmp_path / "p.yaml")]
+        assert main(argv) == EXIT_OK  # imports scipy outside the traced run
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_wide_price_report_is_unchanged(self, tmp_path):
         # 8 sigma sqrt(tau) >= ln 8 keeps the [K/8, 8K] grid: the digest is of

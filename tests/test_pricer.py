@@ -15,6 +15,7 @@ from gaugeport import (
     simulate,
     solve_gauge_bs,
     solve_primed_gauge,
+    solve_today,
     vanilla_problem,
 )
 from gaugeport.pricer import DegenerateProblem, PdeProblem, log_price_grid
@@ -241,6 +242,89 @@ class TestDeltasOnDemand:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * surface.values.nbytes
+
+
+def per_interval_problem(kind, steps=120):
+    """The piecewise-constant (sigma, A, B) problems of TestFactorOnceSolver."""
+    rng = np.random.default_rng(21)
+
+    def pieces(lo, hi, count):
+        # as TestFactorOnceSolver's series at 120 steps; shorter grids keep the start
+        return np.repeat(rng.uniform(lo, hi, count), -(-steps // count))[:steps]
+
+    sigma = pieces(0.1, 0.4, 6)
+    a_field = pieces(-0.1, 0.1, 4)
+    b_scalar = pieces(-0.02, 0.02, 3)
+    payoffs = {
+        "call": lambda sg: np.maximum(sg - STRIKE, 0.0),
+        "put": lambda sg: np.maximum(STRIKE - sg, 0.0),
+        "linear": lambda sg: 2.0 * sg,
+    }
+    return PdeProblem(
+        s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(0.0, TAU / steps, steps),
+        sigma=sigma, a_field=a_field, b_scalar=b_scalar, payoff=payoffs[kind],
+        payoff_kind=kind, strike=None if kind == "linear" else STRIKE,
+    )
+
+
+#: The benchmark's price ladder: (kind, strike, sigma, A, n_s = n_t).
+LADDER = [
+    (kind, strike, sigma, a, 400)
+    for kind in ("call", "put")
+    for strike in (80.0, 100.0, 125.0)
+    for sigma in (0.1, 0.2, 0.4)
+    for a in (0.0, -0.05)
+] + [("call", 100.0, 0.1, 0.0, 1600), ("put", 100.0, 0.2, -0.05, 1600)]
+
+
+class TestRollingSolve:
+    """solve_today is row 0 of solve_gauge_bs, bit for bit, in O(n_s) memory."""
+
+    @staticmethod
+    def assert_row_zero(problem):
+        surface = solve_gauge_bs(problem)
+        today = solve_today(problem)
+        assert today.s_grid is problem.s_grid and today.t_grid is problem.t_grid
+        assert today.values.shape == problem.s_grid.shape
+        assert today.values.tobytes() == surface.values[0].tobytes()
+        s_grid = problem.s_grid
+        strike = problem.strike if problem.strike is not None else STRIKE
+        for s in (strike, 0.97 * strike, 1.13 * strike, s_grid[0], s_grid[-1], 0.5 * s_grid[0]):
+            assert today.value_at(s) == surface.value_at(s, 0)
+            assert today.delta_at(s) == surface.delta_at(s, 0)
+
+    @pytest.mark.parametrize("kind", ["call", "put", "linear"])
+    def test_per_interval_series(self, kind):
+        self.assert_row_zero(per_interval_problem(kind))
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("a", [0.0, -0.05])
+    def test_zero_sigma(self, kind, a):
+        self.assert_row_zero(vanilla_problem(kind, STRIKE, 0.0, TAU, a_field=a, b_scalar=0.02))
+
+    @pytest.mark.parametrize("kind", ["call", "put", "linear"])
+    @pytest.mark.parametrize("n_t", [1, 2])
+    def test_rannacher_steps_only(self, kind, n_t):
+        self.assert_row_zero(per_interval_problem(kind, steps=n_t))
+
+    @pytest.mark.parametrize("kind, strike, sigma, a, n", LADDER)
+    def test_benchmark_ladder(self, kind, strike, sigma, a, n):
+        self.assert_row_zero(vanilla_problem(kind, strike, sigma, TAU, a_field=a, n_s=n, n_t=n))
+
+    @pytest.mark.parametrize("n_t", [1600, 3200])
+    def test_holds_a_few_rows(self, n_t):
+        # the 1600 x 1600 surface alone is 1601 rows; the rolling solve holds
+        # two price rows plus per-step boundary data and LU factors
+        problem = vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=1600, n_t=n_t)
+        solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=10, n_t=2))  # imports scipy
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            today = solve_today(problem)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * today.values.nbytes
 
 
 class TestLinearPayoffs:

@@ -479,6 +479,15 @@ class TestNumeraire:
             with pytest.raises(ValueError, match="one correlation per asset"):
                 apply_numeraire(paths, y, seed2=0)
 
+    def test_seed2_must_not_be_the_paths_seed(self):
+        # with seed2 == seed the residual would be the asset noise itself and
+        # rho silently ignored; the deterministic rescaling draws no residual
+        paths = simulate(constant_spec(1, 0.05, 0.2), ENV, GRID, n_paths=16, seed=21)
+        y = NumeraireSpec(phi_mu=0.0, phi_sigma=0.2, rho=np.array([0.0]))
+        with pytest.raises(ValueError, match="seed2"):
+            apply_numeraire(paths, y, seed2=21)
+        apply_numeraire(paths, NumeraireSpec(phi_mu=0.01), seed2=21)
+
     def test_inverse_asset_numeraire_freezes_the_asset(self):
         # Y = 1/s up to drift: phi_sigma = sigma, rho = -1, phi_mu = -mu + sigma^2
         # makes the rescaled asset constant along every path.
