@@ -42,9 +42,7 @@ from .riskfree import (
     SensitivityProblem,
     WeightVector,
     balance_residuals,
-    convergence_study,
     delta_hedge,
-    etemadi_check,
     extract_market_gauge,
     insensitivity_residual,
     riskfree_studies,

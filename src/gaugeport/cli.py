@@ -127,9 +127,8 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     w_b = rng.uniform(0.5, 1.5, n_max)
     w_b /= w_b.sum()
-    study, etemadi = riskfree.riskfree_studies(
-        _process(section, n_max), env, grid,
-        riskfree.WeightVector.equal(n_max), riskfree.WeightVector(w_b),
+    study = riskfree.riskfree_studies(
+        _process(section, n_max), env, grid, riskfree.WeightVector(w_b),
         sizes, int(rf["n_paths"]), seed, n_jobs=_thread_count(),
     )
     body = {
@@ -137,8 +136,8 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
         "sigma_hats": study.sigma_hats,
         "slope": study.slope,
         "analytic_slope": study.analytic_slope,
-        "etemadi_sizes": list(etemadi.sizes),
-        "etemadi_divergences": etemadi.divergences,
+        "etemadi_sizes": list(study.sizes),
+        "etemadi_divergences": study.divergences,
     }
     return {"seed": seed, "body": body}
 

@@ -324,6 +324,8 @@ def _validate(config: RunConfig) -> None:
     _require(
         0 < sens["n_factors"] < sens["n_assets"], "sensitivity needs 0 < n_factors < n_assets"
     )
+    # cap_c / n_assets caps each weight, so n_assets weights reach 1 only when cap_c >= 1
+    _require(sens["cap_c"] >= 1, f"sensitivity.cap_c must be >= 1, got {sens['cap_c']!r}")
     for name, seed in (("simulate", sim["seed"]), ("sensitivity", sens["seed"])):
         _require(0 <= seed < SEED_LIMIT, f"{name}.seed must be in [0, 2^63), got {seed}")
 

@@ -21,7 +21,9 @@ coefficients change between intervals) and each step is one ``dgttrs``
 solve.  One stepping loop yields the rows from expiry back to today and
 holds two price rows: :func:`solve_today` keeps only today's slice, and
 :func:`solve_gauge_bs` stores every row as a [time, price] surface for
-callers that need it.  Deltas are differentiated from the values on demand.
+callers that need it.  The steps run with floating-point warnings off, and
+a solve whose values overflow to inf or NaN raises :class:`DegenerateProblem`.
+Deltas are differentiated from the values on demand.
 scipy is imported inside the functions that use it, so importing the
 package does not load it.
 """
@@ -238,7 +240,8 @@ def vanilla_problem(
     grid = TimeGrid(t0=0.0, dt=tau / n_t, steps=n_t)
     sigma_max = np.max(_per_interval(sigma, n_t, "sigma"))
     int_abs_a = np.sum(np.abs(_per_interval(a_field, n_t, "a_field"))) * grid.dt
-    span = min(8.0, np.exp(max(8.0 * sigma_max * np.sqrt(tau) + int_abs_a, 0.2)))
+    # e^3 > 8, so capping the exponent at 3 keeps exp finite and the span unchanged
+    span = min(8.0, np.exp(min(max(8.0 * sigma_max * np.sqrt(tau) + int_abs_a, 0.2), 3.0)))
     s = log_price_grid(strike, n_s, span)
     if kind == "call":
         payoff = lambda sg: np.maximum(sg - strike, 0.0)
@@ -367,16 +370,28 @@ def solve_gauge_bs(problem: PdeProblem) -> OptionSurface:
     scheme and :func:`solve_today` for today's slice alone.
     """
     values = np.empty((problem.t_grid.steps + 1, problem.s_grid.size))
-    for k, row in _rows(problem):
-        values[k] = row
+    with np.errstate(all="ignore"):
+        for k, row in _rows(problem):
+            values[k] = row
+    _require_finite(values)
     return OptionSurface(s_grid=problem.s_grid, t_grid=problem.t_grid, values=values)
 
 
 def solve_today(problem: PdeProblem) -> OptionSlice:
     """Today's (t = t0) slice of :func:`solve_gauge_bs`, bit for bit, in O(n_s) memory."""
-    for _, row in _rows(problem):
-        pass
+    with np.errstate(all="ignore"):
+        for _, row in _rows(problem):
+            pass
+    _require_finite(row)
     return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=row)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    # the steps run with floating-point warnings off, and an overflow leaves
+    # inf or NaN in the result; two reductions, no result-sized temporary,
+    # and a NaN makes both NaN
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise DegenerateProblem("non-finite option values: the coefficients overflow the solve")
 
 
 def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSurface:

@@ -9,9 +9,10 @@ insensitive to forecasting errors in the environment factors: accelerated
 projected gradient over the capped simplex, with an exact sort-based
 projection and a Frank-Wolfe duality gap certifying the result.
 
-The volatility-scaling and common-limit studies reduce nested prefixes of
-one draw of the largest universe, so their per-size estimates are correlated,
-not independent points; :func:`riskfree_studies` runs both in one pass.
+:func:`riskfree_studies` runs the volatility-scaling and common-limit
+studies in one pass over one draw of the largest universe: every size is a
+nested prefix of it, so the per-size estimates are correlated, not
+independent points, and the equal-weight portfolio serves both studies.
 """
 
 from __future__ import annotations
@@ -243,45 +244,31 @@ def to_riskfree_units(panel: PricePanel, riskfree_values: np.ndarray) -> PricePa
 
 
 # ---------------------------------------------------------------------------
-# Convergence studies
+# Risk-free studies
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScalingReport:
+class RiskfreeStudy:
+    """Volatility scaling of the equal-weight portfolio and its common limit."""
+
     sizes: tuple[int, ...]
-    sigma_hats: np.ndarray
-    slope: float
-    intercept: float
+    sigma_hats: np.ndarray  # annualized std of per-step log-returns per size
+    slope: float  # fitted d log sigma_hat / d log N
     analytic_sigma_hats: np.ndarray
     analytic_slope: float
+    divergences: np.ndarray  # |mean cumulative log-return, equal - weights| per size
 
 
-@dataclass(frozen=True)
-class EtemadiReport:
-    sizes: tuple[int, ...]
-    divergences: np.ndarray  # |mean cumulative return difference| per size
-    terminal_divergence: float
-
-
-def _check_sizes(sizes: Sequence[int], n_assets: int, n_paths: int, at_least: int = 1) -> tuple:
-    """Universe sizes as a tuple of strictly increasing integers in [1, n_assets]."""
+def _check_sizes(sizes: Sequence[int], n_assets: int, n_paths: int) -> tuple:
+    """Universe sizes as a tuple of at least 4 strictly increasing integers in [1, n_assets]."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     sizes = tuple(operator.index(n) for n in sizes)
-    if len(sizes) < at_least or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"need at least {at_least} strictly increasing positive universe sizes")
+    if len(sizes) < 4 or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("need at least 4 strictly increasing positive universe sizes")
     if sizes[-1] > n_assets:
         raise ValueError(f"largest universe size {sizes[-1]} exceeds the {n_assets} assets")
     return sizes
-
-
-def _positive_weights(spec: ProcessSpec, *weights: WeightVector) -> list[np.ndarray]:
-    for wv in weights:
-        if np.any(wv.w <= 0):
-            raise ValueError("weights must be strictly positive (no shorts, no leverage)")
-        if wv.n != spec.n_assets:
-            raise ValueError("weight length does not match the asset universe")
-    return [wv.w for wv in weights]
 
 
 def _prefix_log_return_sums(
@@ -324,104 +311,53 @@ def _prefix_log_return_sums(
     return total, total_sq
 
 
-def _scaling_report(
-    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, sizes: tuple, n_paths: int,
-    total: np.ndarray, total_sq: np.ndarray,
-) -> ScalingReport:
-    """The convergence study of row 0 of the prefix sums."""
+def riskfree_studies(
+    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, weights: WeightVector,
+    sizes: Sequence[int], n_paths: int, seed: int, n_jobs: int = 1,
+) -> RiskfreeStudy:
+    """Volatility scaling and common limit of nested prefix universes, from one draw.
+
+    sigma_hat is the pooled std of the equal-weight portfolio's per-step
+    log-returns, annualized, and ``slope`` fits log sigma_hat against log N.
+    The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the
+    volatilities evaluated at the initial environment.  ``divergences`` are
+    the gaps between the mean cumulative log-returns of the equal-weight
+    portfolio and of ``weights``, renormalized within each prefix: all
+    positive-weight diversified averages share one limit, so they must decay
+    with N.  The universes are nested prefixes of one draw of the first
+    max(sizes) assets on ``seed``, so the per-size estimates are correlated,
+    not independent points.  The results do not depend on ``n_jobs``.
+    """
+    sizes = _check_sizes(sizes, spec.n_assets, n_paths)
+    if np.any(weights.w <= 0):
+        raise ValueError("weights must be strictly positive (no shorts, no leverage)")
+    if weights.n != spec.n_assets:
+        raise ValueError("weight length does not match the asset universe")
+    equal = np.full(sizes[-1], 1.0 / sizes[-1])
+    total, total_sq = _prefix_log_return_sums(
+        spec, env, grid, [equal, weights.w], sizes, n_paths, seed, n_jobs
+    )
     count = n_paths * grid.steps
     sigma = spec.vol_matrix(env)[0]
-    analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
     # inf, 0 and NaN sums are left out of the fit, and too few points raise
     with np.errstate(all="ignore"):
+        analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
         mean = total[0] / count
         sigma_hats = np.sqrt(np.maximum(total_sq[0] / count - mean**2, 0.0)) / np.sqrt(grid.dt)
         finite = np.isfinite(np.log(sigma_hats))
     if finite.sum() < 3:
         raise ValueError("degenerate fit: fewer than 3 finite points")
-    slope, intercept = np.polyfit(np.log(np.array(sizes)[finite]), np.log(sigma_hats[finite]), 1)
+    slope, _ = np.polyfit(np.log(np.array(sizes)[finite]), np.log(sigma_hats[finite]), 1)
     analytic_slope, _ = np.polyfit(np.log(sizes), np.log(analytic), 1)
-    return ScalingReport(
+    cum_equal, cum_weights = total / n_paths
+    return RiskfreeStudy(
         sizes=sizes,
         sigma_hats=sigma_hats,
         slope=float(slope),
-        intercept=float(intercept),
         analytic_sigma_hats=analytic,
         analytic_slope=float(analytic_slope),
+        divergences=np.abs(cum_equal - cum_weights),
     )
-
-
-def _etemadi_report(sizes: tuple, n_paths: int, total: np.ndarray) -> EtemadiReport:
-    """The common-limit check of the last two rows of the prefix sums."""
-    cum_a, cum_b = total[-2:] / n_paths
-    div = np.abs(cum_a - cum_b)
-    return EtemadiReport(sizes=sizes, divergences=div, terminal_divergence=float(div[-1]))
-
-
-def convergence_study(
-    spec: ProcessSpec,
-    env: EnvironmentSeries,
-    grid: TimeGrid,
-    sizes: Sequence[int],
-    n_paths: int,
-    seed: int,
-    n_jobs: int = 1,
-) -> ScalingReport:
-    """Fit log sigma_hat vs log N for equal-weight prefix universes.
-
-    sigma_hat is the pooled std of per-step portfolio log-returns, annualized.
-    The universes are nested prefixes of one draw of the first max(sizes)
-    assets on ``seed``, so the sigma_hats are correlated, not independent
-    points.  The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2
-    with the volatilities evaluated at the initial environment.  The results
-    do not depend on ``n_jobs``.
-    """
-    sizes = _check_sizes(sizes, spec.n_assets, n_paths, at_least=4)
-    equal = np.full(sizes[-1], 1.0 / sizes[-1])
-    sums = _prefix_log_return_sums(spec, env, grid, [equal], sizes, n_paths, seed, n_jobs)
-    return _scaling_report(spec, env, grid, sizes, n_paths, *sums)
-
-
-def etemadi_check(
-    spec: ProcessSpec,
-    env: EnvironmentSeries,
-    grid: TimeGrid,
-    weight_a: WeightVector,
-    weight_b: WeightVector,
-    n_paths: int,
-    seed: int,
-    sizes: Sequence[int],
-    n_jobs: int = 1,
-) -> EtemadiReport:
-    """Divergence of cumulative returns under two positive weightings.
-
-    Sub-universes are nested prefixes of one draw of the first max(sizes)
-    assets on ``seed``; within each prefix the full-universe weights are
-    renormalized.  All positive-weight diversified averages share one limit,
-    so the divergence must decay with N.  The results do not depend on
-    ``n_jobs``.
-    """
-    rows = _positive_weights(spec, weight_a, weight_b)
-    sizes = _check_sizes(sizes, spec.n_assets, n_paths)
-    total, _ = _prefix_log_return_sums(spec, env, grid, rows, sizes, n_paths, seed, n_jobs)
-    return _etemadi_report(sizes, n_paths, total)
-
-
-def riskfree_studies(
-    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, weight_a: WeightVector,
-    weight_b: WeightVector, sizes: Sequence[int], n_paths: int, seed: int,
-    n_jobs: int = 1,
-) -> tuple[ScalingReport, EtemadiReport]:
-    """:func:`convergence_study` and :func:`etemadi_check` from one pass over one draw.
-
-    The reports are bit for bit those of the two separate calls.
-    """
-    sizes = _check_sizes(sizes, spec.n_assets, n_paths, at_least=4)
-    equal = np.full(sizes[-1], 1.0 / sizes[-1])
-    rows = [equal, *_positive_weights(spec, weight_a, weight_b)]
-    total, total_sq = _prefix_log_return_sums(spec, env, grid, rows, sizes, n_paths, seed, n_jobs)
-    scaling = _scaling_report(spec, env, grid, sizes, n_paths, total, total_sq)
-    return scaling, _etemadi_report(sizes, n_paths, total)
 
 
 # ---------------------------------------------------------------------------

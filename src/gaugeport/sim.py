@@ -167,7 +167,11 @@ class ProcessSpec:
             raise ValueError(f"unknown noise tag {self.noise!r}; expected one of {NOISE_TAGS}")
 
     def _evaluate(self, fn: Callable, xi: np.ndarray) -> np.ndarray:
-        values = np.asarray(fn(xi), dtype=float)
+        # warnings off here and in StepKernel, as in the Monte Carlo tasks:
+        # the callers check the paths and sums these values lead to for inf,
+        # 0 and NaN
+        with np.errstate(all="ignore"):
+            values = np.asarray(fn(xi), dtype=float)
         shape = (xi.shape[0], self.n_assets)
         try:
             return np.broadcast_to(values, shape)
@@ -206,8 +210,9 @@ class StepKernel:
     """
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, dt: float, noise: str):
-        self.drift = (mu - 0.5 * sigma**2) * dt
-        self.scale = sigma * np.sqrt(dt)
+        with np.errstate(all="ignore"):
+            self.drift = (mu - 0.5 * sigma**2) * dt
+            self.scale = sigma * np.sqrt(dt)
         self.noise = noise
 
     @classmethod

@@ -30,12 +30,7 @@ from gaugeport import (
     to_riskfree_units,
     vanilla_problem,
 )
-from gaugeport.riskfree import (
-    SensitivityProblem,
-    convergence_study,
-    etemadi_check,
-    simplex_grid_oracle,
-)
+from gaugeport.riskfree import SensitivityProblem, riskfree_studies, simplex_grid_oracle
 from gaugeport.sim import EnvironmentSeries, sample_joint_numeraire
 
 
@@ -100,7 +95,9 @@ class TestAcceptance:
         env = EnvironmentSeries.constant(grid)
         mus = np.random.default_rng(2024).uniform(0.0, 0.1, 4096)
         spec = constant_spec(4096, mus, 0.25)
-        result = convergence_study(spec, env, grid, [16, 64, 256, 1024, 4096], 10_000, seed=101)
+        result = riskfree_studies(
+            spec, env, grid, WeightVector.equal(4096), [16, 64, 256, 1024, 4096], 10_000, seed=101
+        )
         slope_ok = -0.55 <= result.slope <= -0.45
         analytic_ok = abs(result.analytic_slope + 0.5) <= 1e-12
         report(
@@ -118,11 +115,10 @@ class TestAcceptance:
         mus = rng.uniform(0.0, 0.1, n)
         spec = constant_spec(n, mus, sigmas)
         wb = np.random.Generator(np.random.Philox(key=[77, 0])).uniform(0.5, 1.5, n)
-        result = etemadi_check(
-            spec, env, grid, WeightVector.equal(n), WeightVector(wb / wb.sum()),
-            2000, seed=202, sizes=[64, 256, 1024, 4096],
+        result = riskfree_studies(
+            spec, env, grid, WeightVector(wb / wb.sum()), [64, 256, 1024, 4096], 2000, seed=202
         )
-        ratio = result.terminal_divergence / result.divergences[0]
+        ratio = result.divergences[-1] / result.divergences[0]
         report(
             "C4 two positive weightings converge to one limit: divergence at N=4096 is "
             f"{100 * ratio:.1f}% of N=64 (< 20%)",

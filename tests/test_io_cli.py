@@ -528,6 +528,18 @@ class TestCli:
             "7a53a2cad8f902373964b4ae1b1d8adc78adf6baa0c7bc8ced18485a8d760625"
         )
 
+    def test_riskfree_report_is_unchanged(self, tmp_path):
+        # the digest is of the report body written when the Etemadi check
+        # still reduced its own equal-weight row beside the scaling study's
+        config = tmp_path / "run.yaml"
+        config.write_text("riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n")
+        out = tmp_path / "r.yaml"
+        assert main(["riskfree", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == (
+            "a0184b14bec95b8dc53393977b2a44a87b43595999ed0214929ecfa6a6691918"
+        )
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -617,6 +629,14 @@ class TestCli:
         report = read_report(out)["report"]
         assert (report["iterations"], report["stop_reason"]) == (2000, "max_iter")
 
+    def test_sensitivity_at_cap_c_one_holds_equal_weights(self, tmp_path):
+        # cap_c = 1 caps every weight at 1/N: the equal weights are the only feasible point
+        config = tmp_path / "run.yaml"
+        config.write_text("sensitivity: {n_assets: 16, cap_c: 1.0}\n")
+        out = tmp_path / "s.yaml"
+        assert main(["sensitivity", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        np.testing.assert_allclose(read_report(out)["report"]["weights"], 1.0 / 16, rtol=1e-12)
+
     def test_riskfree_command(self, tmp_path):
         config = tmp_path / "run.yaml"
         config.write_text(
@@ -645,26 +665,36 @@ class TestCli:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
         "command, message",
-        [("simulate", "paths must be finite"), ("riskfree", "degenerate fit")],
+        [
+            ("simulate", "paths must be finite"),
+            ("riskfree", "degenerate fit"),
+            ("price", "non-finite option values"),
+        ],
     )
     def test_overflow_is_a_one_line_error(self, command, message, threads, tmp_path):
-        # exp overflows in the Monte Carlo tasks; no numpy warning may reach
-        # stderr ahead of the error, whichever thread formed the ratios
-        config = tmp_path / "run.yaml"
-        config.write_text(
-            "simulate: {process_params: {mu: 100000.0}}\n"
-            "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
-        )
+        # exp overflows in the Monte Carlo tasks, an affine drift overflows in
+        # the process function before them, and large B or A overflow the PDE
+        # steps; no numpy warning may reach stderr ahead of the error,
+        # whichever thread formed the values
+        riskfree = "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
+        texts = {"price": ["pde: {b: 1.0e+10}\n", "pde: {a: 1.0e+300}\n"]}.get(command, [
+            "simulate: {process_params: {mu: 100000.0}}\n" + riskfree,
+            "simulate: {xi: 1.0e+308, process: affine, process_params: {mu1: 10.0}}\n" + riskfree,
+        ])
         src = str(Path(gaugeport.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env.update(GAUGEPORT_THREADS=threads, PYTHONPATH=src)
-        argv = [command, "--config", str(config), "--out", str(tmp_path / "r.yaml")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "gaugeport.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == EXIT_COMPUTE
-        assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
+        config = tmp_path / "run.yaml"
+        for text in texts:
+            config.write_text(text)
+            argv = [command, "--config", str(config), "--out", str(tmp_path / "r.yaml")]
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaugeport.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == EXIT_COMPUTE, text
+            assert proc.stderr.count("\n") == 1 and message in proc.stderr, (text, proc.stderr)
+            assert not (tmp_path / "r.yaml").exists()
 
     def test_riskfree_report_does_not_depend_on_threads(self, tmp_path, monkeypatch):
         config = tmp_path / "run.yaml"
@@ -743,6 +773,7 @@ class TestCli:
             ("simulate", "simulate: {seed: -1}\n", "simulate.seed must be in [0, 2^63), got -1"),
             ("riskfree", f"simulate: {{seed: {2**64 - 1}}}\n", "simulate.seed must be in [0, 2^63)"),
             ("sensitivity", "sensitivity: {seed: -2}\n", "sensitivity.seed must be in [0, 2^63)"),
+            ("sensitivity", "sensitivity: {cap_c: 0.5}\n", "sensitivity.cap_c must be >= 1, got 0.5"),
             (
                 "simulate", "simulate: {process: affine, process_params: {mu0: [1, 2]}}\n",
                 "simulate.process_params.mu0 must be a finite number, got [1, 2]",
@@ -771,7 +802,8 @@ class TestCli:
         ],
         ids=[
             "yaml-syntax", "section-type", "int-type", "unknown-key", "float-for-int", "odd-n_s",
-            "horizon-steps", "negative-seed", "seed-2^64-1", "sensitivity-seed", "param-list",
+            "horizon-steps", "negative-seed", "seed-2^64-1", "sensitivity-seed", "cap_c-below-one",
+            "param-list",
             "param-string", "param-typo", "param-length", "param-length-riskfree",
             "sector-lengths",
         ],

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ class TestPdeSolver:
         # 8 sigma sqrt(tau) >= ln 8: exactly the [K/8, 8K] grid
         wide = vanilla_problem("call", STRIKE, 0.4, TAU).s_grid
         assert np.array_equal(wide, log_price_grid(STRIKE, 400, 8.0))
+
+    @pytest.mark.parametrize("fields", [{"b_scalar": 1e10}, {"a_field": 1e300}])
+    @pytest.mark.parametrize("solve", [solve_today, solve_gauge_bs])
+    def test_overflow_is_degenerate_without_warnings(self, solve, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = vanilla_problem("call", STRIKE, SIGMA, TAU, **fields)
+            with pytest.raises(DegenerateProblem, match="non-finite option values"):
+                solve(problem)
 
     def test_put_call_parity_with_fields(self):
         a, b = -0.03, 0.05

@@ -23,8 +23,6 @@ from gaugeport import (
 )
 from gaugeport.riskfree import (
     _prefix_log_return_sums,
-    convergence_study,
-    etemadi_check,
     is_price_insensitive,
     project_capped_simplex,
     projected_gradient,
@@ -175,7 +173,9 @@ class TestConvergenceStudy:
     def test_equal_vol_slope_is_minus_half(self):
         spec = constant_spec(64, 0.05, 0.25)
         env = EnvironmentSeries.constant(self.GRID8)
-        report = convergence_study(spec, env, self.GRID8, [8, 16, 32, 64], 2000, seed=10)
+        report = riskfree_studies(
+            spec, env, self.GRID8, WeightVector.equal(64), [8, 16, 32, 64], 2000, seed=10
+        )
         # sigma_hat = sigma / sqrt(N) exactly, so the analytic fit is exact
         assert report.analytic_slope == pytest.approx(-0.5, abs=1e-12)
         np.testing.assert_allclose(
@@ -188,8 +188,9 @@ class TestConvergenceStudy:
     def test_thread_count_does_not_change_report(self):
         spec = constant_spec(32, np.linspace(0.0, 0.1, 32), 0.25)
         env = EnvironmentSeries.constant(self.GRID8)
+        w = WeightVector.equal(32)
         runs = [
-            convergence_study(spec, env, self.GRID8, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
+            riskfree_studies(spec, env, self.GRID8, w, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
             for jobs in (1, 2)
         ]
         for report in runs[1:]:
@@ -199,10 +200,13 @@ class TestConvergenceStudy:
     def test_size_validation(self):
         spec = constant_spec(16, 0.05, 0.25)
         env = EnvironmentSeries.constant(self.GRID8)
+        w = WeightVector.equal(16)
         with pytest.raises(ValueError, match="increasing"):
-            convergence_study(spec, env, self.GRID8, [8, 8, 12, 16], 100, seed=0)
+            riskfree_studies(spec, env, self.GRID8, w, [8, 8, 12, 16], 100, seed=0)
+        with pytest.raises(ValueError, match="at least 4"):
+            riskfree_studies(spec, env, self.GRID8, w, [4, 8, 16], 100, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            convergence_study(spec, env, self.GRID8, [4, 8, 16, 32], 100, seed=0)
+            riskfree_studies(spec, env, self.GRID8, w, [4, 8, 16, 32], 100, seed=0)
 
 
 class TestEtemadi:
@@ -212,7 +216,7 @@ class TestEtemadi:
         spec = constant_spec(16, 0.05, 0.2)
         env = EnvironmentSeries.constant(self.GRID8)
         w = WeightVector.equal(16)
-        report = etemadi_check(spec, env, self.GRID8, w, w, 500, seed=1, sizes=[4, 8, 16])
+        report = riskfree_studies(spec, env, self.GRID8, w, [2, 4, 8, 16], 500, seed=1)
         np.testing.assert_allclose(report.divergences, 0.0, atol=1e-15)
 
     def test_divergence_decays_with_universe_size(self):
@@ -222,20 +226,19 @@ class TestEtemadi:
         env = EnvironmentSeries.constant(self.GRID8)
         rng = np.random.default_rng(7)
         wb = rng.uniform(0.5, 1.5, n)
-        report = etemadi_check(
-            spec, env, self.GRID8, WeightVector.equal(n), WeightVector(wb / wb.sum()),
-            2000, seed=2, sizes=[4, 16, 64, 256],
+        report = riskfree_studies(
+            spec, env, self.GRID8, WeightVector(wb / wb.sum()), [4, 16, 64, 256], 2000, seed=2
         )
-        assert report.terminal_divergence < report.divergences[0]
+        assert report.divergences[-1] < report.divergences[0]
 
     def test_thread_count_does_not_change_divergences(self):
         n = 32
         spec = constant_spec(n, np.linspace(0.0, 0.1, n), 0.2)
         env = EnvironmentSeries.constant(self.GRID8)
         wb = np.random.default_rng(5).uniform(0.5, 1.5, n)
-        args = (spec, env, self.GRID8, WeightVector.equal(n), WeightVector(wb / wb.sum()), 1100)
-        a = etemadi_check(*args, seed=2, sizes=[8, 32], n_jobs=1)
-        b = etemadi_check(*args, seed=2, sizes=[8, 32], n_jobs=2)
+        args = (spec, env, self.GRID8, WeightVector(wb / wb.sum()), [4, 8, 16, 32], 1100)
+        a = riskfree_studies(*args, seed=2, n_jobs=1)
+        b = riskfree_studies(*args, seed=2, n_jobs=2)
         assert np.array_equal(a.divergences, b.divergences)
 
     def test_sizes_must_be_positive(self):
@@ -243,35 +246,31 @@ class TestEtemadi:
         env = EnvironmentSeries.constant(self.GRID8)
         w = WeightVector.equal(16)
         with pytest.raises(ValueError, match="positive"):
-            etemadi_check(spec, env, self.GRID8, w, w, 100, seed=0, sizes=[0, 8, 16])
+            riskfree_studies(spec, env, self.GRID8, w, [0, 4, 8, 16], 100, seed=0)
 
     def test_sizes_must_increase(self):
         spec = constant_spec(16, 0.05, 0.2)
         env = EnvironmentSeries.constant(self.GRID8)
         w = WeightVector.equal(16)
-        for sizes in ([8, 8, 16], [16, 8]):
+        for sizes in ([4, 8, 8, 16], [16, 8, 4, 2]):
             with pytest.raises(ValueError, match="increasing"):
-                etemadi_check(spec, env, self.GRID8, w, w, 100, seed=0, sizes=sizes)
+                riskfree_studies(spec, env, self.GRID8, w, sizes, 100, seed=0)
         with pytest.raises(TypeError, match="integer"):
-            etemadi_check(spec, env, self.GRID8, w, w, 100, seed=0, sizes=[4.0, 8, 16])
+            riskfree_studies(spec, env, self.GRID8, w, [2, 4.0, 8, 16], 100, seed=0)
 
     def test_needs_a_path(self):
         spec = constant_spec(16, 0.05, 0.2)
         env = EnvironmentSeries.constant(self.GRID8)
         w = WeightVector.equal(16)
         with pytest.raises(ValueError, match="n_paths"):
-            etemadi_check(spec, env, self.GRID8, w, w, 0, seed=0, sizes=[4, 8, 16])
-        with pytest.raises(ValueError, match="n_paths"):
-            convergence_study(spec, env, self.GRID8, [2, 4, 8, 16], 0, seed=0)
+            riskfree_studies(spec, env, self.GRID8, w, [2, 4, 8, 16], 0, seed=0)
 
     def test_short_positions_rejected(self):
         spec = constant_spec(4, 0.05, 0.2)
         env = EnvironmentSeries.constant(self.GRID8)
-        wa = WeightVector(np.array([0.5, 0.5, 0.5, -0.5]))
+        w = WeightVector(np.array([0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError, match="positive"):
-            etemadi_check(
-                spec, env, self.GRID8, wa, WeightVector.equal(4), 100, seed=0, sizes=[2, 4]
-            )
+            riskfree_studies(spec, env, self.GRID8, w, [1, 2, 3, 4], 100, seed=0)
 
 
 class TestSubBlockStreaming:
@@ -283,41 +282,23 @@ class TestSubBlockStreaming:
     SIZES = [40, 80, 160, 325]
     N_PATHS = 537
 
-    def spec(self, tag):
-        return constant_spec(self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag)
-
-    def runs(self, study):
-        assert block_paths(self.GRID8.steps, self.N) == 100
-        return [study(n_jobs) for n_jobs in (2, 3)], study(1)
-
     @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
-    def test_convergence_study(self, tag):
+    def test_riskfree_studies(self, tag):
+        assert block_paths(self.GRID8.steps, self.N) == 100
         env = EnvironmentSeries.constant(self.GRID8)
-        spec = self.spec(tag)
-
-        def study(n_jobs):
-            return convergence_study(spec, env, self.GRID8, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
-
-        threaded, serial = self.runs(study)
+        spec = constant_spec(
+            self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag
+        )
+        wb = np.random.default_rng(6).uniform(0.5, 1.5, self.N)
+        w = WeightVector(wb / wb.sum())
+        serial, *threaded = (
+            riskfree_studies(spec, env, self.GRID8, w, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
+            for n_jobs in (1, 2, 3)
+        )
         for report in threaded:
             assert report.sigma_hats.tobytes() == serial.sigma_hats.tobytes()
-            assert report.slope == serial.slope
-
-    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
-    def test_etemadi_check(self, tag):
-        env = EnvironmentSeries.constant(self.GRID8)
-        spec = self.spec(tag)
-        wb = np.random.default_rng(6).uniform(0.5, 1.5, self.N)
-        weights = (WeightVector.equal(self.N), WeightVector(wb / wb.sum()))
-
-        def study(n_jobs):
-            return etemadi_check(
-                spec, env, self.GRID8, *weights, self.N_PATHS, 4, sizes=self.SIZES, n_jobs=n_jobs
-            )
-
-        threaded, serial = self.runs(study)
-        for report in threaded:
             assert report.divergences.tobytes() == serial.divergences.tobytes()
+            assert report.slope == serial.slope
 
 
 class TestPrefixReduction:
@@ -365,32 +346,15 @@ class TestPrefixReduction:
         sigma_hats = equal.reshape(len(self.SIZES), -1).std(axis=1) / np.sqrt(self.GRID8.dt)
         cum_equal = equal.sum(axis=(1, 2)) / self.N_PATHS
         cum_random = random.sum(axis=(1, 2)) / self.N_PATHS
-        a, b = (WeightVector(self.weights[name]) for name in ("equal", "random"))
-        scaling, etemadi = riskfree_studies(
-            self.spec, self.env, self.GRID8, a, b, self.SIZES, self.N_PATHS, self.SEED
+        study = riskfree_studies(
+            self.spec, self.env, self.GRID8, WeightVector(self.weights["random"]),
+            self.SIZES, self.N_PATHS, self.SEED,
         )
-        np.testing.assert_allclose(scaling.sigma_hats, sigma_hats, rtol=1e-12)
+        np.testing.assert_allclose(study.sigma_hats, sigma_hats, rtol=1e-12)
         # a divergence is a difference of two cumulative returns ~100x its
         # size, so it is held to 1e-12 of those returns, not of itself
         scale = np.maximum(np.abs(cum_equal), np.abs(cum_random))
-        assert np.all(np.abs(etemadi.divergences - np.abs(cum_equal - cum_random)) <= 1e-12 * scale)
-
-    def test_studies_give_the_separate_calls_bits(self):
-        a, b = (WeightVector(self.weights[name]) for name in ("random", "equal"))
-        args = (self.spec, self.env, self.GRID8)
-        scaling, etemadi = riskfree_studies(
-            *args, a, b, self.SIZES, self.N_PATHS, self.SEED, n_jobs=2
-        )
-        alone = convergence_study(*args, self.SIZES, self.N_PATHS, self.SEED, n_jobs=2)
-        pair = etemadi_check(*args, a, b, self.N_PATHS, self.SEED, sizes=self.SIZES)
-        for field in ("sigma_hats", "analytic_sigma_hats"):
-            assert getattr(scaling, field).tobytes() == getattr(alone, field).tobytes()
-        assert (scaling.slope, scaling.intercept, scaling.analytic_slope) == (
-            alone.slope, alone.intercept, alone.analytic_slope,
-        )
-        assert scaling.sizes == alone.sizes == etemadi.sizes == pair.sizes
-        assert etemadi.divergences.tobytes() == pair.divergences.tobytes()
-        assert etemadi.terminal_divergence == pair.terminal_divergence
+        assert np.all(np.abs(study.divergences - np.abs(cum_equal - cum_random)) <= 1e-12 * scale)
 
 
 def bisection_projection(v, cap):

@@ -14,9 +14,7 @@ from gaugeport import (
     apply_numeraire,
     apply_price_gauge,
     constant_spec,
-    convergence_study,
     cross_term,
-    etemadi_check,
     portfolio_dynamics,
     return_volatility,
     riskfree_studies,
@@ -272,24 +270,17 @@ class TestSubBlocks:
         env = EnvironmentSeries.constant(grid)
         block_bytes = BLOCK_CELLS * 8
         wb = np.random.default_rng(1).uniform(0.5, 1.5, n)
-        weights = (WeightVector.equal(n), WeightVector(wb / wb.sum()))
-        sizes = [16, 64, 256, n]
-        studies = [
-            lambda: convergence_study(spec, env, grid, sizes, 256, seed=3, n_jobs=2),
-            lambda: etemadi_check(spec, env, grid, *weights, 256, seed=3, sizes=sizes, n_jobs=2),
-            lambda: riskfree_studies(spec, env, grid, *weights, sizes, 256, seed=3, n_jobs=2),
-        ]
-        for study in studies:
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                study()
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            # a block per worker, its per-row, per-size log-returns and the
-            # kernel's [steps, N] terms; not the 128 MiB of the whole draw
-            assert peak <= 4 * block_bytes
+        w = WeightVector(wb / wb.sum())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            riskfree_studies(spec, env, grid, w, [16, 64, 256, n], 256, seed=3, n_jobs=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a block per worker, its per-row, per-size log-returns and the
+        # kernel's [steps, N] terms; not the 128 MiB of the whole draw
+        assert peak <= 4 * block_bytes
 
     def test_long_simulate_holds_output_plus_few_sub_blocks(self):
         # 1260 steps x 512 assets: a key block is one path
