@@ -282,23 +282,32 @@ class TestSubBlockStreaming:
     SIZES = [40, 80, 160, 325]
     N_PATHS = 537
 
-    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
-    def test_riskfree_studies(self, tag):
+    def runs(self, tag, w):
         assert block_paths(self.GRID8.steps, self.N) == 100
         env = EnvironmentSeries.constant(self.GRID8)
         spec = constant_spec(
             self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag
         )
-        wb = np.random.default_rng(6).uniform(0.5, 1.5, self.N)
-        w = WeightVector(wb / wb.sum())
         serial, *threaded = (
             riskfree_studies(spec, env, self.GRID8, w, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
             for n_jobs in (1, 2, 3)
         )
+        return serial, threaded
+
+    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    def test_convergence_study(self, tag):
+        serial, threaded = self.runs(tag, WeightVector.equal(self.N))
         for report in threaded:
             assert report.sigma_hats.tobytes() == serial.sigma_hats.tobytes()
-            assert report.divergences.tobytes() == serial.divergences.tobytes()
             assert report.slope == serial.slope
+
+    @pytest.mark.parametrize("tag", ["normal", "uniform", "two-point"])
+    def test_etemadi_check(self, tag):
+        wb = np.random.default_rng(6).uniform(0.5, 1.5, self.N)
+        serial, threaded = self.runs(tag, WeightVector(wb / wb.sum()))
+        for report in threaded:
+            assert report.divergences.tobytes() == serial.divergences.tobytes()
+            assert report.sigma_hats.tobytes() == serial.sigma_hats.tobytes()
 
 
 class TestPrefixReduction:
