@@ -50,15 +50,12 @@ from .riskfree import (
     to_riskfree_units,
 )
 from .pricer import (
-    EffectiveVol,
     OptionSlice,
-    OptionSurface,
     PdeProblem,
     bs_closed_form,
     bs_closed_form_rate,
     effective_vol,
     merton_residual,
-    solve_gauge_bs,
     solve_primed_gauge,
     solve_today,
     vanilla_problem,

@@ -136,7 +136,6 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
         "sigma_hats": study.sigma_hats,
         "slope": study.slope,
         "analytic_slope": study.analytic_slope,
-        "etemadi_sizes": list(study.sizes),
         "etemadi_divergences": study.divergences,
     }
     return {"seed": seed, "body": body}
@@ -171,7 +170,6 @@ def cmd_discount(args, config: io.RunConfig) -> dict:
     body = {
         "asset_ids": list(report.asset_ids),
         "final_values": report.final_values,
-        "discount_factors": report.final_values,
         "metadata": report.metadata,
         "cash_series_label": series.label,
         "cash_series_times": series.times,

@@ -11,27 +11,29 @@ the zero-rate closed form is the oracle for the A' = 0 gauge.
 
 :func:`vanilla_problem` spans [K/span, K*span] with ln(span) = 8 sigma_max
 sqrt(tau) + int |A| dtau, clipped to [0.2, ln 8]: eight log-price standard
-deviations plus the drift, far enough out that the Dirichlet data's
-truncation error is negligible (Kangro & Nicolaides, SIAM J. Numer. Anal. 38,
-2000).  The floor keeps sigma = A = 0 on a strictly increasing grid.
+deviations plus the drift (Kangro & Nicolaides, SIAM J. Numer. Anal. 38,
+2000), until the cap.  The floor keeps sigma = A = 0 on a strictly increasing
+grid.  The cap bounds the grid, not the Dirichlet truncation error: that
+error grows with sigma sqrt(tau) and is not reported.  On the default
+400 x 400 grid an at-the-money call with tau = 1 is within 5e-5 of the closed
+form at sigma = 1, but 3e-4 off at sigma = 1.2 and 66.42 against 68.27 (2.7%)
+at sigma = 2.
 
 Every implicit half step solves the same tridiagonal system I - (dt/2) L,
 so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
 coefficients change between intervals) and each step is one ``dgttrs``
-solve.  One stepping loop yields the rows from expiry back to today and
-holds two price rows: :func:`solve_today` keeps only today's slice, and
-:func:`solve_gauge_bs` stores every row as a [time, price] surface for
-callers that need it.  The steps run with floating-point warnings off, and
-a solve whose values overflow to inf or NaN raises :class:`DegenerateProblem`.
-Deltas are differentiated from the values on demand.
-scipy is imported inside the functions that use it, so importing the
-package does not load it.
+solve.  :func:`solve_today` is the one solve: it steps from expiry back to
+today holding two price rows and returns today's slice.  The steps run with
+floating-point warnings off, and a solve whose values overflow to inf or
+NaN raises :class:`DegenerateProblem`.  Deltas are differentiated from the
+values on demand.  scipy is imported inside the functions that use it, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -113,21 +115,18 @@ def _log_step(s: np.ndarray) -> float:
 
 
 def _differentiate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """dV/ds along the last axis: central differences inside, one-sided at the ends."""
+    """dV/ds: central differences inside, one-sided at the ends."""
     dx = _log_step(s)
     deltas = np.empty_like(values)
-    inner = deltas[..., 1:-1]  # formed in place: no surface-sized temporaries
-    np.subtract(values[..., 2:], values[..., :-2], out=inner)
-    inner /= 2.0 * dx
-    inner /= s[1:-1]
-    deltas[..., 0] = (values[..., 1] - values[..., 0]) / (dx * s[0])
-    deltas[..., -1] = (values[..., -1] - values[..., -2]) / (dx * s[-1])
+    deltas[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx) / s[1:-1]
+    deltas[0] = (values[1] - values[0]) / (dx * s[0])
+    deltas[-1] = (values[-1] - values[-2]) / (dx * s[-1])
     return deltas
 
 
 @dataclass(frozen=True)
 class OptionSlice:
-    """Option values on the price grid at one time, today for :func:`solve_today`."""
+    """Option values on the price grid today (t = t0)."""
 
     s_grid: np.ndarray
     t_grid: TimeGrid
@@ -142,50 +141,11 @@ class OptionSlice:
         return float(np.interp(s, self.s_grid, _differentiate(self.values, self.s_grid)))
 
 
-@dataclass(frozen=True)
-class OptionSurface:
-    """Option values on the [time, price] grid; deltas are derived on demand.
-
-    Only the value surface is stored.  ``deltas`` differentiates the whole
-    surface each time it is read (a second surface-sized array), while
-    ``delta_at`` differentiates one time slice; both give the same bits.
-    """
-
-    s_grid: np.ndarray
-    t_grid: TimeGrid
-    values: np.ndarray  # [steps+1, n_s]
-
-    @property
-    def deltas(self) -> np.ndarray:
-        """dV/ds on the whole [steps+1, n_s] grid."""
-        return _differentiate(self.values, self.s_grid)
-
-    def _slice(self, k: int) -> OptionSlice:
-        return OptionSlice(self.s_grid, self.t_grid, self.values[k])
-
-    def value_at(self, s: float, k: int = 0) -> float:
-        """Linear interpolation of the time-k slice at price s."""
-        return self._slice(k).value_at(s)
-
-    def delta_at(self, s: float, k: int = 0) -> float:
-        """Linear interpolation of the time-k delta slice at price s."""
-        return self._slice(k).delta_at(s)
-
-
-@dataclass(frozen=True)
-class EffectiveVol:
-    """Volatility bump from a finite-N approximately risk-free numeraire."""
-
-    sigma1: float
-    sigma_hat: float
-    sigma_combined: float
-
-
-def effective_vol(sigma1: float, sigma_hat: float) -> EffectiveVol:
+def effective_vol(sigma1: float, sigma_hat: float) -> float:
     """Combined volatility Sigma = sqrt(sigma1^2 + sigma_hat^2)."""
     if sigma1 < 0 or sigma_hat < 0:
         raise ValueError("volatilities must be nonnegative")
-    return EffectiveVol(sigma1, sigma_hat, float(np.hypot(sigma1, sigma_hat)))
+    return float(np.hypot(sigma1, sigma_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +271,14 @@ def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n
     return factors
 
 
-def _rows(problem: PdeProblem) -> Iterator[tuple[int, np.ndarray]]:
-    """Backward Crank-Nicolson steps: yield (k, V_k) for k = steps down to 0.
+def solve_today(problem: PdeProblem) -> OptionSlice:
+    """Backward Crank-Nicolson solve of the gauge-field pricing equation: today's slice.
 
     The first ``RANNACHER_STEPS`` time steps run as pairs of implicit-Euler
     half steps; second-order accurate in space and time thereafter.  All
     implicit half steps share the matrix I - (dt/2) L, whose LU factors are
     reused until an interval's (sigma, A, B) differs from the previous one.
-    Two price rows are held: a yielded row is overwritten once the row after
-    next is requested.
+    Two price rows are held, so memory is O(n_s) for any number of steps.
     """
     from scipy.linalg.lapack import dgttrs
 
@@ -330,60 +289,38 @@ def _rows(problem: PdeProblem) -> Iterator[tuple[int, np.ndarray]]:
     steps = problem.t_grid.steps
     n = s.size
 
-    # Cumulative integrals of B and A+B over [t_k, T], then the boundary
-    # data of every step.
-    int_b_rev = np.concatenate([[0.0], np.cumsum((problem.b_scalar * dt)[::-1])])[::-1]
-    int_ab_rev = np.concatenate(
-        [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
-    )[::-1]
-    bc_lo, bc_hi = _boundary_values(problem, int_ab_rev[:-1], int_b_rev[:-1])
+    with np.errstate(all="ignore"):
+        # Cumulative integrals of B and A+B over [t_k, T], then the boundary
+        # data of every step.
+        int_b_rev = np.concatenate([[0.0], np.cumsum((problem.b_scalar * dt)[::-1])])[::-1]
+        int_ab_rev = np.concatenate(
+            [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
+        )[::-1]
+        bc_lo, bc_hi = _boundary_values(problem, int_ab_rev[:-1], int_b_rev[:-1])
 
-    # refactor at the last interval and wherever (sigma, A, B) changes
-    sig, a_f, b_f = problem.sigma, problem.a_field, problem.b_scalar
-    refactor = np.ones(steps, dtype=bool)
-    refactor[:-1] = (sig[:-1] != sig[1:]) | (a_f[:-1] != a_f[1:]) | (b_f[:-1] != b_f[1:])
+        # refactor at the last interval and wherever (sigma, A, B) changes
+        sig, a_f, b_f = problem.sigma, problem.a_field, problem.b_scalar
+        refactor = np.ones(steps, dtype=bool)
+        refactor[:-1] = (sig[:-1] != sig[1:]) | (a_f[:-1] != a_f[1:]) | (b_f[:-1] != b_f[1:])
 
-    v = np.array(problem.payoff(s), dtype=float)
-    rhs = np.empty(n)
-    yield steps, v
-    for k in range(steps - 1, -1, -1):
-        if refactor[k]:
-            lower, diag, upper = _operator_bands(sig[k], a_f[k], b_f[k], dx)
-            factors = _factor_implicit(lower, diag, upper, half_dt, n)
-        rhs[:] = v
-        if steps - 1 - k < RANNACHER_STEPS:
-            # Rannacher start-up: an implicit-Euler half step in place of
-            # the explicit one
+        v = np.array(problem.payoff(s), dtype=float)
+        rhs = np.empty(n)
+        for k in range(steps - 1, -1, -1):
+            if refactor[k]:
+                lower, diag, upper = _operator_bands(sig[k], a_f[k], b_f[k], dx)
+                factors = _factor_implicit(lower, diag, upper, half_dt, n)
+            rhs[:] = v
+            if steps - 1 - k < RANNACHER_STEPS:
+                # Rannacher start-up: an implicit-Euler half step in place of
+                # the explicit one
+                rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
+                rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
+            else:
+                rhs[1:-1] += half_dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
             rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
-            rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
-        else:
-            rhs[1:-1] += half_dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
-        rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
-        v, rhs = dgttrs(*factors, rhs, overwrite_b=1)[0], v
-        yield k, v
-
-
-def solve_gauge_bs(problem: PdeProblem) -> OptionSurface:
-    """Backward Crank-Nicolson solve of the gauge-field pricing equation.
-
-    Stores every row of the [steps+1, n_s] surface; see :func:`_rows` for the
-    scheme and :func:`solve_today` for today's slice alone.
-    """
-    values = np.empty((problem.t_grid.steps + 1, problem.s_grid.size))
-    with np.errstate(all="ignore"):
-        for k, row in _rows(problem):
-            values[k] = row
-    _require_finite(values)
-    return OptionSurface(s_grid=problem.s_grid, t_grid=problem.t_grid, values=values)
-
-
-def solve_today(problem: PdeProblem) -> OptionSlice:
-    """Today's (t = t0) slice of :func:`solve_gauge_bs`, bit for bit, in O(n_s) memory."""
-    with np.errstate(all="ignore"):
-        for _, row in _rows(problem):
-            pass
-    _require_finite(row)
-    return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=row)
+            v, rhs = dgttrs(*factors, rhs, overwrite_b=1)[0], v
+    _require_finite(v)
+    return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=v)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -394,7 +331,7 @@ def _require_finite(values: np.ndarray) -> None:
         raise DegenerateProblem("non-finite option values: the coefficients overflow the solve")
 
 
-def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSurface:
+def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSlice:
     """Solve in the primed A' = 0 gauge with the finite-N volatility bump.
 
     Replaces sigma by Sigma = sqrt(sigma^2 + sigma_hat^2) and forces A = 0.
@@ -406,7 +343,7 @@ def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSur
     primed = replace(
         problem, sigma=np.hypot(problem.sigma, sigma_hat), a_field=np.zeros(problem.t_grid.steps)
     )
-    return solve_gauge_bs(primed)
+    return solve_today(primed)
 
 
 # ---------------------------------------------------------------------------

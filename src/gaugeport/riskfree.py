@@ -103,9 +103,11 @@ class SensitivityProblem:
     cap: float
 
     def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.dmu_dxi, dtype=float))
-        if g.shape[1] > g.shape[0] and g.shape[0] == 1:
-            g = g.T
+        g = np.asarray(self.dmu_dxi, dtype=float)
+        if g.ndim == 1:
+            g = g[:, None]  # one factor
+        if g.ndim != 2:
+            raise ValueError("drift gradients must be an [N, n_factors] array")
         object.__setattr__(self, "dmu_dxi", g)
         if not np.all(np.isfinite(g)):
             raise ValueError("drift gradients must be finite")

@@ -130,11 +130,11 @@ class EnvironmentSeries:
     xi: np.ndarray  # [steps+1, n_factors]
 
     def __post_init__(self):
-        xi = np.atleast_2d(np.asarray(self.xi, dtype=float))
-        if xi.shape[0] == 1 and self.grid.n_points > 1:
-            xi = xi.T
+        xi = np.asarray(self.xi, dtype=float)
+        if xi.ndim == 1:
+            xi = xi[:, None]  # one factor
         object.__setattr__(self, "xi", xi)
-        if xi.shape[0] != self.grid.n_points:
+        if xi.ndim != 2 or xi.shape[0] != self.grid.n_points:
             raise ValueError("xi must hold one factor vector per grid point")
         if not np.all(np.isfinite(xi)):
             raise ValueError("environment factors must be finite")

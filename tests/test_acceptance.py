@@ -25,7 +25,7 @@ from gaugeport import (
     return_volatility,
     sensitivity_neutral_weights,
     simulate,
-    solve_gauge_bs,
+    solve_today,
     textbook_discount,
     to_riskfree_units,
     vanilla_problem,
@@ -95,8 +95,10 @@ class TestAcceptance:
         env = EnvironmentSeries.constant(grid)
         mus = np.random.default_rng(2024).uniform(0.0, 0.1, 4096)
         spec = constant_spec(4096, mus, 0.25)
+        # the result does not depend on n_jobs: two threads only shorten the run
         result = riskfree_studies(
-            spec, env, grid, WeightVector.equal(4096), [16, 64, 256, 1024, 4096], 10_000, seed=101
+            spec, env, grid, WeightVector.equal(4096), [16, 64, 256, 1024, 4096], 10_000,
+            seed=101, n_jobs=2,
         )
         slope_ok = -0.55 <= result.slope <= -0.45
         analytic_ok = abs(result.analytic_slope + 0.5) <= 1e-12
@@ -129,8 +131,8 @@ class TestAcceptance:
         exact = bs_closed_form(100, 100, 0.2, 1.0)
         errors = {}
         for n in (400, 800):
-            surface = solve_gauge_bs(vanilla_problem("call", 100.0, 0.2, 1.0, n_s=n, n_t=n))
-            errors[n] = abs(surface.value_at(100.0) - exact)
+            today = solve_today(vanilla_problem("call", 100.0, 0.2, 1.0, n_s=n, n_t=n))
+            errors[n] = abs(today.value_at(100.0) - exact)
         rel = errors[400] / exact
         ratio = errors[400] / errors[800]
         report(
@@ -141,9 +143,9 @@ class TestAcceptance:
 
     def test_c06_constant_a_reduces_to_rate_pricing(self):
         r = 0.05
-        surface = solve_gauge_bs(vanilla_problem("call", 100.0, 0.2, 1.0, a_field=-r))
+        today = solve_today(vanilla_problem("call", 100.0, 0.2, 1.0, a_field=-r))
         exact = bs_closed_form_rate(100, 100, 0.2, 1.0, r)
-        rel = abs(surface.value_at(100.0) - exact) / exact
+        rel = abs(today.value_at(100.0) - exact) / exact
         report(f"C6 A = -5% solve vs textbook rate closed form: rel error {rel:.2e} <= 1e-3", rel <= 1e-3)
 
     def test_c07_market_gauge_round_trip(self):

@@ -485,21 +485,22 @@ class TestCli:
         "pde", ["{}", "{payoff: put, sigma: 0.1, a: -0.05, b: 0.02}", "{sigma: 0, n_t: 2}"]
     )
     def test_price_report_is_row_zero_of_the_surface(self, pde, tmp_path):
+        # the report's values are solve_today's, bit for bit
         config = tmp_path / "run.yaml"
         config.write_text(f"pde: {pde}\n")
         out = tmp_path / "p.yaml"
         assert main(["price", "--config", str(config), "--out", str(out)]) == EXIT_OK
         p = load_config(str(config)).section("pde")
-        surface = gaugeport.solve_gauge_bs(gaugeport.vanilla_problem(
+        today = gaugeport.solve_today(gaugeport.vanilla_problem(
             p["payoff"], p["strike"], p["sigma"], p["tau"], a_field=p["a"], b_scalar=p["b"],
             n_s=p["n_s"], n_t=p["n_t"],
         ))
-        stride = surface.s_grid.size // 32
+        stride = today.s_grid.size // 32
         report = read_report(out)["report"]
-        assert report["at_the_money_value"] == surface.value_at(p["strike"], 0)
-        assert report["at_the_money_delta"] == surface.delta_at(p["strike"], 0)
-        assert report["s_slice"] == surface.s_grid[::stride].tolist()
-        assert report["value_slice"] == surface.values[0][::stride].tolist()
+        assert report["at_the_money_value"] == today.value_at(p["strike"])
+        assert report["at_the_money_delta"] == today.delta_at(p["strike"])
+        assert report["s_slice"] == today.s_grid[::stride].tolist()
+        assert report["value_slice"] == today.values[::stride].tolist()
 
     def test_price_command_holds_rows_not_the_surface(self, tmp_path):
         # at 1600 x 1600 the surface alone would be 20.5 MB
@@ -530,14 +531,15 @@ class TestCli:
 
     def test_riskfree_report_is_unchanged(self, tmp_path):
         # the digest is of the report body written when the Etemadi check
-        # still reduced its own equal-weight row beside the scaling study's
+        # still reduced its own equal-weight row beside the scaling study's,
+        # less its etemadi_sizes key, a copy of sizes
         config = tmp_path / "run.yaml"
         config.write_text("riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n")
         out = tmp_path / "r.yaml"
         assert main(["riskfree", "--config", str(config), "--out", str(out)]) == EXIT_OK
         body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == (
-            "a0184b14bec95b8dc53393977b2a44a87b43595999ed0214929ecfa6a6691918"
+            "fffbd3327976ad8fe643bdd12dc769fe952ddbbfce714ce2172c238b56f3b4db"
         )
 
     @pytest.mark.parametrize(
@@ -562,7 +564,6 @@ class TestCli:
         report = doc["report"]
         assert report["asset_ids"][-1] == "risk-free portfolio"
         assert report["final_values"][-1] == 1.0
-        assert report["discount_factors"] == report["final_values"]
         assert report["table"].startswith("Final Asset Values")
 
     def test_discount_needs_a_non_cash_column(self, tmp_path, capsys):

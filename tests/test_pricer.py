@@ -14,7 +14,6 @@ from gaugeport import (
     effective_vol,
     merton_residual,
     simulate,
-    solve_gauge_bs,
     solve_primed_gauge,
     solve_today,
     vanilla_problem,
@@ -58,11 +57,10 @@ class TestClosedForms:
 
 class TestEffectiveVol:
     def test_quadrature_combination(self):
-        ev = effective_vol(0.2, 0.02)
-        assert ev.sigma_combined == pytest.approx(0.200998, abs=1e-6)
+        assert effective_vol(0.2, 0.02) == pytest.approx(0.200998, abs=1e-6)
 
     def test_zero_hat_is_identity(self):
-        assert effective_vol(0.3, 0.0).sigma_combined == 0.3
+        assert effective_vol(0.3, 0.0) == 0.3
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -71,42 +69,42 @@ class TestEffectiveVol:
 
 class TestPdeSolver:
     def test_matches_closed_form_at_the_money(self):
-        surface = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU))
+        today = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU))
         exact = bs_closed_form(STRIKE, STRIKE, SIGMA, TAU)
-        assert abs(surface.value_at(STRIKE) - exact) / exact < 1e-3
+        assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
     def test_second_order_convergence(self):
         exact = bs_closed_form(STRIKE, STRIKE, SIGMA, TAU)
         errors = []
         for n in (200, 400, 800):
-            surface = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=n, n_t=n))
-            errors.append(abs(surface.value_at(STRIKE) - exact))
+            today = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=n, n_t=n))
+            errors.append(abs(today.value_at(STRIKE) - exact))
         assert 3.0 < errors[0] / errors[1] < 5.0
         assert 3.0 < errors[1] / errors[2] < 5.0
 
     def test_constant_a_reduces_to_rate_equation(self):
         r = 0.05
-        surface = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=-r))
+        today = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=-r))
         exact = bs_closed_form_rate(STRIKE, STRIKE, SIGMA, TAU, r)
-        assert abs(surface.value_at(STRIKE) - exact) / exact < 1e-3
+        assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
     def test_delta_matches_closed_form(self):
         from scipy.stats import norm
 
-        surface = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU))
+        today = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU))
         d1 = 0.5 * SIGMA * np.sqrt(TAU)
-        assert surface.delta_at(STRIKE) == pytest.approx(norm.cdf(d1), abs=1e-3)
+        assert today.delta_at(STRIKE) == pytest.approx(norm.cdf(d1), abs=1e-3)
 
     @pytest.mark.parametrize("kind", ["call", "put"])
     @pytest.mark.parametrize("a", [0.0, -0.05])
     @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.4])
     def test_ladder_within_1e_3(self, sigma, a, kind):
-        surface = solve_gauge_bs(vanilla_problem(kind, STRIKE, sigma, TAU, a_field=a))
+        today = solve_today(vanilla_problem(kind, STRIKE, sigma, TAU, a_field=a))
         r = -a  # A = -r is textbook pricing at rate r
         exact = bs_closed_form_rate(STRIKE, STRIKE, sigma, TAU, r)
         if kind == "put":
             exact += STRIKE * np.exp(-r * TAU) - STRIKE
-        assert abs(surface.value_at(STRIKE) - exact) / exact < 1e-3
+        assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
     def test_grid_span_follows_sigma_and_a(self):
         # ln(span) = 8 sigma_max sqrt(tau) + int |A| dtau, clipped to [0.2, ln 8]
@@ -123,7 +121,7 @@ class TestPdeSolver:
         assert np.array_equal(wide, log_price_grid(STRIKE, 400, 8.0))
 
     @pytest.mark.parametrize("fields", [{"b_scalar": 1e10}, {"a_field": 1e300}])
-    @pytest.mark.parametrize("solve", [solve_today, solve_gauge_bs])
+    @pytest.mark.parametrize("solve", [solve_today])
     def test_overflow_is_degenerate_without_warnings(self, solve, fields):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -133,30 +131,32 @@ class TestPdeSolver:
 
     def test_put_call_parity_with_fields(self):
         a, b = -0.03, 0.05
-        call = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=a, b_scalar=b))
-        put = solve_gauge_bs(vanilla_problem("put", STRIKE, SIGMA, TAU, a_field=a, b_scalar=b))
+        call = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=a, b_scalar=b))
+        put = solve_today(vanilla_problem("put", STRIKE, SIGMA, TAU, a_field=a, b_scalar=b))
         s = call.s_grid
         parity = s * np.exp(b * TAU) - STRIKE * np.exp((a + b) * TAU)
         mask = (s > 40) & (s < 250)
         np.testing.assert_allclose(
-            (call.values[0] - put.values[0])[mask], parity[mask], atol=5e-4
+            (call.values - put.values)[mask], parity[mask], atol=5e-4
         )
 
 
 def banded_reference(problem, rannacher_steps=2):
-    """Per-step reference solve: rebuild the banded matrix, solve_banded each step."""
+    """Per-step reference solve: rebuild the banded matrix, solve_banded each step.
+
+    Returns today's values and deltas on the price grid.
+    """
     from scipy.linalg import solve_banded
 
     s = problem.s_grid
     dx = np.log(s)[1] - np.log(s)[0]
     dt, steps, n = problem.t_grid.dt, problem.t_grid.steps, s.size
-    values = np.empty((steps + 1, n))
-    values[steps] = problem.payoff(s)
+    terminal = problem.payoff(s)
     int_b = np.concatenate([[0.0], np.cumsum((problem.b_scalar * dt)[::-1])])[::-1]
     int_ab = np.concatenate(
         [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
     )[::-1]
-    v = values[steps].copy()
+    v = terminal.copy()
     for k in range(steps - 1, -1, -1):
         sig, a, b = problem.sigma[k], problem.a_field[k], problem.b_scalar[k]
         diff = 0.5 * sig**2 / dx**2
@@ -168,7 +168,7 @@ def banded_reference(problem, rannacher_steps=2):
         elif problem.payoff_kind == "put":
             bc = (problem.strike * growth_c - s[0] * growth_s, 0.0)
         else:
-            bc = (values[steps][0] * growth_s, values[steps][-1] * growth_s)
+            bc = (terminal[0] * growth_s, terminal[-1] * growth_s)
 
         def implicit(v_in, theta_dt):
             ab = np.zeros((3, n))
@@ -186,12 +186,20 @@ def banded_reference(problem, rannacher_steps=2):
             half = v.copy()
             half[1:-1] = v[1:-1] + 0.5 * dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
             v = implicit(half, 0.5 * dt)
-        values[k] = v
-    deltas = np.empty_like(values)
-    deltas[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx) / s[1:-1]
-    deltas[:, 0] = (values[:, 1] - values[:, 0]) / (dx * s[0])
-    deltas[:, -1] = (values[:, -1] - values[:, -2]) / (dx * s[-1])
-    return values, deltas
+    deltas = np.empty_like(v)
+    deltas[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx) / s[1:-1]
+    deltas[0] = (v[1] - v[0]) / (dx * s[0])
+    deltas[-1] = (v[-1] - v[-2]) / (dx * s[-1])
+    return v, deltas
+
+
+def assert_matches_reference(problem):
+    """solve_today's values and grid deltas equal banded_reference's, bit for bit."""
+    values, deltas = banded_reference(problem)
+    today = solve_today(problem)
+    assert today.values.tobytes() == values.tobytes()
+    assert np.array_equal([today.delta_at(s) for s in problem.s_grid], deltas)
+    return today, values, deltas
 
 
 class TestFactorOnceSolver:
@@ -216,42 +224,12 @@ class TestFactorOnceSolver:
             sigma=sigma, a_field=a_field, b_scalar=b_scalar, payoff=payoffs[kind],
             payoff_kind=kind, strike=None if kind == "linear" else STRIKE,
         )
-        values, deltas = banded_reference(problem)
-        surface = solve_gauge_bs(problem)
-        assert np.array_equal(surface.values, values)
-        assert np.array_equal(surface.deltas, deltas)
+        assert_matches_reference(problem)
 
     @pytest.mark.parametrize("kind", ["call", "put"])
     def test_default_grid_bit_identical(self, kind):
         problem = vanilla_problem(kind, STRIKE, 0.1, TAU, a_field=-0.05)
-        values, deltas = banded_reference(problem)
-        surface = solve_gauge_bs(problem)
-        assert np.array_equal(surface.values, values)
-        assert np.array_equal(surface.deltas, deltas)
-
-
-class TestDeltasOnDemand:
-    @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_delta_at_matches_surface_deltas(self, kind):
-        problem = vanilla_problem(kind, STRIKE, SIGMA, TAU, a_field=-0.03, n_s=200, n_t=120)
-        surface = solve_gauge_bs(problem)
-        deltas = surface.deltas
-        s_grid = surface.s_grid
-        for k in (0, problem.t_grid.steps // 2, problem.t_grid.steps):
-            for s in (STRIKE, 87.3, 131.9, s_grid[0], s_grid[-1], 0.5 * s_grid[0]):
-                assert surface.delta_at(s, k) == np.interp(s, s_grid, deltas[k])
-
-    def test_solve_holds_one_surface(self):
-        problem = vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=1600, n_t=1600)
-        solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=10, n_t=2))  # imports scipy
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            surface = solve_gauge_bs(problem)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * surface.values.nbytes
+        assert_matches_reference(problem)
 
 
 def per_interval_problem(kind, steps=120):
@@ -288,20 +266,18 @@ LADDER = [
 
 
 class TestRollingSolve:
-    """solve_today is row 0 of solve_gauge_bs, bit for bit, in O(n_s) memory."""
+    """solve_today is today's row of banded_reference, bit for bit, in O(n_s) memory."""
 
     @staticmethod
     def assert_row_zero(problem):
-        surface = solve_gauge_bs(problem)
-        today = solve_today(problem)
+        today, values, deltas = assert_matches_reference(problem)
         assert today.s_grid is problem.s_grid and today.t_grid is problem.t_grid
         assert today.values.shape == problem.s_grid.shape
-        assert today.values.tobytes() == surface.values[0].tobytes()
         s_grid = problem.s_grid
         strike = problem.strike if problem.strike is not None else STRIKE
         for s in (strike, 0.97 * strike, 1.13 * strike, s_grid[0], s_grid[-1], 0.5 * s_grid[0]):
-            assert today.value_at(s) == surface.value_at(s, 0)
-            assert today.delta_at(s) == surface.delta_at(s, 0)
+            assert today.value_at(s) == np.interp(s, s_grid, values)
+            assert today.delta_at(s) == np.interp(s, s_grid, deltas)
 
     @pytest.mark.parametrize("kind", ["call", "put", "linear"])
     def test_per_interval_series(self, kind):
@@ -323,7 +299,7 @@ class TestRollingSolve:
 
     @pytest.mark.parametrize("n_t", [1600, 3200])
     def test_holds_a_few_rows(self, n_t):
-        # the 1600 x 1600 surface alone is 1601 rows; the rolling solve holds
+        # a 1600 x 1600 surface would be 1601 rows; the solve holds
         # two price rows plus per-step boundary data and LU factors
         problem = vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=1600, n_t=n_t)
         solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=10, n_t=2))  # imports scipy
@@ -345,8 +321,8 @@ class TestLinearPayoffs:
             sigma=0.0, a_field=0.0, b_scalar=0.0,
             payoff=lambda s: 2.0 * s, payoff_kind="linear",
         )
-        surface = solve_gauge_bs(problem)
-        np.testing.assert_allclose(surface.values[0], 2.0 * surface.s_grid, rtol=1e-12)
+        today = solve_today(problem)
+        np.testing.assert_allclose(today.values, 2.0 * today.s_grid, rtol=1e-12)
 
     def test_unit_field_growth(self):
         # pure B field scales a linear payoff by exp(B tau)
@@ -355,9 +331,9 @@ class TestLinearPayoffs:
             sigma=0.0, a_field=0.0, b_scalar=0.1,
             payoff=lambda s: 2.0 * s, payoff_kind="linear",
         )
-        surface = solve_gauge_bs(problem)
-        target = 2.0 * np.exp(0.1 * TAU) * surface.s_grid
-        np.testing.assert_allclose(surface.values[0], target, rtol=1e-6)
+        today = solve_today(problem)
+        target = 2.0 * np.exp(0.1 * TAU) * today.s_grid
+        np.testing.assert_allclose(today.values, target, rtol=1e-6)
 
     def test_diffusion_leaves_linear_payoff_almost_fixed(self):
         problem = PdeProblem(
@@ -365,28 +341,28 @@ class TestLinearPayoffs:
             sigma=SIGMA, a_field=0.0, b_scalar=0.0,
             payoff=lambda s: 2.0 * s, payoff_kind="linear",
         )
-        surface = solve_gauge_bs(problem)
-        np.testing.assert_allclose(surface.values[0], 2.0 * surface.s_grid, rtol=1e-6)
+        today = solve_today(problem)
+        np.testing.assert_allclose(today.values, 2.0 * today.s_grid, rtol=1e-6)
 
 
 class TestGaugeCovariance:
     def test_b_shift_rescales_values(self):
-        # adding a constant rate c to B multiplies the surface by e^{c (T-t)}
+        # adding a constant rate c to B multiplies the values by e^{c (T-t)}
         c = 0.04
-        base = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=-0.02))
-        shifted = solve_gauge_bs(
+        base = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=-0.02))
+        shifted = solve_today(
             vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=-0.02, b_scalar=c)
         )
         mask = (base.s_grid > 50) & (base.s_grid < 200)
-        expected = np.exp(c * TAU) * base.values[0]
-        np.testing.assert_allclose(shifted.values[0][mask], expected[mask], rtol=1e-5)
+        expected = np.exp(c * TAU) * base.values
+        np.testing.assert_allclose(shifted.values[mask], expected[mask], rtol=1e-5)
 
     def test_price_rescaling_covariance(self):
         # rescaling prices by e^{c t} shifts A by -c and the strike by e^{c T};
         # today's values (where the rescaling factor is 1) must agree
         c = 0.04
-        plain = solve_gauge_bs(vanilla_problem("call", STRIKE, SIGMA, TAU))
-        rescaled = solve_gauge_bs(
+        plain = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU))
+        rescaled = solve_today(
             vanilla_problem("call", STRIKE * np.exp(c * TAU), SIGMA, TAU, a_field=-c)
         )
         for s in (80.0, 100.0, 120.0):
@@ -398,10 +374,10 @@ class TestPrimedGauge:
     def test_matches_bumped_closed_form(self):
         sigma_hat = 0.05
         problem = vanilla_problem("call", STRIKE, SIGMA, TAU)
-        surface = solve_primed_gauge(problem, sigma_hat=sigma_hat)
-        combined = effective_vol(SIGMA, sigma_hat).sigma_combined
+        today = solve_primed_gauge(problem, sigma_hat=sigma_hat)
+        combined = effective_vol(SIGMA, sigma_hat)
         exact = bs_closed_form(STRIKE, STRIKE, combined, TAU)
-        assert abs(surface.value_at(STRIKE) - exact) / exact < 1e-3
+        assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
     def test_volatility_bump_raises_the_price(self):
         problem = vanilla_problem("call", STRIKE, SIGMA, TAU)
@@ -412,9 +388,9 @@ class TestPrimedGauge:
     def test_forces_zero_a_field(self):
         # identical to a zero-rate solve even when the input problem has A != 0
         problem = vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=-0.05)
-        surface = solve_primed_gauge(problem, sigma_hat=0.0)
+        today = solve_primed_gauge(problem, sigma_hat=0.0)
         exact = bs_closed_form(STRIKE, STRIKE, SIGMA, TAU)
-        assert abs(surface.value_at(STRIKE) - exact) / exact < 1e-3
+        assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
 
 class TestMertonResidual:
@@ -437,7 +413,7 @@ class TestMertonResidual:
         # V(t, s, H) = H c(s/H, tau) with c the zero-rate call at combined
         # volatility; finite-difference derivatives leave only truncation error
         sigma1, sigma_hat = 0.2, 0.05
-        combined = effective_vol(sigma1, sigma_hat).sigma_combined
+        combined = effective_vol(sigma1, sigma_hat)
         tau = 0.7
         s, h = 110.0, 0.9
 

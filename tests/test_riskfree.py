@@ -568,5 +568,11 @@ class TestSensitivityNeutralWeights:
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="n_factors < N"):
             SensitivityProblem(np.ones((3, 3)), cap=0.5)
+        with pytest.raises(ValueError, match="n_factors < N"):
+            # 1 asset x 5 factors is taken as given, not transposed
+            SensitivityProblem(np.arange(1.0, 6.0)[None, :], cap=0.5)
+        assert SensitivityProblem(np.arange(1.0, 6.0), cap=0.5).dmu_dxi.shape == (5, 1)
+        with pytest.raises(ValueError, match=r"\[N, n_factors\]"):
+            SensitivityProblem(np.ones((4, 1, 1)), cap=0.5)
         with pytest.raises(ValueError, match="infeasible"):
             SensitivityProblem(np.ones((4, 1)), cap=0.1)

@@ -94,6 +94,14 @@ class TestSimulate:
         expected = np.exp(0.1 * np.sum(xi[:-1, 0]) * GRID.dt)
         np.testing.assert_allclose(paths.paths[0, -1, 0], expected, rtol=1e-12)
 
+    def test_environment_shape_rejected(self):
+        # a 1-D series is one factor; a 2-D one is taken as given, not transposed
+        assert EnvironmentSeries(GRID, np.zeros(GRID.n_points)).xi.shape == (GRID.n_points, 1)
+        grid = TimeGrid(0.0, 0.1, 3)
+        for xi in (np.arange(4.0)[None, :], np.zeros((3, 1)), np.zeros((4, 1, 1)), 0.0):
+            with pytest.raises(ValueError, match="one factor vector per grid point"):
+                EnvironmentSeries(grid, xi)
+
     def test_negative_sigma_rejected(self):
         spec = ProcessSpec(1, mu=lambda x: 0.0, sigma=lambda x: -0.1)
         with pytest.raises(ValueError, match="negative"):
