@@ -112,7 +112,7 @@ def cmd_gauge(args, config: io.RunConfig) -> dict:
     body = {
         "asset_ids": list(panel.asset_ids or ()),
         "a_field": result.a.a,
-        "b_diag": result.b_diag,
+        "b_diag": result.b.diag,
         "portfolio_value": result.portfolio_value_series,
     }
     return {"seed": None, "body": body}

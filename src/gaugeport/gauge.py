@@ -1,5 +1,10 @@
 """Price/quantity panels, gauge fields, and the exact transformation algebra.
 
+The trade-unit field B_N is held as its diagonal, one rate per asset and
+interval, and a trade-unit map as one positive unit factor per asset and
+grid point (a split or a redenomination): extraction produces nothing else,
+so every field here is an O(steps N) array.
+
 Conventions used throughout the package:
 
 * Deterministic gauge parameters phi(t) live on grid points (steps+1 values).
@@ -19,10 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .grid import TimeGrid, require_same_grid
-
-#: Condition-number ceiling above which a trade-unit map is rejected as
-#: numerically singular.
-SINGULARITY_CONDITION_LIMIT = 1e12
 
 
 def forward_diff(values: np.ndarray, dt: float) -> np.ndarray:
@@ -118,58 +119,51 @@ class GaugeFieldA:
 
 @dataclass(frozen=True)
 class TradeUnitMap:
-    """Time series of invertible N x N trade-unit redefinitions b(t)."""
+    """Per-asset trade-unit factors b(t): q' = b q and s' = s / b.
+
+    Each factor is finite and > 0, so the map is a split or a
+    redenomination of each asset, never a mix of assets.
+    """
 
     grid: TimeGrid
-    b: np.ndarray  # [steps+1, N, N]
+    b: np.ndarray  # [steps+1, N]
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "b", b)
-        if b.ndim != 3 or b.shape[1] != b.shape[2]:
-            raise ValueError("b must be a [steps+1, N, N] stack of square matrices")
-        if b.shape[0] != self.grid.n_points:
-            raise ValueError("b must hold one matrix per grid point")
-        conds = np.linalg.cond(b)
-        if not np.all(np.isfinite(conds)) or np.any(conds > SINGULARITY_CONDITION_LIMIT):
-            raise ValueError(
-                "trade-unit map is numerically singular "
-                f"(condition number exceeds {SINGULARITY_CONDITION_LIMIT:g})"
-            )
+        if b.ndim != 2 or b.shape[0] != self.grid.n_points:
+            raise ValueError("b must be a [steps+1, N] array of unit factors")
+        if not np.all(np.isfinite(b)) or np.any(b <= 0):
+            raise ValueError("trade-unit factors must be finite and > 0")
 
     @property
     def n_assets(self) -> int:
         return self.b.shape[1]
 
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.b)
-
     @staticmethod
-    def constant(grid: TimeGrid, matrix: np.ndarray) -> "TradeUnitMap":
-        matrix = np.asarray(matrix, dtype=float)
-        return TradeUnitMap(grid, np.broadcast_to(matrix, (grid.n_points, *matrix.shape)).copy())
+    def constant(grid: TimeGrid, factors: np.ndarray) -> "TradeUnitMap":
+        factors = np.asarray(factors, dtype=float)
+        return TradeUnitMap(grid, np.broadcast_to(factors, (grid.n_points, *factors.shape)).copy())
 
 
 @dataclass(frozen=True)
 class GaugeFieldB:
-    """GL(N) trade-unit gauge field, one N x N rate matrix per interval."""
+    """Trade-unit gauge field B_N as its diagonal, one rate per asset and interval."""
 
     grid: TimeGrid
-    bfield: np.ndarray  # [steps, N, N]
+    diag: np.ndarray  # [steps, N]
 
     def __post_init__(self):
-        bf = np.asarray(self.bfield, dtype=float)
-        object.__setattr__(self, "bfield", bf)
-        if bf.ndim != 3 or bf.shape[1] != bf.shape[2]:
-            raise ValueError("bfield must be a [steps, N, N] stack of square matrices")
-        if bf.shape[0] != self.grid.steps:
-            raise ValueError("bfield must hold one matrix per interval")
-        if not np.all(np.isfinite(bf)):
+        diag = np.asarray(self.diag, dtype=float)
+        object.__setattr__(self, "diag", diag)
+        if diag.ndim != 2 or diag.shape[0] != self.grid.steps:
+            raise ValueError("B_N must be a [steps, N] array, one row per interval")
+        if not np.all(np.isfinite(diag)):
             raise ValueError("gauge field B must be finite")
 
     @staticmethod
     def zeros(grid: TimeGrid, n: int) -> "GaugeFieldB":
-        return GaugeFieldB(grid, np.zeros((grid.steps, n, n)))
+        return GaugeFieldB(grid, np.zeros((grid.steps, n)))
 
 
 @dataclass(frozen=True)
@@ -217,19 +211,14 @@ def apply_price_gauge(panel: PricePanel, phi: GaugeScalar) -> PricePanel:
 
 
 def apply_trade_unit_gauge(panel: PricePanel, b: TradeUnitMap) -> PricePanel:
-    """Redefine trade units: q' = b q and s' = (b^{-1})^T s pointwise in t."""
+    """Redefine trade units: q' = b q and s' = s / b pointwise in t."""
     require_same_grid(panel.grid, b.grid, "panel/trade-unit map")
     if b.n_assets != panel.n_assets:
         raise ValueError("trade-unit map dimension does not match the panel")
-    b_inv = b.inverse()
-    # s'_i = (b^{-1})^j_i s_j
-    prices = np.einsum("kji,kj->ki", b_inv, panel.prices)
-    if np.any(prices <= 0):
-        raise ValueError("trade-unit gauge produced nonpositive prices")
     quantities = None
     if panel.quantities is not None:
-        quantities = np.einsum("kij,kj->ki", b.b, panel.quantities)
-    return replace(panel, prices=prices, quantities=quantities)
+        quantities = b.b * panel.quantities
+    return replace(panel, prices=panel.prices / b.b, quantities=quantities)
 
 
 def transform_gauge_a(a: GaugeFieldA, phi: GaugeScalar) -> GaugeFieldA:
@@ -239,25 +228,18 @@ def transform_gauge_a(a: GaugeFieldA, phi: GaugeScalar) -> GaugeFieldA:
 
 
 def transform_gauge_b(bf: GaugeFieldB, b: TradeUnitMap) -> GaugeFieldB:
-    """Gauge action B' = b B b^{-1} - b_dot b^{-1} on each interval.
+    """Gauge action B' = (b[k+1] B + (b[k+1] - b[k]) / dt) / b[k] per asset.
 
-    b and b^{-1} are taken at the interval's left endpoint; b_dot is the
-    forward difference.  Composition of two transformations therefore agrees
-    with transforming by the pointwise product exactly when either factor is
-    constant in time, and to O(dt) otherwise.
+    This is the rule under which q' = b q keeps the discrete self-financing
+    relation q[k+1] - q[k] = dt B[k] q[k] exact, so the balance identities
+    hold in any trade units, and transforming by b1 then b2 equals
+    transforming by the product b2 b1.
     """
     require_same_grid(bf.grid, b.grid, "B/trade-unit map")
-    if b.n_assets != bf.bfield.shape[1]:
+    if b.n_assets != bf.diag.shape[1]:
         raise ValueError("trade-unit map dimension does not match the field")
-    dt = b.grid.dt
-    b_left = b.b[:-1]
-    b_left_inv = np.linalg.inv(b_left)
-    b_dot = np.diff(b.b, axis=0) / dt
-    transformed = (
-        np.einsum("kij,kjl,klm->kim", b_left, bf.bfield, b_left_inv)
-        - np.einsum("kij,kjl->kil", b_dot, b_left_inv)
-    )
-    return GaugeFieldB(bf.grid, transformed)
+    left, right = b.b[:-1], b.b[1:]
+    return GaugeFieldB(bf.grid, (right * bf.diag + (right - left) / b.grid.dt) / left)
 
 
 def nominal_return(grid: TimeGrid, values: np.ndarray) -> ReturnSeries:

@@ -143,6 +143,8 @@ class OptionSlice:
 
 def effective_vol(sigma1: float, sigma_hat: float) -> float:
     """Combined volatility Sigma = sqrt(sigma1^2 + sigma_hat^2)."""
+    if not (np.isfinite(sigma1) and np.isfinite(sigma_hat)):
+        raise ValueError("volatilities must be finite")
     if sigma1 < 0 or sigma_hat < 0:
         raise ValueError("volatilities must be nonnegative")
     return float(np.hypot(sigma1, sigma_hat))

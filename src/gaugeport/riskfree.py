@@ -2,7 +2,7 @@
 
 A diversified portfolio rebalanced to fixed positive weights defines the
 market gauge A(t) = -d/dt ln(s.q) and the trade-unit field B_N = q_dot/q,
-stored as its diagonal, so extraction memory grows as O(steps N).
+a diagonal :class:`GaugeFieldB`, so extraction memory grows as O(steps N).
 The module also checks price insensitivity, verifies the 1/sqrt(N) decay of
 portfolio volatility, and solves for weights whose expected return is
 insensitive to forecasting errors in the environment factors: accelerated
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gauge import GaugeFieldA, PricePanel
+from .gauge import GaugeFieldA, GaugeFieldB, PricePanel
 from .grid import TimeGrid, require_same_grid
 from .sim import EnvironmentSeries, ProcessSpec, StepKernel, _map_gross
 
@@ -84,13 +84,11 @@ class WeightVector:
 class MarketGaugeResult:
     """Extracted gauge fields and the generating portfolio's value path.
 
-    ``b_diag`` is the diagonal of B_N, q_dot^i / q^i per interval: the whole
-    field, since extraction never produces off-diagonal entries.  The dense
-    ``GaugeFieldB`` is for the trade-unit algebra that mixes assets.
+    ``b`` holds B_N as q_dot^i / q^i per asset and interval.
     """
 
     a: GaugeFieldA
-    b_diag: np.ndarray  # [steps, N]
+    b: GaugeFieldB
     portfolio_value_series: np.ndarray  # [steps+1]
     quantities: np.ndarray  # [steps+1, N], holdings after each rebalance
 
@@ -182,20 +180,17 @@ def extract_market_gauge(panel: PricePanel, w: WeightVector) -> MarketGaugeResul
 
     With vector holdings the defining relation s.q_dot = s.B_N.q is
     under-determined and the diagonal entries q_dot^i / q^i are its minimal
-    solution, so B_N is returned as that [steps, N] diagonal: memory is
-    O(steps N), where the dense [steps, N, N] stack would be O(steps N^2).
+    solution, so memory is O(steps N).
     """
     quantities, values = rebalanced_quantities(panel, w)
     grid = panel.grid
     a = GaugeFieldA(grid, -np.diff(np.log(values)) / grid.dt)
     # q_dot / q, formed in place
-    b_diag = np.diff(quantities, axis=0)
-    b_diag /= grid.dt
-    b_diag /= quantities[:-1]
-    if not np.all(np.isfinite(b_diag)):
-        raise ValueError("gauge field B must be finite")
+    b = np.diff(quantities, axis=0)
+    b /= grid.dt
+    b /= quantities[:-1]
     return MarketGaugeResult(
-        a=a, b_diag=b_diag, portfolio_value_series=values, quantities=quantities
+        a=a, b=GaugeFieldB(grid, b), portfolio_value_series=values, quantities=quantities
     )
 
 
@@ -219,8 +214,8 @@ def balance_residuals(panel: PricePanel, result: MarketGaugeResult) -> tuple[np.
     values = result.portfolio_value_series
     s_dot = np.diff(s, axis=0) / dt
     q_dot = np.diff(q, axis=0) / dt
-    # s.B_N.q with the diagonal field reduces to s . (b_diag * q).
-    s_bq = np.einsum("ki,ki->k", s[1:], result.b_diag * q[:-1])
+    # s.B_N.q with the diagonal field reduces to s . (B_N * q).
+    s_bq = np.einsum("ki,ki->k", s[1:], result.b.diag * q[:-1])
     s_qdot = np.einsum("ki,ki->k", s[1:], q_dot)
     a_arith = (1.0 - np.exp(-result.a.a * dt)) / dt
     r_constancy = (

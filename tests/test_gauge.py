@@ -96,16 +96,19 @@ class TestPriceGauge:
 class TestTradeUnitGauge:
     def test_identity(self):
         panel = random_panel(3, seed=6)
-        out = apply_trade_unit_gauge(panel, TradeUnitMap.constant(GRID, np.eye(3)))
-        np.testing.assert_allclose(out.prices, panel.prices, rtol=1e-15)
-        np.testing.assert_allclose(out.quantities, panel.quantities, rtol=1e-15)
+        out = apply_trade_unit_gauge(panel, TradeUnitMap.constant(GRID, np.ones(3)))
+        np.testing.assert_array_equal(out.prices, panel.prices)
+        np.testing.assert_array_equal(out.quantities, panel.quantities)
 
     def test_stock_split(self):
-        # A 2-for-1 split doubles quantities, halves prices, keeps value.
+        # A 2-for-1 split of the first asset doubles its quantities, halves
+        # its prices and keeps the value; the second asset is untouched.
         panel = random_panel(2, seed=7)
-        out = apply_trade_unit_gauge(panel, TradeUnitMap.constant(GRID, 2.0 * np.eye(2)))
-        np.testing.assert_allclose(out.quantities, 2.0 * panel.quantities, rtol=1e-14)
-        np.testing.assert_allclose(out.prices, 0.5 * panel.prices, rtol=1e-14)
+        out = apply_trade_unit_gauge(panel, TradeUnitMap.constant(GRID, [2.0, 1.0]))
+        np.testing.assert_array_equal(out.quantities[:, 0], 2.0 * panel.quantities[:, 0])
+        np.testing.assert_array_equal(out.prices[:, 0], 0.5 * panel.prices[:, 0])
+        np.testing.assert_array_equal(out.quantities[:, 1], panel.quantities[:, 1])
+        np.testing.assert_array_equal(out.prices[:, 1], panel.prices[:, 1])
         np.testing.assert_allclose(
             portfolio_value_series(out), portfolio_value_series(panel), rtol=1e-14
         )
@@ -115,22 +118,17 @@ class TestTradeUnitGauge:
     def test_value_invariance_random_map(self, seed):
         panel = random_panel(3, seed=seed)
         rng = np.random.default_rng(seed + 99)
-        b = np.eye(3) + 0.3 * rng.normal(size=(GRID.n_points, 3, 3))
-        # keep prices positive: mix mildly around the identity
-        try:
-            bmap = TradeUnitMap(GRID, b)
-            out = apply_trade_unit_gauge(panel, bmap)
-        except ValueError:
-            return  # singular draw or sign flip; invariance is vacuous
+        out = apply_trade_unit_gauge(panel, TradeUnitMap(GRID, np.exp(rng.normal(size=(GRID.n_points, 3)))))
         before = portfolio_value_series(panel)
         after = portfolio_value_series(out)
         np.testing.assert_allclose(after, before, rtol=1e-10, atol=1e-10 * np.abs(before).max())
 
     def test_singular_map_rejected(self):
-        b = np.zeros((GRID.n_points, 2, 2))
-        b[:, 0, 0] = 1.0  # rank deficient
-        with pytest.raises(ValueError, match="singular"):
-            TradeUnitMap(GRID, b)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            b = np.ones((GRID.n_points, 2))
+            b[5, 1] = bad
+            with pytest.raises(ValueError, match="finite and > 0"):
+                TradeUnitMap(GRID, b)
 
 
 class TestGaugeFieldA:
@@ -160,50 +158,50 @@ class TestGaugeFieldA:
         np.testing.assert_allclose(sequential.a, transform_gauge_a(a, combined).a, atol=1e-12)
 
 
+def sine_map(grid, amplitudes, rate=3.0, phase=0.0):
+    """Per-asset factors b_i(t) = exp(c_i sin(rate t + phase))."""
+    t = grid.points()
+    return TradeUnitMap(grid, np.exp(np.sin(rate * t + phase)[:, None] * np.asarray(amplitudes)))
+
+
 class TestGaugeFieldB:
     def test_constant_identity_map(self):
-        bf = GaugeFieldB(GRID, np.random.default_rng(2).normal(size=(GRID.steps, 2, 2)))
-        out = transform_gauge_b(bf, TradeUnitMap.constant(GRID, np.eye(2)))
-        np.testing.assert_allclose(out.bfield, bf.bfield, atol=1e-14)
+        bf = GaugeFieldB(GRID, np.random.default_rng(2).normal(size=(GRID.steps, 2)))
+        out = transform_gauge_b(bf, TradeUnitMap.constant(GRID, np.ones(2)))
+        np.testing.assert_array_equal(out.diag, bf.diag)
 
     def test_exponential_scalar_map(self):
-        # b(t) = e^{ct} I on zero field gives -c I up to the forward-difference
-        # discretization of the exponential.
+        # b(t) = e^{ct} on the zero field: q' = b q grows by e^{c dt} per
+        # step, so B' = (e^{c dt} - 1)/dt, which tends to +c as dt -> 0.
         c = 0.4
-        b = np.exp(c * GRID.points())[:, None, None] * np.eye(2)
+        b = np.exp(c * GRID.points())[:, None] * np.ones(2)
         out = transform_gauge_b(GaugeFieldB.zeros(GRID, 2), TradeUnitMap(GRID, b))
         discrete_c = (np.exp(c * GRID.dt) - 1.0) / GRID.dt
-        expected = np.broadcast_to(-discrete_c * np.eye(2), out.bfield.shape)
-        np.testing.assert_allclose(out.bfield, expected, rtol=1e-12, atol=1e-12)
-        loose = np.broadcast_to(-c * np.eye(2), out.bfield.shape)
-        np.testing.assert_allclose(out.bfield, loose, atol=c * c * GRID.dt)
+        np.testing.assert_allclose(out.diag, discrete_c, rtol=1e-12)
+        np.testing.assert_allclose(out.diag, c, atol=c * c * GRID.dt)
 
     def test_composition_with_constant_factor_exact(self):
         rng = np.random.default_rng(3)
-        bf = GaugeFieldB(GRID, rng.normal(size=(GRID.steps, 2, 2)))
-        varying = TradeUnitMap(
-            GRID, np.eye(2) + 0.2 * np.sin(GRID.points())[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
-        )
-        const = TradeUnitMap.constant(GRID, np.array([[2.0, 0.3], [0.0, 1.0]]))
-        product = TradeUnitMap(GRID, np.einsum("ij,kjl->kil", const.b[0], varying.b))
+        bf = GaugeFieldB(GRID, rng.normal(size=(GRID.steps, 2)))
+        varying = sine_map(GRID, [0.2, -0.3])
+        const = TradeUnitMap.constant(GRID, [2.0, 0.3])
+        product = TradeUnitMap(GRID, const.b * varying.b)
         sequential = transform_gauge_b(transform_gauge_b(bf, varying), const)
         direct = transform_gauge_b(bf, product)
-        np.testing.assert_allclose(sequential.bfield, direct.bfield, atol=1e-9)
+        np.testing.assert_allclose(sequential.diag, direct.diag, rtol=1e-12, atol=1e-12)
 
     def test_composition_generic_small_dt(self):
-        # Generic composition agrees only to O(dt).  Forward differences in
-        # doubles bottom out near sqrt(eps): truncation ~dt fights round-off
-        # ~eps/dt, so dt=1e-8 is about optimal and 1e-6 a safe bound.
-        grid = TimeGrid(0.0, 1e-8, 3)
-        t = grid.points()
+        # Two time-varying maps compose exactly, at an ordinary dt: the rule
+        # is the one the discrete self-financing relation dictates.
         rng = np.random.default_rng(4)
-        bf = GaugeFieldB(grid, rng.normal(size=(grid.steps, 2, 2)))
-        b1 = TradeUnitMap(grid, np.eye(2) + np.sin(1.0 + 2.0 * t)[:, None, None] * 0.3 * np.eye(2))
-        b2 = TradeUnitMap(grid, np.eye(2) + np.cos(2.0 + 3.0 * t)[:, None, None] * np.array([[0.1, 0.2], [0.0, 0.1]]))
-        product = TradeUnitMap(grid, np.einsum("kij,kjl->kil", b2.b, b1.b))
+        bf = GaugeFieldB(GRID, rng.normal(size=(GRID.steps, 3)))
+        b1 = sine_map(GRID, rng.normal(size=3), rate=2.0, phase=1.0)
+        b2 = sine_map(GRID, rng.normal(size=3), rate=30.0, phase=2.0)
+        product = TradeUnitMap(GRID, b2.b * b1.b)
         sequential = transform_gauge_b(transform_gauge_b(bf, b1), b2)
         direct = transform_gauge_b(bf, product)
-        np.testing.assert_allclose(sequential.bfield, direct.bfield, atol=1e-6)
+        scale = np.max(np.abs(direct.diag))
+        np.testing.assert_allclose(sequential.diag, direct.diag, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestReturns:

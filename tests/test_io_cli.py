@@ -543,6 +543,22 @@ class TestCli:
         )
 
     @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("gauge", "876361c51917bc128e5cd27b66b3e25e80d995a6024d9039ff7701529f2351a7"),
+            ("discount", "9023009c9379485d310ea8b44919ab2b80365e9318d40e9ae7d98fd9e8e460ae"),
+        ],
+        ids=["gauge", "discount"],
+    )
+    def test_panel_report_is_unchanged(self, command, digest, fixture_csv, tmp_path):
+        # the digests are of the report bodies written when B_N was still
+        # kept beside a dense [steps, N, N] field type
+        out = tmp_path / "r.yaml"
+        assert main([command, "--panel", str(fixture_csv), "--normalize", "--out", str(out)]) == EXIT_OK
+        body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "text",
         [
             "simulate: {process: affine}\n",

@@ -63,8 +63,9 @@ class TestEffectiveVol:
         assert effective_vol(0.3, 0.0) == 0.3
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            effective_vol(-0.1, 0.0)
+        for sigma1, sigma_hat in ((-0.1, 0.0), (np.nan, 0.1), (np.inf, 0.1), (0.2, np.nan), (0.2, np.inf)):
+            with pytest.raises(ValueError):
+                effective_vol(sigma1, sigma_hat)
 
 
 class TestPdeSolver:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from gaugeport import (
     PricePanel,
     SensitivityProblem,
     TimeGrid,
+    TradeUnitMap,
     WeightVector,
+    apply_trade_unit_gauge,
     balance_residuals,
     constant_spec,
     delta_hedge,
@@ -20,6 +23,7 @@ from gaugeport import (
     sensitivity_neutral_weights,
     simulate,
     to_riskfree_units,
+    transform_gauge_b,
 )
 from gaugeport.riskfree import (
     _prefix_log_return_sums,
@@ -111,15 +115,15 @@ class TestMarketGauge:
         result = extract_market_gauge(panel, WeightVector.equal(3))
         np.testing.assert_allclose(result.a.a, -g, rtol=1e-10)
         # constant weights on proportional prices mean constant holdings
-        np.testing.assert_allclose(result.b_diag, 0.0, atol=1e-10)
+        np.testing.assert_allclose(result.b.diag, 0.0, atol=1e-10)
 
     def test_b_diag_is_q_dot_over_q(self):
         panel = random_panel(5, seed=6)
         result = extract_market_gauge(panel, WeightVector.equal(5))
         q = result.quantities
-        assert result.b_diag.shape == (GRID.steps, 5)
+        assert result.b.diag.shape == (GRID.steps, 5)
         assert q.shape == panel.prices.shape and result.portfolio_value_series[0] == 1.0
-        assert np.array_equal(result.b_diag, np.diff(q, axis=0) / GRID.dt / q[:-1])
+        assert np.array_equal(result.b.diag, np.diff(q, axis=0) / GRID.dt / q[:-1])
 
     def test_peak_memory_is_a_few_steps_by_n_arrays(self):
         # 401 dates x 256 assets: a dense [steps, N, N] B_N alone would be 210 MB
@@ -158,6 +162,25 @@ class TestMarketGauge:
         scale = np.max(result.portfolio_value_series) / GRID.dt
         np.testing.assert_allclose(r_const, 0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(r_self, 0.0, atol=1e-12 * scale)
+
+    def test_balance_residuals_vanish_in_any_trade_units(self):
+        # C08's panel, re-expressed in time-varying per-asset trade units:
+        # q' = b q, s' = s / b and B' from transform_gauge_b keep both
+        # balances at round-off
+        grid = TimeGrid(0.0, 0.01, 100)
+        paths = simulate(constant_spec(8, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, seed=505)
+        panel = PricePanel(grid=grid, prices=paths.paths[0])
+        result = extract_market_gauge(panel, WeightVector.equal(8))
+        c = np.random.default_rng(505).normal(size=8)
+        bmap = TradeUnitMap(grid, np.exp(np.sin(3.0 * grid.points())[:, None] * c))
+        primed = apply_trade_unit_gauge(replace(panel, quantities=result.quantities), bmap)
+        primed_result = replace(
+            result, b=transform_gauge_b(result.b, bmap), quantities=primed.quantities
+        )
+        r_const, r_self = balance_residuals(primed, primed_result)
+        scale = np.max(result.portfolio_value_series) / grid.dt
+        worst = max(np.max(np.abs(r_const)), np.max(np.abs(r_self))) / scale
+        assert worst <= 1e-12
 
     def test_riskfree_series_must_be_positive(self):
         panel = random_panel(2, seed=6)
