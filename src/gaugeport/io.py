@@ -137,16 +137,19 @@ def _parse_cells(path: Path) -> tuple[list[str], list[date], np.ndarray]:
 
 
 def export_panel(panel: PricePanel, path: str | Path, start: date = date(2005, 7, 1)) -> None:
-    """Write a PricePanel back to the PanelFile CSV schema."""
+    """Write a PricePanel to the PanelFile CSV schema; ValueError if two grid points share a day."""
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels to export")
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as handle:
+    dt = panel.grid.dt
+    days = [start + timedelta(days=round(k * dt * DAYS_PER_YEAR)) for k in range(panel.grid.n_points)]
+    for k in range(1, len(days)):
+        if days[k] == days[k - 1]:
+            raise ValueError(f"grid points {k - 1} and {k} both fall on {days[k]} (dt {dt} years)")
+    with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", *panel.asset_ids])
-        for k in range(panel.grid.n_points):
-            day = start + timedelta(days=round(k * panel.grid.dt * DAYS_PER_YEAR))
-            writer.writerow([day.isoformat(), *(repr(float(p)) for p in panel.prices[k])])
+        for day, row in zip(days, panel.prices):
+            writer.writerow([day.isoformat(), *(repr(float(p)) for p in row)])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +236,7 @@ _KINDS = {
 
 
 def load_config(path: Optional[str | Path]) -> RunConfig:
-    """Load and validate a YAML RunConfig; missing path means all defaults.
+    """Load and validate a YAML RunConfig; a missing path or an empty file means all defaults.
 
     Raises ValueError with a one-line message for malformed YAML, unknown
     sections or keys, values of the wrong type and out-of-range values.
@@ -242,12 +245,13 @@ def load_config(path: Optional[str | Path]) -> RunConfig:
         return RunConfig({})
     try:
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader) or {}
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
         raise ValueError(f"invalid config: {path} is not valid YAML{where}: {problem}") from None
+    raw = {} if raw is None else raw
     _require(isinstance(raw, dict), "config must be a mapping of sections")
     unknown = set(raw) - set(_DEFAULT_CONFIG)
     _require(not unknown, f"unknown config sections: {sorted(unknown, key=str)}")
@@ -435,6 +439,6 @@ def write_report(
 def read_report(path: str | Path) -> dict:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     document = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
-    if "provenance" not in document or "report" not in document:
+    if not isinstance(document, dict) or "provenance" not in document or "report" not in document:
         raise ValueError("report file is missing its provenance block")
     return document

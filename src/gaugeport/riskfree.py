@@ -7,7 +7,8 @@ The module also checks price insensitivity, verifies the 1/sqrt(N) decay of
 portfolio volatility, and solves for weights whose expected return is
 insensitive to forecasting errors in the environment factors: accelerated
 projected gradient over the capped simplex, with an exact sort-based
-projection and a Frank-Wolfe duality gap certifying the result.
+projection.  A Frank-Wolfe duality gap <= GAP_TOL * residual certifies the
+result (stop reason ``"gap"``): the residual is within GAP_TOL of the optimum.
 
 :func:`riskfree_studies` runs the volatility-scaling and common-limit
 studies in one pass over one draw of the largest universe: every size is a
@@ -17,9 +18,9 @@ independent points, and the equal-weight portfolio serves both studies.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,10 @@ WEIGHT_SUM_TOL = 1e-12
 
 #: projected_gradient stops once no weight moves by more than this in an iteration.
 MOVE_TOL = 1e-12
+
+#: projected_gradient stops once the best iterate's Frank-Wolfe gap is at most
+#: GAP_TOL times its residual: that residual is then within GAP_TOL of the optimum.
+GAP_TOL = 1e-6
 
 #: sensitivity_neutral_weights runs at most MAX_ITER projected-gradient
 #: iterations and calls its weights exact when ||w^T dmu_dxi|| <= NEUTRAL_TOL.
@@ -432,61 +437,69 @@ def _affine_polish(g: np.ndarray, w: np.ndarray, cap: float) -> Optional[np.ndar
     return None
 
 
-def projected_gradient(
-    g: np.ndarray,
-    w0: np.ndarray,
-    cap: float,
-    max_iter: int = MAX_ITER,
-) -> tuple[np.ndarray, int, str]:
+def projected_gradient(g: np.ndarray, w0: np.ndarray, cap: float) -> tuple[np.ndarray, int, str]:
     """Accelerated projected gradient for min ||g^T w||^2 over the capped simplex.
 
     Returns the best iterate, the number of iterations run and why the
-    iterations stopped: ``"residual"`` (best residual below 1e-13),
-    ``"move"`` (no weight moved by ``MOVE_TOL``) or ``"max_iter"``.
+    iterations stopped, tested in this order: ``"residual"`` (best residual
+    below 1e-13), ``"move"`` (no weight moved by ``MOVE_TOL``), ``"gap"`` (see
+    ``GAP_TOL``) or ``"max_iter"``.  The gap test only adds a stop.  Any
+    feasible s bounds the gap below by 2 (|g^T w|^2 - <g^T w, g^T s>), so the
+    gap is formed only when neither the start nor the last vertex rules it out.
     """
-    lips = 2.0 * np.linalg.norm(g, 2) ** 2
-    step = 1.0 / max(lips, 1e-300)
-    w = w0.copy()
-    y = w0.copy()
+    g2 = 2.0 * g  # grad f(w) = g2 @ (g^T w)
+    step = 1.0 / max(2.0 * np.linalg.norm(g, 2) ** 2, 1e-300)
+    w = y = best = w0  # every iterate is a fresh array, never written in place
     t = 1.0
-    best = w.copy()
     best_res = _residual(g, w)
+    gap = math.inf
+    g_start = g_vertex = g.T @ w0
     iterations = 0
     reason = "max_iter"
-    for iterations in range(1, max_iter + 1):
-        grad = 2.0 * g @ (g.T @ y)
+    for iterations in range(1, MAX_ITER + 1):
+        grad = g2 @ (g.T @ y)
         w_new = project_capped_simplex(y - step * grad, cap)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t**2))
-        y = w_new + ((t - 1.0) / t_new) * (w_new - w)
-        move = np.max(np.abs(w_new - w))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
+        delta = w_new - w
+        y = w_new + ((t - 1.0) / t_new) * delta
+        move = np.abs(delta).max()
         w, t = w_new, t_new
-        res = _residual(g, w)
+        gw = g.T @ w
+        sq = gw @ gw
+        res = math.sqrt(sq)  # the bits of _residual: np.linalg.norm is sqrt(gw.dot(gw))
         if res < best_res:
-            best, best_res = w.copy(), res
+            best, best_res, gap = w, res, math.inf
+            floor = sq - 0.5 * GAP_TOL * res  # gap <= GAP_TOL res needs gw . g^T s >= floor
+            if gw @ g_start >= floor and gw @ g_vertex >= floor:
+                gap, vertex = _frank_wolfe_gap(g2 @ gw, w, cap)
+                g_vertex = g.T @ vertex
         if best_res < 1e-13:
             reason = "residual"
             break
         if move < MOVE_TOL:
             reason = "move"
             break
+        if gap <= GAP_TOL * best_res:
+            reason = "gap"
+            break
     return best, iterations, reason
 
 
-def _frank_wolfe_gap(g: np.ndarray, w: np.ndarray, cap: float) -> float:
-    """Duality gap <grad f(w), w - s> of f(w) = ||g^T w||^2 on the capped simplex.
+def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
+    """Duality gap <grad, w - s> of f(w) = ||g^T w||^2 on the capped simplex, and s.
 
-    s minimizes the linearization over the set: greedy fill of the most
-    negative gradient entries up to the cap (Jaggi, ICML 2013).  By
-    convexity the gap bounds f(w) - min f from above.
+    grad is grad f(w).  s minimizes the linearization over the set: the most
+    negative gradient entries filled up to the cap (Jaggi, ICML 2013).  By
+    convexity the gap bounds f(w) - min f, so by gap / residual it bounds
+    residual - optimum, since sqrt(f) - sqrt(min f) <= (f - min f) / sqrt(f).
     """
-    grad = 2.0 * g @ (g.T @ w)
     n_full = min(int(1.0 / cap), grad.size)
-    order = np.argsort(grad)
-    s = np.zeros_like(w)
-    s[order[:n_full]] = cap
+    s = np.full_like(w, cap)
     if n_full < grad.size:
+        order = np.argpartition(grad, n_full)
         s[order[n_full]] = 1.0 - n_full * cap
-    return float(grad @ (w - s))
+        s[order[n_full + 1 :]] = 0.0
+    return float(grad @ (w - s)), s
 
 
 @dataclass(frozen=True)
@@ -495,9 +508,10 @@ class SensitivityResult:
     residual: float
     exact: bool  # residual below the neutrality tolerance
     iterations: int  # projected-gradient iterations
-    duality_gap: float  # Frank-Wolfe gap: bounds residual^2 - optimum^2
-    # why the solve stopped: "zero_gradient" (the start is already neutral,
-    # no iterations) or projected_gradient's "residual", "move", "max_iter"
+    duality_gap: float  # Frank-Wolfe gap: residual - optimum <= min(residual, gap / residual)
+    # why the solve stopped: "zero_gradient" (the start is already neutral, no
+    # iterations) or projected_gradient's "residual", "move", "max_iter" or
+    # "gap", which certifies residual - optimum <= GAP_TOL
     stop_reason: str
 
 
@@ -509,7 +523,8 @@ def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResul
     the exact-neutrality affine subspace when that projection stays feasible.
     The returned residual never exceeds the starting point's; the result
     carries the iteration count, the reason the iterations stopped and the
-    Frank-Wolfe duality gap of the returned weights.
+    Frank-Wolfe duality gap of the returned weights.  The polish only lowers
+    a feasible residual, so a ``"gap"`` stop's certificate still holds.
     """
     g = problem.dmu_dxi
     n = problem.n
@@ -524,27 +539,6 @@ def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResul
         if _residual(g, polished) < _residual(g, w):
             w = polished
     res = _residual(g, w)
-    gap = _frank_wolfe_gap(g, w, problem.cap)
+    gap, _vertex = _frank_wolfe_gap(2.0 * g @ (g.T @ w), w, problem.cap)
     return SensitivityResult(WeightVector(w), res, res <= NEUTRAL_TOL, iterations, gap, reason)
 
-
-def simplex_grid_oracle(
-    problem: SensitivityProblem, grid_divisions: int = 4, max_iter: int = 4000
-) -> float:
-    """Globally searched optimal residual: multistart projected gradient from
-    every point of a coarse simplex grid.  Small-N verification oracle only.
-    """
-    g = problem.dmu_dxi
-    n = problem.n
-    best = np.inf
-    m = grid_divisions
-    # Compositions of m into n parts via stars and bars.
-    for bars in combinations(range(m + n - 1), n - 1):
-        parts = np.diff(np.concatenate([[-1], np.array(bars), [m + n - 1]])) - 1
-        start = project_capped_simplex(parts / m, problem.cap)
-        w, _, _ = projected_gradient(g, start, problem.cap, max_iter=max_iter)
-        polished = _affine_polish(g, w, problem.cap)
-        if polished is not None and _residual(g, polished) < _residual(g, w):
-            w = polished
-        best = min(best, _residual(g, w))
-    return best

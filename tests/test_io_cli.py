@@ -131,12 +131,34 @@ class TestIngest:
         with pytest.raises(ValueError, match="labels"):
             export_panel(panel, tmp_path / "out.csv")
 
+    def test_export_rejects_steps_shorter_than_a_day(self, tmp_path):
+        # dt = 1/1000 year: grid points 0 and 1 both round to 2005-07-01,
+        # and ingest would reject the repeated date
+        panel = PricePanel(grid=TimeGrid(0.0, 1e-3, 4), prices=np.ones((5, 1)), asset_ids=("A",))
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="grid points 0 and 1 both fall on 2005-07-01"):
+            export_panel(panel, out)
+        assert not out.exists()
+
+    def test_export_at_a_day_per_step_round_trips(self, tmp_path):
+        panel = PricePanel(
+            grid=TimeGrid(0.0, 1.0 / 365.25, 3), prices=np.arange(1.0, 5.0)[:, None], asset_ids=("A",)
+        )
+        export_panel(panel, tmp_path / "out.csv")
+        np.testing.assert_array_equal(ingest(tmp_path / "out.csv").prices, panel.prices)
+
 
 class TestRunConfig:
     def test_defaults_when_no_file(self):
         config = load_config(None)
         assert config.section("simulate")["n_assets"] == 8
         assert config.section("pde")["strike"] == 100.0
+
+    @pytest.mark.parametrize("text", ["", "# no sections\n", "---\n"])
+    def test_empty_file_means_defaults(self, text, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        assert load_config(path).effective() == load_config(None).effective()
 
     def test_yaml_overrides_merge_with_defaults(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -344,6 +366,13 @@ class TestReports:
         path = tmp_path / "broken.yaml"
         path.write_text(yaml.safe_dump({"report": {}}))
         with pytest.raises(ValueError, match="provenance"):
+            read_report(path)
+
+    @pytest.mark.parametrize("text", ["", "[]\n", "- 1\n", "3\n", "report\n"])
+    def test_empty_or_non_mapping_report_rejected(self, text, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="missing its provenance block"):
             read_report(path)
 
 
@@ -638,13 +667,17 @@ class TestCli:
 
     def test_sensitivity_reports_the_iteration_cap(self, tmp_path):
         # 64 assets x 32 factors at cap 2/N, gradient seed 2: a non-neutral
-        # optimum that projected gradient approaches without stopping
+        # optimum, where neither the residual nor the move test can stop the
+        # solve; the duality gap certifies it well before the iteration cap
         config = tmp_path / "run.yaml"
         config.write_text("sensitivity: {n_assets: 64, n_factors: 32, cap_c: 2.0, seed: 2}\n")
         out = tmp_path / "s.yaml"
         assert main(["sensitivity", "--config", str(config), "--out", str(out)]) == EXIT_OK
         report = read_report(out)["report"]
-        assert (report["iterations"], report["stop_reason"]) == (2000, "max_iter")
+        assert report["stop_reason"] == "gap"
+        assert 0 < report["iterations"] < 2000
+        assert 0 <= report["duality_gap"] <= 1e-6 * report["residual"]
+        assert abs(report["residual"] - 0.1777180563) < 1e-6
 
     def test_sensitivity_at_cap_c_one_holds_equal_weights(self, tmp_path):
         # cap_c = 1 caps every weight at 1/N: the equal weights are the only feasible point
@@ -816,6 +849,11 @@ class TestCli:
                 "simulate: {process: sector-block, process_params: {mu_sectors: [0.1, 0.2]}}\n",
                 "mu_sectors and sigma_sectors must have equal length, got 2 and 1",
             ),
+            # falsy documents that are not mappings are errors, not defaults
+            ("price", "[]\n", "config must be a mapping of sections"),
+            ("price", "false\n", "config must be a mapping of sections"),
+            ("price", "0\n", "config must be a mapping of sections"),
+            ("price", "''\n", "config must be a mapping of sections"),
         ],
         ids=[
             "yaml-syntax", "section-type", "int-type", "unknown-key", "float-for-int", "odd-n_s",
@@ -823,6 +861,7 @@ class TestCli:
             "param-list",
             "param-string", "param-typo", "param-length", "param-length-riskfree",
             "sector-lengths",
+            "empty-list", "false", "zero", "empty-string",
         ],
     )
     def test_config_error_is_one_line(self, command, text, message, fixture_csv, tmp_path, capsys):

@@ -25,6 +25,7 @@ from gaugeport import (
     to_riskfree_units,
     transform_gauge_b,
 )
+from gaugeport import riskfree
 from gaugeport.riskfree import (
     _prefix_log_return_sums,
     is_price_insensitive,
@@ -32,11 +33,30 @@ from gaugeport.riskfree import (
     projected_gradient,
     rebalanced_quantities,
     riskfree_studies,
-    simplex_grid_oracle,
 )
 from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block
 
 GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
+
+
+def lp_minimum(c: np.ndarray, cap: float) -> float:
+    """min <c, s> over {sum s = 1, 0 <= s <= cap}, solved by HiGHS.
+
+    HiGHS's default feasibility tolerances (1e-7) let it stop at a vertex
+    that is worse by up to about 1e-8 when entries of c nearly tie, so they
+    are tightened to the smallest values it accepts.
+    """
+    from scipy.optimize import linprog
+
+    tol = {"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10}
+    lp = linprog(c, A_eq=np.ones((1, c.size)), b_eq=[1.0], bounds=(0.0, cap), method="highs", options=tol)
+    assert lp.status == 0, lp.message
+    return float(lp.fun)
+
+
+def philox_gradients(n: int, k: int, seed: int) -> np.ndarray:
+    """The gradient draw of ``gaugeport sensitivity`` at this seed."""
+    return np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((n, k))
 
 
 def random_panel(n_assets: int, seed: int, grid: TimeGrid = GRID) -> PricePanel:
@@ -527,14 +547,52 @@ class TestSensitivityNeutralWeights:
 
     def test_duality_gap_bounds_suboptimality(self):
         # f = residual^2 is convex, so the Frank-Wolfe gap certifies
-        # f(w) - f* <= gap against the multistart oracle's optimum
+        # f(w) - f* <= gap, hence residual - optimum <= min(residual, gap / residual)
         rng = np.random.default_rng(5)
         problem = SensitivityProblem(rng.standard_normal((6, 3)) + 0.3, cap=4.0 / 6)
         result = sensitivity_neutral_weights(problem)
-        oracle = simplex_grid_oracle(problem, grid_divisions=4)
-        assert 0 < result.iterations <= 2000
+        assert 0 < result.iterations <= riskfree.MAX_ITER
         assert result.duality_gap >= -1e-12
-        assert result.residual**2 - oracle**2 <= result.duality_gap + 1e-12
+        assert min(result.residual, result.duality_gap / result.residual) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duality_gap_bounds_a_known_optimum(self, seed):
+        # one positive factor: ||g^T w|| = g^T w, so the optimum is a linear program's
+        g = np.random.default_rng(seed).uniform(0.5, 2.0, (20, 1))
+        cap = 3.0 / 20
+        optimum = lp_minimum(g[:, 0], cap)
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=cap))
+        # up to rounding in the last place of each side
+        assert result.residual**2 - optimum**2 <= result.duality_gap + 1e-12
+        assert result.residual - optimum <= result.duality_gap / result.residual + 1e-12
+        assert result.stop_reason == "gap" and result.duality_gap <= 1e-6 * result.residual
+
+    @pytest.mark.parametrize(
+        "g,cap",
+        [
+            (np.random.default_rng(5).standard_normal((6, 3)) + 0.3, 4.0 / 6),  # C10, neutral
+            (philox_gradients(64, 3, 7), 4.0 / 64),  # the default run
+            (philox_gradients(64, 32, 2), 2.0 / 64),  # the benchmark's fixed problem
+            (philox_gradients(64, 3, 11), 3.0 / 64),  # 1 / cap = 21.33 is not an integer
+            (philox_gradients(64, 32, 11), 3.0 / 64),
+            (np.array([[1.0], [2.0], [3.0], [4.0]]), 0.5),  # optimum at a vertex
+            (np.random.default_rng(0).standard_normal((10, 2)) + 0.2, 0.4),
+            (np.random.default_rng(3).standard_normal((20, 5)) + 0.5, 2.0 / 20),
+            (np.random.default_rng(4).standard_normal((30, 10)), 1.5 / 30),
+            (np.random.default_rng(8).standard_normal((9, 8)) + 1.0, 2.5 / 9),  # 1 / cap = 3.6
+        ],
+        ids=["c10", "default", "fixed", "cap3-k3", "cap3-k32", "vertex", "10x2", "20x5", "30x10", "9x8"],
+    )
+    def test_duality_gap_matches_lp_reference(self, g, cap):
+        # <grad f(w), w> - min_s <grad f(w), s>, with s solved by HiGHS instead
+        # of the solver's partition of the gradient
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=cap))
+        w = result.weights.w
+        grad = 2.0 * g @ (g.T @ w)
+        reference = float(grad @ w) - lp_minimum(grad, cap)
+        # near an optimum the free weights' gradient entries nearly tie, and
+        # HiGHS then solves only to its 1e-10 feasibility tolerance
+        assert abs(result.duality_gap - reference) <= 1e-10 * max(1.0, np.abs(grad).max())
 
     def test_zero_gradient_needs_no_iterations(self):
         result = sensitivity_neutral_weights(SensitivityProblem(np.zeros((8, 2)), cap=0.5))
@@ -549,25 +607,42 @@ class TestSensitivityNeutralWeights:
 
     def test_stops_on_move_at_a_vertex(self):
         # one positive factor: the optimum caps the two smallest gradients,
-        # and the iterates stop there exactly
+        # and the iterates reach it exactly; its duality gap certifies it one
+        # iteration before the move test would stop the solve
         g = np.array([[1.0], [2.0], [3.0], [4.0]])
         result = sensitivity_neutral_weights(SensitivityProblem(g, cap=0.5))
-        assert result.stop_reason == "move"
+        assert result.stop_reason == "gap"
         assert 0 < result.iterations < 2000 and not result.exact
         np.testing.assert_array_equal(result.weights.w, [0.5, 0.5, 0.0, 0.0])
 
-    def test_stops_at_the_iteration_cap(self):
+    def test_stops_at_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(riskfree, "MAX_ITER", 3)
         g = np.random.default_rng(5).standard_normal((6, 3)) + 0.3
         w0 = np.full(6, 1.0 / 6)
-        _w, iterations, reason = projected_gradient(g, w0, cap=4.0 / 6, max_iter=3)
+        _w, iterations, reason = projected_gradient(g, w0, cap=4.0 / 6)
         assert (iterations, reason) == (3, "max_iter")
 
+    def test_gap_stop_keeps_the_iterates(self, monkeypatch):
+        # the benchmark's fixed problem stops on its gap; without the gap test
+        # and capped at the same iteration, the solve returns the same bits
+        g = philox_gradients(64, 32, 2)
+        cap = 2.0 / 64
+        w0 = np.full(64, 1.0 / 64)
+        best, iterations, reason = projected_gradient(g, w0, cap)
+        assert reason == "gap" and iterations < 1000
+        monkeypatch.setattr(riskfree, "GAP_TOL", -np.inf)
+        monkeypatch.setattr(riskfree, "MAX_ITER", iterations)
+        capped, capped_iterations, capped_reason = projected_gradient(g, w0, cap)
+        assert (capped_iterations, capped_reason) == (iterations, "max_iter")
+        np.testing.assert_array_equal(capped, best)
+
     def test_matches_global_grid_oracle_small_n(self):
+        # residual - optimum <= min(residual, gap / residual) is proven for any
+        # convex f = residual^2, so no search for the optimum is needed
         rng = np.random.default_rng(5)
         problem = SensitivityProblem(rng.standard_normal((6, 3)) + 0.3, cap=4.0 / 6)
         result = sensitivity_neutral_weights(problem)
-        oracle = simplex_grid_oracle(problem, grid_divisions=4)
-        assert result.residual <= oracle + 1e-6
+        assert min(result.residual, result.duality_gap / result.residual) <= 1e-6
 
     def test_large_universe_reaches_neutrality(self):
         rng = np.random.default_rng(6)
