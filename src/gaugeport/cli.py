@@ -2,10 +2,11 @@
 
 Subcommands: simulate, gauge, riskfree, price, discount, sensitivity.
 Every run embeds the config hash and seed in its report.  Exit codes:
-0 success, 1 usage error, 2 computation error.  GAUGEPORT_THREADS (an
-integer >= 1, default 1) sets the Monte Carlo worker count of simulate and
-riskfree, whose reports do not depend on it; any other value is a usage
-error.  Nothing else reads the environment.
+0 success, 1 usage error, 2 computation error, a failed allocation
+included.  GAUGEPORT_THREADS (an integer >= 1, default 1) sets the Monte
+Carlo worker count of simulate and riskfree, whose reports do not depend
+on it; any other value is a usage error.  Nothing else reads the
+environment.
 """
 
 from __future__ import annotations
@@ -250,6 +251,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        # numpy's allocation failure names the array size it could not get
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     try:
         io.write_report(

@@ -417,9 +417,11 @@ def write_report(
     skeleton = yaml.dump(document, Dumper=dumper, sort_keys=True, default_flow_style=False)
     with Path(path).open("w", encoding="utf-8") as out:
         done = 0
-        for slot in re.finditer(re.escape(tag) + r"(\d+)\n", skeleton):
-            start = skeleton.rfind("\n", 0, slot.start()) + 1
-            before = skeleton[start : slot.start()]
+        at = skeleton.find(tag)
+        while at >= 0:
+            end = skeleton.index("\n", at)
+            start = skeleton.rfind("\n", 0, at) + 1
+            before = skeleton[start:at]
             lead = _LEAD.match(before).group()
             if before == lead:
                 # a sequence item or a long key's value: the array starts on
@@ -429,10 +431,11 @@ def write_report(
             else:
                 # "key: placeholder": the array starts on the next line, at
                 # the key's column
-                out.write(skeleton[done : slot.start() - 1] + "\n")
+                out.write(skeleton[done : at - 1] + "\n")
                 first, col = " " * len(lead), len(lead)
-            _write_block(out, arrays[int(slot.group(1))], first, col)
-            done = slot.end()
+            _write_block(out, arrays[int(skeleton[at + len(tag) : end])], first, col)
+            done = end + 1
+            at = skeleton.find(tag, done)
         out.write(skeleton[done:])
 
 

@@ -19,15 +19,20 @@ error grows with sigma sqrt(tau) and is not reported.  On the default
 form at sigma = 1, but 3e-4 off at sigma = 1.2 and 66.42 against 68.27 (2.7%)
 at sigma = 2.
 
-Every implicit half step solves the same tridiagonal system I - (dt/2) L,
-so it is LU-factored once with LAPACK ``dgttrf`` (again only where the
-coefficients change between intervals) and each step is one ``dgttrs``
-solve.  :func:`solve_today` is the one solve: it steps from expiry back to
-today holding two price rows and returns today's slice.  The steps run with
-floating-point warnings off, and a solve whose values overflow to inf or
-NaN raises :class:`DegenerateProblem`.  Deltas are differentiated from the
-values on demand.  scipy is imported inside the functions that use it, so
-importing the package does not load it.
+Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
+is LU-factored once with LAPACK ``dgttrf`` (again only where the
+coefficients change between intervals).  With h = dt/2 the Crank-Nicolson
+step is M^-1 (I + hL) = 2 M^-1 - I, so each step is one ``dgttrs`` solve
+and two vector operations, no band product: w = M^-1 (2v) with the ends of
+the right-hand side set to bc + v, then v = w - v with its ends set to the
+Dirichlet data bc.  The ``RANNACHER_STEPS`` start-up steps are two
+implicit half steps each, with the same factors.  :func:`solve_today` is
+the one solve: it steps from expiry back to today holding two price rows
+and returns today's slice.  The steps run with floating-point warnings
+off, and a solve whose values overflow to inf or NaN raises
+:class:`DegenerateProblem`.  Deltas are differentiated from the values on
+demand.  scipy is imported inside the functions that use it, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ def _per_interval(value: ArrayLike, steps: int, name: str) -> np.ndarray:
 class PdeProblem:
     """Grid, coefficients, and terminal data for the pricing equation.
 
+    ``s_grid`` must be uniform in ln s, as :func:`log_price_grid` makes it.
     ``sigma``, ``a_field`` and ``b_scalar`` are scalars or per-interval
     series on ``t_grid``.  ``payoff`` maps the price grid to terminal values.
     ``payoff_kind`` selects the asymptotic boundary data: "call", "put", or
@@ -80,8 +86,16 @@ class PdeProblem:
         object.__setattr__(self, "s_grid", s)
         if s.ndim != 1 or s.size < 5:
             raise DegenerateProblem("price grid too coarse: need at least 3 interior nodes")
-        if np.any(s <= 0) or np.any(np.diff(np.log(s)) <= 0):
-            raise ValueError("price grid must be positive and strictly increasing")
+        if not (np.all(s > 0) and np.all(np.isfinite(s))):
+            raise ValueError("price grid must be positive, finite and strictly increasing")
+        x = np.log(s)
+        x_steps = np.diff(x)
+        if not np.all(x_steps > 0):
+            raise ValueError("price grid must be positive, finite and strictly increasing")
+        # the solver takes one log step from the first two nodes; the steps of
+        # a log_price_grid differ by at most 3 ulp of max |ln s|
+        if np.ptp(x_steps) > 16.0 * np.finfo(float).eps * max(1.0, -x[0], x[-1]):
+            raise ValueError("price grid must be uniform in log-price")
         if self.payoff_kind not in ("call", "put", "linear"):
             raise ValueError(f"unknown payoff_kind {self.payoff_kind!r}")
         if self.payoff_kind in ("call", "put") and self.strike is None:
@@ -277,10 +291,13 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
     """Backward Crank-Nicolson solve of the gauge-field pricing equation: today's slice.
 
     The first ``RANNACHER_STEPS`` time steps run as pairs of implicit-Euler
-    half steps; second-order accurate in space and time thereafter.  All
-    implicit half steps share the matrix I - (dt/2) L, whose LU factors are
-    reused until an interval's (sigma, A, B) differs from the previous one.
-    Two price rows are held, so memory is O(n_s) for any number of steps.
+    half steps; second-order accurate in space and time thereafter.  Every
+    step solves with the matrix M = I - (dt/2) L, whose LU factors are
+    reused until an interval's (sigma, A, B) differs from the previous one:
+    a start-up step is two ``dgttrs`` solves, a Crank-Nicolson step one,
+    v <- M^-1 (2v) - v with the Dirichlet data at the ends (module
+    docstring).  Two price rows are held, so memory is O(n_s) for any
+    number of steps.
     """
     from scipy.linalg.lapack import dgttrs
 
@@ -309,18 +326,21 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
         rhs = np.empty(n)
         for k in range(steps - 1, -1, -1):
             if refactor[k]:
-                lower, diag, upper = _operator_bands(sig[k], a_f[k], b_f[k], dx)
-                factors = _factor_implicit(lower, diag, upper, half_dt, n)
-            rhs[:] = v
+                factors = _factor_implicit(*_operator_bands(sig[k], a_f[k], b_f[k], dx), half_dt, n)
             if steps - 1 - k < RANNACHER_STEPS:
-                # Rannacher start-up: an implicit-Euler half step in place of
-                # the explicit one
-                rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
-                rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
+                # Rannacher start-up: two implicit-Euler half steps
+                for _ in range(2):
+                    v[0], v[-1] = bc_lo[k], bc_hi[k]
+                    v = dgttrs(*factors, v, overwrite_b=1)[0]
             else:
-                rhs[1:-1] += half_dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
-            rhs[0], rhs[-1] = bc_lo[k], bc_hi[k]
-            v, rhs = dgttrs(*factors, rhs, overwrite_b=1)[0], v
+                # (I - hL)^-1 (I + hL) v = 2 (I - hL)^-1 v - v: solve for
+                # w with right-hand side 2v, whose ends bc + v make the ends
+                # of w - v the Dirichlet data, then set them to it exactly
+                np.multiply(v, 2.0, out=rhs)
+                rhs[0], rhs[-1] = bc_lo[k] + v[0], bc_hi[k] + v[-1]
+                rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
+                np.subtract(rhs, v, out=v)
+                v[0], v[-1] = bc_lo[k], bc_hi[k]
     _require_finite(v)
     return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=v)
 

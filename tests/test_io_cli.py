@@ -489,6 +489,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: ValueError: paths must be finite and strictly positive\n"
 
+    def test_failed_allocation_is_a_one_line_compute_error(self, tmp_path, capsys, monkeypatch):
+        # what numpy raises for pde: {n_s: 100000000000}, without allocating
+        def fail(problem):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(gaugeport.pricer, "solve_today", fail)
+        out = tmp_path / "p.yaml"
+        assert main(["price", "--out", str(out)]) == EXIT_COMPUTE
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+        assert not out.exists()
+
     def test_malformed_panel_is_compute_error(self, tmp_path):
         path = write_csv(tmp_path, GOOD_CSV.replace("99.75", "broken"))
         code = main(["gauge", "--panel", str(path), "--out", str(tmp_path / "g.yaml")])
@@ -548,14 +559,15 @@ class TestCli:
 
     def test_wide_price_report_is_unchanged(self, tmp_path):
         # 8 sigma sqrt(tau) >= ln 8 keeps the [K/8, 8K] grid: the digest is of
-        # the report body written before the grid was sized to sigma
+        # the report body of the one-solve Crank-Nicolson step (at_the_money_value
+        # 15.850481309993402; the two-operator step gave 15.850481309992178)
         config = tmp_path / "run.yaml"
         config.write_text("pde: {sigma: 0.4}\n")
         out = tmp_path / "p.yaml"
         assert main(["price", "--config", str(config), "--out", str(out)]) == EXIT_OK
         body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == (
-            "7a53a2cad8f902373964b4ae1b1d8adc78adf6baa0c7bc8ced18485a8d760625"
+            "d40136bd8458040291e41972626200590490ac723f345f353bb78e946c601372"
         )
 
     def test_riskfree_report_is_unchanged(self, tmp_path):

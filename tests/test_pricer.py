@@ -18,7 +18,7 @@ from gaugeport import (
     solve_today,
     vanilla_problem,
 )
-from gaugeport.pricer import DegenerateProblem, PdeProblem, log_price_grid
+from gaugeport.pricer import RANNACHER_STEPS, DegenerateProblem, PdeProblem, log_price_grid
 from gaugeport.sim import EnvironmentSeries
 
 STRIKE = 100.0
@@ -142,11 +142,9 @@ class TestPdeSolver:
         )
 
 
-def banded_reference(problem, rannacher_steps=2):
-    """Per-step reference solve: rebuild the banded matrix, solve_banded each step.
-
-    Returns today's values and deltas on the price grid.
-    """
+def banded_steps(problem):
+    """Per time step from expiry back: k, the operator bands, the Dirichlet
+    data, and a solve_banded of the rebuilt matrix I - (dt/2) L."""
     from scipy.linalg import solve_banded
 
     s = problem.s_grid
@@ -157,7 +155,6 @@ def banded_reference(problem, rannacher_steps=2):
     int_ab = np.concatenate(
         [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
     )[::-1]
-    v = terminal.copy()
     for k in range(steps - 1, -1, -1):
         sig, a, b = problem.sigma[k], problem.a_field[k], problem.b_scalar[k]
         diff = 0.5 * sig**2 / dx**2
@@ -170,28 +167,66 @@ def banded_reference(problem, rannacher_steps=2):
             bc = (problem.strike * growth_c - s[0] * growth_s, 0.0)
         else:
             bc = (terminal[0] * growth_s, terminal[-1] * growth_s)
+        ab = np.zeros((3, n))
+        ab[0, 2:] = -0.5 * dt * upper
+        ab[1, 1:-1] = 1.0 - 0.5 * dt * diag
+        ab[2, :-2] = -0.5 * dt * lower
+        ab[1, 0] = ab[1, -1] = 1.0
+        yield k, (lower, diag, upper), bc, lambda rhs, ab=ab: solve_banded((1, 1), ab, rhs)
 
-        def implicit(v_in, theta_dt):
-            ab = np.zeros((3, n))
-            ab[0, 2:] = -theta_dt * upper
-            ab[1, 1:-1] = 1.0 - theta_dt * diag
-            ab[2, :-2] = -theta_dt * lower
-            ab[1, 0] = ab[1, -1] = 1.0
-            rhs = v_in.copy()
-            rhs[0], rhs[-1] = bc
-            return solve_banded((1, 1), ab, rhs)
 
-        if steps - 1 - k < rannacher_steps:
-            v = implicit(implicit(v, 0.5 * dt), 0.5 * dt)
-        else:
-            half = v.copy()
-            half[1:-1] = v[1:-1] + 0.5 * dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
-            v = implicit(half, 0.5 * dt)
+def implicit_half_step(v, bc, solve):
+    rhs = v.copy()
+    rhs[0], rhs[-1] = bc
+    return solve(rhs)
+
+
+def grid_deltas(v, s):
+    dx = np.log(s)[1] - np.log(s)[0]
     deltas = np.empty_like(v)
     deltas[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx) / s[1:-1]
     deltas[0] = (v[1] - v[0]) / (dx * s[0])
     deltas[-1] = (v[-1] - v[-2]) / (dx * s[-1])
-    return v, deltas
+    return deltas
+
+
+def banded_reference(problem, rannacher_steps=2):
+    """Per-step reference solve in the one-operator form of solve_today.
+
+    Each Crank-Nicolson step is w = solve(I - hL, 2v), with ends bc + v, and
+    then v = w - v with ends bc.  Returns today's values and deltas.
+    """
+    steps = problem.t_grid.steps
+    v = problem.payoff(problem.s_grid).copy()
+    for k, _, bc, solve in banded_steps(problem):
+        if steps - 1 - k < rannacher_steps:
+            v = implicit_half_step(implicit_half_step(v, bc, solve), bc, solve)
+        else:
+            rhs = 2.0 * v
+            rhs[0], rhs[-1] = bc[0] + v[0], bc[1] + v[-1]
+            v = solve(rhs) - v
+            v[0], v[-1] = bc
+    return v, grid_deltas(v, problem.s_grid)
+
+
+def two_operator_reference(problem, rannacher_steps=2):
+    """Per-step Crank-Nicolson solve in the two-operator form: the explicit
+    half step (I + hL) v as a band product, then the implicit half step.
+
+    An independent oracle for solve_today, which agrees with it to rounding.
+    Returns today's values.
+    """
+    steps = problem.t_grid.steps
+    dt = problem.t_grid.dt
+    v = problem.payoff(problem.s_grid).copy()
+    for k, (lower, diag, upper), bc, solve in banded_steps(problem):
+        if steps - 1 - k < rannacher_steps:
+            v = implicit_half_step(implicit_half_step(v, bc, solve), bc, solve)
+        else:
+            half = v.copy()
+            half[1:-1] = v[1:-1] + 0.5 * dt * (lower * v[:-2] + diag * v[1:-1] + upper * v[2:])
+            v = implicit_half_step(half, bc, solve)
+    return v
 
 
 def assert_matches_reference(problem):
@@ -312,6 +347,49 @@ class TestRollingSolve:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * today.values.nbytes
+
+    @pytest.mark.parametrize("steps", [2, 3, 120])
+    def test_one_lapack_solve_per_step(self, monkeypatch, steps):
+        # each Rannacher step is two implicit half steps, every later
+        # Crank-Nicolson step one solve with the same LU factors
+        import scipy.linalg.lapack
+
+        calls = []
+        dgttrs = scipy.linalg.lapack.dgttrs
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return dgttrs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counted)
+        solve_today(per_interval_problem("call", steps=steps))
+        assert len(calls) == steps + RANNACHER_STEPS
+
+
+class TestTwoOperatorOracle:
+    """solve_today agrees with the two-operator Crank-Nicolson step to rounding."""
+
+    @staticmethod
+    def assert_agrees(problem):
+        # the forms differ by rounding only: at most 3.5e-11 absolute and
+        # 2.5e-13 relative to max |V| on these problems
+        values = two_operator_reference(problem)
+        error = np.max(np.abs(solve_today(problem).values - values))
+        assert error <= 1e-10
+        assert error <= 1e-12 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("kind", ["call", "put", "linear"])
+    def test_per_interval_series(self, kind):
+        self.assert_agrees(per_interval_problem(kind))
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("a", [0.0, -0.05])
+    def test_zero_sigma(self, kind, a):
+        self.assert_agrees(vanilla_problem(kind, STRIKE, 0.0, TAU, a_field=a, b_scalar=0.02))
+
+    @pytest.mark.parametrize("kind, strike, sigma, a, n", LADDER)
+    def test_benchmark_ladder(self, kind, strike, sigma, a, n):
+        self.assert_agrees(vanilla_problem(kind, strike, sigma, TAU, a_field=a, n_s=n, n_t=n))
 
 
 class TestLinearPayoffs:
@@ -460,3 +538,34 @@ class TestDegenerateProblems:
     def test_odd_interval_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
             log_price_grid(STRIKE, 401)
+
+    def test_grid_not_uniform_in_log_price_rejected(self):
+        # 300 log-uniform nodes below the strike and 100 above: the solver's
+        # one log step would price an at-the-money call at 31.94, not 7.97
+        s = np.concatenate(
+            [np.geomspace(STRIKE / 8, STRIKE, 301), np.geomspace(STRIKE, 8 * STRIKE, 101)[1:]]
+        )
+        with pytest.raises(ValueError, match="uniform in log-price"):
+            PdeProblem(
+                s_grid=s, t_grid=TimeGrid(0.0, 0.01, 100), sigma=SIGMA, a_field=0.0,
+                b_scalar=0.0, payoff=lambda sg: np.maximum(sg - STRIKE, 0.0), strike=STRIKE,
+            )
+
+    def test_infinite_grid_node_rejected(self):
+        s = log_price_grid(STRIKE, 200)
+        s[-1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            PdeProblem(
+                s_grid=s, t_grid=TimeGrid(0.0, 0.01, 100), sigma=SIGMA, a_field=0.0,
+                b_scalar=0.0, payoff=np.zeros_like, payoff_kind="linear",
+            )
+
+    @pytest.mark.parametrize("strike", [1e-300, STRIKE, 1e300])
+    @pytest.mark.parametrize("n_s", [4, 400, 100_000])
+    @pytest.mark.parametrize("span", [np.exp(0.2), 8.0])
+    def test_log_price_grids_accepted(self, strike, n_s, span):
+        # their log steps differ by rounding only, at any strike price accepts
+        PdeProblem(
+            s_grid=log_price_grid(strike, n_s, span), t_grid=TimeGrid(0.0, 0.01, 1),
+            sigma=SIGMA, a_field=0.0, b_scalar=0.0, payoff=lambda sg: sg, payoff_kind="linear",
+        )
