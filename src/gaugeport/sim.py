@@ -5,15 +5,21 @@ Each asset follows the exact log-normal step
     s[k+1] = s[k] * exp((mu_i(xi_k) - sigma_i(xi_k)^2 / 2) dt
                         + sigma_i(xi_k) sqrt(dt) z)
 
-with independent cross-asset noises.  Noise is drawn from counter-based
-Philox streams, one per key block of ``max(1, 2^18 // (steps * N))`` paths
-(about 2^18 cells, at least one path): block b of seed s draws from the key
-[s, NOISE_KEY + b].  Every key block is an independent task.  Each Monte
+with independent cross-asset noises.  Noise is drawn from SFC64 streams
+(Doty-Humphrey's Small Fast Chaotic generator), one per key block of
+``max(1, 2^18 // (steps * N))`` paths (about 2^18 cells, at least one path):
+block b of seed s draws from the stream that
+``SeedSequence([s, NOISE_KEY + b])`` seeds.  SFC64 draws faster than the
+counter-based Philox, uniforms most of all.  Streams seeded through
+SeedSequence's hash are distinct with overwhelming probability, not by
+construction as keyed Philox streams are (numpy's "Parallel random number
+generation" notes).  Every key block is an independent task.  Each Monte
 Carlo routine runs its blocks through one executor, a lazy, bounded
 :meth:`TaskPool.map` of ``n_jobs`` threads, and combines the per-block
 results in block order, so results are bit-identical for any ``n_jobs``.
-Samples drawn before this key and block rule (one stream per 512 paths,
-keyed [s, b]) differ from today's; they changed once, with the rule.
+Every sample changed when SFC64 streams replaced the Philox keys
+[s, NOISE_KEY + b], and once before, when the 2^18-cell blocks replaced one
+stream per 512 paths keyed [s, b].
 
 :func:`simulate`, :func:`terminal_prices`, the risk-free prefix reductions,
 :func:`apply_numeraire` and :func:`sample_joint_numeraire` all run on that
@@ -33,20 +39,22 @@ import numpy as np
 
 from .grid import TimeGrid, require_same_grid
 
-#: Cells per Philox key block; a block holds max(1, BLOCK_CELLS // (steps * N))
+#: Cells per key block; a block holds max(1, BLOCK_CELLS // (steps * N))
 #: paths.  Part of the seeding scheme: changing it changes the sample, so it
 #: is a constant, not a tuning knob.
 BLOCK_CELLS = 1 << 18
 
-#: Noise block b of seed s draws from the Philox key [s, NOISE_KEY + b].  The
-#: offset keeps every noise key clear of the keys [s, 0] and [s, 1] that the
-#: CLI draws weights and gradients from, and below 2^63, where numpy casts a
-#: key word through float64.
+#: Noise block b of seed s draws from the SFC64 stream that
+#: ``SeedSequence([s, NOISE_KEY + b])`` seeds.  Part of the seeding scheme,
+#: like BLOCK_CELLS: changing it changes every sample.
 NOISE_KEY = 2**62
 
 NOISE_TAGS = ("normal", "uniform", "two-point")
 
-#: Seeds are integers in [0, SEED_LIMIT).
+#: Seeds are integers in [0, SEED_LIMIT).  SeedSequence takes any
+#: non-negative seed, but the CLI also keys Philox streams [s, 0] and [s, 1]
+#: with it, and numpy casts a Philox key word >= 2^63 through float64, where
+#: such seeds would collide.
 SEED_LIMIT = 2**63
 
 _SQRT3 = np.sqrt(3.0)
@@ -60,11 +68,15 @@ def block_paths(steps: int, n_assets: int) -> int:
 def noise_block(
     seed: int, block: int, n_paths: int, steps: int, n_assets: int, noise: str
 ) -> np.ndarray:
-    """Noise of key block ``block``, shape [n_paths, steps, n_assets]."""
-    # a key word >= 2^63 goes through float64 in numpy, so such seeds would collide
+    """Noise of key block ``block``, shape [n_paths, steps, n_assets].
+
+    Drawn from one SFC64 stream seeded by ``SeedSequence([seed, NOISE_KEY +
+    block])``, so a block's noise depends only on the seed and its index.
+    """
+    # the same seed keys the CLI's Philox streams: see SEED_LIMIT
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^63), got {seed}")
-    gen = np.random.Generator(np.random.Philox(key=[seed, NOISE_KEY + block]))
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, NOISE_KEY + block])))
     shape = (n_paths, steps, n_assets)
     if noise == "normal":
         return gen.standard_normal(shape)
@@ -202,7 +214,7 @@ def constant_spec(
 
 
 class StepKernel:
-    """Exact log-normal step of one process on one grid, applied to Philox noise.
+    """Exact log-normal step of one process on one grid, applied to block noise.
 
     Holds the per-step terms (mu - sigma^2/2) dt and sigma sqrt(dt), each
     [steps, n_assets].  :meth:`gross` turns noise into gross step ratios

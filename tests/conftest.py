@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
-from gaugeport.sim import EnvironmentSeries
+from gaugeport import PricePanel, TimeGrid
 
 # `pytest --hypothesis-profile=ci`: the same examples on every run, and no
 # per-example time limit on a slow runner
@@ -36,11 +35,17 @@ FIXTURE_SIGMA = np.array(
 
 
 def build_fixture_panel() -> PricePanel:
+    """The panel's bits are frozen: its noise is drawn here, from its own
+    Philox key, so a change of the simulator's generator leaves it as it is."""
     grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=504)
-    spec = constant_spec(12, FIXTURE_MU, FIXTURE_SIGMA)
-    env = EnvironmentSeries.constant(grid)
-    paths = simulate(spec, env, grid, n_paths=1, seed=FIXTURE_SEED)
-    return PricePanel(grid=grid, prices=paths.paths[0], asset_ids=FIXTURE_LABELS)
+    z = np.random.Generator(np.random.Philox(key=[FIXTURE_SEED, 2**62])).standard_normal(
+        (grid.steps, FIXTURE_MU.size)
+    )
+    # the exact log-normal step, multiplied along the steps from s0 = 1
+    log_step = (FIXTURE_MU - 0.5 * FIXTURE_SIGMA**2) * grid.dt + FIXTURE_SIGMA * np.sqrt(grid.dt) * z
+    prices = np.ones((grid.n_points, FIXTURE_MU.size))
+    np.cumprod(np.exp(log_step), axis=0, out=prices[1:])
+    return PricePanel(grid=grid, prices=prices, asset_ids=FIXTURE_LABELS)
 
 
 @pytest.fixture(scope="session")

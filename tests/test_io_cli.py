@@ -571,16 +571,16 @@ class TestCli:
         )
 
     def test_riskfree_report_is_unchanged(self, tmp_path):
-        # the digest is of the report body written when the Etemadi check
-        # still reduced its own equal-weight row beside the scaling study's,
-        # less its etemadi_sizes key, a copy of sizes
+        # the digest is of the report body written since the noise blocks
+        # draw from SFC64 streams seeded by SeedSequence, which resampled
+        # every draw
         config = tmp_path / "run.yaml"
         config.write_text("riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n")
         out = tmp_path / "r.yaml"
         assert main(["riskfree", "--config", str(config), "--out", str(out)]) == EXIT_OK
         body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == (
-            "fffbd3327976ad8fe643bdd12dc769fe952ddbbfce714ce2172c238b56f3b4db"
+            "a6dbbbf04edca6582d18ee7fce48e9d3d250d833f62f4cb24f9997612f661ae4"
         )
 
     @pytest.mark.parametrize(

@@ -187,13 +187,18 @@ RAGGED_PATHS = 537
 
 
 def reference_draw(seed: int, key: int, shape: tuple, tag: str) -> np.ndarray:
-    """Noise of one tag drawn straight from the Philox key [seed, key]."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, key]))
+    """Noise of one tag drawn straight from the SFC64 stream of SeedSequence([seed, key])."""
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, key])))
     if tag == "normal":
         return gen.standard_normal(shape)
     if tag == "uniform":
         return gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)
     return gen.integers(0, 2, shape).astype(float) * 2.0 - 1.0
+
+
+def philox_draw(seed: int, key: int, shape: tuple) -> np.ndarray:
+    """Normals from the Philox key [seed, key], as the CLI draws its weights and gradients."""
+    return np.random.Generator(np.random.Philox(key=[seed, key])).standard_normal(shape)
 
 
 def key_blocks(n_paths: int, steps: int, n_assets: int):
@@ -204,7 +209,7 @@ def key_blocks(n_paths: int, steps: int, n_assets: int):
 
 
 class TestSubBlocks:
-    """A run's noise comes in key blocks of ~2^18 cells, each from its own Philox key."""
+    """A run's noise comes in key blocks of ~2^18 cells, each from its own SFC64 stream."""
 
     def test_block_size_rule(self):
         assert block_paths(GRID8.steps, WIDE) == 100
@@ -217,7 +222,7 @@ class TestSubBlocks:
     @pytest.mark.parametrize("tag", NOISE_TAGS)
     def test_each_block_draws_from_its_own_key(self, tag):
         # the executor hands block b, its first path and its noise, drawn from
-        # [seed, NOISE_KEY + b]; the last block is ragged
+        # the stream of SeedSequence([seed, NOISE_KEY + b]); the last block is ragged
         seen = sim._map_blocks(7, RAGGED_PATHS, GRID8.steps, WIDE, tag, 3, lambda *a: a)
         assert [(b, first, len(z)) for b, first, z in seen] == key_blocks(
             RAGGED_PATHS, GRID8.steps, WIDE
@@ -228,12 +233,27 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
     def test_noise_keys_miss_the_cli_keys(self, seed):
-        # the CLI draws riskfree's second weighting from [seed, 1] and the
-        # sensitivity gradients from [seed, 0]; no noise block may share them
+        # the CLI draws riskfree's second weighting from the Philox key
+        # [seed, 1] and the sensitivity gradients from [seed, 0]; no noise
+        # block may share them
         for block in range(4):
             z = noise_block(seed, block, 4, 2, 3, "normal")
             for key in (0, 1):
-                assert not np.array_equal(z, reference_draw(seed, key, z.shape, "normal"))
+                assert not np.array_equal(z, philox_draw(seed, key, z.shape))
+
+    @pytest.mark.parametrize("tag", NOISE_TAGS)
+    def test_adjacent_streams_are_uncorrelated(self, tag):
+        # SeedSequence hashes [seed, NOISE_KEY + block], so neighbouring blocks
+        # and neighbouring seeds must give unrelated streams: no two equal
+        # draws in a row and a sample correlation within 5 standard errors of 0
+        n = 1 << 14
+        base = noise_block(11, 3, n, 1, 1, tag).ravel()
+        for seed, block in [(11, 2), (11, 4), (10, 3), (12, 3), (12, 4)]:
+            other = noise_block(seed, block, n, 1, 1, tag).ravel()
+            same = np.count_nonzero(base == other)
+            # two-point draws agree half the time by chance, continuous ones never
+            assert same < (0.52 * n if tag == "two-point" else 1)
+            assert abs(np.corrcoef(base, other)[0, 1]) < 5.0 / np.sqrt(n)
 
     @pytest.mark.parametrize("tag", NOISE_TAGS)
     def test_simulate_matches_whole_block_cumprod(self, tag):
@@ -389,13 +409,14 @@ class TestNoiseTags:
 
     @pytest.mark.parametrize("seed,block", [(0, 0), (5, 3), (2**63 - 1, 41)])
     def test_block_key_is_seed_then_block(self, seed, block):
-        # the seeding scheme: one Philox stream per key [seed, NOISE_KEY + block]
-        gen = np.random.Generator(np.random.Philox(key=[seed, NOISE_KEY + block]))
-        assert_same_bits(noise_block(seed, block, 7, 3, 2, "normal"), gen.standard_normal((7, 3, 2)))
+        # the seeding scheme: one SFC64 stream per SeedSequence([seed, NOISE_KEY + block])
+        ref = reference_draw(seed, NOISE_KEY + block, (7, 3, 2), "normal")
+        assert_same_bits(noise_block(seed, block, 7, 3, 2, "normal"), ref)
 
     @pytest.mark.parametrize("seed", [-1, -2, 2**63, 2**64 - 1])
     def test_seed_outside_range_rejected(self, seed):
-        # numpy passes key words >= 2^63 through float64, so such keys collide
+        # the seed also keys the CLI's Philox streams, and numpy passes Philox
+        # key words >= 2^63 through float64, so such seeds would collide there
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^63\)"):
             noise_block(seed, 0, 2, 3, 1, "normal")
 
