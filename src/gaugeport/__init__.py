@@ -26,13 +26,10 @@ from .gauge import (
 )
 from .sim import (
     EnvironmentSeries,
-    NumeraireSpec,
     PathSet,
     ProcessSpec,
-    apply_numeraire,
     constant_spec,
     cross_term,
-    portfolio_dynamics,
     return_volatility,
     simulate,
     terminal_prices,

@@ -21,11 +21,13 @@ Every sample changed when SFC64 streams replaced the Philox keys
 [s, NOISE_KEY + b], and once before, when the 2^18-cell blocks replaced one
 stream per 512 paths keyed [s, b].
 
-:func:`simulate`, :func:`terminal_prices`, the risk-free prefix reductions,
-:func:`apply_numeraire` and :func:`sample_joint_numeraire` all run on that
-executor, and a task holds one block of noise, transformed in place.
+:func:`simulate`, :func:`terminal_prices`, the risk-free prefix reductions
+and :func:`sample_joint_numeraire`, the one numeraire sampler, all run on
+that executor, and a task holds one block of noise, transformed in place.
 :func:`terminal_prices` multiplies each block along its steps and stores no
-paths, so its memory grows with paths times assets, not with steps.
+paths, so its memory grows with paths times assets, not with steps.  A
+deterministic numeraire is the price-gauge rescaling,
+:func:`gaugeport.gauge.apply_price_gauge`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -241,12 +243,10 @@ class StepKernel:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Simulated price paths [n_paths, steps+1, n_assets] plus provenance."""
+    """Simulated price paths [n_paths, steps+1, n_assets] on a grid."""
 
     grid: TimeGrid
     paths: np.ndarray
-    seed: int
-    noise: str = "normal"
 
     def __post_init__(self):
         paths = np.asarray(self.paths, dtype=float)
@@ -257,39 +257,6 @@ class PathSet:
         if paths.size and not (paths.min() > 0 and np.isfinite(paths.max())):
             raise ValueError("paths must be finite and strictly positive")
 
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.paths.shape[2]
-
-
-@dataclass(frozen=True)
-class NumeraireSpec:
-    """Possibly stochastic rescaling Y = e^phi with d phi correlated to assets.
-
-    ``rho[i]`` is the correlation between the numeraire noise and asset i's
-    noise.  With phi_sigma = 0 (the default) Y is deterministic and the
-    rescaling reduces to the price-gauge transformation.
-    """
-
-    phi_mu: Union[float, np.ndarray]
-    phi_sigma: float = 0.0
-    rho: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.phi_sigma < 0:
-            raise ValueError("phi_sigma must be >= 0")
-        if self.rho is not None:
-            rho = np.asarray(self.rho, dtype=float)
-            object.__setattr__(self, "rho", rho)
-            if np.any(np.abs(rho) > 1.0):
-                raise ValueError("|rho| must be <= 1 componentwise")
-            if rho @ rho > 1.0 + 1e-12:
-                raise ValueError("rho vector must satisfy sum(rho^2) <= 1")
-
 
 # ---------------------------------------------------------------------------
 # Simulation
@@ -298,12 +265,13 @@ class NumeraireSpec:
 def _map_blocks(
     seed: int, n_paths: int, steps: int, n_assets: int, noise: str, n_jobs: int, fn: Callable
 ) -> list:
-    """The one block executor: ``fn(block, first_path, z)`` on every key block.
+    """The one block executor: ``fn(first_path, z)`` on every key block.
 
-    ``z`` is key block ``block``'s noise [paths, steps, n_assets], drawn in
-    the task, and ``first_path`` the index of its first path among all
+    ``z`` is a key block's noise [paths, steps, n_assets], drawn in the
+    task, and ``first_path`` the index of its first path among all
     ``n_paths``.  The blocks run as tasks of one lazy, bounded
-    :meth:`TaskPool.map`, and the results come back in block order.
+    :meth:`TaskPool.map`, and the results come back in block order, so a
+    result's position is its block index.
     Floating-point warnings are off inside a task: ``np.errstate`` does not
     cross threads, and the callers check for inf, 0 and NaN themselves.
     """
@@ -312,7 +280,7 @@ def _map_blocks(
     def task(block: int, first: int):
         z = noise_block(seed, block, min(size, n_paths - first), steps, n_assets, noise)
         with np.errstate(all="ignore"):
-            return fn(block, first, z)
+            return fn(first, z)
 
     with TaskPool(n_jobs) as pool:
         return pool.map(task, enumerate(range(0, n_paths, size)))
@@ -324,7 +292,7 @@ def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Cal
     steps, n_assets = kernel.drift.shape
     return _map_blocks(
         seed, n_paths, steps, n_assets, kernel.noise, n_jobs,
-        lambda _block, first, z: fn(first, kernel.gross(z)),
+        lambda first, z: fn(first, kernel.gross(z)),
     )
 
 
@@ -366,7 +334,7 @@ def simulate(
         dest *= s0
 
     _map_gross(kernel, seed, n_paths, n_jobs, fill)
-    return PathSet(grid=grid, paths=out, seed=seed, noise=spec.noise)
+    return PathSet(grid=grid, paths=out)
 
 
 def terminal_prices(
@@ -406,89 +374,6 @@ def terminal_prices(
     return out
 
 
-@dataclass(frozen=True)
-class PortfolioDynamics:
-    """Realized portfolio return paths and volatility estimates."""
-
-    grid: TimeGrid
-    returns: np.ndarray  # [n_paths, steps], log-returns per unit time
-    sigma_hat_realized: float
-    sigma_hat_analytic: Optional[float] = None
-
-
-def portfolio_dynamics(
-    paths: PathSet, weights: np.ndarray, sigmas: Optional[np.ndarray] = None
-) -> PortfolioDynamics:
-    """Dynamics of the portfolio rebalanced to fixed weights every step.
-
-    ``sigmas`` (constant per-asset volatilities, when known) enables the
-    analytic sigma_hat = sqrt(sum w_i^2 sigma_i^2) alongside the realized
-    estimate.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (paths.n_assets,):
-        raise ValueError(
-            f"weights length {weights.shape} does not match {paths.n_assets} assets"
-        )
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to one")
-    dt = paths.grid.dt
-    ratios = paths.paths[:, 1:, :] / paths.paths[:, :-1, :]
-    log_gross = np.log(ratios @ weights)
-    returns = log_gross / dt
-    sigma_real = float(np.std(log_gross)) / np.sqrt(dt)
-    sigma_analytic = None
-    if sigmas is not None:
-        sigmas = np.asarray(sigmas, dtype=float)
-        sigma_analytic = float(np.sqrt(np.sum(weights**2 * sigmas**2)))
-    return PortfolioDynamics(paths.grid, returns, sigma_real, sigma_analytic)
-
-
-def apply_numeraire(paths: PathSet, y: NumeraireSpec, seed2: int, n_jobs: int = 1) -> PathSet:
-    """Rescale paths by a simulated numeraire factor Y, s' = Y s.
-
-    With phi_sigma > 0 the numeraire noise is mixed from the asset noises
-    (regenerated from the PathSet's seed) and an independent residual keyed
-    by ``seed2``: dZ_phi = sum_i rho_i dZ_i + sqrt(1 - sum rho^2) dZ_res.
-    ``seed2`` must then differ from the PathSet's seed, or the residual would
-    be the asset noise itself.  With phi_sigma = 0, Y = exp(int phi_mu dt) is
-    the price-gauge rescaling.
-    """
-    grid = paths.grid
-    dt = grid.dt
-    n_paths, steps = paths.n_paths, grid.steps
-    phi_mu = np.broadcast_to(np.asarray(y.phi_mu, dtype=float), (steps,))
-    rho = y.rho if y.rho is not None else np.zeros(paths.n_assets)
-    if rho.shape != (paths.n_assets,):
-        raise ValueError("rho must hold one correlation per asset")
-
-    if y.phi_sigma == 0:
-        log_y = np.concatenate([[0.0], np.cumsum(phi_mu * dt)])
-        scaled = paths.paths * np.exp(log_y)[None, :, None]
-        return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)
-
-    if seed2 == paths.seed:
-        raise ValueError(
-            f"seed2 ({seed2}) equals the paths' seed: the residual noise would be the asset noise"
-        )
-    resid_scale = np.sqrt(max(0.0, 1.0 - float(rho @ rho)))
-    drift = (phi_mu - 0.5 * y.phi_sigma**2) * dt
-    scale = y.phi_sigma * np.sqrt(dt)
-    scaled = np.empty_like(paths.paths)
-    scaled[:, 0] = paths.paths[:, 0]
-
-    def fill(block: int, first: int, z_assets: np.ndarray) -> None:
-        # the residual is drawn per key block of the asset noise, so row for row
-        z_resid = noise_block(seed2, block, len(z_assets), steps, 1, "normal")[:, :, 0]
-        z_phi = z_assets @ rho + resid_scale * z_resid
-        log_y = np.cumsum(drift + scale * z_phi, axis=1)
-        rows = slice(first, first + len(z_assets))
-        np.multiply(paths.paths[rows, 1:], np.exp(log_y)[:, :, None], out=scaled[rows, 1:])
-
-    _map_blocks(paths.seed, n_paths, steps, paths.n_assets, paths.noise, n_jobs, fill)
-    return PathSet(grid=grid, paths=scaled, seed=paths.seed, noise=paths.noise)
-
-
 def sample_joint_numeraire(
     grid: TimeGrid,
     n_paths: int,
@@ -504,8 +389,12 @@ def sample_joint_numeraire(
 
     Returns value arrays (y, pi), each [n_paths, steps+1], both starting at 1.
     """
-    if abs(rho) > 1.0:
-        raise ValueError("|rho| must be <= 1")
+    if not np.all(np.isfinite([pi_mu, pi_sigma, phi_mu, phi_sigma])):
+        raise ValueError("drifts and volatilities must be finite")
+    if pi_sigma < 0 or phi_sigma < 0:
+        raise ValueError("negative volatility: pi_sigma and phi_sigma must be >= 0")
+    if not abs(rho) <= 1.0:  # NaN fails this test
+        raise ValueError(f"|rho| must be <= 1, got {rho}")
     # column 0 is Pi, column 1 is Y
     kernel = StepKernel(
         np.array([[pi_mu, phi_mu]]), np.array([[pi_sigma, phi_sigma]]), grid.dt, "normal"
@@ -513,7 +402,7 @@ def sample_joint_numeraire(
     y = np.ones((n_paths, grid.n_points))
     pi = np.ones((n_paths, grid.n_points))
 
-    def fill(_block: int, first: int, z: np.ndarray) -> None:
+    def fill(first: int, z: np.ndarray) -> None:
         z[:, :, 1] *= np.sqrt(1.0 - rho**2)
         z[:, :, 1] += rho * z[:, :, 0]
         ratios = kernel.gross(z)
@@ -537,8 +426,8 @@ def cross_term(
     pi_values = np.asarray(pi_values, dtype=float)
     if y_values.shape != pi_values.shape or y_values.ndim != 2:
         raise ValueError("Y and Pi samples must share the same [n_paths, steps+1] shape")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:  # NaN fails this test
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     dy = np.diff(np.log(y_values), axis=1)
     dpi = np.diff(np.log(pi_values), axis=1)
     per_path = np.sum(dy * dpi, axis=1) / horizon

@@ -351,6 +351,29 @@ class TestReports:
         assert path.read_bytes() == expected.encode("utf-8")
         assert same_values(read_report(path), document)
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "gauge", "riskfree", "price", "discount", "sensitivity"]
+    )
+    def test_report_bytes_do_not_depend_on_libyaml(self, command, fixture_csv, tmp_path, monkeypatch):
+        # without libyaml, PyYAML has no CSafeDumper and write_report falls
+        # back to the pure-Python SafeDumper: the bytes must not change
+        if not hasattr(yaml, "CSafeDumper"):
+            pytest.skip("PyYAML is built without libyaml")
+        config = tmp_path / "small.yaml"
+        config.write_text(
+            "simulate: {n_paths: 64}\n"
+            "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
+            "pde: {n_s: 100, n_t: 100}\n"
+            "sensitivity: {n_assets: 16}\n"
+        )
+        argv = [command, "--config", str(config), "--no-timestamp"]
+        if command in ("gauge", "discount"):
+            argv += ["--panel", str(fixture_csv), "--normalize"]
+        assert main(argv + ["--out", str(tmp_path / "libyaml.yaml")]) == EXIT_OK
+        monkeypatch.delattr(yaml, "CSafeDumper")
+        assert main(argv + ["--out", str(tmp_path / "python.yaml")]) == EXIT_OK
+        assert (tmp_path / "python.yaml").read_bytes() == (tmp_path / "libyaml.yaml").read_bytes()
+
     def test_writer_keeps_no_reference_to_the_body(self, tmp_path):
         # a report slice is often a view of a large array, such as a price surface
         array = np.arange(4.0)

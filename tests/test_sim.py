@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from gaugeport import (
-    GaugeScalar,
-    NumeraireSpec,
     PathSet,
-    PricePanel,
     TimeGrid,
     WeightVector,
-    apply_numeraire,
-    apply_price_gauge,
     constant_spec,
     cross_term,
-    portfolio_dynamics,
     return_volatility,
     riskfree_studies,
     simulate,
@@ -221,13 +215,14 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("tag", NOISE_TAGS)
     def test_each_block_draws_from_its_own_key(self, tag):
-        # the executor hands block b, its first path and its noise, drawn from
-        # the stream of SeedSequence([seed, NOISE_KEY + b]); the last block is ragged
+        # the executor hands each block its first path and its noise, drawn from
+        # the stream of SeedSequence([seed, NOISE_KEY + b]), and returns the
+        # results in block order; the last block is ragged
         seen = sim._map_blocks(7, RAGGED_PATHS, GRID8.steps, WIDE, tag, 3, lambda *a: a)
-        assert [(b, first, len(z)) for b, first, z in seen] == key_blocks(
+        assert [(b, first, len(z)) for b, (first, z) in enumerate(seen)] == key_blocks(
             RAGGED_PATHS, GRID8.steps, WIDE
         )
-        for block, _first, z in seen:
+        for block, (_first, z) in enumerate(seen):
             ref = reference_draw(7, NOISE_KEY + block, z.shape, tag)
             assert_same_bits(z, ref)
 
@@ -271,24 +266,6 @@ class TestSubBlocks:
         for n_jobs in (1, 2, 3):
             paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
             assert_same_bits(paths.paths, expected)
-
-    def test_numeraire_matches_whole_blocks(self):
-        spec = constant_spec(WIDE, 0.05, 0.2)
-        env = EnvironmentSeries.constant(GRID8)
-        paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=8)
-        rho = np.full(WIDE, 0.5 / np.sqrt(WIDE))
-        y = NumeraireSpec(phi_mu=0.02, phi_sigma=0.1, rho=rho)
-        dt = GRID8.dt
-        expected = paths.paths.copy()
-        # the residual noise is keyed by seed2 and drawn per key block of the assets
-        for block, start, size in key_blocks(RAGGED_PATHS, GRID8.steps, WIDE):
-            z = noise_block(8, block, size, GRID8.steps, WIDE, "normal")
-            resid = noise_block(9, block, size, GRID8.steps, 1, "normal")[:, :, 0]
-            z_phi = z @ rho + np.sqrt(1.0 - rho @ rho) * resid
-            log_y = np.cumsum((0.02 - 0.5 * 0.1**2) * dt + 0.1 * np.sqrt(dt) * z_phi, axis=1)
-            expected[start : start + size, 1:] *= np.exp(log_y)[:, :, None]
-        for n_jobs in (1, 2, 3):
-            assert_same_bits(apply_numeraire(paths, y, seed2=9, n_jobs=n_jobs).paths, expected)
 
     def test_studies_hold_a_few_blocks(self):
         # 1024 assets x 64 steps: a key block is 4 paths, 2 MiB of noise
@@ -433,123 +410,13 @@ class TestNoiseTags:
         assert np.unique(np.round(ratios, 12)).size == 2
 
 
-class TestPortfolioDynamics:
-    def test_analytic_sigma_hat_formula(self):
-        n = 16
-        sigmas = np.full(n, 0.2)
-        spec = constant_spec(n, 0.05, 0.2)
-        paths = simulate(spec, ENV, GRID, n_paths=200, seed=11)
-        dyn = portfolio_dynamics(paths, np.full(n, 1.0 / n), sigmas=sigmas)
-        assert dyn.sigma_hat_analytic == pytest.approx(0.2 / np.sqrt(n), abs=1e-15)
-        # realized estimate should land within 10% of the analytic value
-        assert abs(dyn.sigma_hat_realized - dyn.sigma_hat_analytic) < 0.1 * dyn.sigma_hat_analytic
-
-    def test_uneven_weights(self):
-        w = np.array([0.7, 0.3])
-        sigmas = np.array([0.1, 0.4])
-        spec = constant_spec(2, 0.0, sigmas)
-        paths = simulate(spec, ENV, GRID, n_paths=50, seed=3)
-        dyn = portfolio_dynamics(paths, w, sigmas=sigmas)
-        expected = np.sqrt(0.49 * 0.01 + 0.09 * 0.16)
-        assert dyn.sigma_hat_analytic == pytest.approx(expected, rel=1e-14)
-        assert dyn.returns.shape == (50, GRID.steps)
-
-    def test_log_returns_taken_once_keep_their_bits(self):
-        spec = constant_spec(5, 0.05, np.linspace(0.1, 0.3, 5))
-        paths = simulate(spec, ENV, GRID, n_paths=40, seed=12)
-        w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
-        dyn = portfolio_dynamics(paths, w)
-        gross = (paths.paths[:, 1:, :] / paths.paths[:, :-1, :]) @ w
-        assert_same_bits(dyn.returns, np.log(gross) / GRID.dt)
-        assert dyn.sigma_hat_realized == float(np.std(np.log(gross))) / np.sqrt(GRID.dt)
-
-    def test_weights_must_sum_to_one(self):
-        spec = constant_spec(2, 0.0, 0.1)
-        paths = simulate(spec, ENV, GRID, n_paths=5, seed=0)
-        with pytest.raises(ValueError, match="sum to one"):
-            portfolio_dynamics(paths, np.array([0.7, 0.5]))
-
-
 class TestNumeraire:
-    def test_deterministic_mode_is_price_gauge(self):
-        spec = constant_spec(2, 0.05, 0.2)
-        paths = simulate(spec, ENV, GRID, n_paths=20, seed=6)
-        y = NumeraireSpec(phi_mu=0.03)
-        scaled = apply_numeraire(paths, y, seed2=0)
-        factor = np.exp(0.03 * GRID.points())
-        np.testing.assert_allclose(
-            scaled.paths, paths.paths * factor[None, :, None], rtol=1e-12
-        )
-
-    def test_zero_phi_sigma_ignores_rho(self):
-        # no numeraire noise, so the correlations do not enter: the result is
-        # the price-gauge rescaling by exp(cumulative phi_mu dt), bit for bit
-        paths = simulate(constant_spec(3, 0.05, 0.2), ENV, GRID, n_paths=20, seed=6)
-        phi_mu = np.linspace(-0.02, 0.04, GRID.steps)
-        y = NumeraireSpec(phi_mu=phi_mu, rho=np.array([0.3, -0.2, 0.1]))
-        scaled = apply_numeraire(paths, y, seed2=5)
-        phi = GaugeScalar(GRID, np.concatenate([[0.0], np.cumsum(phi_mu * GRID.dt)]))
-        for path, out in zip(paths.paths, scaled.paths):
-            assert_same_bits(out, apply_price_gauge(PricePanel(GRID, path), phi).prices)
-
-    def test_wrong_rho_shape_rejected(self):
-        paths = simulate(constant_spec(3, 0.05, 0.2), ENV, GRID, n_paths=4, seed=6)
-        for phi_sigma in (0.0, 0.1):
-            y = NumeraireSpec(phi_mu=0.01, phi_sigma=phi_sigma, rho=np.array([0.1, 0.2]))
-            with pytest.raises(ValueError, match="one correlation per asset"):
-                apply_numeraire(paths, y, seed2=0)
-
-    def test_seed2_must_not_be_the_paths_seed(self):
-        # with seed2 == seed the residual would be the asset noise itself and
-        # rho silently ignored; the deterministic rescaling draws no residual
-        paths = simulate(constant_spec(1, 0.05, 0.2), ENV, GRID, n_paths=16, seed=21)
-        y = NumeraireSpec(phi_mu=0.0, phi_sigma=0.2, rho=np.array([0.0]))
-        with pytest.raises(ValueError, match="seed2"):
-            apply_numeraire(paths, y, seed2=21)
-        apply_numeraire(paths, NumeraireSpec(phi_mu=0.01), seed2=21)
-
     def test_inverse_asset_numeraire_freezes_the_asset(self):
-        # Y = 1/s up to drift: phi_sigma = sigma, rho = -1, phi_mu = -mu + sigma^2
-        # makes the rescaled asset constant along every path.
+        # Y = 1/pi up to drift: phi_sigma = sigma, rho = -1, phi_mu = -mu + sigma^2
+        # makes the asset in numeraire units, y * pi, constant along every path
         mu, sigma = 0.06, 0.2
-        spec = constant_spec(1, mu, sigma)
-        paths = simulate(spec, ENV, GRID, n_paths=64, seed=21)
-        y = NumeraireSpec(phi_mu=-mu + sigma**2, phi_sigma=sigma, rho=np.array([-1.0]))
-        scaled = apply_numeraire(paths, y, seed2=99)
-        np.testing.assert_allclose(scaled.paths, 1.0, rtol=1e-10)
-
-    def test_stochastic_numeraire_moments(self):
-        # Rescaled asset is log-normal with drift mu + phi_mu + rho sigma phi_sigma
-        # and volatility sqrt(sigma^2 + phi_sigma^2 + 2 rho sigma phi_sigma).
-        mu, sigma = 0.06, 0.2
-        phi_mu, phi_sigma, rho = 0.03, 0.1, 0.5
-        n = 100_000
-        spec = constant_spec(1, mu, sigma)
-        paths = simulate(spec, ENV, GRID, n_paths=n, seed=33)
-        y = NumeraireSpec(phi_mu=phi_mu, phi_sigma=phi_sigma, rho=np.array([rho]))
-        scaled = apply_numeraire(paths, y, seed2=34)
-        log_t = np.log(scaled.paths[:, -1, 0])
-        t_end = GRID.horizon
-
-        eff_mu = mu + phi_mu + rho * sigma * phi_sigma
-        eff_sigma = np.sqrt(sigma**2 + phi_sigma**2 + 2 * rho * sigma * phi_sigma)
-        mean_se = eff_sigma * np.sqrt(t_end) / np.sqrt(n)
-        assert abs(log_t.mean() - (eff_mu - eff_sigma**2 / 2) * t_end) < 3 * mean_se
-        var_se = eff_sigma**2 * t_end * np.sqrt(2.0 / n)
-        assert abs(log_t.var() - eff_sigma**2 * t_end) < 3 * var_se
-
-    def test_thread_count_does_not_change_rescaling(self):
-        # 3 assets x 64 steps: three key blocks of 1365 paths, the last ragged
-        y = NumeraireSpec(phi_mu=0.02, phi_sigma=0.1, rho=np.array([0.3, -0.2, 0.1]))
-        for tag in NOISE_TAGS:
-            paths = simulate(constant_spec(3, 0.05, 0.2, tag), ENV, GRID, n_paths=3000, seed=8)
-            a = apply_numeraire(paths, y, seed2=9, n_jobs=1)
-            for n_jobs in (2, 3):
-                assert_same_bits(apply_numeraire(paths, y, seed2=9, n_jobs=n_jobs).paths, a.paths)
-
-    def test_rho_vector_validated(self):
-        with pytest.raises(ValueError, match="rho"):
-            NumeraireSpec(phi_mu=0.0, phi_sigma=0.1, rho=np.array([0.9, 0.9]))
+        y, pi = sample_joint_numeraire(GRID, 64, 21, mu, sigma, -mu + sigma**2, sigma, -1.0)
+        np.testing.assert_allclose(y * pi, 1.0, rtol=1e-10)
 
 
 class TestCrossTerm:
@@ -592,6 +459,32 @@ class TestCrossTerm:
         with pytest.raises(ValueError, match="shape"):
             cross_term(np.ones((3, 5)), np.ones((4, 5)), 1.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+            cross_term(np.ones((3, 5)), np.ones((3, 5)), horizon)
+
+    BAD_INPUTS = [
+        ("pi_mu", np.nan, "must be finite"),
+        ("phi_mu", -np.inf, "must be finite"),
+        ("pi_sigma", np.inf, "must be finite"),
+        ("phi_sigma", np.nan, "must be finite"),
+        # a negative volatility would flip the sign of the noise, and of the cross term
+        ("pi_sigma", -0.2, "negative volatility"),
+        ("phi_sigma", -0.1, "negative volatility"),
+        ("rho", np.nan, r"\|rho\| must be <= 1"),
+        ("rho", 1.5, r"\|rho\| must be <= 1"),
+        ("rho", -1.01, r"\|rho\| must be <= 1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "key, value, message", BAD_INPUTS, ids=[f"{k}={v}" for k, v, _m in BAD_INPUTS]
+    )
+    def test_sampler_rejects_bad_inputs(self, key, value, message):
+        args = dict(pi_mu=0.05, pi_sigma=0.2, phi_mu=0.03, phi_sigma=0.2, rho=1.0)
+        with pytest.raises(ValueError, match=message):
+            sample_joint_numeraire(GRID, 8, 1, **{**args, key: value})
+
 
 class TestReturnVolatility:
     def test_constant_samples_have_zero_volatility(self):
@@ -620,15 +513,15 @@ class TestPathSetValidation:
         bad = np.ones((1, GRID.n_points, 1))
         bad[0, 3, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            PathSet(grid=GRID, paths=bad, seed=0)
+            PathSet(grid=GRID, paths=bad)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.5])
     def test_nonfinite_or_negative_price_rejected(self, value):
         bad = np.ones((3, GRID.n_points, 2))
         bad[1, 5, 1] = value
         with pytest.raises(ValueError, match="^paths must be finite and strictly positive$"):
-            PathSet(grid=GRID, paths=bad, seed=0)
+            PathSet(grid=GRID, paths=bad)
 
     def test_wrong_time_axis_rejected(self):
         with pytest.raises(ValueError, match="steps"):
-            PathSet(grid=GRID, paths=np.ones((1, 7, 1)), seed=0)
+            PathSet(grid=GRID, paths=np.ones((1, 7, 1)))
