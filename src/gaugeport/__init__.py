@@ -51,7 +51,6 @@ from .pricer import (
     PdeProblem,
     bs_closed_form,
     bs_closed_form_rate,
-    effective_vol,
     merton_residual,
     solve_primed_gauge,
     solve_today,

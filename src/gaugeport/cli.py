@@ -42,7 +42,7 @@ def _sim_inputs(config: io.RunConfig):
     section = config.section("simulate")
     # load_config checks that horizon is a whole number of dt steps
     steps = round(float(section["horizon"]) / float(section["dt"]))
-    grid = TimeGrid(t0=0.0, dt=float(section["dt"]), steps=steps)
+    grid = TimeGrid(dt=float(section["dt"]), steps=steps)
     env = sim.EnvironmentSeries.constant(grid, float(section["xi"]))
     return section, grid, env
 

@@ -79,8 +79,8 @@ def _resolve_intervals(*series: RateLike) -> int:
 
 def textbook_discount(r: RateLike, T: float) -> float:
     """Discount factor e^{-int_0^T r dt}; gauge dependent by construction."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:  # NaN fails this test
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     n = _resolve_intervals(r)
     rates = _as_rate_series(r, n, "r")
     dt = T / n
@@ -93,8 +93,8 @@ def gauge_discount(mu: RateLike, sigma: RateLike, a: Union[RateLike, GaugeFieldA
     Invariant under the simultaneous shift (mu, A) -> (mu + phi_dot,
     A - phi_dot) exactly, because the shifted terms cancel pointwise.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:  # NaN fails this test
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if isinstance(a, GaugeFieldA):
         a = a.a
     n = _resolve_intervals(mu, sigma, a)
@@ -200,7 +200,7 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
         "cash_label": panel.asset_ids[cash_idx],
         "cash_discount_windowed": windowed_cash_discount,
         "n_instruments": panel.n_assets,
-        "weight_scheme": weights.scheme,
+        "weight_scheme": "equal",
         "rebalance": "every-step",
         "window": window,
         "a_prime_gauge": True,

@@ -32,6 +32,9 @@ from .sim import SEED_LIMIT
 
 DAYS_PER_YEAR = 365.25
 
+#: The date export_panel gives grid point 0.
+EXPORT_START = date(2005, 7, 1)
+
 
 class PanelFormatError(ValueError):
     """Malformed panel file; message carries row/column coordinates."""
@@ -49,7 +52,7 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
         prices /= prices[0]
     span_years = (dates[-1] - dates[0]).days / DAYS_PER_YEAR
     steps = len(dates) - 1
-    grid = TimeGrid(t0=0.0, dt=span_years / steps, steps=steps)
+    grid = TimeGrid(dt=span_years / steps, steps=steps)
     return PricePanel(grid=grid, prices=prices, asset_ids=tuple(labels))
 
 
@@ -136,12 +139,14 @@ def _parse_cells(path: Path) -> tuple[list[str], list[date], np.ndarray]:
     return labels, dates, prices
 
 
-def export_panel(panel: PricePanel, path: str | Path, start: date = date(2005, 7, 1)) -> None:
+def export_panel(panel: PricePanel, path: str | Path) -> None:
     """Write a PricePanel to the PanelFile CSV schema; ValueError if two grid points share a day."""
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels to export")
     dt = panel.grid.dt
-    days = [start + timedelta(days=round(k * dt * DAYS_PER_YEAR)) for k in range(panel.grid.n_points)]
+    days = [
+        EXPORT_START + timedelta(days=round(k * dt * DAYS_PER_YEAR)) for k in range(panel.grid.n_points)
+    ]
     for k in range(1, len(days)):
         if days[k] == days[k - 1]:
             raise ValueError(f"grid points {k - 1} and {k} both fall on {days[k]} (dt {dt} years)")

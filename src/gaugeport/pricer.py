@@ -140,7 +140,7 @@ def _differentiate(values: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptionSlice:
-    """Option values on the price grid today (t = t0)."""
+    """Option values on the price grid today (t = 0)."""
 
     s_grid: np.ndarray
     t_grid: TimeGrid
@@ -153,15 +153,6 @@ class OptionSlice:
     def delta_at(self, s: float) -> float:
         """Linear interpolation of dV/ds at price s."""
         return float(np.interp(s, self.s_grid, _differentiate(self.values, self.s_grid)))
-
-
-def effective_vol(sigma1: float, sigma_hat: float) -> float:
-    """Combined volatility Sigma = sqrt(sigma1^2 + sigma_hat^2)."""
-    if not (np.isfinite(sigma1) and np.isfinite(sigma_hat)):
-        raise ValueError("volatilities must be finite")
-    if sigma1 < 0 or sigma_hat < 0:
-        raise ValueError("volatilities must be nonnegative")
-    return float(np.hypot(sigma1, sigma_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +204,7 @@ def vanilla_problem(
     n_t: int = 400,
 ) -> PdeProblem:
     """Standard call/put problem on a grid sized to sigma and A (see the module docstring)."""
-    grid = TimeGrid(t0=0.0, dt=tau / n_t, steps=n_t)
+    grid = TimeGrid(dt=tau / n_t, steps=n_t)
     sigma_max = np.max(_per_interval(sigma, n_t, "sigma"))
     int_abs_a = np.sum(np.abs(_per_interval(a_field, n_t, "a_field"))) * grid.dt
     # e^3 > 8, so capping the exponent at 3 keeps exp finite and the span unchanged

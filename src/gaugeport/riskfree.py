@@ -56,13 +56,14 @@ class WeightVector:
     """Portfolio weights summing to one."""
 
     w: np.ndarray
-    scheme: str = "custom"
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
 
@@ -82,7 +83,7 @@ class WeightVector:
 
     @staticmethod
     def equal(n: int) -> "WeightVector":
-        return WeightVector(np.full(n, 1.0 / n), scheme="equal")
+        return WeightVector(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ counter-based Philox, uniforms most of all.  Streams seeded through
 SeedSequence's hash are distinct with overwhelming probability, not by
 construction as keyed Philox streams are (numpy's "Parallel random number
 generation" notes).  Every key block is an independent task.  Each Monte
-Carlo routine runs its blocks through one executor, a lazy, bounded
-:meth:`TaskPool.map` of ``n_jobs`` threads, and combines the per-block
+Carlo routine runs its blocks through one executor, ``_map_blocks``, a
+lazy, bounded map over ``n_jobs`` threads, and combines the per-block
 results in block order, so results are bit-identical for any ``n_jobs``.
 Every sample changed when SFC64 streams replaced the Philox keys
 [s, NOISE_KEY + b], and once before, when the 2^18-cell blocks replaced one
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -90,52 +90,6 @@ def noise_block(
     raise ValueError(f"unknown noise tag {noise!r}; expected one of {NOISE_TAGS}")
 
 
-class TaskPool:
-    """Worker threads for independent Monte Carlo tasks.
-
-    ``map(fn, tasks)`` returns ``[fn(*task) for task in tasks]`` in task
-    order.  With ``n_jobs = 1`` the tasks run in the calling thread; otherwise
-    ``n_jobs`` worker threads run them while the caller waits.  ``tasks`` may
-    be any iterable and is consumed lazily, with at most ``2 * n_jobs``
-    submitted tasks outstanding.  Tasks must not depend on one another, nor
-    map on their own pool; then the results do not depend on which thread
-    ran them.
-    """
-
-    def __init__(self, n_jobs: int = 1):
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
-        self._window = 2 * n_jobs
-        self._executor = ThreadPoolExecutor(n_jobs) if n_jobs > 1 else None
-
-    def __enter__(self) -> "TaskPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-
-    def map(self, fn: Callable, tasks: Iterable[tuple]) -> list:
-        if self._executor is None:
-            return [fn(*task) for task in tasks]
-        results: list = []
-        pending: deque = deque()  # futures in submission order
-        try:
-            for task in tasks:
-                pending.append(self._executor.submit(fn, *task))
-                if len(pending) > self._window:
-                    results.append(pending.popleft().result())
-            while pending:
-                results.append(pending.popleft().result())
-            return results
-        finally:
-            for future in pending:  # after a failure, drop what has not started
-                future.cancel()
-
-
 @dataclass(frozen=True)
 class EnvironmentSeries:
     """Deterministic environment factors xi(t), shared by all paths."""
@@ -154,8 +108,9 @@ class EnvironmentSeries:
             raise ValueError("environment factors must be finite")
 
     @staticmethod
-    def constant(grid: TimeGrid, value: float = 0.0, n_factors: int = 1) -> "EnvironmentSeries":
-        return EnvironmentSeries(grid, np.full((grid.n_points, n_factors), value))
+    def constant(grid: TimeGrid, value: float = 0.0) -> "EnvironmentSeries":
+        """One factor, held at ``value``."""
+        return EnvironmentSeries(grid, np.full((grid.n_points, 1), value))
 
 
 @dataclass(frozen=True)
@@ -269,12 +224,18 @@ def _map_blocks(
 
     ``z`` is a key block's noise [paths, steps, n_assets], drawn in the
     task, and ``first_path`` the index of its first path among all
-    ``n_paths``.  The blocks run as tasks of one lazy, bounded
-    :meth:`TaskPool.map`, and the results come back in block order, so a
-    result's position is its block index.
+    ``n_paths``.  With ``n_jobs = 1`` the blocks run in the calling thread;
+    otherwise ``n_jobs`` worker threads run them while the caller waits,
+    and blocks are submitted lazily, with at most ``2 * n_jobs`` of them
+    outstanding, so the noise in flight stays bounded.  The results come
+    back in block order, so a result's position is its block index.  The
+    blocks must not depend on one another; then the results do not depend
+    on which thread ran them.
     Floating-point warnings are off inside a task: ``np.errstate`` does not
     cross threads, and the callers check for inf, 0 and NaN themselves.
     """
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     size = block_paths(steps, n_assets)
 
     def task(block: int, first: int):
@@ -282,8 +243,23 @@ def _map_blocks(
         with np.errstate(all="ignore"):
             return fn(first, z)
 
-    with TaskPool(n_jobs) as pool:
-        return pool.map(task, enumerate(range(0, n_paths, size)))
+    blocks = enumerate(range(0, n_paths, size))
+    if n_jobs == 1:
+        return [task(block, first) for block, first in blocks]
+    results: list = []
+    pending: deque = deque()  # futures in block order
+    with ThreadPoolExecutor(n_jobs) as executor:
+        try:
+            for block, first in blocks:
+                pending.append(executor.submit(task, block, first))
+                if len(pending) > 2 * n_jobs:
+                    results.append(pending.popleft().result())
+            while pending:
+                results.append(pending.popleft().result())
+        finally:
+            for future in pending:  # after a failure, drop what has not started
+                future.cancel()
+    return results
 
 
 def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Callable) -> list:
@@ -296,18 +272,11 @@ def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Cal
     )
 
 
-def _start(
-    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, n_paths: int,
-    s0: Union[float, np.ndarray],
-) -> tuple[StepKernel, np.ndarray]:
-    """The step kernel and the per-asset initial prices, checked."""
+def _kernel(spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, n_paths: int) -> StepKernel:
+    """The step kernel of a run of ``n_paths`` paths, checked."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    kernel = StepKernel.of(spec, env, grid)
-    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (spec.n_assets,))
-    if np.any(s0 <= 0):
-        raise ValueError("initial prices must be strictly positive")
-    return kernel, s0
+    return StepKernel.of(spec, env, grid)
 
 
 def simulate(
@@ -320,7 +289,10 @@ def simulate(
     n_jobs: int = 1,
 ) -> PathSet:
     """Simulate asset price paths; bit-identical for any n_jobs."""
-    kernel, s0 = _start(spec, env, grid, n_paths, s0)
+    kernel = _kernel(spec, env, grid, n_paths)
+    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (spec.n_assets,))
+    if np.any(s0 <= 0):
+        raise ValueError("initial prices must be strictly positive")
     out = np.empty((n_paths, grid.n_points, spec.n_assets))
     out[:, 0, :] = s0
 
@@ -343,31 +315,29 @@ def terminal_prices(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    s0: Union[float, np.ndarray] = 1.0,
     n_jobs: int = 1,
 ) -> np.ndarray:
-    """Terminal prices [n_paths, n_assets], without storing the paths.
+    """Terminal prices [n_paths, n_assets] of paths that start at 1, without
+    storing the paths.
 
-    Bit for bit ``simulate(...).paths[:, -1, :]`` for the same arguments:
-    the same blocks of gross ratios are multiplied along the steps in the
-    same order as :func:`simulate`'s per-step loop, then by ``s0``.  Memory
-    is O(n_paths N) plus the blocks in flight.
+    Bit for bit ``simulate(..., s0=1.0).paths[:, -1, :]`` for the same
+    arguments: the same blocks of gross ratios are multiplied along the
+    steps in the same order as :func:`simulate`'s per-step loop.  Memory is
+    O(n_paths N) plus the blocks in flight.
 
     The check rejects exactly what :class:`PathSet` rejects, with the same
-    message.  Each path value is s0 times a running product of ratios
-    exp(.), which lie in [0, inf] or are NaN.  A 0, inf or NaN reached at
-    any step stays 0, inf or NaN, or becomes NaN (0 * inf), up to the last
-    step; so every value of a path is finite and > 0 exactly when its
-    terminal value is.
+    message.  Each path value is a running product of ratios exp(.), which
+    lie in [0, inf] or are NaN.  A 0, inf or NaN reached at any step stays
+    0, inf or NaN, or becomes NaN (0 * inf), up to the last step; so every
+    value of a path is finite and > 0 exactly when its terminal value is.
     """
-    kernel, s0 = _start(spec, env, grid, n_paths, s0)
+    kernel = _kernel(spec, env, grid, n_paths)
     out = np.empty((n_paths, spec.n_assets))
 
     def multiply_steps(first: int, ratios: np.ndarray) -> None:
         np.multiply.reduce(ratios, axis=1, out=out[first : first + len(ratios)])
 
     _map_gross(kernel, seed, n_paths, n_jobs, multiply_steps)
-    out *= s0
     # a NaN makes the min NaN
     if not (out.min() > 0 and np.isfinite(out.max())):
         raise ValueError("paths must be finite and strictly positive")
@@ -389,6 +359,8 @@ def sample_joint_numeraire(
 
     Returns value arrays (y, pi), each [n_paths, steps+1], both starting at 1.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     if not np.all(np.isfinite([pi_mu, pi_sigma, phi_mu, phi_sigma])):
         raise ValueError("drifts and volatilities must be finite")
     if pi_sigma < 0 or phi_sigma < 0:
@@ -420,14 +392,20 @@ def cross_term(
     """MC estimate of the quadratic covariation d<log Y, log Pi>/dt.
 
     Returns (estimate, standard error).  Inputs must be jointly sampled value
-    arrays of identical shape [n_paths, steps+1].
+    arrays of identical shape [n_paths, steps+1], with n_paths >= 2 for the
+    standard error, and finite and positive for the logs.
     """
     y_values = np.asarray(y_values, dtype=float)
     pi_values = np.asarray(pi_values, dtype=float)
     if y_values.shape != pi_values.shape or y_values.ndim != 2:
         raise ValueError("Y and Pi samples must share the same [n_paths, steps+1] shape")
+    if y_values.shape[0] < 2:
+        raise ValueError(f"need at least 2 paths for a standard error, got {y_values.shape[0]}")
     if not 0 < horizon < np.inf:  # NaN fails this test
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    for name, values in (("Y", y_values), ("Pi", pi_values)):
+        if not np.all((values > 0) & np.isfinite(values)):  # NaN fails both tests
+            raise ValueError(f"{name} values must be finite and strictly positive")
     dy = np.diff(np.log(y_values), axis=1)
     dpi = np.diff(np.log(pi_values), axis=1)
     per_path = np.sum(dy * dpi, axis=1) / horizon

@@ -37,7 +37,7 @@ FIXTURE_SIGMA = np.array(
 def build_fixture_panel() -> PricePanel:
     """The panel's bits are frozen: its noise is drawn here, from its own
     Philox key, so a change of the simulator's generator leaves it as it is."""
-    grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=504)
+    grid = TimeGrid(dt=1.0 / 252, steps=504)
     z = np.random.Generator(np.random.Philox(key=[FIXTURE_SEED, 2**62])).standard_normal(
         (grid.steps, FIXTURE_MU.size)
     )

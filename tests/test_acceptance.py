@@ -46,7 +46,7 @@ class TestAcceptance:
         report(f"C1 ten-year 4.06% textbook discount = {value:.4f} (0.666 +/- 0.001)", ok)
 
     def test_c02_gauge_invariance_fuzz(self):
-        grid = TimeGrid(0.0, 0.02, 50)
+        grid = TimeGrid(0.02, 50)
         rng = np.random.default_rng(42)
         logv = np.cumsum(rng.normal(0.001, 0.02, grid.n_points))
         values = np.exp(logv - logv[0])
@@ -91,7 +91,7 @@ class TestAcceptance:
         )
 
     def test_c03_volatility_scaling_inverse_sqrt_n(self):
-        grid = TimeGrid(0.0, 1.0 / 64, 8)
+        grid = TimeGrid(1.0 / 64, 8)
         env = EnvironmentSeries.constant(grid)
         mus = np.random.default_rng(2024).uniform(0.0, 0.1, 4096)
         spec = constant_spec(4096, mus, 0.25)
@@ -109,7 +109,7 @@ class TestAcceptance:
         )
 
     def test_c04_common_limit_across_weightings(self):
-        grid = TimeGrid(0.0, 1.0 / 64, 8)
+        grid = TimeGrid(1.0 / 64, 8)
         env = EnvironmentSeries.constant(grid)
         n = 4096
         rng = np.random.default_rng(2024)
@@ -166,7 +166,7 @@ class TestAcceptance:
         report(f"C6 A = -5% solve vs textbook rate closed form: rel error {rel:.2e} <= 1e-3", rel <= 1e-3)
 
     def test_c07_market_gauge_round_trip(self):
-        grid = TimeGrid(0.0, 0.01, 100)
+        grid = TimeGrid(0.01, 100)
         spec = constant_spec(8, 0.05, 0.2)
         paths = simulate(spec, EnvironmentSeries.constant(grid), grid, 1, seed=404)
         panel = PricePanel(grid=grid, prices=paths.paths[0])
@@ -184,7 +184,7 @@ class TestAcceptance:
         )
 
     def test_c08_discrete_balance_identities(self):
-        grid = TimeGrid(0.0, 0.01, 100)
+        grid = TimeGrid(0.01, 100)
         spec = constant_spec(8, 0.05, 0.2)
         paths = simulate(spec, EnvironmentSeries.constant(grid), grid, 1, seed=505)
         panel = PricePanel(grid=grid, prices=paths.paths[0])
@@ -198,7 +198,7 @@ class TestAcceptance:
         )
 
     def test_c09_numeraire_cross_term_trichotomy(self):
-        grid = TimeGrid(0.0, 1.0 / 64, 64)
+        grid = TimeGrid(1.0 / 64, 64)
         cases = [
             ("deterministic numeraire", 0.0, 0.0, 0.0),
             ("independent numeraire", 0.2, 0.0, 0.0),

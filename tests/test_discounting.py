@@ -34,6 +34,17 @@ class TestTextbookDiscount:
         with pytest.raises(ValueError, match="horizon"):
             textbook_discount(0.05, 0.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "discount",
+        [lambda T: textbook_discount(0.05, T), lambda T: gauge_discount(0.05, 0.2, 0.0, T)],
+        ids=["textbook", "gauge"],
+    )
+    def test_horizon_must_be_positive_and_finite(self, discount, horizon):
+        # nan gave nan, and inf gave 0.0, a discount factor with no horizon
+        with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+            discount(horizon)
+
 
 class TestGaugeDiscount:
     def test_gauge_shift_cancels(self):
@@ -68,7 +79,7 @@ class TestGaugeDiscount:
         )
 
     def test_accepts_gauge_field_object(self):
-        grid = TimeGrid(0.0, 0.5, 4)
+        grid = TimeGrid(0.5, 4)
         a = GaugeFieldA(grid, np.full(4, -0.03))
         assert gauge_discount(0.0, 0.0, a, 2.0) == pytest.approx(np.exp(-0.06), rel=1e-12)
 
@@ -90,7 +101,7 @@ class TestForwardTranslate:
 
 class TestRollingDriftVol:
     def test_exponential_growth_recovered_exactly(self):
-        grid = TimeGrid(0.0, 1.0 / 252, 300)
+        grid = TimeGrid(1.0 / 252, 300)
         values = np.exp(0.04 * grid.points())
         mu, sigma = rolling_drift_vol(values, grid.dt, window=63)
         np.testing.assert_allclose(mu, 0.04, rtol=1e-8)
@@ -104,7 +115,7 @@ class TestRollingDriftVol:
 
 class TestEmpiricalPipeline:
     def test_flat_market_is_trivial(self):
-        grid = TimeGrid(0.0, 1.0 / 252, 100)
+        grid = TimeGrid(1.0 / 252, 100)
         prices = np.ones((grid.n_points, 4))
         panel = PricePanel(grid=grid, prices=prices, asset_ids=("A", "B", "C", "D#cash"))
         report = empirical_pipeline(panel)
@@ -131,14 +142,14 @@ class TestEmpiricalPipeline:
         assert any("risk-free portfolio" in line for line in table.splitlines())
 
     def test_requires_normalized_panel(self):
-        grid = TimeGrid(0.0, 0.01, 10)
+        grid = TimeGrid(0.01, 10)
         prices = np.full((grid.n_points, 2), 2.0)
         panel = PricePanel(grid=grid, prices=prices, asset_ids=("A", "B#cash"))
         with pytest.raises(ValueError, match="normalize"):
             empirical_pipeline(panel)
 
     def test_requires_exactly_one_cash_column(self):
-        grid = TimeGrid(0.0, 0.01, 10)
+        grid = TimeGrid(0.01, 10)
         prices = np.ones((grid.n_points, 2))
         panel = PricePanel(grid=grid, prices=prices, asset_ids=("A", "B"))
         with pytest.raises(ValueError, match="#cash"):

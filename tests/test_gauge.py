@@ -22,7 +22,7 @@ from gaugeport import (
     transform_gauge_b,
 )
 
-GRID = TimeGrid(t0=0.0, dt=1.0 / 252, steps=60)
+GRID = TimeGrid(dt=1.0 / 252, steps=60)
 
 
 def random_panel(n_assets, seed, with_quantities=True, grid=GRID):
@@ -39,12 +39,12 @@ def random_phi(seed, grid=GRID, scale=0.5):
 
 class TestPortfolioValue:
     def test_unit_case(self):
-        grid = TimeGrid(0.0, 1.0, 1)
+        grid = TimeGrid(1.0, 1)
         panel = PricePanel(grid, np.ones((2, 2)), np.ones((2, 2)))
         assert portfolio_value(panel, 0) == 2.0
 
     def test_signed_dot_product(self):
-        grid = TimeGrid(0.0, 1.0, 1)
+        grid = TimeGrid(1.0, 1)
         panel = PricePanel(grid, [[2.0, 3.0]] * 2, [[1.0, -1.0]] * 2)
         assert portfolio_value(panel, 0) == -1.0
 
@@ -88,7 +88,7 @@ class TestPriceGauge:
 
     def test_grid_mismatch(self):
         panel = random_panel(2, seed=5)
-        other = TimeGrid(0.0, 1.0 / 12, 60)
+        other = TimeGrid(1.0 / 12, 60)
         with pytest.raises(ValueError, match="grid mismatch"):
             apply_price_gauge(panel, GaugeScalar(other, np.zeros(other.n_points)))
 

@@ -127,14 +127,14 @@ class TestIngest:
             ingest(write_csv(tmp_path, bad))
 
     def test_export_requires_labels(self, tmp_path):
-        panel = PricePanel(grid=TimeGrid(0.0, 0.5, 1), prices=np.ones((2, 1)))
+        panel = PricePanel(grid=TimeGrid(0.5, 1), prices=np.ones((2, 1)))
         with pytest.raises(ValueError, match="labels"):
             export_panel(panel, tmp_path / "out.csv")
 
     def test_export_rejects_steps_shorter_than_a_day(self, tmp_path):
         # dt = 1/1000 year: grid points 0 and 1 both round to 2005-07-01,
         # and ingest would reject the repeated date
-        panel = PricePanel(grid=TimeGrid(0.0, 1e-3, 4), prices=np.ones((5, 1)), asset_ids=("A",))
+        panel = PricePanel(grid=TimeGrid(1e-3, 4), prices=np.ones((5, 1)), asset_ids=("A",))
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="grid points 0 and 1 both fall on 2005-07-01"):
             export_panel(panel, out)
@@ -142,7 +142,7 @@ class TestIngest:
 
     def test_export_at_a_day_per_step_round_trips(self, tmp_path):
         panel = PricePanel(
-            grid=TimeGrid(0.0, 1.0 / 365.25, 3), prices=np.arange(1.0, 5.0)[:, None], asset_ids=("A",)
+            grid=TimeGrid(1.0 / 365.25, 3), prices=np.arange(1.0, 5.0)[:, None], asset_ids=("A",)
         )
         export_panel(panel, tmp_path / "out.csv")
         np.testing.assert_array_equal(ingest(tmp_path / "out.csv").prices, panel.prices)
@@ -439,7 +439,7 @@ class TestCli:
         # 210 MB, and the body as lists of Python floats about 4 arrays'
         # worth.  The bound covers the whole command: ingest, extraction,
         # the report body and the report writer.
-        grid = TimeGrid(t0=0.0, dt=1.0 / 365.25, steps=400)
+        grid = TimeGrid(dt=1.0 / 365.25, steps=400)
         n = 256
         paths = simulate(constant_spec(n, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, 8)
         labels = tuple(f"a{i:03d}" for i in range(n))

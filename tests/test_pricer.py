@@ -11,7 +11,6 @@ from gaugeport import (
     bs_closed_form,
     bs_closed_form_rate,
     constant_spec,
-    effective_vol,
     merton_residual,
     simulate,
     solve_primed_gauge,
@@ -35,7 +34,7 @@ class TestClosedForms:
 
     def test_monte_carlo_agrees(self):
         # driftless log-normal terminal prices reproduce the zero-rate value
-        grid = TimeGrid(0.0, 1.0 / 64, 64)
+        grid = TimeGrid(1.0 / 64, 64)
         spec = constant_spec(1, 0.0, SIGMA)
         paths = simulate(spec, EnvironmentSeries.constant(grid), grid, 200_000, seed=55, s0=100.0)
         payoff = np.maximum(paths.paths[:, -1, 0] - STRIKE, 0.0)
@@ -53,19 +52,6 @@ class TestClosedForms:
         assert bs_closed_form_rate(105, 100, 0.25, 0.7, 0.0) == pytest.approx(
             bs_closed_form(105, 100, 0.25, 0.7), rel=1e-14
         )
-
-
-class TestEffectiveVol:
-    def test_quadrature_combination(self):
-        assert effective_vol(0.2, 0.02) == pytest.approx(0.200998, abs=1e-6)
-
-    def test_zero_hat_is_identity(self):
-        assert effective_vol(0.3, 0.0) == 0.3
-
-    def test_rejects_negative(self):
-        for sigma1, sigma_hat in ((-0.1, 0.0), (np.nan, 0.1), (np.inf, 0.1), (0.2, np.nan), (0.2, np.inf)):
-            with pytest.raises(ValueError):
-                effective_vol(sigma1, sigma_hat)
 
 
 class TestPdeSolver:
@@ -256,7 +242,7 @@ class TestFactorOnceSolver:
             "linear": lambda sg: 2.0 * sg,
         }
         problem = PdeProblem(
-            s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(0.0, TAU / steps, steps),
+            s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(TAU / steps, steps),
             sigma=sigma, a_field=a_field, b_scalar=b_scalar, payoff=payoffs[kind],
             payoff_kind=kind, strike=None if kind == "linear" else STRIKE,
         )
@@ -285,7 +271,7 @@ def per_interval_problem(kind, steps=120):
         "linear": lambda sg: 2.0 * sg,
     }
     return PdeProblem(
-        s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(0.0, TAU / steps, steps),
+        s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(TAU / steps, steps),
         sigma=sigma, a_field=a_field, b_scalar=b_scalar, payoff=payoffs[kind],
         payoff_kind=kind, strike=None if kind == "linear" else STRIKE,
     )
@@ -396,7 +382,7 @@ class TestLinearPayoffs:
     def test_forward_contract_no_fields_is_exact(self):
         # payoff 2s with sigma = a = b = 0 propagates unchanged
         problem = PdeProblem(
-            s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(0.0, TAU / 100, 100),
+            s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(TAU / 100, 100),
             sigma=0.0, a_field=0.0, b_scalar=0.0,
             payoff=lambda s: 2.0 * s, payoff_kind="linear",
         )
@@ -406,7 +392,7 @@ class TestLinearPayoffs:
     def test_unit_field_growth(self):
         # pure B field scales a linear payoff by exp(B tau)
         problem = PdeProblem(
-            s_grid=log_price_grid(STRIKE, 400), t_grid=TimeGrid(0.0, TAU / 400, 400),
+            s_grid=log_price_grid(STRIKE, 400), t_grid=TimeGrid(TAU / 400, 400),
             sigma=0.0, a_field=0.0, b_scalar=0.1,
             payoff=lambda s: 2.0 * s, payoff_kind="linear",
         )
@@ -416,7 +402,7 @@ class TestLinearPayoffs:
 
     def test_diffusion_leaves_linear_payoff_almost_fixed(self):
         problem = PdeProblem(
-            s_grid=log_price_grid(STRIKE, 400), t_grid=TimeGrid(0.0, TAU / 400, 400),
+            s_grid=log_price_grid(STRIKE, 400), t_grid=TimeGrid(TAU / 400, 400),
             sigma=SIGMA, a_field=0.0, b_scalar=0.0,
             payoff=lambda s: 2.0 * s, payoff_kind="linear",
         )
@@ -454,7 +440,7 @@ class TestPrimedGauge:
         sigma_hat = 0.05
         problem = vanilla_problem("call", STRIKE, SIGMA, TAU)
         today = solve_primed_gauge(problem, sigma_hat=sigma_hat)
-        combined = effective_vol(SIGMA, sigma_hat)
+        combined = np.hypot(SIGMA, sigma_hat)
         exact = bs_closed_form(STRIKE, STRIKE, combined, TAU)
         assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
@@ -492,7 +478,7 @@ class TestMertonResidual:
         # V(t, s, H) = H c(s/H, tau) with c the zero-rate call at combined
         # volatility; finite-difference derivatives leave only truncation error
         sigma1, sigma_hat = 0.2, 0.05
-        combined = effective_vol(sigma1, sigma_hat)
+        combined = np.hypot(sigma1, sigma_hat)
         tau = 0.7
         s, h = 110.0, 0.9
 
@@ -522,7 +508,7 @@ class TestDegenerateProblems:
         s = log_price_grid(STRIKE, 200)
         with pytest.raises(DegenerateProblem, match="discontinuous"):
             PdeProblem(
-                s_grid=s, t_grid=TimeGrid(0.0, 0.01, 100),
+                s_grid=s, t_grid=TimeGrid(0.01, 100),
                 sigma=0.0, a_field=0.0, b_scalar=0.0,
                 payoff=lambda sg: sg + 100.0 * (sg > STRIKE), payoff_kind="linear",
             )
@@ -530,10 +516,16 @@ class TestDegenerateProblems:
     def test_tiny_grid_rejected(self):
         with pytest.raises(DegenerateProblem, match="coarse"):
             PdeProblem(
-                s_grid=np.array([90.0, 100.0, 110.0]), t_grid=TimeGrid(0.0, 0.01, 10),
+                s_grid=np.array([90.0, 100.0, 110.0]), t_grid=TimeGrid(0.01, 10),
                 sigma=0.1, a_field=0.0, b_scalar=0.0,
                 payoff=lambda sg: sg, payoff_kind="linear",
             )
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_expiry_must_be_positive_and_finite(self, tau):
+        # tau = nan built a NaN time grid
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            vanilla_problem("call", STRIKE, SIGMA, tau)
 
     def test_odd_interval_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -547,7 +539,7 @@ class TestDegenerateProblems:
         )
         with pytest.raises(ValueError, match="uniform in log-price"):
             PdeProblem(
-                s_grid=s, t_grid=TimeGrid(0.0, 0.01, 100), sigma=SIGMA, a_field=0.0,
+                s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=SIGMA, a_field=0.0,
                 b_scalar=0.0, payoff=lambda sg: np.maximum(sg - STRIKE, 0.0), strike=STRIKE,
             )
 
@@ -556,7 +548,7 @@ class TestDegenerateProblems:
         s[-1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             PdeProblem(
-                s_grid=s, t_grid=TimeGrid(0.0, 0.01, 100), sigma=SIGMA, a_field=0.0,
+                s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=SIGMA, a_field=0.0,
                 b_scalar=0.0, payoff=np.zeros_like, payoff_kind="linear",
             )
 
@@ -566,6 +558,6 @@ class TestDegenerateProblems:
     def test_log_price_grids_accepted(self, strike, n_s, span):
         # their log steps differ by rounding only, at any strike price accepts
         PdeProblem(
-            s_grid=log_price_grid(strike, n_s, span), t_grid=TimeGrid(0.0, 0.01, 1),
+            s_grid=log_price_grid(strike, n_s, span), t_grid=TimeGrid(0.01, 1),
             sigma=SIGMA, a_field=0.0, b_scalar=0.0, payoff=lambda sg: sg, payoff_kind="linear",
         )

@@ -36,7 +36,7 @@ from gaugeport.riskfree import (
 )
 from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block
 
-GRID = TimeGrid(t0=0.0, dt=0.01, steps=50)
+GRID = TimeGrid(dt=0.01, steps=50)
 
 
 def lp_minimum(c: np.ndarray, cap: float) -> float:
@@ -70,6 +70,12 @@ class TestWeightVector:
     def test_sum_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
             WeightVector(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weights_rejected(self, bad):
+        # abs(nan - 1) > tol is False, so the sum check alone let a NaN through
+        with pytest.raises(ValueError, match="^weights must be finite"):
+            WeightVector(np.array([0.5, bad, 0.5]))
 
     def test_equal_weights(self):
         w = WeightVector.equal(5)
@@ -147,7 +153,7 @@ class TestMarketGauge:
 
     def test_peak_memory_is_a_few_steps_by_n_arrays(self):
         # 401 dates x 256 assets: a dense [steps, N, N] B_N alone would be 210 MB
-        grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=400)
+        grid = TimeGrid(dt=1.0 / 252, steps=400)
         panel = random_panel(256, seed=7, grid=grid)
         weights = WeightVector.equal(256)
         tracemalloc.start()
@@ -187,7 +193,7 @@ class TestMarketGauge:
         # C08's panel, re-expressed in time-varying per-asset trade units:
         # q' = b q, s' = s / b and B' from transform_gauge_b keep both
         # balances at round-off
-        grid = TimeGrid(0.0, 0.01, 100)
+        grid = TimeGrid(0.01, 100)
         paths = simulate(constant_spec(8, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, seed=505)
         panel = PricePanel(grid=grid, prices=paths.paths[0])
         result = extract_market_gauge(panel, WeightVector.equal(8))
@@ -211,7 +217,7 @@ class TestMarketGauge:
 
 
 class TestConvergenceStudy:
-    GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+    GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
 
     def test_equal_vol_slope_is_minus_half(self):
         spec = constant_spec(64, 0.05, 0.25)
@@ -253,7 +259,7 @@ class TestConvergenceStudy:
 
 
 class TestEtemadi:
-    GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+    GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
 
     def test_identical_weights_have_zero_divergence(self):
         spec = constant_spec(16, 0.05, 0.2)
@@ -320,7 +326,7 @@ class TestSubBlockStreaming:
     """The studies stream key blocks of ~2^18 cells; the same bits at 1, 2 and 3 threads."""
 
     # 8 steps x 325 assets: 100-path key blocks, and a ragged 37-path last one
-    GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+    GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
     N = 325
     SIZES = [40, 80, 160, 325]
     N_PATHS = 537
@@ -357,7 +363,7 @@ class TestPrefixReduction:
     """The one-draw prefix reduction against a plain numpy re-computation."""
 
     # 8 steps x 325 assets: 100-path key blocks, and a ragged last block
-    GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+    GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
     N = 325
     SIZES = (5, 40, 160, 325)
     N_PATHS = 537

@@ -1,5 +1,5 @@
+import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -23,14 +23,13 @@ from gaugeport.sim import (
     EnvironmentSeries,
     ProcessSpec,
     StepKernel,
-    TaskPool,
     block_paths,
     noise_block,
     sample_joint_numeraire,
     terminal_prices,
 )
 
-GRID = TimeGrid(t0=0.0, dt=1.0 / 64, steps=64)
+GRID = TimeGrid(dt=1.0 / 64, steps=64)
 ENV = EnvironmentSeries.constant(GRID)
 
 
@@ -91,7 +90,7 @@ class TestSimulate:
     def test_environment_shape_rejected(self):
         # a 1-D series is one factor; a 2-D one is taken as given, not transposed
         assert EnvironmentSeries(GRID, np.zeros(GRID.n_points)).xi.shape == (GRID.n_points, 1)
-        grid = TimeGrid(0.0, 0.1, 3)
+        grid = TimeGrid(0.1, 3)
         for xi in (np.arange(4.0)[None, :], np.zeros((3, 1)), np.zeros((4, 1, 1)), 0.0):
             with pytest.raises(ValueError, match="one factor vector per grid point"):
                 EnvironmentSeries(grid, xi)
@@ -104,7 +103,7 @@ class TestSimulate:
     def test_peak_memory_is_output_plus_noise_blocks(self):
         # each of the 2 workers holds one 2^18-cell noise block at a time,
         # turned in place into ratios and multiplied into the output
-        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+        grid = TimeGrid(dt=1.0 / 64, steps=8)
         spec = constant_spec(256, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
         tracemalloc.start()
@@ -175,7 +174,7 @@ class TestProcessModel:
 
 #: 8 steps x 325 assets: 2600 cells per path, so a key block holds 100 paths
 #: and 537 paths end in a ragged 37-path block.
-GRID8 = TimeGrid(t0=0.0, dt=1.0 / 64, steps=8)
+GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
 WIDE = 325
 RAGGED_PATHS = 537
 
@@ -269,7 +268,7 @@ class TestSubBlocks:
 
     def test_studies_hold_a_few_blocks(self):
         # 1024 assets x 64 steps: a key block is 4 paths, 2 MiB of noise
-        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=64)
+        grid = TimeGrid(dt=1.0 / 64, steps=64)
         n = 1024
         spec = constant_spec(n, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
@@ -289,7 +288,7 @@ class TestSubBlocks:
 
     def test_long_simulate_holds_output_plus_few_sub_blocks(self):
         # 1260 steps x 512 assets: a key block is one path
-        grid = TimeGrid(t0=0.0, dt=1.0 / 252, steps=1260)
+        grid = TimeGrid(dt=1.0 / 252, steps=1260)
         spec = constant_spec(512, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
         tracemalloc.start()
@@ -305,7 +304,7 @@ class TestSubBlocks:
 
 
 class TestTerminalPrices:
-    """terminal_prices is the last time slice of simulate, bit for bit."""
+    """terminal_prices is the last time slice of simulate from s0 = 1, bit for bit."""
 
     @pytest.mark.parametrize("tag", NOISE_TAGS)
     @pytest.mark.parametrize(
@@ -313,17 +312,16 @@ class TestTerminalPrices:
         [
             (GRID8, WIDE, RAGGED_PATHS),  # ragged last block
             (GRID, 1, RAGGED_PATHS),  # one asset, one ragged block
-            (TimeGrid(t0=0.0, dt=1.0 / 252, steps=1024), 256, 3),  # one path per block
+            (TimeGrid(dt=1.0 / 252, steps=1024), 256, 3),  # one path per block
         ],
     )
     def test_matches_the_last_slice_of_simulate(self, tag, grid, n_assets, n_paths):
         mu, sigma = np.linspace(-0.05, 0.1, n_assets), np.linspace(0.0, 0.4, n_assets)
         spec = constant_spec(n_assets, mu, sigma, tag)
         env = EnvironmentSeries.constant(grid)
-        s0 = np.linspace(0.5, 2.0, n_assets)
         for n_jobs in (1, 2, 3):
-            paths = simulate(spec, env, grid, n_paths, seed=7, s0=s0, n_jobs=n_jobs)
-            terminal = terminal_prices(spec, env, grid, n_paths, seed=7, s0=s0, n_jobs=n_jobs)
+            paths = simulate(spec, env, grid, n_paths, seed=7, s0=1.0, n_jobs=n_jobs)
+            terminal = terminal_prices(spec, env, grid, n_paths, seed=7, n_jobs=n_jobs)
             assert_same_bits(terminal, paths.paths[:, -1, :])
 
     @pytest.mark.filterwarnings("error")  # no numpy warning escapes the tasks
@@ -340,41 +338,45 @@ class TestTerminalPrices:
         assert str(streamed.value) == str(stored.value) == "paths must be finite and strictly positive"
 
 
-class TestTaskPool:
-    def test_results_in_task_order(self):
-        with TaskPool(3) as pool:
-            assert pool.map(lambda a, b: a * b, [(k, k + 1) for k in range(20)]) == [
-                k * (k + 1) for k in range(20)
-            ]
+class TestMapBlocks:
+    # one path per key block: 20 blocks, more than the 2 * n_jobs window
+    STEPS, N_ASSETS, N_PATHS = 512, BLOCK_CELLS // 512, 20
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_generated_arguments_are_released(self, n_jobs):
-        # the tasks are drawn lazily: only the outstanding ones keep their
-        # arguments alive, and none is left once the map returns
-        live = set()
-        most = []
+    def map_blocks(self, n_jobs, fn):
+        return sim._map_blocks(7, self.N_PATHS, self.STEPS, self.N_ASSETS, "normal", n_jobs, fn)
 
-        def produce():
-            for k in range(40):
-                arg = np.zeros(8)
-                live.add(k)
-                weakref.finalize(arg, live.discard, k)
-                most.append(len(live))
-                yield (arg,)
-                del arg
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    def test_results_in_block_order(self, n_jobs):
+        assert self.map_blocks(n_jobs, lambda first, z: first) == list(range(self.N_PATHS))
 
-        with TaskPool(n_jobs) as pool:
-            assert pool.map(lambda arg: arg.sum(), produce()) == [0.0] * 40
-        assert not live
-        # the 2 * n_jobs pending tasks, the one being settled and the one being drawn
-        assert max(most) <= 2 * n_jobs + 2
+    def test_blocks_outstanding_are_bounded(self):
+        # while a worker holds block 0, the other worker runs only the blocks
+        # submitted behind it: at most 2 * n_jobs, not all 19
+        n_jobs, ran, all_ran = 2, [], threading.Event()
 
-    def test_task_error_propagates(self):
-        def fail(k):
-            raise ValueError(f"task {k}")
+        def fn(first, z):
+            if first == 0:
+                all_ran.wait(timeout=0.5)
+                return len(ran)
+            ran.append(first)
+            if len(ran) == self.N_PATHS - 1:
+                all_ran.set()
+            return first
 
-        with TaskPool(2) as pool, pytest.raises(ValueError, match="task"):
-            pool.map(fail, [(0,), (1,)])
+        assert self.map_blocks(n_jobs, fn)[0] <= 2 * n_jobs
+
+    def test_block_error_propagates(self):
+        def fail(first, z):
+            if first == 5:
+                raise ValueError(f"block {first}")
+            return first
+
+        with pytest.raises(ValueError, match="^block 5$"):
+            self.map_blocks(2, fail)
+
+    def test_n_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="^n_jobs must be >= 1$"):
+            self.map_blocks(0, lambda first, z: first)
 
 
 class TestNoiseTags:
@@ -464,6 +466,37 @@ class TestCrossTerm:
         with pytest.raises(ValueError, match="^horizon must be positive and finite"):
             cross_term(np.ones((3, 5)), np.ones((3, 5)), horizon)
 
+    @pytest.mark.filterwarnings("error")  # a ValueError, not NaN and a numpy warning
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("one path", "^need at least 2 paths"),
+            ("negative Y", "^Y values must be finite and strictly positive"),
+            ("zero Pi", "^Pi values must be finite and strictly positive"),
+            ("NaN Y", "^Y values must be finite and strictly positive"),
+            ("infinite Pi", "^Pi values must be finite and strictly positive"),
+        ],
+    )
+    def test_rejects_what_has_no_estimate(self, case, message):
+        y, pi = sample_joint_numeraire(GRID, 4, 1, 0.05, 0.2, 0.03, 0.2, 0.5)
+        if case == "one path":
+            y, pi = y[:1], pi[:1]
+        elif case == "negative Y":
+            y = -y
+        elif case == "zero Pi":
+            pi[2, 7] = 0.0
+        elif case == "NaN Y":
+            y[1, 3] = np.nan
+        else:
+            pi[0, -1] = np.inf
+        with pytest.raises(ValueError, match=message):
+            cross_term(y, pi, GRID.horizon)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_sampler_needs_a_path(self, n_paths):
+        with pytest.raises(ValueError, match="^n_paths must be >= 1$"):
+            sample_joint_numeraire(GRID, n_paths, 1, 0.05, 0.2, 0.03, 0.2, 0.5)
+
     BAD_INPUTS = [
         ("pi_mu", np.nan, "must be finite"),
         ("phi_mu", -np.inf, "must be finite"),
@@ -493,7 +526,7 @@ class TestReturnVolatility:
     def test_deterministic_shift_cancels_exactly(self):
         rng = np.random.default_rng(12)
         samples = rng.normal(0.05, 0.3, size=(500, GRID.steps))
-        shift = np.sin(GRID.interval_starts())  # same shift for every sample
+        shift = np.sin(GRID.points()[:-1])  # same shift for every sample
         assert return_volatility(samples + shift) == pytest.approx(
             return_volatility(samples), abs=1e-13
         )
