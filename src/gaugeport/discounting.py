@@ -47,8 +47,9 @@ class DiscountReport:
     cash_series: Optional[LabeledSeries] = None
 
     def __post_init__(self):
-        if np.any(self.final_values <= 0):
-            raise ValueError("final values (discount factors) must be positive")
+        values = np.asarray(self.final_values, dtype=float)
+        if not np.all((values > 0) & (values < np.inf)):  # NaN fails this test
+            raise ValueError("final values (discount factors) must be positive and finite")
 
     def as_table(self) -> str:
         """Aligned plain-text table of final asset values."""
@@ -108,8 +109,8 @@ def gauge_discount(mu: RateLike, sigma: RateLike, a: Union[RateLike, GaugeFieldA
 def forward_translate(n0: float, s_values: np.ndarray) -> float:
     """Quantity at the horizon from n0 s(0) = nT s(T)."""
     s_values = np.asarray(s_values, dtype=float)
-    if np.any(s_values <= 0):
-        raise ValueError("price series must be strictly positive")
+    if not np.all((s_values > 0) & (s_values < np.inf)):  # NaN fails this test
+        raise ValueError("price series must be strictly positive and finite")
     return float(n0 * s_values[0] / s_values[-1])
 
 
@@ -133,11 +134,11 @@ def rolling_drift_vol(
 
     Returns (mu, sigma) step series where mu is the level drift
     (mean log-return rate + sigma^2/2).  The first window is backfilled with
-    the first full-window estimate.
+    the first full-window estimate; a window longer than the series spans
+    all of it.
     """
     logret = np.diff(np.log(values))
     n = logret.size
-    window = min(window, n)
     mu = np.empty(n)
     sigma = np.empty(n)
     for k in range(n):
@@ -193,6 +194,8 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
     labels.append("risk-free portfolio")
     final_values = np.append(final_values, 1.0)
 
+    # a window longer than the panel spans all of it
+    window = min(window, panel.grid.steps)
     cash_mu, cash_sigma = rolling_drift_vol(panel.prices[:, cash_idx], panel.grid.dt, window)
     windowed_cash_discount = gauge_discount(cash_mu, cash_sigma, gauge.a, panel.grid.horizon)
 

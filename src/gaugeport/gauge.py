@@ -35,8 +35,8 @@ def forward_diff(values: np.ndarray, dt: float) -> np.ndarray:
 def log_forward_diff(values: np.ndarray, dt: float) -> np.ndarray:
     """Discrete d/dt ln(x) under the module's forward-difference rule."""
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0):
-        raise ValueError("log derivative requires strictly positive values")
+    if not np.all((values > 0) & (values < np.inf)):  # NaN fails this test
+        raise ValueError("log derivative requires strictly positive finite values")
     return np.diff(np.log(values), axis=0) / dt
 
 
@@ -247,8 +247,6 @@ def nominal_return(grid: TimeGrid, values: np.ndarray) -> ReturnSeries:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise ValueError("values must hold one entry per grid point")
-    if np.any(values <= 0):
-        raise ValueError("nominal return requires strictly positive values")
     return ReturnSeries(grid, log_forward_diff(values, grid.dt), kind="nominal")
 
 

@@ -1,9 +1,18 @@
 """Panel CSV ingestion, run configuration, and report serialization.
 
-PanelFile schema: UTF-8, LF line endings, comma separated, `.` decimal
-separator.  Header row holds asset labels (at most one tagged `#cash`);
-data rows hold an ISO-8601 date followed by one positive decimal price per
-asset.  Dates map onto a uniform grid in year fractions (365.25-day year).
+PanelFile schema: UTF-8, LF or CRLF line endings, comma separated, `.`
+decimal separator.  Header row holds asset labels (at most one tagged
+`#cash`); data rows hold an unquoted ISO-8601 date followed by one positive
+decimal price per asset.  Dates map onto a uniform grid in year fractions
+(365.25-day year).
+
+A price is a number as ``np.loadtxt`` reads it: ASCII digits with an
+optional sign, decimal point and exponent (``7``, ``+2.5``, ``.5``,
+``1E2``), optionally padded by spaces or tabs and optionally in double
+quotes.  Underscores (``1_000``), non-ASCII digits and hex are not numbers;
+``nan`` and ``inf`` parse but are not positive finite prices.
+``export_panel`` writes each price as ``repr(float)``, which reads back bit
+for bit.  A bad file raises PanelFormatError naming its first bad field.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Any, Mapping, Optional, TextIO
+from typing import Any, Iterable, Mapping, Optional, TextIO
 
 import numpy as np
 import yaml
@@ -47,7 +56,31 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
     freedom of the price gauge).
     """
     path = Path(path)
-    labels, dates, prices = _parse_block(path) or _parse_cells(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        header = [h.strip() for h in next(csv.reader(handle), [])]
+        lines = [line.rstrip("\r\n") for line in handle]
+    if len(lines) < 2:
+        raise PanelFormatError(f"{path}: need a header and at least two data rows")
+    labels = header[1:]
+    if not labels:
+        raise PanelFormatError(f"{path}: header must list a date column and at least one asset")
+    if sum(l.endswith("#cash") for l in labels) > 1:
+        raise PanelFormatError(f"{path}: at most one column may carry the #cash tag")
+    dates: list[date] = []
+    for r, line in enumerate(lines, start=1):
+        cell = line.partition(",")[0]
+        try:
+            day = date.fromisoformat(cell.strip())
+        except ValueError as exc:
+            raise PanelFormatError(f"{path}: row {r}: bad date {cell!r}: {exc}") from None
+        if dates and day <= dates[-1]:
+            raise PanelFormatError(
+                f"{path}: row {r}: date {day.isoformat()} not after the previous row"
+            )
+        dates.append(day)
+    prices = _floats((line.partition(",")[2] for line in lines), (len(lines), len(labels)))
+    if prices is None or not _positive(prices):
+        raise _first_bad_field(path, labels, lines)
     if normalize:
         prices /= prices[0]
     span_years = (dates[-1] - dates[0]).days / DAYS_PER_YEAR
@@ -56,87 +89,41 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
     return PricePanel(grid=grid, prices=prices, asset_ids=tuple(labels))
 
 
-def _parse_block(path: Path) -> Optional[tuple[list[str], list[date], np.ndarray]]:
-    """Labels, dates and prices of a well-formed file, or None.
-
-    All price cells go through one ``np.loadtxt`` call, which parses with
-    the same correctly rounded conversion as ``float`` and accepts a subset
-    of what ``float`` accepts, so no cell is held as a Python string.  Any
-    file it does not take whole goes to :func:`_parse_cells`.
-    """
-    with path.open(newline="", encoding="utf-8") as handle:
-        header = [h.strip() for h in next(csv.reader(handle), [])]
-        lines = list(handle)
-    labels = header[1:]
-    if not labels or sum(l.endswith("#cash") for l in labels) > 1 or len(lines) < 2:
-        return None
+def _floats(lines: Iterable[str], shape: tuple[int, int]) -> Optional[np.ndarray]:
+    """Comma-separated numbers, a row per line, as an array of ``shape``; None
+    if a cell is not a number or the numbers do not fill ``shape``."""
     try:
-        dates = [date.fromisoformat(line.partition(",")[0].strip()) for line in lines]
         with warnings.catch_warnings():
-            # an all-blank block warns "no data"; the shape check rejects it
+            # a blank input warns "no data"; loadtxt skips blank lines, so they show as missing rows
             warnings.simplefilter("ignore", UserWarning)
-            prices = np.loadtxt(
-                (line.partition(",")[2] for line in lines),
-                delimiter=",", comments=None, quotechar=None, ndmin=2,
-            )
+            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
-    # loadtxt skips blank lines, so the shape also catches rows without prices
-    well_formed = (
-        prices.shape == (len(lines), len(labels))
-        and all(a < b for a, b in zip(dates, dates[1:]))
-        # min > 0 fails on NaN as well as on nonpositive prices
-        and prices.min() > 0
-        and prices.max() < np.inf
-    )
-    return (labels, dates, prices) if well_formed else None
+    return values if values.shape == shape else None
 
 
-def _parse_cells(path: Path) -> tuple[list[str], list[date], np.ndarray]:
-    """Row-by-row, cell-by-cell parse that raises at the first bad field,
-    naming its row and column."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if len(rows) < 3:
-        raise PanelFormatError(f"{path}: need a header and at least two data rows")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2:
-        raise PanelFormatError(f"{path}: header must list a date column and at least one asset")
-    labels = header[1:]
-    cash_cols = [l for l in labels if l.endswith("#cash")]
-    if len(cash_cols) > 1:
-        raise PanelFormatError(f"{path}: at most one column may carry the #cash tag")
+def _positive(values: np.ndarray) -> bool:
+    return values.min() > 0 and values.max() < np.inf  # NaN fails both
 
-    n_assets = len(labels)
-    dates: list[date] = []
-    prices = np.empty((len(rows) - 1, n_assets))
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != n_assets + 1:
-            raise PanelFormatError(
-                f"{path}: ragged row {r}: expected {n_assets + 1} fields, got {len(row)}"
-            )
-        try:
-            day = date.fromisoformat(row[0].strip())
-        except ValueError as exc:
-            raise PanelFormatError(f"{path}: row {r}: bad date {row[0]!r}: {exc}") from None
-        if dates and day <= dates[-1]:
-            raise PanelFormatError(
-                f"{path}: row {r}: date {day.isoformat()} not after the previous row"
-            )
-        dates.append(day)
-        for c, cell in enumerate(row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: row {r}, column {labels[c]!r}: not a number: {cell!r}"
-                ) from None
-            if not np.isfinite(value) or value <= 0:
-                raise PanelFormatError(
-                    f"{path}: row {r}, column {labels[c]!r}: nonpositive price {cell!r}"
-                )
-            prices[r - 1, c] = value
-    return labels, dates, prices
+
+def _first_bad_field(path: Path, labels: list[str], lines: list[str]) -> PanelFormatError:
+    """The error for the first row :func:`_floats` rejects, at its first bad cell."""
+    n = len(labels)
+    for r, line in enumerate(lines, start=1):
+        row = _floats([line.partition(",")[2]], (1, n))
+        if row is not None and _positive(row):
+            continue
+        fields = next(csv.reader([line]), [])
+        if len(fields) != n + 1:
+            return PanelFormatError(f"{path}: ragged row {r}: expected {n + 1} fields, got {len(fields)}")
+        for label, cell in zip(labels, fields[1:]):
+            value = _floats([cell], (1, 1))
+            if value is None:
+                return PanelFormatError(f"{path}: row {r}, column {label!r}: not a number: {cell!r}")
+            if not _positive(value):
+                return PanelFormatError(f"{path}: row {r}, column {label!r}: nonpositive price {cell!r}")
+    # every row parses alone, so the block failed on a quote left open at a line end
+    return PanelFormatError(f"{path}: a quoted price runs past the end of its row")
 
 
 def export_panel(panel: PricePanel, path: str | Path) -> None:
@@ -292,6 +279,13 @@ def _validate(config: RunConfig) -> None:
         _require(
             number(value) or (lists and type(value) is list and value and all(map(number, value))),
             f"simulate.process_params.{key} must be {kind}, got {value!r}",
+        )
+    # constant and sector-block take sigma as given; affine clips its sigma at 0
+    for key in set(params) & {"sigma", "sigma_sectors"}:
+        value = params[key]
+        _require(
+            min(value if type(value) is list else [value]) >= 0,
+            f"simulate.process_params.{key} must be >= 0, got {value!r}",
         )
     if sim["process"] == "sector-block":
         mus, sigmas = ({**names, **params}[k] for k in ("mu_sectors", "sigma_sectors"))

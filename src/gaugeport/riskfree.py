@@ -118,8 +118,8 @@ class SensitivityProblem:
         n = g.shape[0]
         if g.shape[1] >= n:
             raise ValueError("need n_factors < N")
-        if self.cap <= 0 or n * self.cap < 1.0 - 1e-12:
-            raise ValueError("infeasible constraints: need cap > 0 and N*cap >= 1")
+        if not (0 < self.cap < np.inf and n * self.cap >= 1.0 - 1e-12):  # NaN fails this test
+            raise ValueError("infeasible constraints: need finite cap > 0 and N*cap >= 1")
 
     @property
     def n(self) -> int:

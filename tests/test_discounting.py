@@ -98,6 +98,15 @@ class TestForwardTranslate:
         with pytest.raises(ValueError, match="positive"):
             forward_translate(1.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_rejects_nonfinite_prices(self, bad, at):
+        s = np.ones(2)
+        s[at] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            forward_translate(1.0, s)
+
 
 class TestRollingDriftVol:
     def test_exponential_growth_recovered_exactly(self):
@@ -141,6 +150,16 @@ class TestEmpiricalPipeline:
         assert table.splitlines()[0] == "Final Asset Values"
         assert any("risk-free portfolio" in line for line in table.splitlines())
 
+    def test_reports_the_window_it_used(self):
+        # 40 intervals: a 63-step window spans the panel, so 40 is the window used
+        grid = TimeGrid(1.0 / 252, 40)
+        prices = np.exp(0.01 * np.arange(grid.n_points))[:, None] ** np.array([1.0, 2.0, 0.5])
+        panel = PricePanel(grid=grid, prices=prices, asset_ids=("A", "B", "C#cash"))
+        short = empirical_pipeline(panel, window=63)
+        assert short.metadata["window"] == 40
+        assert empirical_pipeline(panel, window=40).metadata == short.metadata
+        assert empirical_pipeline(panel, window=20).metadata["window"] == 20
+
     def test_requires_normalized_panel(self):
         grid = TimeGrid(0.01, 10)
         prices = np.full((grid.n_points, 2), 2.0)
@@ -182,3 +201,9 @@ class TestReportTypes:
     def test_nonpositive_discount_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             DiscountReport(asset_ids=("A",), final_values=np.array([-0.5]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_discount_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DiscountReport(asset_ids=("A", "B"), final_values=np.array([1.0, bad]))

@@ -7,6 +7,7 @@ import string
 import subprocess
 import sys
 import tracemalloc
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,44 @@ class TestIngest:
         expected = np.array([[float(c) for c in row] for row in cells])
         assert np.array_equal(panel.prices.view(np.int64), expected.view(np.int64))
 
-    def test_cells_numpy_rejects_parse_as_float(self, tmp_path):
-        # underscores, non-ASCII digits and quoting take the cell-by-cell path
-        text = 'date,A,B,C\n2020-01-01,1_000,\u0661\u0662,"2.5"\n2020-01-02,1.0,2.0,3.0\n'
-        panel = ingest(write_csv(tmp_path, text))
-        assert panel.prices.tolist() == [[1000.0, 12.0, 2.5], [1.0, 2.0, 3.0]]
+    def test_quoted_cells_and_crlf_parse_as_float(self, tmp_path):
+        cells = [['"2.5"', '" 0.1"', "1e-3"], ["7", '"+1E2"', repr(1 / 3)]]
+        lines = ["date,A,B,C"] + [f"2020-01-0{r + 1}," + ",".join(row) for r, row in enumerate(cells)]
+        expected = np.array([[float(c.strip('"')) for c in row] for row in cells])
+        for newline in ("\n", "\r\n"):
+            panel = ingest(write_csv(tmp_path, newline.join(lines) + newline))
+            assert np.array_equal(panel.prices.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+    def test_cells_outside_the_number_syntax_are_rejected(self, cell, tmp_path):
+        text = f"date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,3.0,{cell}\n"
+        with pytest.raises(PanelFormatError, match=f"row 2, column 'B': not a number: '{cell}'"):
+            ingest(write_csv(tmp_path, text))
+
+    def test_quote_left_open_at_a_line_end_is_rejected(self, tmp_path):
+        text = 'date,A,B\n2020-01-01,1.0,"2.0\n2020-01-02,3.0,4.0\n2020-01-03,5.0,6.0\n'
+        with pytest.raises(PanelFormatError, match="quoted price runs past the end of its row"):
+            ingest(write_csv(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [("x", "not a number: "), ("", "not a number: "), ("0", "nonpositive price "),
+         ("nan", "nonpositive price ")],
+    )
+    @pytest.mark.parametrize(
+        "row,col", [(1, 0), (316, 64), (158, 127)], ids=["first-row", "last-row", "last-column"]
+    )
+    def test_bad_field_in_a_wide_panel_is_named(self, row, col, cell, message, tmp_path):
+        # the size of the benchmark panel: 316 rows of 128 prices
+        prices = np.random.default_rng(3).uniform(0.5, 2.0, (316, 128))
+        cells = [[repr(float(p)) for p in line] for line in prices]
+        cells[row - 1][col] = cell
+        labels = [f"asset{c:03d}" for c in range(128)]
+        lines = ["date," + ",".join(labels)]
+        lines += [f"{date(2001, 1, 1) + timedelta(days=r)}," + ",".join(line) for r, line in enumerate(cells)]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(PanelFormatError, match=f": row {row}, column '{labels[col]}': {message}'{cell}'"):
+            ingest(path)
 
     def test_ragged_row_reports_coordinates(self, tmp_path):
         bad = GOOD_CSV.replace("2020-01-02,101.5,1.0001", "2020-01-02,101.5")
@@ -884,6 +918,24 @@ class TestCli:
                 "simulate: {process: sector-block, process_params: {mu_sectors: [0.1, 0.2]}}\n",
                 "mu_sectors and sigma_sectors must have equal length, got 2 and 1",
             ),
+            (
+                "simulate", "simulate: {process_params: {sigma: -0.2}}\n",
+                "simulate.process_params.sigma must be >= 0, got -0.2",
+            ),
+            (
+                "simulate", "simulate: {n_assets: 2, process_params: {sigma: [0.1, -0.2]}}\n",
+                "simulate.process_params.sigma must be >= 0, got [0.1, -0.2]",
+            ),
+            (
+                "riskfree", "simulate: {process_params: {sigma: -0.2}}\n",
+                "simulate.process_params.sigma must be >= 0, got -0.2",
+            ),
+            (
+                "simulate",
+                "simulate: {process: sector-block, process_params: "
+                "{mu_sectors: [0.0, 0.1], sigma_sectors: [0.2, -0.1]}}\n",
+                "simulate.process_params.sigma_sectors must be >= 0, got [0.2, -0.1]",
+            ),
             # falsy documents that are not mappings are errors, not defaults
             ("price", "[]\n", "config must be a mapping of sections"),
             ("price", "false\n", "config must be a mapping of sections"),
@@ -895,7 +947,8 @@ class TestCli:
             "horizon-steps", "negative-seed", "seed-2^64-1", "sensitivity-seed", "cap_c-below-one",
             "param-list",
             "param-string", "param-typo", "param-length", "param-length-riskfree",
-            "sector-lengths",
+            "sector-lengths", "negative-sigma", "negative-sigma-list", "negative-sigma-riskfree",
+            "negative-sector-sigma",
             "empty-list", "false", "zero", "empty-string",
         ],
     )

@@ -680,3 +680,9 @@ class TestSensitivityNeutralWeights:
             SensitivityProblem(np.ones((4, 1, 1)), cap=0.5)
         with pytest.raises(ValueError, match="infeasible"):
             SensitivityProblem(np.ones((4, 1)), cap=0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cap", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="need finite cap > 0"):
+            SensitivityProblem(np.ones((4, 1)), cap=cap)
