@@ -28,11 +28,12 @@ from .sim import (
     EnvironmentSeries,
     PathSet,
     ProcessSpec,
+    TerminalStats,
     constant_spec,
     cross_term,
     return_volatility,
     simulate,
-    terminal_prices,
+    terminal_stats,
 )
 from .riskfree import (
     MarketGaugeResult,

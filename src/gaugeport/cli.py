@@ -1,7 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: simulate, gauge, riskfree, price, discount, sensitivity.
-Every run embeds the config hash and seed in its report.  Exit codes:
+``simulate`` reports per-asset statistics of the terminal prices, reduced
+as the Monte Carlo blocks come in (:func:`gaugeport.sim.terminal_stats`),
+so it holds neither paths nor terminal prices.  Every run embeds the
+config hash and seed in its report.  Exit codes:
 0 success, 1 usage error, 2 computation error, a failed allocation
 included.  GAUGEPORT_THREADS (an integer >= 1, default 1) sets the Monte
 Carlo worker count of simulate and riskfree, whose reports do not depend
@@ -60,48 +63,22 @@ def _process(section: dict, n_assets: int) -> sim.ProcessSpec:
 
 def cmd_simulate(args, config: io.RunConfig) -> dict:
     section, grid, env = _sim_inputs(config)
-    spec = _process(section, int(section["n_assets"]))
+    n_paths, n_assets = int(section["n_paths"]), int(section["n_assets"])
     seed = int(section["seed"])
     # the paths start at 1, so the terminal prices are the gross returns
-    terminal = sim.terminal_prices(
-        spec, env, grid, int(section["n_paths"]), seed, n_jobs=_thread_count()
+    stats = sim.terminal_stats(
+        _process(section, n_assets), env, grid, n_paths, seed, n_jobs=_thread_count()
     )
-    n_paths, n_assets = terminal.shape
-    terminal_mean = terminal.mean(axis=0)
-    terminal_std = _column_std(terminal, terminal_mean)
     body = {
         "n_paths": n_paths,
         "n_assets": n_assets,
         "steps": grid.steps,
         "dt": grid.dt,
-        "terminal_mean": terminal_mean,
-        "terminal_std": terminal_std,
-        # the terminal prices are not read again: take the log in place
-        "log_return_mean": np.log(terminal, out=terminal).mean(axis=0),
+        "terminal_mean": stats.mean,
+        "terminal_std": stats.std,
+        "log_return_mean": stats.log_mean,
     }
     return {"seed": seed, "body": body}
-
-
-def _column_std(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``x.std(axis=0)`` bit for bit, given ``mean = x.mean(axis=0)``.
-
-    numpy reduces axis 0 of a C-ordered array by adding its rows in order
-    into one accumulator row; this adds the squared deviations in the same
-    order, forming them a key block of cells at a time instead of all at once.
-    """
-    if x.shape[1] == 1:
-        # numpy sums a single column pairwise, not row by row; its deviations
-        # are no larger than the column itself
-        return x.std(axis=0)
-    rows = sim.block_paths(1, x.shape[1])
-    total = np.zeros(x.shape[1])
-    for start in range(0, len(x), rows):
-        dev = np.subtract(x[start:start + rows], mean)
-        np.square(dev, out=dev)
-        for row in dev:
-            total += row
-    total /= len(x)
-    return np.sqrt(total, out=total)
 
 
 def cmd_gauge(args, config: io.RunConfig) -> dict:

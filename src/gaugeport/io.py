@@ -79,7 +79,9 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
             )
         dates.append(day)
     prices = _floats((line.partition(",")[2] for line in lines), (len(lines), len(labels)))
-    if prices is None or not _positive(prices):
+    # loadtxt closes a quote left open at the end of its input, so an odd
+    # quote count in the last row is checked here
+    if prices is None or not _positive(prices) or lines[-1].count('"') % 2:
         raise _first_bad_field(path, labels, lines)
     if normalize:
         prices /= prices[0]

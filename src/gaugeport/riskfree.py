@@ -27,7 +27,7 @@ import numpy as np
 
 from .gauge import GaugeFieldA, GaugeFieldB, PricePanel
 from .grid import TimeGrid, require_same_grid
-from .sim import EnvironmentSeries, ProcessSpec, StepKernel, _map_gross
+from .sim import EnvironmentSeries, ProcessSpec, StepKernel, _map_gross, _merge_moments
 
 #: Diversification cap: risk-free weights must satisfy w_i <= DIVERSIFICATION_C / N.
 DIVERSIFICATION_C = 4.0
@@ -274,19 +274,22 @@ def _check_sizes(sizes: Sequence[int], n_assets: int, n_paths: int) -> tuple:
     return sizes
 
 
-def _prefix_log_return_sums(
+def _prefix_log_return_moments(
     spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, rows: Sequence[np.ndarray],
     sizes: tuple, n_paths: int, seed: int, n_jobs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and sum of squares of per-step portfolio log-returns, each [row, size].
+    """Sum and M2 (sum of squared deviations from the mean) of per-step
+    portfolio log-returns, each [row, size].
 
     Row r's portfolio on the first n assets holds rows[r][:n], renormalized.
     One draw of the first max(sizes) assets on ``seed`` serves every row and
     size; per row, einsum segment sums between consecutive sizes (no BLAS, so
     no BLAS threads start beside the workers), a cumulative sum and a divide
-    by the prefix weight totals.  Each key block's task sums its own
-    log-returns, row by row, and the block sums are added in block order:
-    the sums depend on neither the thread count nor the other rows.
+    by the prefix weight totals.  Each key block's task writes the segment
+    sums of its noise chunks into its own log-return array, then sums it and
+    takes its M2 about its own mean.  The block sums are added and the block
+    moments merged (Chan-Golub-LeVeque) in block order: the results depend
+    on neither the thread count nor the other rows.
     """
     n_max = sizes[-1]
     require_same_grid(env.grid, grid, "environment/grid")
@@ -294,24 +297,34 @@ def _prefix_log_return_sums(
         spec.drift_matrix(env)[:, :n_max], spec.vol_matrix(env)[:, :n_max], grid.dt, spec.noise
     )
     starts = (0,) + sizes[:-1]
-    weights = [(w, np.cumsum(np.add.reduceat(w[:n_max], starts))) for w in rows]
+    prefix_totals = [np.cumsum(np.add.reduceat(w[:n_max], starts)) for w in rows]
 
-    def block_sums(_first: int, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # [row, size, path, step], so each prefix's log-returns are contiguous
-        logret = np.empty((len(rows), len(sizes), len(ratios), grid.steps))
-        ratios = ratios.reshape(-1, n_max)  # [path * step, asset]
-        for out, (w, totals) in zip(logret, weights):
-            for j, (lo, hi) in enumerate(zip(starts, sizes)):
-                np.einsum("ij,j->i", ratios[:, lo:hi], w[lo:hi], out=out[j].reshape(-1))
+    def block_moments(first: int, n: int, chunks) -> tuple:
+        # [row, size, path * step], so each prefix's log-returns are contiguous
+        logret = np.empty((len(rows), len(sizes), n * grid.steps))
+        for path, step, ratios in chunks:
+            at = (path - first) * grid.steps + step
+            cells = slice(at, at + ratios.shape[0] * ratios.shape[1])
+            ratios = ratios.reshape(-1, n_max)  # [path * step, asset]
+            for out, w in zip(logret, rows):
+                for j, (lo, hi) in enumerate(zip(starts, sizes)):
+                    np.einsum("ij,j->i", ratios[:, lo:hi], w[lo:hi], out=out[j, cells])
+        for out, totals in zip(logret, prefix_totals):
             np.cumsum(out, axis=0, out=out)
-            out /= totals[:, None, None]
+            out /= totals[:, None]
             np.log(out, out=out)
-        flat = logret.reshape(len(rows), len(sizes), -1)
-        return flat.sum(axis=2), np.square(flat, out=flat).sum(axis=2)
+        count = logret.shape[2]
+        total = logret.sum(axis=2)
+        mean = total / count
+        logret -= mean[:, :, None]
+        return total, (count, mean, np.square(logret, out=logret).sum(axis=2))
 
-    parts = _map_gross(kernel, seed, n_paths, n_jobs, block_sums)
-    total, total_sq = (sum(part) for part in zip(*parts))  # in block order
-    return total, total_sq
+    total, moments = 0, (0, 0.0, 0.0)
+    with np.errstate(all="ignore"):  # the callers check for inf and NaN
+        for block_total, block in _map_gross(kernel, seed, n_paths, n_jobs, block_moments):
+            total = total + block_total
+            moments = _merge_moments(moments, block)
+    return total, moments[2]
 
 
 def riskfree_studies(
@@ -321,7 +334,8 @@ def riskfree_studies(
     """Volatility scaling and common limit of nested prefix universes, from one draw.
 
     sigma_hat is the pooled std of the equal-weight portfolio's per-step
-    log-returns, annualized, and ``slope`` fits log sigma_hat against log N.
+    log-returns, annualized, from per-block moments merged by
+    Chan-Golub-LeVeque, and ``slope`` fits log sigma_hat against log N.
     The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the
     volatilities evaluated at the initial environment.  ``divergences`` are
     the gaps between the mean cumulative log-returns of the equal-weight
@@ -337,7 +351,7 @@ def riskfree_studies(
     if weights.n != spec.n_assets:
         raise ValueError("weight length does not match the asset universe")
     equal = np.full(sizes[-1], 1.0 / sizes[-1])
-    total, total_sq = _prefix_log_return_sums(
+    total, m2 = _prefix_log_return_moments(
         spec, env, grid, [equal, weights.w], sizes, n_paths, seed, n_jobs
     )
     count = n_paths * grid.steps
@@ -345,8 +359,7 @@ def riskfree_studies(
     # inf, 0 and NaN sums are left out of the fit, and too few points raise
     with np.errstate(all="ignore"):
         analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
-        mean = total[0] / count
-        sigma_hats = np.sqrt(np.maximum(total_sq[0] / count - mean**2, 0.0)) / np.sqrt(grid.dt)
+        sigma_hats = np.sqrt(m2[0] / count) / np.sqrt(grid.dt)
         finite = np.isfinite(np.log(sigma_hats))
     if finite.sum() < 3:
         raise ValueError("degenerate fit: fewer than 3 finite points")

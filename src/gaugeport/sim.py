@@ -21,13 +21,17 @@ Every sample changed when SFC64 streams replaced the Philox keys
 [s, NOISE_KEY + b], and once before, when the 2^18-cell blocks replaced one
 stream per 512 paths keyed [s, b].
 
-:func:`simulate`, :func:`terminal_prices`, the risk-free prefix reductions
-and :func:`sample_joint_numeraire`, the one numeraire sampler, all run on
-that executor, and a task holds one block of noise, transformed in place.
-:func:`terminal_prices` multiplies each block along its steps and stores no
-paths, so its memory grows with paths times assets, not with steps.  A
-deterministic numeraire is the price-gauge rescaling,
-:func:`gaugeport.gauge.apply_price_gauge`.
+A task draws its key block in chunks of at most ``CHUNK_CELLS`` cells into
+one buffer it reuses, turns each chunk into gross step ratios in place and
+hands it to its consumer with its (path, step) offset.  A stream's draws
+follow one another whatever the chunk size, so the samples do not depend
+on it.  :func:`simulate`, :func:`terminal_stats`, the risk-free prefix
+reductions and :func:`sample_joint_numeraire`, the one numeraire sampler,
+all consume chunks on that executor.  :func:`terminal_stats` carries each
+path's running product across its chunks and folds the terminal prices
+into per-asset statistics block by block, so its memory grows with the
+blocks in flight, not with paths or steps.  A deterministic numeraire is
+the price-gauge rescaling, :func:`gaugeport.gauge.apply_price_gauge`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -50,6 +54,12 @@ BLOCK_CELLS = 1 << 18
 #: ``SeedSequence([s, NOISE_KEY + b])`` seeds.  Part of the seeding scheme,
 #: like BLOCK_CELLS: changing it changes every sample.
 NOISE_KEY = 2**62
+
+#: Cells per noise chunk: a task draws its key block in chunks of at most
+#: this many cells, whole paths when a path fits and otherwise part of one
+#: path's steps (at least one step).  The chunks follow one another in the
+#: block's stream, so no sample depends on it.
+CHUNK_CELLS = 1 << 16
 
 NOISE_TAGS = ("normal", "uniform", "two-point")
 
@@ -67,27 +77,41 @@ def block_paths(steps: int, n_assets: int) -> int:
     return max(1, BLOCK_CELLS // (steps * n_assets))
 
 
-def noise_block(
-    seed: int, block: int, n_paths: int, steps: int, n_assets: int, noise: str
-) -> np.ndarray:
-    """Noise of key block ``block``, shape [n_paths, steps, n_assets].
+def chunk_shape(steps: int, n_assets: int) -> tuple[int, int]:
+    """(paths, steps) of a full noise chunk of a [steps, n_assets] stream."""
+    if steps * n_assets <= CHUNK_CELLS:
+        return CHUNK_CELLS // (steps * n_assets), steps
+    return 1, max(1, CHUNK_CELLS // n_assets)
 
-    Drawn from one SFC64 stream seeded by ``SeedSequence([seed, NOISE_KEY +
-    block])``, so a block's noise depends only on the seed and its index.
-    """
+
+def noise_stream(seed: int, block: int) -> np.random.Generator:
+    """The generator of key block ``block``: SFC64 seeded by ``SeedSequence([seed,
+    NOISE_KEY + block])``, so a block's noise depends only on the seed and its index."""
     # the same seed keys the CLI's Philox streams: see SEED_LIMIT
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^63), got {seed}")
-    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, NOISE_KEY + block])))
-    shape = (n_paths, steps, n_assets)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, NOISE_KEY + block])))
+
+
+def noise_block(gen: np.random.Generator, noise: str, out: np.ndarray) -> np.ndarray:
+    """The next ``out.size`` draws of ``gen`` of one noise law, written to ``out``.
+
+    ``out`` is a C-contiguous float array; a stream drawn in chunks gives
+    the same values as drawn at once.
+    """
     if noise == "normal":
-        return gen.standard_normal(shape)
+        return gen.standard_normal(out=out)
     if noise == "uniform":
-        # U(-sqrt(3), sqrt(3)) has mean 0 and unit variance.
-        return gen.uniform(-_SQRT3, _SQRT3, shape)
-    if noise == "two-point":
-        return gen.integers(0, 2, shape).astype(float) * 2.0 - 1.0
-    raise ValueError(f"unknown noise tag {noise!r}; expected one of {NOISE_TAGS}")
+        # U(-sqrt(3), sqrt(3)) has mean 0 and unit variance; Generator.uniform
+        # takes no out argument
+        out[...] = gen.uniform(-_SQRT3, _SQRT3, out.shape)
+    elif noise == "two-point":
+        out[...] = gen.integers(0, 2, out.shape)
+        out *= 2.0
+        out -= 1.0
+    else:
+        raise ValueError(f"unknown noise tag {noise!r}; expected one of {NOISE_TAGS}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,15 +194,27 @@ def constant_spec(
     return ProcessSpec(n_assets, lambda xi: mu_arr, lambda xi: sigma_arr, noise)
 
 
-class StepKernel:
-    """Exact log-normal step of one process on one grid, applied to block noise.
+def _unbroadcast(a: np.ndarray) -> np.ndarray:
+    """The smallest view of ``a`` that broadcasts back to it: one row along
+    every axis that ``np.broadcast_to`` repeats (stride 0)."""
+    return a[tuple(slice(None) if stride else slice(0, 1) for stride in a.strides)]
 
-    Holds the per-step terms (mu - sigma^2/2) dt and sigma sqrt(dt), each
-    [steps, n_assets].  :meth:`gross` turns noise into gross step ratios
-    inside the noise array, so a block costs one array of memory.
+
+class StepKernel:
+    """Exact log-normal step of one process on one grid, applied to chunks of noise.
+
+    Holds the per-step terms (mu - sigma^2/2) dt and sigma sqrt(dt) of a
+    [steps, n_assets] process in the shape its values vary in: [1, n_assets]
+    for per-asset constants, [steps, 1] for a per-step column, [steps,
+    n_assets] in general.  :meth:`gross` broadcasts them over a chunk and
+    turns its noise into gross step ratios in place, so a chunk costs no
+    memory beyond itself.
     """
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, dt: float, noise: str):
+        mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+        self.steps, self.n_assets = np.broadcast_shapes(mu.shape, sigma.shape)
+        mu, sigma = _unbroadcast(mu), _unbroadcast(sigma)
         with np.errstate(all="ignore"):
             self.drift = (mu - 0.5 * sigma**2) * dt
             self.scale = sigma * np.sqrt(dt)
@@ -189,10 +225,12 @@ class StepKernel:
         require_same_grid(env.grid, grid, "environment/grid")
         return cls(spec.drift_matrix(env), spec.vol_matrix(env), grid.dt, spec.noise)
 
-    def gross(self, z: np.ndarray) -> np.ndarray:
-        """Gross step ratios s[k+1]/s[k] of noise z [paths, steps, n_assets], in place."""
-        z *= self.scale
-        z += self.drift
+    def gross(self, z: np.ndarray, step: int = 0) -> np.ndarray:
+        """Gross step ratios s[k+1]/s[k] of noise z [paths, steps', n_assets]
+        whose first step is ``step``, in place."""
+        rows = slice(step, step + z.shape[1])
+        z *= self.scale if len(self.scale) == 1 else self.scale[rows]
+        z += self.drift if len(self.drift) == 1 else self.drift[rows]
         return np.exp(z, out=z)
 
 
@@ -219,57 +257,68 @@ class PathSet:
 
 def _map_blocks(
     seed: int, n_paths: int, steps: int, n_assets: int, noise: str, n_jobs: int, fn: Callable
-) -> list:
-    """The one block executor: ``fn(first_path, z)`` on every key block.
+) -> Iterator:
+    """The one block executor: yields ``fn(first, n, chunks)`` of every key block, in block order.
 
-    ``z`` is a key block's noise [paths, steps, n_assets], drawn in the
-    task, and ``first_path`` the index of its first path among all
-    ``n_paths``.  With ``n_jobs = 1`` the blocks run in the calling thread;
-    otherwise ``n_jobs`` worker threads run them while the caller waits,
-    and blocks are submitted lazily, with at most ``2 * n_jobs`` of them
-    outstanding, so the noise in flight stays bounded.  The results come
-    back in block order, so a result's position is its block index.  The
-    blocks must not depend on one another; then the results do not depend
-    on which thread ran them.
+    A key block holds ``n`` paths from path ``first`` on.  ``chunks``
+    iterates over its noise as ``(path, step, z)``: z [paths, steps',
+    n_assets] holds the noise of those paths from ``step`` on, whole paths
+    or part of one path (:func:`chunk_shape`), in stream order.  Every
+    chunk of a task is drawn into one buffer, so z is valid until the next
+    chunk is drawn, and may be overwritten.  With ``n_jobs = 1`` the blocks
+    run in the calling thread; otherwise ``n_jobs`` worker threads run
+    them while the caller consumes the results, and blocks are submitted
+    lazily, with at most ``2 * n_jobs`` of them outstanding, so the memory
+    in flight stays bounded.  The blocks must not depend on one another;
+    then the results do not depend on which thread ran them.
     Floating-point warnings are off inside a task: ``np.errstate`` does not
     cross threads, and the callers check for inf, 0 and NaN themselves.
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     size = block_paths(steps, n_assets)
+    chunk_paths, chunk_steps = chunk_shape(steps, n_assets)
 
     def task(block: int, first: int):
-        z = noise_block(seed, block, min(size, n_paths - first), steps, n_assets, noise)
+        n = min(size, n_paths - first)
+        gen = noise_stream(seed, block)
+        buffer = np.empty((min(chunk_paths, n), chunk_steps, n_assets))
+
+        def chunks():
+            for path in range(first, first + n, chunk_paths):
+                for step in range(0, steps, chunk_steps):
+                    z = buffer[: first + n - path, : steps - step]
+                    yield path, step, noise_block(gen, noise, z)
+
         with np.errstate(all="ignore"):
-            return fn(first, z)
+            return fn(first, n, chunks())
 
     blocks = enumerate(range(0, n_paths, size))
     if n_jobs == 1:
-        return [task(block, first) for block, first in blocks]
-    results: list = []
+        for block, first in blocks:
+            yield task(block, first)
+        return
     pending: deque = deque()  # futures in block order
     with ThreadPoolExecutor(n_jobs) as executor:
         try:
             for block, first in blocks:
                 pending.append(executor.submit(task, block, first))
                 if len(pending) > 2 * n_jobs:
-                    results.append(pending.popleft().result())
+                    yield pending.popleft().result()
             while pending:
-                results.append(pending.popleft().result())
+                yield pending.popleft().result()
         finally:
             for future in pending:  # after a failure, drop what has not started
                 future.cancel()
-    return results
 
 
-def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Callable) -> list:
-    """``fn(first_path, ratios)`` on every key block's gross step ratios
-    [paths, steps, N], formed in place in its noise; results in block order."""
-    steps, n_assets = kernel.drift.shape
-    return _map_blocks(
-        seed, n_paths, steps, n_assets, kernel.noise, n_jobs,
-        lambda first, z: fn(first, kernel.gross(z)),
-    )
+def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Callable) -> Iterator:
+    """:func:`_map_blocks` with every chunk turned into gross step ratios, in place."""
+
+    def gross(first: int, n: int, chunks: Iterator) -> object:
+        return fn(first, n, ((path, step, kernel.gross(z, step)) for path, step, z in chunks))
+
+    return _map_blocks(seed, n_paths, kernel.steps, kernel.n_assets, kernel.noise, n_jobs, gross)
 
 
 def _kernel(spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, n_paths: int) -> StepKernel:
@@ -294,36 +343,54 @@ def simulate(
     if np.any(s0 <= 0):
         raise ValueError("initial prices must be strictly positive")
     out = np.empty((n_paths, grid.n_points, spec.n_assets))
-    out[:, 0, :] = s0
+    out[:, 0, :] = 1.0
 
-    def fill(first: int, ratios: np.ndarray) -> None:
-        # cumprod along the steps as one multiply per step: the same products
-        # in the same order as np.cumprod, without a temporary
-        dest = out[first : first + len(ratios), 1:, :]
-        dest[:, 0] = ratios[:, 0]
-        for k in range(1, grid.steps):
-            np.multiply(dest[:, k - 1], ratios[:, k], out=dest[:, k])
-        dest *= s0
+    def fill(first: int, n: int, chunks: Iterator) -> None:
+        # cumprod along the steps from the value the chunk before left (1 at
+        # step 0, and 1 * r is r): the same products in the same order as
+        # one cumprod over the whole path
+        for path, step, ratios in chunks:
+            rows = out[path : path + len(ratios)]
+            ratios[:, 0] *= rows[:, step]
+            np.cumprod(ratios, axis=1, out=rows[:, step + 1 : step + 1 + ratios.shape[1]])
 
-    _map_gross(kernel, seed, n_paths, n_jobs, fill)
+    for _ in _map_gross(kernel, seed, n_paths, n_jobs, fill):
+        pass
+    with np.errstate(all="ignore"):  # PathSet rejects inf, 0 and NaN
+        out *= s0
     return PathSet(grid=grid, paths=out)
 
 
-def terminal_prices(
+@dataclass(frozen=True)
+class TerminalStats:
+    """Per-asset statistics of terminal prices of paths that start at 1."""
+
+    mean: np.ndarray  # [n_assets]
+    std: np.ndarray  # [n_assets], population (ddof 0)
+    log_mean: np.ndarray  # [n_assets], mean log of the terminal price
+
+
+def terminal_stats(
     spec: ProcessSpec,
     env: EnvironmentSeries,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
     n_jobs: int = 1,
-) -> np.ndarray:
-    """Terminal prices [n_paths, n_assets] of paths that start at 1, without
-    storing the paths.
+) -> TerminalStats:
+    """Mean, std and mean log of the terminal prices of paths that start at
+    1, reduced as the blocks come in, without storing paths or terminal prices.
 
-    Bit for bit ``simulate(..., s0=1.0).paths[:, -1, :]`` for the same
-    arguments: the same blocks of gross ratios are multiplied along the
-    steps in the same order as :func:`simulate`'s per-step loop.  Memory is
-    O(n_paths N) plus the blocks in flight.
+    Each block's terminal prices are ``simulate(..., s0=1.0).paths[:, -1, :]``
+    bit for bit: a path's chunks are multiplied along their steps in order,
+    carrying the product so far into the chunk's first step.  The blocks
+    are folded in block order.  ``mean`` and ``log_mean`` add the rows in
+    path order, so they equal numpy's ``mean(axis=0)`` of the [n_paths,
+    n_assets] array bit for bit when n_assets > 1.  A single column is
+    summed pairwise, by numpy over all paths and here within each block,
+    so a one-asset run can differ in the last bits.
+    ``std`` merges per-block (count, mean, M2) with the Chan-Golub-LeVeque
+    update, so it matches numpy's two-pass ``std(axis=0)`` to rounding.
 
     The check rejects exactly what :class:`PathSet` rejects, with the same
     message.  Each path value is a running product of ratios exp(.), which
@@ -332,16 +399,66 @@ def terminal_prices(
     value of a path is finite and > 0 exactly when its terminal value is.
     """
     kernel = _kernel(spec, env, grid, n_paths)
-    out = np.empty((n_paths, spec.n_assets))
 
-    def multiply_steps(first: int, ratios: np.ndarray) -> None:
-        np.multiply.reduce(ratios, axis=1, out=out[first : first + len(ratios)])
+    def block_terminal(first: int, n: int, chunks: Iterator) -> np.ndarray:
+        out = np.ones((n, spec.n_assets))
+        for path, step, ratios in chunks:
+            rows = out[path - first : path - first + len(ratios)]
+            ratios[:, 0] *= rows  # the product so far: 1 before the first step
+            np.multiply.reduce(ratios, axis=1, out=rows)
+        return out
 
-    _map_gross(kernel, seed, n_paths, n_jobs, multiply_steps)
-    # a NaN makes the min NaN
-    if not (out.min() > 0 and np.isfinite(out.max())):
+    return _fold_terminal(_map_gross(kernel, seed, n_paths, n_jobs, block_terminal), spec.n_assets)
+
+
+def _fold_terminal(blocks: Iterable[np.ndarray], n_assets: int) -> TerminalStats:
+    """:class:`TerminalStats` of terminal prices that come as row blocks, in path order."""
+    total, log_total = np.zeros(n_assets), np.zeros(n_assets)
+    moments = (0, np.zeros(n_assets), np.zeros(n_assets))
+    lo, hi = np.inf, -np.inf
+    with np.errstate(all="ignore"):  # the check below reports inf, 0 and NaN
+        for block in blocks:
+            # a NaN makes the min NaN
+            lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
+            moments = _merge_moments(moments, _moments(block))
+            logs = np.log(block)
+            _add_rows(total, block)
+            _add_rows(log_total, logs)
+    if not (lo > 0 and np.isfinite(hi)):
         raise ValueError("paths must be finite and strictly positive")
-    return out
+    n_paths, _mean, m2 = moments
+    return TerminalStats(
+        mean=total / n_paths, std=np.sqrt(m2 / n_paths), log_mean=log_total / n_paths
+    )
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add the rows of ``rows`` to ``total`` as numpy sums axis 0 of a C-ordered
+    array: one by one, in order, when there is more than one column, and
+    pairwise down a single column.  ``rows`` is overwritten."""
+    rows[0] += total
+    np.add.reduce(rows, axis=0, out=total)
+
+
+def _moments(x: np.ndarray) -> tuple:
+    """(count, mean, M2) of the rows of ``x``: M2 is the sum of squared
+    deviations from the mean, per column."""
+    mean = x.mean(axis=0)
+    dev = x - mean
+    return len(x), mean, np.square(dev, out=dev).sum(axis=0)
+
+
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """(count, mean, M2) of two samples pooled, from each one's (count, mean, M2).
+
+    The pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
+    the sample variance", Am. Stat. 1983): no sum of squares about zero is
+    formed, so no digits cancel when the mean is large against the spread.
+    """
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)
 
 
 def sample_joint_numeraire(
@@ -368,21 +485,28 @@ def sample_joint_numeraire(
     if not abs(rho) <= 1.0:  # NaN fails this test
         raise ValueError(f"|rho| must be <= 1, got {rho}")
     # column 0 is Pi, column 1 is Y
+    shape = (grid.steps, 2)
     kernel = StepKernel(
-        np.array([[pi_mu, phi_mu]]), np.array([[pi_sigma, phi_sigma]]), grid.dt, "normal"
+        np.broadcast_to([pi_mu, phi_mu], shape), np.broadcast_to([pi_sigma, phi_sigma], shape),
+        grid.dt, "normal",
     )
     y = np.ones((n_paths, grid.n_points))
     pi = np.ones((n_paths, grid.n_points))
 
-    def fill(first: int, z: np.ndarray) -> None:
-        z[:, :, 1] *= np.sqrt(1.0 - rho**2)
-        z[:, :, 1] += rho * z[:, :, 0]
-        ratios = kernel.gross(z)
-        rows = slice(first, first + len(z))
-        np.cumprod(ratios[:, :, 0], axis=1, out=pi[rows, 1:])
-        np.cumprod(ratios[:, :, 1], axis=1, out=y[rows, 1:])
+    def fill(first: int, n: int, chunks: Iterator) -> None:
+        for path, step, z in chunks:
+            z[:, :, 1] *= np.sqrt(1.0 - rho**2)
+            z[:, :, 1] += rho * z[:, :, 0]
+            ratios = kernel.gross(z, step)
+            rows = slice(path, path + len(z))
+            cells = slice(step + 1, step + 1 + z.shape[1])
+            for column, values in enumerate((pi, y)):
+                # cumprod along the steps, from the value the chunk before left
+                ratios[:, 0, column] *= values[rows, step]
+                np.cumprod(ratios[:, :, column], axis=1, out=values[rows, cells])
 
-    _map_blocks(seed, n_paths, grid.steps, 2, "normal", n_jobs, fill)
+    for _ in _map_blocks(seed, n_paths, grid.steps, 2, "normal", n_jobs, fill):
+        pass
     return y, pi
 
 

@@ -100,6 +100,18 @@ class TestIngest:
         with pytest.raises(PanelFormatError, match="quoted price runs past the end of its row"):
             ingest(write_csv(tmp_path, text))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("last_line_end", [True, False], ids=["ended", "unended"])
+    def test_quote_left_open_in_the_last_row_is_rejected(self, newline, last_line_end, tmp_path):
+        # np.loadtxt closes a quote left open at the end of its input
+        lines = ["date,A", "2020-01-01,1.0", '2020-01-02,"4']
+        text = newline.join(lines) + (newline if last_line_end else "")
+        with pytest.raises(PanelFormatError, match="^.*: a quoted price runs past the end of its row$"):
+            ingest(write_csv(tmp_path, text))
+        # closed, the same quote reads as the number
+        closed = ingest(write_csv(tmp_path, text.replace('"4', '"4"')))
+        assert closed.prices[:, 0].tolist() == [1.0, 4.0]
+
     @pytest.mark.parametrize(
         "cell,message",
         [("x", "not a number: "), ("", "not a number: "), ("0", "nonpositive price "),
@@ -492,7 +504,11 @@ class TestCli:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_simulate_command_memory_does_not_grow_with_steps(self, threads, tmp_path, monkeypatch):
         # 1024 paths x 64 assets at 256 and 512 steps: the paths alone would
-        # be 135 and 269 MB; the command keeps only the terminal prices
+        # be 135 and 269 MB.  The command holds a one-path noise chunk per
+        # worker and numpy's ufunc buffers, the terminal rows of a few
+        # 16-path blocks, and [1, N] kernel terms: not the 0.5 MB of terminal
+        # prices beside a chunk, nor [steps, N] terms (0.13 MB a term at 256
+        # steps, twice that at 512)
         monkeypatch.setenv("GAUGEPORT_THREADS", threads)
         peaks = []
         for horizon in (1.0, 2.0):
@@ -508,14 +524,15 @@ class TestCli:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 32e6
+        assert max(peaks) <= int(threads) * 1.5 * sim.CHUNK_CELLS * 8
         assert peaks[1] < 1.1 * peaks[0]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_simulate_report_adds_no_terminal_sized_arrays(self, threads, tmp_path, monkeypatch):
-        # 4096 paths x 8 steps x 512 assets: the terminal prices are 16.8 MB
-        # and a key block of noise 2 MiB; the report's std and log form no
-        # terminal-sized temporaries
+        # 4096 paths x 8 steps x 512 assets: the terminal prices would be
+        # 16.8 MB and a key block of noise 2 MiB.  The command holds a 0.5 MiB
+        # noise chunk per worker and the terminal rows (0.25 MiB) of the
+        # blocks in flight and in the fold, whatever the number of paths
         monkeypatch.setenv("GAUGEPORT_THREADS", threads)
         config = tmp_path / "run.yaml"
         config.write_text("simulate: {n_paths: 4096, n_assets: 512, dt: 0.125, horizon: 1.0}\n")
@@ -527,15 +544,24 @@ class TestCli:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4096 * 512 * 8 + 4 * sim.BLOCK_CELLS * 8
+        assert peak <= 8 * sim.CHUNK_CELLS * 8 < 4096 * 512 * 8
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 7), (5000, 1), (3, 2), (1000, 3), (700, 513), (4096, 64), (9, 1000)]
     )
     def test_simulate_std_is_numpy_std(self, shape):
-        # summed a key block of cells at a time, in numpy's row order
+        # the fold of simulate's report over row blocks: per-block moments
+        # merged by Chan-Golub-LeVeque match numpy's two-pass std to
+        # rounding, and with more than one column the means add the rows in
+        # numpy's order
         x = np.exp(0.3 * np.random.default_rng(7).standard_normal(shape))
-        assert_same_bits(cli._column_std(x, x.mean(axis=0)), x.std(axis=0))
+        rows = sim.block_paths(8, shape[1])
+        blocks = (x[i : i + rows].copy() for i in range(0, len(x), rows))
+        stats = sim._fold_terminal(blocks, shape[1])
+        np.testing.assert_allclose(stats.std, x.std(axis=0), rtol=1e-13, atol=0.0)
+        if shape[1] > 1:
+            assert_same_bits(stats.mean, x.mean(axis=0))
+            assert_same_bits(stats.log_mean, np.log(x).mean(axis=0))
 
     def test_simulate_zero_prices_are_a_one_line_compute_error(self, tmp_path, capsys):
         # at sigma = 1000 the drift -sigma^2/2 dt underflows every gross ratio to 0
@@ -848,9 +874,9 @@ class TestCli:
         cells = []
         draw = sim.noise_block
 
-        def counted(seed, block, n_paths, steps, n_assets, noise):
-            cells.append(n_paths * steps * n_assets)
-            return draw(seed, block, n_paths, steps, n_assets, noise)
+        def counted(gen, noise, out):
+            cells.append(out.size)
+            return draw(gen, noise, out)
 
         monkeypatch.setattr(sim, "noise_block", counted)
         monkeypatch.setenv("GAUGEPORT_THREADS", "2")

@@ -27,14 +27,14 @@ from gaugeport import (
 )
 from gaugeport import riskfree
 from gaugeport.riskfree import (
-    _prefix_log_return_sums,
+    _prefix_log_return_moments,
     is_price_insensitive,
     project_capped_simplex,
     projected_gradient,
     rebalanced_quantities,
     riskfree_studies,
 )
-from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block
+from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block, noise_stream
 
 GRID = TimeGrid(dt=0.01, steps=50)
 
@@ -376,14 +376,15 @@ class TestPrefixReduction:
         wb = rng.uniform(0.5, 1.5, self.N)
         self.weights = {"equal": np.full(self.N, 1.0 / self.N), "random": wb / wb.sum()}
 
-    def reference_log_returns(self, w):
+    def reference_log_returns(self, w, spec=None):
         """Per-step log-returns [size, path, step] from each key block's noise and prefix gemv."""
-        kernel = StepKernel.of(self.spec, self.env, self.GRID8)
+        kernel = StepKernel.of(spec or self.spec, self.env, self.GRID8)
         out = []
         size = block_paths(self.GRID8.steps, self.N)
         for block, first in enumerate(range(0, self.N_PATHS, size)):
             paths = min(size, self.N_PATHS - first)
-            z = noise_block(self.SEED, block, paths, self.GRID8.steps, self.N, "normal")
+            shape = (paths, self.GRID8.steps, self.N)
+            z = noise_block(noise_stream(self.SEED, block), "normal", np.empty(shape))
             ratios = np.exp(z * kernel.scale + kernel.drift)
             out.append([np.log(ratios[..., :n] @ (w[:n] / w[:n].sum())) for n in self.SIZES])
         return np.concatenate(out, axis=1)
@@ -392,11 +393,30 @@ class TestPrefixReduction:
     def test_sums_match_reference(self, name):
         w = self.weights[name]
         logret = self.reference_log_returns(w)
-        total, total_sq = _prefix_log_return_sums(
+        total, m2 = _prefix_log_return_moments(
             self.spec, self.env, self.GRID8, [w], self.SIZES, self.N_PATHS, self.SEED, 2
         )
         np.testing.assert_allclose(total[0], logret.sum(axis=(1, 2)), rtol=1e-12)
-        np.testing.assert_allclose(total_sq[0], (logret**2).sum(axis=(1, 2)), rtol=1e-12)
+        dev = logret - logret.mean(axis=(1, 2), keepdims=True)
+        np.testing.assert_allclose(m2[0], (dev**2).sum(axis=(1, 2)), rtol=1e-12)
+
+    def test_sigma_hats_keep_their_digits_under_a_large_drift(self):
+        # a mean log-return of ~0.78 a step against a spread of 8e-5 (N = 325)
+        # to 6e-4 (N = 5): E[x^2] - E[x]^2 cancels (0.78 / 8e-5)^2 ~ 1e8 of
+        # E[x^2]'s 16 digits; the merged block moments keep them
+        rng = np.random.default_rng(5)
+        spec = constant_spec(self.N, 50.0 + rng.uniform(0.0, 1.0, self.N), 0.01)
+        logret = self.reference_log_returns(self.weights["equal"], spec)
+        expected = logret.reshape(len(self.SIZES), -1).std(axis=1) / np.sqrt(self.GRID8.dt)
+        study = riskfree_studies(
+            spec, self.env, self.GRID8, WeightVector.equal(self.N), self.SIZES, self.N_PATHS,
+            self.SEED, n_jobs=2,
+        )
+        np.testing.assert_allclose(study.sigma_hats, expected, rtol=1e-12)
+        # the one-pass formula on the same log-returns misses by far more
+        flat = logret.reshape(len(self.SIZES), -1)
+        one_pass = np.sqrt(np.mean(flat**2, axis=1) - np.mean(flat, axis=1) ** 2)
+        assert np.max(np.abs(one_pass / np.sqrt(self.GRID8.dt) / expected - 1.0)) > 100 * 1e-12
 
     def test_studies_match_reference(self):
         equal = self.reference_log_returns(self.weights["equal"])

@@ -18,15 +18,18 @@ from gaugeport import sim
 from gaugeport.catalog import build_process
 from gaugeport.sim import (
     BLOCK_CELLS,
+    CHUNK_CELLS,
     NOISE_KEY,
     NOISE_TAGS,
     EnvironmentSeries,
     ProcessSpec,
     StepKernel,
     block_paths,
+    chunk_shape,
     noise_block,
+    noise_stream,
     sample_joint_numeraire,
-    terminal_prices,
+    terminal_stats,
 )
 
 GRID = TimeGrid(dt=1.0 / 64, steps=64)
@@ -101,7 +104,7 @@ class TestSimulate:
             simulate(spec, ENV, GRID, 1, seed=0)
 
     def test_peak_memory_is_output_plus_noise_blocks(self):
-        # each of the 2 workers holds one 2^18-cell noise block at a time,
+        # each of the 2 workers holds one 2^16-cell noise chunk at a time,
         # turned in place into ratios and multiplied into the output
         grid = TimeGrid(dt=1.0 / 64, steps=8)
         spec = constant_spec(256, 0.05, 0.2)
@@ -114,7 +117,8 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert block_paths(grid.steps, spec.n_assets) * grid.steps * spec.n_assets == BLOCK_CELLS
-        assert peak <= paths.paths.nbytes + 3 * BLOCK_CELLS * 8
+        assert chunk_shape(grid.steps, spec.n_assets) == (32, grid.steps)  # a quarter block
+        assert peak <= paths.paths.nbytes + 3 * CHUNK_CELLS * 8
 
 
 def per_cell(fn, env: EnvironmentSeries, n_assets: int) -> np.ndarray:
@@ -172,6 +176,45 @@ class TestProcessModel:
             spec.drift_matrix(ENV)
 
 
+class TestStepKernel:
+    """Kernel terms keep the shape the process values vary in, and a chunk
+    at any step offset gets the ratios of the whole path."""
+
+    ENV = EnvironmentSeries(GRID, TestProcessModel.XI)
+
+    @pytest.mark.parametrize(
+        "family, params, shape",
+        [
+            ("constant", {"mu": [0.01, 0.02, 0.03], "sigma": 0.2}, (1, 3)),
+            ("sector-block", {"mu_sectors": [0.01, 0.05], "sigma_sectors": [0.1, 0.2]}, (1, 3)),
+            ("affine", {"mu0": 0.03, "mu1": -0.7, "sigma0": 0.1, "sigma1": 0.2}, (GRID.steps, 1)),
+        ],
+    )
+    def test_terms_keep_the_shape_their_values_vary_in(self, family, params, shape):
+        spec = build_process(family, params, 3)
+        kernel = StepKernel.of(spec, self.ENV, GRID)
+        assert (kernel.steps, kernel.n_assets) == (GRID.steps, 3)
+        assert kernel.drift.shape == kernel.scale.shape == shape
+        # the values of the [steps, N] terms, formed as before
+        mu, sigma = spec.drift_matrix(self.ENV), spec.vol_matrix(self.ENV)
+        drift = np.broadcast_to(kernel.drift, (GRID.steps, 3))
+        assert_same_bits(drift, (mu - 0.5 * sigma**2) * GRID.dt)
+        assert_same_bits(np.broadcast_to(kernel.scale, (GRID.steps, 3)), sigma * np.sqrt(GRID.dt))
+
+    def test_chunks_at_step_offsets_give_the_path_ratios(self):
+        # a per-step drift column and a per-step, per-asset volatility
+        spec = ProcessSpec(
+            4, mu=lambda x: 0.05 + 0.1 * x, sigma=lambda x: 0.2 + 0.1 * np.abs(x) * np.arange(4)
+        )
+        kernel = StepKernel.of(spec, self.ENV, GRID)
+        assert kernel.drift.shape == kernel.scale.shape == (GRID.steps, 4)
+        z = np.random.default_rng(2).standard_normal((2, GRID.steps, 4))
+        whole = kernel.gross(z.copy())
+        for width in (1, 10, GRID.steps):
+            parts = [kernel.gross(z[:, k : k + width].copy(), k) for k in range(0, GRID.steps, width)]
+            assert_same_bits(np.concatenate(parts, axis=1), whole)
+
+
 #: 8 steps x 325 assets: 2600 cells per path, so a key block holds 100 paths
 #: and 537 paths end in a ragged 37-path block.
 GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
@@ -189,6 +232,24 @@ def reference_draw(seed: int, key: int, shape: tuple, tag: str) -> np.ndarray:
     return gen.integers(0, 2, shape).astype(float) * 2.0 - 1.0
 
 
+def draw(seed: int, block: int, shape: tuple, tag: str) -> np.ndarray:
+    """Key block ``block``'s noise of one tag, drawn at once."""
+    return noise_block(noise_stream(seed, block), tag, np.empty(shape))
+
+
+def assemble(first: int, n: int, chunks, steps: int, n_assets: int) -> np.ndarray:
+    """A key block [n, steps, n_assets] put together from its chunks at their
+    offsets; every cell must come from exactly one chunk."""
+    block = np.full((n, steps, n_assets), np.nan)
+    for path, step, z in chunks:
+        cells = block[path - first : path - first + len(z), step : step + z.shape[1]]
+        assert z.shape[0] * z.shape[1] * n_assets <= max(CHUNK_CELLS, n_assets)
+        assert np.isnan(cells).all()
+        cells[...] = z
+    assert not np.isnan(block).any()
+    return block
+
+
 def philox_draw(seed: int, key: int, shape: tuple) -> np.ndarray:
     """Normals from the Philox key [seed, key], as the CLI draws its weights and gradients."""
     return np.random.Generator(np.random.Philox(key=[seed, key])).standard_normal(shape)
@@ -204,6 +265,13 @@ def key_blocks(n_paths: int, steps: int, n_assets: int):
 class TestSubBlocks:
     """A run's noise comes in key blocks of ~2^18 cells, each from its own SFC64 stream."""
 
+    def test_chunk_shape_rule(self):
+        # whole paths when a path fits in 2^16 cells, else part of one path's steps
+        assert chunk_shape(GRID8.steps, WIDE) == (25, GRID8.steps)
+        assert chunk_shape(64, 1024) == (1, 64)
+        assert chunk_shape(1260, 512) == (1, 128)
+        assert chunk_shape(3, CHUNK_CELLS + 1) == (1, 1)  # a step wider than a chunk
+
     def test_block_size_rule(self):
         assert block_paths(GRID8.steps, WIDE) == 100
         assert block_paths(64, 1024) == 4
@@ -212,18 +280,33 @@ class TestSubBlocks:
             100, 100, 100, 100, 100, 37
         ]
 
-    @pytest.mark.parametrize("tag", NOISE_TAGS)
-    def test_each_block_draws_from_its_own_key(self, tag):
-        # the executor hands each block its first path and its noise, drawn from
-        # the stream of SeedSequence([seed, NOISE_KEY + b]), and returns the
-        # results in block order; the last block is ragged
-        seen = sim._map_blocks(7, RAGGED_PATHS, GRID8.steps, WIDE, tag, 3, lambda *a: a)
+    @staticmethod
+    def check_block_keys(tag, n_paths, steps, n_assets):
+        # the executor hands each block its first path and its noise in
+        # chunks at their offsets, drawn in order from the stream of
+        # SeedSequence([seed, NOISE_KEY + b]), and yields the results in
+        # block order
+        def whole(first, n, chunks):
+            return first, assemble(first, n, chunks, steps, n_assets)
+
+        seen = list(sim._map_blocks(7, n_paths, steps, n_assets, tag, 3, whole))
         assert [(b, first, len(z)) for b, (first, z) in enumerate(seen)] == key_blocks(
-            RAGGED_PATHS, GRID8.steps, WIDE
+            n_paths, steps, n_assets
         )
         for block, (_first, z) in enumerate(seen):
             ref = reference_draw(7, NOISE_KEY + block, z.shape, tag)
             assert_same_bits(z, ref)
+
+    @pytest.mark.parametrize("tag", NOISE_TAGS)
+    def test_each_block_draws_from_its_own_key(self, tag):
+        # 25 paths a chunk; the last block and its last chunk are ragged
+        self.check_block_keys(tag, RAGGED_PATHS, GRID8.steps, WIDE)
+
+    @pytest.mark.parametrize("tag", NOISE_TAGS)
+    def test_one_path_spread_over_chunks(self, tag):
+        # one path a block, 218 steps a chunk, and a ragged last chunk
+        assert chunk_shape(700, 300) == (1, 218)
+        self.check_block_keys(tag, 3, 700, 300)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
     def test_noise_keys_miss_the_cli_keys(self, seed):
@@ -231,7 +314,7 @@ class TestSubBlocks:
         # [seed, 1] and the sensitivity gradients from [seed, 0]; no noise
         # block may share them
         for block in range(4):
-            z = noise_block(seed, block, 4, 2, 3, "normal")
+            z = draw(seed, block, (4, 2, 3), "normal")
             for key in (0, 1):
                 assert not np.array_equal(z, philox_draw(seed, key, z.shape))
 
@@ -241,9 +324,9 @@ class TestSubBlocks:
         # and neighbouring seeds must give unrelated streams: no two equal
         # draws in a row and a sample correlation within 5 standard errors of 0
         n = 1 << 14
-        base = noise_block(11, 3, n, 1, 1, tag).ravel()
+        base = draw(11, 3, (n, 1, 1), tag).ravel()
         for seed, block in [(11, 2), (11, 4), (10, 3), (12, 3), (12, 4)]:
-            other = noise_block(seed, block, n, 1, 1, tag).ravel()
+            other = draw(seed, block, (n, 1, 1), tag).ravel()
             same = np.count_nonzero(base == other)
             # two-point draws agree half the time by chance, continuous ones never
             assert same < (0.52 * n if tag == "two-point" else 1)
@@ -258,7 +341,7 @@ class TestSubBlocks:
         expected = np.empty((RAGGED_PATHS, GRID8.n_points, WIDE))
         expected[:, 0] = s0
         for block, start, size in key_blocks(RAGGED_PATHS, GRID8.steps, WIDE):
-            z = noise_block(7, block, size, GRID8.steps, WIDE, tag)
+            z = draw(7, block, (size, GRID8.steps, WIDE), tag)
             z *= kernel.scale
             z += kernel.drift
             expected[start : start + size, 1:] = np.cumprod(np.exp(z), axis=1) * s0
@@ -282,12 +365,14 @@ class TestSubBlocks:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # a block per worker, its per-row, per-size log-returns and the
-        # kernel's [steps, N] terms; not the 128 MiB of the whole draw
-        assert peak <= 4 * block_bytes
+        # a one-path chunk per worker and each block's per-row, per-size
+        # log-returns; not a key block per worker, nor the kernel's
+        # [steps, N] terms, nor the 128 MiB of the whole draw
+        assert chunk_shape(grid.steps, n) == (1, grid.steps)
+        assert peak <= 3 * CHUNK_CELLS * 8 < block_bytes
 
     def test_long_simulate_holds_output_plus_few_sub_blocks(self):
-        # 1260 steps x 512 assets: a key block is one path
+        # 1260 steps x 512 assets: a key block is one path of ten chunks
         grid = TimeGrid(dt=1.0 / 252, steps=1260)
         spec = constant_spec(512, 0.05, 0.2)
         env = EnvironmentSeries.constant(grid)
@@ -299,12 +384,13 @@ class TestSubBlocks:
         finally:
             tracemalloc.stop()
         path_bytes = grid.steps * spec.n_assets * 8
-        # the kernel's two [steps, N] terms, a block per worker, some to spare
-        assert peak <= paths.paths.nbytes + 8 * path_bytes
+        # a chunk per worker and some to spare: no block of noise and no
+        # [steps, N] kernel terms, each of which is a path
+        assert peak <= paths.paths.nbytes + 3 * CHUNK_CELLS * 8 < paths.paths.nbytes + path_bytes
 
 
 class TestTerminalPrices:
-    """terminal_prices is the last time slice of simulate from s0 = 1, bit for bit."""
+    """terminal_stats reduces the last time slice of simulate from s0 = 1 as the blocks come in."""
 
     @pytest.mark.parametrize("tag", NOISE_TAGS)
     @pytest.mark.parametrize(
@@ -312,7 +398,7 @@ class TestTerminalPrices:
         [
             (GRID8, WIDE, RAGGED_PATHS),  # ragged last block
             (GRID, 1, RAGGED_PATHS),  # one asset, one ragged block
-            (TimeGrid(dt=1.0 / 252, steps=1024), 256, 3),  # one path per block
+            (TimeGrid(dt=1.0 / 252, steps=1024), 256, 3),  # one path of four chunks per block
         ],
     )
     def test_matches_the_last_slice_of_simulate(self, tag, grid, n_assets, n_paths):
@@ -320,11 +406,20 @@ class TestTerminalPrices:
         spec = constant_spec(n_assets, mu, sigma, tag)
         env = EnvironmentSeries.constant(grid)
         for n_jobs in (1, 2, 3):
-            paths = simulate(spec, env, grid, n_paths, seed=7, s0=1.0, n_jobs=n_jobs)
-            terminal = terminal_prices(spec, env, grid, n_paths, seed=7, n_jobs=n_jobs)
-            assert_same_bits(terminal, paths.paths[:, -1, :])
+            terminal = simulate(spec, env, grid, n_paths, seed=7, s0=1.0, n_jobs=n_jobs).paths[:, -1]
+            stats = terminal_stats(spec, env, grid, n_paths, seed=7, n_jobs=n_jobs)
+            if n_assets > 1:
+                # rows added in path order, as numpy adds them
+                assert_same_bits(stats.mean, terminal.mean(axis=0))
+                assert_same_bits(stats.log_mean, np.log(terminal).mean(axis=0))
+            else:
+                # numpy sums one column pairwise over all paths, the fold within blocks
+                np.testing.assert_allclose(stats.mean, terminal.mean(axis=0), rtol=1e-14)
+                np.testing.assert_allclose(stats.log_mean, np.log(terminal).mean(axis=0), rtol=1e-13)
+            # asset 0 has sigma = 0: both of its stds are rounding noise on a price near 1
+            np.testing.assert_allclose(stats.std, terminal.std(axis=0), rtol=1e-13, atol=1e-14)
 
-    @pytest.mark.filterwarnings("error")  # no numpy warning escapes the tasks
+    @pytest.mark.filterwarnings("error")  # no numpy warning escapes the tasks or the fold
     @pytest.mark.parametrize(
         "mu, sigma",
         [(1e5, 0.2), (0.05, 1e3)],  # exp overflows to inf; exp underflows to 0
@@ -334,8 +429,29 @@ class TestTerminalPrices:
         with pytest.raises(ValueError) as stored:
             simulate(spec, ENV, GRID, 8, seed=1)
         with pytest.raises(ValueError) as streamed:
-            terminal_prices(spec, ENV, GRID, 8, seed=1)
+            terminal_stats(spec, ENV, GRID, 8, seed=1)
         assert str(streamed.value) == str(stored.value) == "paths must be finite and strictly positive"
+
+    def test_peak_does_not_grow_with_paths_or_steps(self):
+        # 64 assets on 2 workers: a chunk buffer per worker, the terminal rows
+        # of the blocks in flight (at most 512 paths each) and the fold's two
+        # block-sized temporaries; neither paths nor steps enter the bound
+        bound = 8 * CHUNK_CELLS * 8
+        spec = constant_spec(64, 0.05, 0.2)
+        peaks = {}
+        for steps, n_paths in [(8, 4096), (8, 16384), (1260, 64)]:
+            grid = TimeGrid(dt=1.0 / 252, steps=steps)
+            env = EnvironmentSeries.constant(grid)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                terminal_stats(spec, env, grid, n_paths, seed=3, n_jobs=2)
+                peaks[steps, n_paths] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= bound, peaks
+        # the terminal prices of 16384 paths alone would be 8 MiB
+        assert bound < 16384 * 64 * 8
 
 
 class TestMapBlocks:
@@ -343,18 +459,20 @@ class TestMapBlocks:
     STEPS, N_ASSETS, N_PATHS = 512, BLOCK_CELLS // 512, 20
 
     def map_blocks(self, n_jobs, fn):
-        return sim._map_blocks(7, self.N_PATHS, self.STEPS, self.N_ASSETS, "normal", n_jobs, fn)
+        return list(
+            sim._map_blocks(7, self.N_PATHS, self.STEPS, self.N_ASSETS, "normal", n_jobs, fn)
+        )
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     def test_results_in_block_order(self, n_jobs):
-        assert self.map_blocks(n_jobs, lambda first, z: first) == list(range(self.N_PATHS))
+        assert self.map_blocks(n_jobs, lambda first, n, chunks: first) == list(range(self.N_PATHS))
 
     def test_blocks_outstanding_are_bounded(self):
         # while a worker holds block 0, the other worker runs only the blocks
         # submitted behind it: at most 2 * n_jobs, not all 19
         n_jobs, ran, all_ran = 2, [], threading.Event()
 
-        def fn(first, z):
+        def fn(first, n, chunks):
             if first == 0:
                 all_ran.wait(timeout=0.5)
                 return len(ran)
@@ -366,7 +484,7 @@ class TestMapBlocks:
         assert self.map_blocks(n_jobs, fn)[0] <= 2 * n_jobs
 
     def test_block_error_propagates(self):
-        def fail(first, z):
+        def fail(first, n, chunks):
             if first == 5:
                 raise ValueError(f"block {first}")
             return first
@@ -376,13 +494,26 @@ class TestMapBlocks:
 
     def test_n_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="^n_jobs must be >= 1$"):
-            self.map_blocks(0, lambda first, z: first)
+            self.map_blocks(0, lambda first, n, chunks: first)
+
+    def test_a_task_reuses_one_chunk_buffer(self):
+        # 512 steps x 512 assets: a path is four 128-step chunks, all drawn
+        # into the same memory
+        buffers = set()
+
+        def fn(first, n, chunks):
+            for _path, _step, z in chunks:
+                buffers.add((first, z.__array_interface__["data"][0]))
+            return first
+
+        list(sim._map_blocks(7, 2, 512, 512, "normal", 1, fn))
+        assert len(buffers) == 2
 
 
 class TestNoiseTags:
     @pytest.mark.parametrize("tag", ["uniform", "two-point"])
     def test_alternative_noise_has_unit_variance(self, tag):
-        z = noise_block(3, 0, 2000, 50, 1, tag)
+        z = draw(3, 0, (2000, 50, 1), tag)
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.02
 
@@ -390,14 +521,14 @@ class TestNoiseTags:
     def test_block_key_is_seed_then_block(self, seed, block):
         # the seeding scheme: one SFC64 stream per SeedSequence([seed, NOISE_KEY + block])
         ref = reference_draw(seed, NOISE_KEY + block, (7, 3, 2), "normal")
-        assert_same_bits(noise_block(seed, block, 7, 3, 2, "normal"), ref)
+        assert_same_bits(draw(seed, block, (7, 3, 2), "normal"), ref)
 
     @pytest.mark.parametrize("seed", [-1, -2, 2**63, 2**64 - 1])
     def test_seed_outside_range_rejected(self, seed):
         # the seed also keys the CLI's Philox streams, and numpy passes Philox
         # key words >= 2^63 through float64, so such seeds would collide there
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^63\)"):
-            noise_block(seed, 0, 2, 3, 1, "normal")
+            noise_stream(seed, 0)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="noise tag"):
