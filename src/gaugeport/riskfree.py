@@ -27,7 +27,9 @@ import numpy as np
 
 from .gauge import GaugeFieldA, GaugeFieldB, PricePanel
 from .grid import TimeGrid, require_same_grid
-from .sim import EnvironmentSeries, ProcessSpec, StepKernel, _map_gross, _merge_moments
+from .sim import (
+    EnvironmentSeries, ProcessSpec, StepKernel, _map_gross, _merge_moments, _moments,
+)
 
 #: Diversification cap: risk-free weights must satisfy w_i <= DIVERSIFICATION_C / N.
 DIVERSIFICATION_C = 4.0
@@ -313,11 +315,7 @@ def _prefix_log_return_moments(
             np.cumsum(out, axis=0, out=out)
             out /= totals[:, None]
             np.log(out, out=out)
-        count = logret.shape[2]
-        total = logret.sum(axis=2)
-        mean = total / count
-        logret -= mean[:, :, None]
-        return total, (count, mean, np.square(logret, out=logret).sum(axis=2))
+        return logret.sum(axis=2), _moments(logret, axis=2)
 
     total, moments = 0, (0, 0.0, 0.0)
     with np.errstate(all="ignore"):  # the callers check for inf and NaN

@@ -353,11 +353,10 @@ def simulate(
             rows = out[path : path + len(ratios)]
             ratios[:, 0] *= rows[:, step]
             np.cumprod(ratios, axis=1, out=rows[:, step + 1 : step + 1 + ratios.shape[1]])
+        out[first : first + n] *= s0  # PathSet rejects inf, 0 and NaN
 
     for _ in _map_gross(kernel, seed, n_paths, n_jobs, fill):
         pass
-    with np.errstate(all="ignore"):  # PathSet rejects inf, 0 and NaN
-        out *= s0
     return PathSet(grid=grid, paths=out)
 
 
@@ -440,12 +439,12 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
     np.add.reduce(rows, axis=0, out=total)
 
 
-def _moments(x: np.ndarray) -> tuple:
-    """(count, mean, M2) of the rows of ``x``: M2 is the sum of squared
-    deviations from the mean, per column."""
-    mean = x.mean(axis=0)
-    dev = x - mean
-    return len(x), mean, np.square(dev, out=dev).sum(axis=0)
+def _moments(x: np.ndarray, axis: int = 0) -> tuple:
+    """(count, mean, M2) of ``x`` along ``axis``: M2 is the sum of squared
+    deviations from the mean."""
+    mean = x.mean(axis=axis)
+    dev = x - np.expand_dims(mean, axis)
+    return x.shape[axis], mean, np.square(dev, out=dev).sum(axis=axis)
 
 
 def _merge_moments(a: tuple, b: tuple) -> tuple:
@@ -454,8 +453,12 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     The pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
     the sample variance", Am. Stat. 1983): no sum of squares about zero is
     formed, so no digits cancel when the mean is large against the spread.
+    An empty ``a`` gives ``b`` as it is, as ``delta**2 * 0`` is NaN for a
+    mean whose square overflows.
     """
     (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    if n_a == 0:
+        return b
     n = n_a + n_b
     delta = mean_b - mean_a
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)

@@ -399,6 +399,7 @@ class TestTerminalPrices:
             (GRID8, WIDE, RAGGED_PATHS),  # ragged last block
             (GRID, 1, RAGGED_PATHS),  # one asset, one ragged block
             (TimeGrid(dt=1.0 / 252, steps=1024), 256, 3),  # one path of four chunks per block
+            (GRID, 1, 2 * block_paths(64, 1) + RAGGED_PATHS),  # one asset, three blocks
         ],
     )
     def test_matches_the_last_slice_of_simulate(self, tag, grid, n_assets, n_paths):
@@ -408,8 +409,9 @@ class TestTerminalPrices:
         for n_jobs in (1, 2, 3):
             terminal = simulate(spec, env, grid, n_paths, seed=7, s0=1.0, n_jobs=n_jobs).paths[:, -1]
             stats = terminal_stats(spec, env, grid, n_paths, seed=7, n_jobs=n_jobs)
-            if n_assets > 1:
-                # rows added in path order, as numpy adds them
+            if n_assets > 1 or n_paths <= block_paths(grid.steps, n_assets):
+                # rows added in path order, as numpy adds them; a single
+                # column in one block is summed pairwise by both
                 assert_same_bits(stats.mean, terminal.mean(axis=0))
                 assert_same_bits(stats.log_mean, np.log(terminal).mean(axis=0))
             else:
@@ -431,6 +433,17 @@ class TestTerminalPrices:
         with pytest.raises(ValueError) as streamed:
             terminal_stats(spec, ENV, GRID, 8, seed=1)
         assert str(streamed.value) == str(stored.value) == "paths must be finite and strictly positive"
+
+    @pytest.mark.filterwarnings("error")  # no numpy warning escapes the fold
+    def test_std_of_a_mean_whose_square_overflows(self):
+        # (2^520)^2 overflows: merging the first block into the empty fold
+        # must not make delta**2 * 0 a NaN.  Equal values sum exactly here,
+        # so every deviation and the std are 0
+        x = np.full((3 * 512, 2), 2.0**520)
+        stats = sim._fold_terminal((x[i : i + 512].copy() for i in range(0, len(x), 512)), 2)
+        assert_same_bits(stats.std, np.zeros(2))
+        assert_same_bits(stats.std, x.std(axis=0))
+        assert_same_bits(stats.mean, x.mean(axis=0))
 
     def test_peak_does_not_grow_with_paths_or_steps(self):
         # 64 assets on 2 workers: a chunk buffer per worker, the terminal rows
