@@ -5,10 +5,10 @@ translates asset quantities through time without implying a risk-free
 profit; the textbook factor exp(-int r dt) is retained for comparison and
 is deliberately gauge dependent.
 
-All rate series are step functions on grid intervals and exponents are
-integrated as exact step-function integrals (sum * dt), the same forward-
-difference convention used everywhere else; this makes the gauge identities
-hold to machine precision.
+Rate series are a scalar or one value per interval of the grid passed in
+(:meth:`TimeGrid.per_interval`) and exponents their exact step-function
+integrals (:meth:`TimeGrid.integral`), the package's one rule of time; this
+makes the gauge identities hold to machine precision.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gauge import GaugeFieldA, PricePanel
+from .gauge import PricePanel
+from .grid import TimeGrid
 from .riskfree import MarketGaugeResult, WeightVector, extract_market_gauge, to_riskfree_units
 
 CASH_TAG = "#cash"
@@ -60,50 +61,21 @@ class DiscountReport:
         return "\n".join(lines)
 
 
-def _as_rate_series(value: RateLike, n_intervals: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n_intervals, float(arr))
-    if arr.shape != (n_intervals,):
-        raise ValueError(f"coverage gap: {name} has {arr.shape[0]} values for {n_intervals} intervals")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
+def textbook_discount(grid: TimeGrid, r: RateLike) -> float:
+    """Discount factor e^{-int r dt} over the grid; gauge dependent by construction."""
+    return float(np.exp(-grid.integral(grid.per_interval(r, "r"))))
 
 
-def _resolve_intervals(*series: RateLike) -> int:
-    lengths = {np.asarray(s).shape[0] for s in series if np.asarray(s).ndim > 0}
-    if len(lengths) > 1:
-        raise ValueError(f"coverage gap: rate series lengths differ: {sorted(lengths)}")
-    return lengths.pop() if lengths else 1
-
-
-def textbook_discount(r: RateLike, T: float) -> float:
-    """Discount factor e^{-int_0^T r dt}; gauge dependent by construction."""
-    if not 0 < T < np.inf:  # NaN fails this test
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    n = _resolve_intervals(r)
-    rates = _as_rate_series(r, n, "r")
-    dt = T / n
-    return float(np.exp(-np.sum(rates) * dt))
-
-
-def gauge_discount(mu: RateLike, sigma: RateLike, a: Union[RateLike, GaugeFieldA], T: float) -> float:
-    """Gauge-invariant factor n0/nT = exp(int (mu - sigma^2/2 + A) dt).
+def gauge_discount(grid: TimeGrid, mu: RateLike, sigma: RateLike, a: RateLike) -> float:
+    """Gauge-invariant factor n0/nT = exp(int (mu - sigma^2/2 + A) dt) over the grid.
 
     Invariant under the simultaneous shift (mu, A) -> (mu + phi_dot,
     A - phi_dot) exactly, because the shifted terms cancel pointwise.
     """
-    if not 0 < T < np.inf:  # NaN fails this test
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    if isinstance(a, GaugeFieldA):
-        a = a.a
-    n = _resolve_intervals(mu, sigma, a)
-    mu_s = _as_rate_series(mu, n, "mu")
-    sigma_s = _as_rate_series(sigma, n, "sigma")
-    a_s = _as_rate_series(a, n, "A")
-    dt = T / n
-    return float(np.exp(np.sum(mu_s - 0.5 * sigma_s**2 + a_s) * dt))
+    mu_s = grid.per_interval(mu, "mu")
+    sigma_s = grid.per_interval(sigma, "sigma")
+    a_s = grid.per_interval(a, "A")
+    return float(np.exp(grid.integral(mu_s - 0.5 * sigma_s**2 + a_s)))
 
 
 def forward_translate(n0: float, s_values: np.ndarray) -> float:
@@ -127,16 +99,17 @@ def find_cash_column(asset_ids: tuple[str, ...]) -> int:
     return tagged[0]
 
 
-def rolling_drift_vol(
-    values: np.ndarray, dt: float, window: int = 63
-) -> tuple[np.ndarray, np.ndarray]:
+def rolling_drift_vol(grid: TimeGrid, values: np.ndarray, window: int = 63) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-window drift and volatility estimates per interval.
 
-    Returns (mu, sigma) step series where mu is the level drift
-    (mean log-return rate + sigma^2/2).  The first window is backfilled with
-    the first full-window estimate; a window longer than the series spans
-    all of it.
+    ``values`` holds one finite, positive value per grid point.  Returns
+    (mu, sigma) step series where mu is the level drift (mean log-return
+    rate + sigma^2/2).  The first window is backfilled with the first
+    full-window estimate; a window longer than the series spans all of it.
     """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_points,) or not np.all((values > 0) & (values < np.inf)):
+        raise ValueError("values must hold one finite, positive value per grid point")
     logret = np.diff(np.log(values))
     n = logret.size
     mu = np.empty(n)
@@ -144,9 +117,9 @@ def rolling_drift_vol(
     for k in range(n):
         lo = max(0, k + 1 - window)
         chunk = logret[lo : k + 1] if k + 1 >= window else logret[:window]
-        sig = float(np.std(chunk)) / np.sqrt(dt)
+        sig = float(np.std(chunk)) / np.sqrt(grid.dt)
         sigma[k] = sig
-        mu[k] = float(np.mean(chunk)) / dt + 0.5 * sig**2
+        mu[k] = float(np.mean(chunk)) / grid.dt + 0.5 * sig**2
     return mu, sigma
 
 
@@ -196,8 +169,8 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
 
     # a window longer than the panel spans all of it
     window = min(window, panel.grid.steps)
-    cash_mu, cash_sigma = rolling_drift_vol(panel.prices[:, cash_idx], panel.grid.dt, window)
-    windowed_cash_discount = gauge_discount(cash_mu, cash_sigma, gauge.a, panel.grid.horizon)
+    cash_mu, cash_sigma = rolling_drift_vol(panel.grid, panel.prices[:, cash_idx], window)
+    windowed_cash_discount = gauge_discount(panel.grid, cash_mu, cash_sigma, gauge.a.a)
 
     metadata = {
         "cash_label": panel.asset_ids[cash_idx],

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * Deterministic gauge parameters phi(t) live on grid points (steps+1 values).
 * Rate-like fields (A, B, returns) live on the steps intervals between grid
   points.
-* Every discrete time derivative is the forward difference over an interval,
-  (x[k+1] - x[k]) / dt, taken on log-quantities where the continuous object
-  is a logarithmic derivative.  With this single rule the gauge-shift
+* Every discrete time derivative is :meth:`TimeGrid.rate`, the forward
+  difference over an interval, taken on log-quantities where the continuous
+  object is a logarithmic derivative.  With this single rule the gauge-shift
   identities hold exactly in floating point, not merely to O(dt).
 """
 
@@ -24,20 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .grid import TimeGrid, require_same_grid
-
-
-def forward_diff(values: np.ndarray, dt: float) -> np.ndarray:
-    """Forward difference per unit time along axis 0: (x[k+1]-x[k])/dt."""
-    values = np.asarray(values, dtype=float)
-    return np.diff(values, axis=0) / dt
-
-
-def log_forward_diff(values: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete d/dt ln(x) under the module's forward-difference rule."""
-    values = np.asarray(values, dtype=float)
-    if not np.all((values > 0) & (values < np.inf)):  # NaN fails this test
-        raise ValueError("log derivative requires strictly positive finite values")
-    return np.diff(np.log(values), axis=0) / dt
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,7 @@ class GaugeScalar:
 
     def rate(self) -> np.ndarray:
         """Discrete phi-dot on the intervals."""
-        return forward_diff(self.phi, self.grid.dt)
+        return self.grid.rate(self.phi)
 
 
 @dataclass(frozen=True)
@@ -239,7 +225,7 @@ def transform_gauge_b(bf: GaugeFieldB, b: TradeUnitMap) -> GaugeFieldB:
     if b.n_assets != bf.diag.shape[1]:
         raise ValueError("trade-unit map dimension does not match the field")
     left, right = b.b[:-1], b.b[1:]
-    return GaugeFieldB(bf.grid, (right * bf.diag + (right - left) / b.grid.dt) / left)
+    return GaugeFieldB(bf.grid, (right * bf.diag + b.grid.rate(b.b)) / left)
 
 
 def nominal_return(grid: TimeGrid, values: np.ndarray) -> ReturnSeries:
@@ -247,7 +233,9 @@ def nominal_return(grid: TimeGrid, values: np.ndarray) -> ReturnSeries:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise ValueError("values must hold one entry per grid point")
-    return ReturnSeries(grid, log_forward_diff(values, grid.dt), kind="nominal")
+    if not np.all((values > 0) & (values < np.inf)):  # NaN fails this test
+        raise ValueError("log derivative requires strictly positive finite values")
+    return ReturnSeries(grid, grid.rate(np.log(values)), kind="nominal")
 
 
 def real_return(grid: TimeGrid, values: np.ndarray, a: GaugeFieldA) -> ReturnSeries:

@@ -37,7 +37,7 @@ from . import __version__
 from .catalog import FAMILIES
 from .gauge import PricePanel
 from .grid import TimeGrid
-from .sim import SEED_LIMIT
+from .sim import NOISE_TAGS, SEED_LIMIT
 
 DAYS_PER_YEAR = 365.25
 
@@ -132,13 +132,10 @@ def export_panel(panel: PricePanel, path: str | Path) -> None:
     """Write a PricePanel to the PanelFile CSV schema; ValueError if two grid points share a day."""
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels to export")
-    dt = panel.grid.dt
-    days = [
-        EXPORT_START + timedelta(days=round(k * dt * DAYS_PER_YEAR)) for k in range(panel.grid.n_points)
-    ]
+    days = [EXPORT_START + timedelta(days=round(t * DAYS_PER_YEAR)) for t in panel.grid.points().tolist()]
     for k in range(1, len(days)):
         if days[k] == days[k - 1]:
-            raise ValueError(f"grid points {k - 1} and {k} both fall on {days[k]} (dt {dt} years)")
+            raise ValueError(f"grid points {k - 1} and {k} both fall on {days[k]} (dt {panel.grid.dt} years)")
     with Path(path).open("w", newline="\n", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", *panel.asset_ids])
@@ -306,7 +303,7 @@ def _validate(config: RunConfig) -> None:
         steps < math.inf and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps,
         f"simulate.horizon {sim['horizon']!r} is not a whole number of dt = {sim['dt']!r} steps",
     )
-    _require(sim["noise"] in ("normal", "uniform", "two-point"), f"unknown noise {sim['noise']!r}")
+    _require(sim["noise"] in NOISE_TAGS, f"unknown noise {sim['noise']!r}")
     rf = config.section("riskfree")
     sizes = rf["sizes"]
     _require(

@@ -54,13 +54,6 @@ class DegenerateProblem(ValueError):
     """Raised for PDE problems the scheme cannot resolve."""
 
 
-def _per_interval(value: ArrayLike, steps: int, name: str) -> np.ndarray:
-    arr = np.broadcast_to(np.asarray(value, dtype=float), (steps,)).copy()
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class PdeProblem:
     """Grid, coefficients, and terminal data for the pricing equation.
@@ -100,10 +93,8 @@ class PdeProblem:
             raise ValueError(f"unknown payoff_kind {self.payoff_kind!r}")
         if self.payoff_kind in ("call", "put") and self.strike is None:
             raise ValueError("call/put problems need a strike for boundary data")
-        steps = self.t_grid.steps
         for name in ("sigma", "a_field", "b_scalar"):
-            arr = _per_interval(getattr(self, name), steps, name)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, self.t_grid.per_interval(getattr(self, name), name))
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
         terminal = np.asarray(self.payoff(s), dtype=float)
@@ -205,8 +196,8 @@ def vanilla_problem(
 ) -> PdeProblem:
     """Standard call/put problem on a grid sized to sigma and A (see the module docstring)."""
     grid = TimeGrid(dt=tau / n_t, steps=n_t)
-    sigma_max = np.max(_per_interval(sigma, n_t, "sigma"))
-    int_abs_a = np.sum(np.abs(_per_interval(a_field, n_t, "a_field"))) * grid.dt
+    sigma_max = np.max(grid.per_interval(sigma, "sigma"))
+    int_abs_a = grid.integral(np.abs(grid.per_interval(a_field, "a_field")))
     # e^3 > 8, so capping the exponent at 3 keeps exp finite and the span unchanged
     span = min(8.0, np.exp(min(max(8.0 * sigma_max * np.sqrt(tau) + int_abs_a, 0.2), 3.0)))
     s = log_price_grid(strike, n_s, span)

@@ -192,10 +192,9 @@ def extract_market_gauge(panel: PricePanel, w: WeightVector) -> MarketGaugeResul
     """
     quantities, values = rebalanced_quantities(panel, w)
     grid = panel.grid
-    a = GaugeFieldA(grid, -np.diff(np.log(values)) / grid.dt)
-    # q_dot / q, formed in place
-    b = np.diff(quantities, axis=0)
-    b /= grid.dt
+    a = GaugeFieldA(grid, -grid.rate(np.log(values)))
+    # q_dot / q, divided in place
+    b = grid.rate(quantities)
     b /= quantities[:-1]
     return MarketGaugeResult(
         a=a, b=GaugeFieldB(grid, b), portfolio_value_series=values, quantities=quantities
@@ -216,16 +215,15 @@ def balance_residuals(panel: PricePanel, result: MarketGaugeResult) -> tuple[np.
     portfolios.
     """
     grid = panel.grid
-    dt = grid.dt
     s = panel.prices
     q = result.quantities
     values = result.portfolio_value_series
-    s_dot = np.diff(s, axis=0) / dt
-    q_dot = np.diff(q, axis=0) / dt
+    s_dot = grid.rate(s)
+    q_dot = grid.rate(q)
     # s.B_N.q with the diagonal field reduces to s . (B_N * q).
     s_bq = np.einsum("ki,ki->k", s[1:], result.b.diag * q[:-1])
     s_qdot = np.einsum("ki,ki->k", s[1:], q_dot)
-    a_arith = (1.0 - np.exp(-result.a.a * dt)) / dt
+    a_arith = (1.0 - np.exp(-result.a.a * grid.dt)) / grid.dt
     r_constancy = (
         np.einsum("ki,ki->k", s_dot, q[:-1]) + a_arith * values[:-1] + s_bq
     )

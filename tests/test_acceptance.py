@@ -41,7 +41,7 @@ def report(line: str, ok: bool) -> None:
 
 class TestAcceptance:
     def test_c01_textbook_discount_two_thirds(self):
-        value = textbook_discount(0.0406, 10.0)
+        value = textbook_discount(TimeGrid(10.0, 1), 0.0406)
         ok = abs(value - 0.666) <= 1e-3
         report(f"C1 ten-year 4.06% textbook discount = {value:.4f} (0.666 +/- 0.001)", ok)
 
@@ -54,7 +54,6 @@ class TestAcceptance:
         mu = rng.normal(0.05, 0.1, grid.steps)
         sigma = rng.uniform(0.0, 0.4, grid.steps)
         samples = rng.normal(0.05, 0.3, (400, grid.steps))
-        T = grid.horizon
 
         worst_rr = worst_gd = worst_rv = worst_tb = 0.0
         for _ in range(100):
@@ -67,8 +66,8 @@ class TestAcceptance:
             ).values
             worst_rr = max(worst_rr, float(np.max(np.abs(rr_shift - rr_base))))
 
-            gd_base = gauge_discount(mu, sigma, a, T)
-            gd_shift = gauge_discount(mu + rate, sigma, a - rate, T)
+            gd_base = gauge_discount(grid, mu, sigma, a)
+            gd_shift = gauge_discount(grid, mu + rate, sigma, a - rate)
             worst_gd = max(worst_gd, abs(gd_shift / gd_base - 1.0))
 
             worst_rv = max(
@@ -76,8 +75,8 @@ class TestAcceptance:
                 abs(return_volatility(samples + rate) - return_volatility(samples)),
             )
 
-            tb_base = textbook_discount(mu, T)
-            tb_shift = textbook_discount(mu - rate, T)
+            tb_base = textbook_discount(grid, mu)
+            tb_shift = textbook_discount(grid, mu - rate)
             predicted = tb_base * np.exp(phi.phi[-1] - phi.phi[0])
             worst_tb = max(worst_tb, abs(tb_shift / predicted - 1.0))
 

@@ -3,6 +3,7 @@ import pytest
 
 from gaugeport import (
     GaugeFieldA,
+    GaugeScalar,
     PricePanel,
     TimeGrid,
     empirical_pipeline,
@@ -20,30 +21,57 @@ from gaugeport.discounting import (
 class TestTextbookDiscount:
     def test_ten_year_treasury_rate(self):
         # 4.06% for ten years: about a third of the claim evaporates
-        assert textbook_discount(0.0406, 10.0) == pytest.approx(0.666, abs=1e-3)
+        assert textbook_discount(TimeGrid(10.0, 1), 0.0406) == pytest.approx(0.666, abs=1e-3)
 
     def test_constant_rate_closed_form(self):
-        assert textbook_discount(0.05, 20.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert textbook_discount(TimeGrid(20.0, 1), 0.05) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_step_rate_series(self):
         # r = 2% for the first half, 6% for the second: same as 4% flat
         r = np.concatenate([np.full(50, 0.02), np.full(50, 0.06)])
-        assert textbook_discount(r, 10.0) == pytest.approx(np.exp(-0.4), rel=1e-12)
+        assert textbook_discount(TimeGrid(0.1, 100), r) == pytest.approx(np.exp(-0.4), rel=1e-12)
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            textbook_discount(0.05, 0.0)
+        # the horizon is the grid's: TimeGrid rejects it before any discounting
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            textbook_discount(TimeGrid(0.0, 1), 0.05)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize(
         "discount",
-        [lambda T: textbook_discount(0.05, T), lambda T: gauge_discount(0.05, 0.2, 0.0, T)],
+        [
+            lambda T: textbook_discount(TimeGrid(T, 1), 0.05),
+            lambda T: gauge_discount(TimeGrid(T, 1), 0.05, 0.2, 0.0),
+        ],
         ids=["textbook", "gauge"],
     )
     def test_horizon_must_be_positive_and_finite(self, discount, horizon):
         # nan gave nan, and inf gave 0.0, a discount factor with no horizon
-        with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
             discount(horizon)
+
+    def test_integrates_with_the_grids_dt(self):
+        # here horizon / steps != dt in the last bit; rates this large carry
+        # that bit into both factors, which must use dt itself
+        grid = TimeGrid(1.0 / 365.25, 13)
+        other_dt = grid.horizon / grid.steps
+        assert other_dt != grid.dt
+        r = np.random.default_rng(19).normal(200.0, 50.0, grid.steps)
+        assert textbook_discount(grid, r) == np.exp(-(np.sum(r) * grid.dt))
+        assert textbook_discount(grid, r) != np.exp(-(np.sum(r) * other_dt))
+        mu, sigma, a = r, np.full(grid.steps, 0.2), -0.5 * r
+        exponent = np.sum(mu - 0.5 * sigma**2 + a)
+        assert gauge_discount(grid, mu, sigma, a) == np.exp(exponent * grid.dt)
+        assert gauge_discount(grid, mu, sigma, a) != np.exp(exponent * other_dt)
+
+    def test_shift_moves_the_factor_by_the_phi_increment(self):
+        grid = TimeGrid(1.0 / 365.25, 13)
+        rng = np.random.default_rng(20)
+        r = rng.normal(0.04, 0.02, grid.steps)
+        phi = GaugeScalar(grid, rng.normal(0.0, 0.5, grid.n_points))
+        moved = textbook_discount(grid, r - phi.rate())
+        expected = textbook_discount(grid, r) * np.exp(phi.phi[-1] - phi.phi[0])
+        assert moved == pytest.approx(expected, rel=1e-12)
 
 
 class TestGaugeDiscount:
@@ -56,36 +84,38 @@ class TestGaugeDiscount:
             sigma = rng.uniform(0.0, 0.4, n)
             a = rng.normal(0.0, 0.1, n)
             shift = rng.normal(0.0, 2.0, n)
-            base = gauge_discount(mu, sigma, a, 3.0)
-            shifted = gauge_discount(mu + shift, sigma, a - shift, 3.0)
+            grid = TimeGrid(3.0 / n, n)
+            base = gauge_discount(grid, mu, sigma, a)
+            shifted = gauge_discount(grid, mu + shift, sigma, a - shift)
             assert shifted == pytest.approx(base, rel=1e-10)
 
     def test_textbook_factor_is_gauge_dependent(self):
         # under the same shift the textbook factor changes by exactly
         # exp(phi(0) - phi(T)): a non-invariance identity, not an error bound
         rng = np.random.default_rng(18)
-        n, T = 25, 5.0
-        r = rng.normal(0.04, 0.02, n)
-        shift = rng.normal(0.0, 1.0, n)
-        dt = T / n
-        base = textbook_discount(r, T)
-        moved = textbook_discount(r - shift, T)
-        assert moved == pytest.approx(base * np.exp(np.sum(shift) * dt), rel=1e-12)
+        grid = TimeGrid(0.2, 25)
+        r = rng.normal(0.04, 0.02, grid.steps)
+        shift = rng.normal(0.0, 1.0, grid.steps)
+        base = textbook_discount(grid, r)
+        moved = textbook_discount(grid, r - shift)
+        assert moved == pytest.approx(base * np.exp(np.sum(shift) * grid.dt), rel=1e-12)
 
     def test_reduces_to_textbook_for_constant_claim(self):
         # a constant-price claim (mu = sigma = 0) in the A = -r gauge
-        assert gauge_discount(0.0, 0.0, -0.0406, 10.0) == pytest.approx(
-            textbook_discount(0.0406, 10.0), rel=1e-14
+        grid = TimeGrid(10.0, 1)
+        assert gauge_discount(grid, 0.0, 0.0, -0.0406) == pytest.approx(
+            textbook_discount(grid, 0.0406), rel=1e-14
         )
 
     def test_accepts_gauge_field_object(self):
         grid = TimeGrid(0.5, 4)
         a = GaugeFieldA(grid, np.full(4, -0.03))
-        assert gauge_discount(0.0, 0.0, a, 2.0) == pytest.approx(np.exp(-0.06), rel=1e-12)
+        # a field's rates live on its own grid
+        assert gauge_discount(a.grid, 0.0, 0.0, a.a) == pytest.approx(np.exp(-0.06), rel=1e-12)
 
     def test_coverage_gap_detected(self):
         with pytest.raises(ValueError, match="coverage gap"):
-            gauge_discount(np.zeros(10), np.zeros(8), 0.0, 1.0)
+            gauge_discount(TimeGrid(0.1, 10), np.zeros(10), np.zeros(8), 0.0)
 
 
 class TestForwardTranslate:
@@ -112,14 +142,33 @@ class TestRollingDriftVol:
     def test_exponential_growth_recovered_exactly(self):
         grid = TimeGrid(1.0 / 252, 300)
         values = np.exp(0.04 * grid.points())
-        mu, sigma = rolling_drift_vol(values, grid.dt, window=63)
+        mu, sigma = rolling_drift_vol(grid, values, window=63)
         np.testing.assert_allclose(mu, 0.04, rtol=1e-8)
         np.testing.assert_allclose(sigma, 0.0, atol=1e-9)
 
     def test_output_covers_every_interval(self):
         values = np.linspace(1.0, 2.0, 100)
-        mu, sigma = rolling_drift_vol(values, 0.01, window=20)
+        mu, sigma = rolling_drift_vol(TimeGrid(0.01, 99), values, window=20)
         assert mu.shape == sigma.shape == (99,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # a zero price gave -inf log-returns with numpy warnings
+            [1.0, 0.0, 1.0, 2.0],
+            [1.0, -1.0, 1.0, 2.0],
+            [1.0, np.nan, 1.0, 2.0],
+            [1.0, np.inf, 1.0, 2.0],
+            # one value short of the grid was accepted without a word
+            [1.0, 1.5, 2.0],
+            [[1.0, 1.5, 2.0, 2.5]],
+        ],
+        ids=["zero", "negative", "nan", "inf", "short", "2-d"],
+    )
+    def test_rejects_values_off_the_grid(self, values):
+        with pytest.raises(ValueError, match="^values must hold one finite, positive value per grid point$"):
+            rolling_drift_vol(TimeGrid(0.1, 3), np.array(values), 2)
 
 
 class TestEmpiricalPipeline:

@@ -21,7 +21,6 @@ from gaugeport import (
     transform_gauge_a,
     transform_gauge_b,
 )
-from gaugeport.gauge import log_forward_diff
 
 GRID = TimeGrid(dt=1.0 / 252, steps=60)
 
@@ -233,8 +232,7 @@ class TestReturns:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("function", [
         lambda values: nominal_return(TimeGrid(0.1, 3), values),
-        lambda values: log_forward_diff(values, 0.1),
-    ], ids=["nominal_return", "log_forward_diff"])
+    ], ids=["nominal_return"])
     def test_nonfinite_rejected(self, function, bad):
         with pytest.raises(ValueError, match="strictly positive finite"):
             function(np.array([1.0, bad, 1.2, 1.3]))
