@@ -13,12 +13,10 @@ from .gauge import (
     GaugeFieldB,
     GaugeScalar,
     PricePanel,
-    ReturnSeries,
     TradeUnitMap,
     apply_price_gauge,
     apply_trade_unit_gauge,
     nominal_return,
-    portfolio_value,
     portfolio_value_series,
     real_return,
     transform_gauge_a,
@@ -40,9 +38,7 @@ from .riskfree import (
     SensitivityProblem,
     WeightVector,
     balance_residuals,
-    delta_hedge,
     extract_market_gauge,
-    insensitivity_residual,
     riskfree_studies,
     sensitivity_neutral_weights,
     to_riskfree_units,
@@ -60,7 +56,6 @@ from .pricer import (
 from .discounting import (
     DiscountReport,
     empirical_pipeline,
-    forward_translate,
     gauge_discount,
     textbook_discount,
 )

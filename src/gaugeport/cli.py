@@ -144,15 +144,13 @@ def cmd_discount(args, config: io.RunConfig) -> dict:
     disc = config.section("discount")
     panel = io.ingest(args.panel, normalize=args.normalize)
     report = discounting.empirical_pipeline(panel, window=int(disc["window"]))
-    series = report.cash_series
     body = {
         "asset_ids": list(report.asset_ids),
         "final_values": report.final_values,
         "metadata": report.metadata,
-        "cash_series_label": series.label,
-        "cash_series_times": series.times,
-        "cash_series_values": series.values,
-        "table": report.as_table(),
+        "cash_series_label": f"{report.metadata['cash_label']} (risk-free units)",
+        "cash_series_times": panel.grid.points(),
+        "cash_series_values": report.cash_values,
     }
     return {"seed": None, "body": body}
 

@@ -28,16 +28,9 @@ RateLike = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
-class LabeledSeries:
-    label: str
-    times: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class DiscountReport:
-    """Final values in risk-free units (table shape), plus the cash value in
-    risk-free units over time.
+    """Final values in risk-free units, plus the cash value in risk-free
+    units at every grid point.
 
     Each final value is that asset's realized discount factor.
     """
@@ -45,20 +38,12 @@ class DiscountReport:
     asset_ids: tuple[str, ...]
     final_values: np.ndarray
     metadata: dict = field(default_factory=dict)
-    cash_series: Optional[LabeledSeries] = None
+    cash_values: Optional[np.ndarray] = None  # [steps+1]
 
     def __post_init__(self):
         values = np.asarray(self.final_values, dtype=float)
         if not np.all((values > 0) & (values < np.inf)):  # NaN fails this test
             raise ValueError("final values (discount factors) must be positive and finite")
-
-    def as_table(self) -> str:
-        """Aligned plain-text table of final asset values."""
-        width = max(len(a) for a in self.asset_ids) + 2
-        lines = ["Final Asset Values", "-" * (width + 8)]
-        for label, value in zip(self.asset_ids, self.final_values):
-            lines.append(f"{label:<{width}}{value:8.3f}")
-        return "\n".join(lines)
 
 
 def textbook_discount(grid: TimeGrid, r: RateLike) -> float:
@@ -76,14 +61,6 @@ def gauge_discount(grid: TimeGrid, mu: RateLike, sigma: RateLike, a: RateLike) -
     sigma_s = grid.per_interval(sigma, "sigma")
     a_s = grid.per_interval(a, "A")
     return float(np.exp(grid.integral(mu_s - 0.5 * sigma_s**2 + a_s)))
-
-
-def forward_translate(n0: float, s_values: np.ndarray) -> float:
-    """Quantity at the horizon from n0 s(0) = nT s(T)."""
-    s_values = np.asarray(s_values, dtype=float)
-    if not np.all((s_values > 0) & (s_values < np.inf)):  # NaN fails this test
-        raise ValueError("price series must be strictly positive and finite")
-    return float(n0 * s_values[0] / s_values[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +82,19 @@ def rolling_drift_vol(grid: TimeGrid, values: np.ndarray, window: int = 63) -> t
     ``values`` holds one finite, positive value per grid point.  Returns
     (mu, sigma) step series where mu is the level drift (mean log-return
     rate + sigma^2/2).  The first window is backfilled with the first
-    full-window estimate; a window longer than the series spans all of it.
+    full-window estimate.  ``window`` is at least 1; a window longer than the
+    series spans all of it.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,) or not np.all((values > 0) & (values < np.inf)):
         raise ValueError("values must hold one finite, positive value per grid point")
     logret = np.diff(np.log(values))
-    n = logret.size
-    mu = np.empty(n)
-    sigma = np.empty(n)
-    for k in range(n):
-        lo = max(0, k + 1 - window)
-        chunk = logret[lo : k + 1] if k + 1 >= window else logret[:window]
-        sig = float(np.std(chunk)) / np.sqrt(grid.dt)
-        sigma[k] = sig
-        mu[k] = float(np.mean(chunk)) / grid.dt + 0.5 * sig**2
+    windows = np.lib.stride_tricks.sliding_window_view(logret, min(window, logret.size))
+    backfill = (windows.shape[1] - 1, 0)
+    sigma = np.pad(windows.std(axis=1), backfill, mode="edge") / np.sqrt(grid.dt)
+    mu = np.pad(windows.mean(axis=1), backfill, mode="edge") / grid.dt + 0.5 * sigma**2
     return mu, sigma
 
 
@@ -187,9 +162,5 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
         asset_ids=tuple(labels),
         final_values=final_values,
         metadata=metadata,
-        cash_series=LabeledSeries(
-            label=f"{panel.asset_ids[cash_idx]} (risk-free units)",
-            times=panel.grid.points(),
-            values=converted.prices[:, cash_idx].copy(),
-        ),
+        cash_values=converted.prices[:, cash_idx].copy(),
     )

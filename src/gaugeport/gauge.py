@@ -152,35 +152,9 @@ class GaugeFieldB:
         return GaugeFieldB(grid, np.zeros((grid.steps, n)))
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Per-interval rates; ``kind`` distinguishes nominal from real returns."""
-
-    grid: TimeGrid
-    values: np.ndarray  # [steps]
-    kind: str = "nominal"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.steps,):
-            raise ValueError("return series must hold one value per interval")
-        if self.kind not in ("nominal", "real"):
-            raise ValueError(f"kind must be 'nominal' or 'real', got {self.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def portfolio_value(panel: PricePanel, k: int) -> float:
-    """Portfolio value sum_alpha P_alpha * K^alpha at grid point k."""
-    if panel.quantities is None:
-        raise ValueError("no holdings: panel has no quantities")
-    if not 0 <= k <= panel.grid.steps:
-        raise IndexError(f"time index {k} outside 0..{panel.grid.steps}")
-    return float(panel.prices[k] @ panel.quantities[k])
-
 
 def portfolio_value_series(panel: PricePanel) -> np.ndarray:
     """Portfolio value at every grid point."""
@@ -228,22 +202,21 @@ def transform_gauge_b(bf: GaugeFieldB, b: TradeUnitMap) -> GaugeFieldB:
     return GaugeFieldB(bf.grid, (right * bf.diag + b.grid.rate(b.b)) / left)
 
 
-def nominal_return(grid: TimeGrid, values: np.ndarray) -> ReturnSeries:
-    """Per-interval log-return per unit time of a positive value series."""
+def nominal_return(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """Per-interval log-return per unit time of a positive value series, [steps]."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_points,):
         raise ValueError("values must hold one entry per grid point")
     if not np.all((values > 0) & (values < np.inf)):  # NaN fails this test
         raise ValueError("log derivative requires strictly positive finite values")
-    return ReturnSeries(grid, grid.rate(np.log(values)), kind="nominal")
+    return grid.rate(np.log(values))
 
 
-def real_return(grid: TimeGrid, values: np.ndarray, a: GaugeFieldA) -> ReturnSeries:
-    """Gauge-invariant real return mu(t) = nominal return + A(t).
+def real_return(grid: TimeGrid, values: np.ndarray, a: GaugeFieldA) -> np.ndarray:
+    """Gauge-invariant real return mu(t) = nominal return + A(t), [steps].
 
     Invariant under (values, A) -> (e^{phi} values, A - phi_dot) because the
     same forward-difference rule generates both shifts.
     """
     require_same_grid(grid, a.grid, "values/A")
-    nom = nominal_return(grid, values)
-    return ReturnSeries(grid, nom.values + a.a, kind="real")
+    return nominal_return(grid, values) + a.a

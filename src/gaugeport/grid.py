@@ -64,7 +64,8 @@ class TimeGrid:
         if arr.ndim == 0:
             arr = np.full(self.steps, arr)
         elif arr.shape != (self.steps,):
-            raise ValueError(f"coverage gap: {name} has {arr.shape[0]} values for {self.steps} intervals")
+            found = f"{arr.size} values" if arr.ndim == 1 else f"shape {arr.shape}"
+            raise ValueError(f"coverage gap: {name} has {found} for {self.steps} intervals")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
         return arr

@@ -354,12 +354,6 @@ def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSli
 # Merton-form residual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MertonResidual:
-    residual: float
-    hedge_ratio: float  # delta = -dV/dH
-
-
 def merton_residual(
     v: float,
     dv_dt: float,
@@ -373,15 +367,16 @@ def merton_residual(
     sigma_hat: float,
     a: float,
     b: float,
-) -> MertonResidual:
+) -> float:
     """Left-hand side of the gauge-invariant two-factor pricing equation.
 
         V_t + (1/2) sigma1^2 s^2 V_ss + (1/2) sigma_hat^2 H^2 V_HH
             + (V - s V_s - H V_H)(A + B)
 
     Zero residual means the candidate solves the equation (per unit option
-    quantity).  Degree-one functions of (s, H) with vanishing second
-    derivatives give exactly zero for every A and B.
+    quantity); the candidate's hedge ratio in H is -dv_dh.  Degree-one
+    functions of (s, H) with vanishing second derivatives give exactly zero
+    for every A and B.
     """
     inputs = [v, dv_dt, dv_ds, dv_dh, d2v_ds2, d2v_dh2, s, h, sigma1, sigma_hat, a, b]
     if not np.all(np.isfinite(inputs)):
@@ -392,4 +387,4 @@ def merton_residual(
         + 0.5 * sigma_hat**2 * h**2 * d2v_dh2
         + (v - s * dv_ds - h * dv_dh) * (a + b)
     )
-    return MertonResidual(residual=float(residual), hedge_ratio=float(-dv_dh))
+    return float(residual)

@@ -3,11 +3,10 @@
 A diversified portfolio rebalanced to fixed positive weights defines the
 market gauge A(t) = -d/dt ln(s.q) and the trade-unit field B_N = q_dot/q,
 a diagonal :class:`GaugeFieldB`, so extraction memory grows as O(steps N).
-The module also checks price insensitivity, verifies the 1/sqrt(N) decay of
-portfolio volatility, and solves for weights whose expected return is
-insensitive to forecasting errors in the environment factors: accelerated
-projected gradient over the capped simplex, with an exact sort-based
-projection.  A Frank-Wolfe duality gap <= GAP_TOL * residual certifies the
+The module also verifies the 1/sqrt(N) decay of portfolio volatility, and
+solves for weights whose expected return is insensitive to forecasting
+errors in the environment factors: accelerated projected gradient over the
+capped simplex, with an exact sort-based projection.  A Frank-Wolfe duality gap <= GAP_TOL * residual certifies the
 result (stop reason ``"gap"``): the residual is within GAP_TOL of the optimum.
 
 :func:`riskfree_studies` runs the volatility-scaling and common-limit
@@ -48,9 +47,6 @@ GAP_TOL = 1e-6
 #: iterations and calls its weights exact when ||w^T dmu_dxi|| <= NEUTRAL_TOL.
 MAX_ITER = 2000
 NEUTRAL_TOL = 1e-8
-
-#: is_price_insensitive's bound on max|residual| relative to |K| |dP|.
-INSENSITIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,36 +122,6 @@ class SensitivityProblem:
     @property
     def n(self) -> int:
         return self.dmu_dxi.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# Price insensitivity and hedging
-# ---------------------------------------------------------------------------
-
-def insensitivity_residual(panel: PricePanel, deltas: np.ndarray, k: int = 0) -> np.ndarray:
-    """Residual_i = sum_alpha K^alpha dP_alpha/ds_i at grid point k."""
-    if panel.quantities is None:
-        raise ValueError("no holdings: panel has no quantities")
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 2 or deltas.shape[0] != panel.n_assets:
-        raise ValueError(
-            f"deltas must be [n_instruments={panel.n_assets}, n_assets], got {deltas.shape}"
-        )
-    return panel.quantities[k] @ deltas
-
-
-def is_price_insensitive(panel: PricePanel, deltas: np.ndarray, k: int = 0) -> bool:
-    """Declare insensitivity when max|residual| <= INSENSITIVE_TOL * |K| * |dP|."""
-    residual = insensitivity_residual(panel, deltas, k)
-    scale = np.linalg.norm(panel.quantities[k]) * np.linalg.norm(deltas)
-    return float(np.max(np.abs(residual))) <= INSENSITIVE_TOL * max(scale, 1.0)
-
-
-def delta_hedge(option_delta: float, option_qty: float) -> float:
-    """Asset quantity q = -Q * dV/ds that neutralizes one option position."""
-    if not np.isfinite(option_delta):
-        raise ValueError("option delta must be finite")
-    return -option_qty * option_delta
 
 
 # ---------------------------------------------------------------------------

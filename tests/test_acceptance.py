@@ -60,10 +60,8 @@ class TestAcceptance:
             phi = GaugeScalar(grid, rng.normal(0.0, 0.5, grid.n_points))
             rate = phi.rate()
 
-            rr_base = real_return(grid, values, GaugeFieldA(grid, a)).values
-            rr_shift = real_return(
-                grid, values * np.exp(phi.phi), GaugeFieldA(grid, a - rate)
-            ).values
+            rr_base = real_return(grid, values, GaugeFieldA(grid, a))
+            rr_shift = real_return(grid, values * np.exp(phi.phi), GaugeFieldA(grid, a - rate))
             worst_rr = max(worst_rr, float(np.max(np.abs(rr_shift - rr_base))))
 
             gd_base = gauge_discount(grid, mu, sigma, a)
@@ -173,7 +171,7 @@ class TestAcceptance:
         result = extract_market_gauge(panel, w)
         primed = to_riskfree_units(panel, result.portfolio_value_series)
         a_prime = extract_market_gauge(primed, w).a.a
-        rr = real_return(grid, result.portfolio_value_series, result.a).values
+        rr = real_return(grid, result.portfolio_value_series, result.a)
         ok = np.max(np.abs(a_prime)) <= 1e-12 and np.max(np.abs(rr)) <= 1e-12
         report(
             "C7 risk-free units round trip: |A'| max "
@@ -249,13 +247,13 @@ class TestAcceptance:
             for beta in (-1.0, 0.0, 2.5):
                 for a in (-0.5, 0.0, 0.7):
                     for b in (-0.3, 0.0, 0.9):
-                        out = merton_residual(
+                        residual = merton_residual(
                             v=alpha * 110.0 + beta * 0.9, dv_dt=0.0,
                             dv_ds=alpha, dv_dh=beta, d2v_ds2=0.0, d2v_dh2=0.0,
                             s=110.0, h=0.9, sigma1=0.2, sigma_hat=0.05, a=a, b=b,
                         )
                         scale = (1.0 + abs(alpha) * 110.0 + abs(beta)) * (1.0 + abs(a + b))
-                        worst = max(worst, abs(out.residual) / scale)
+                        worst = max(worst, abs(residual) / scale)
         linear_ok = worst <= 1e-15
 
         # homogeneous closed-form candidate: residual bounded by the
@@ -268,7 +266,7 @@ class TestAcceptance:
             return h_ * bs_closed_form(s_ / h_, 1.0, combined, tau - t)
 
         eps_t, eps_s, eps_h = 1e-5, 1e-3, 1e-5
-        out = merton_residual(
+        residual = merton_residual(
             v=v(0, s, h),
             dv_dt=(v(eps_t, s, h) - v(-eps_t, s, h)) / (2 * eps_t),
             dv_ds=(v(0, s + eps_s, h) - v(0, s - eps_s, h)) / (2 * eps_s),
@@ -277,9 +275,9 @@ class TestAcceptance:
             d2v_dh2=(v(0, s, h + eps_h) - 2 * v(0, s, h) + v(0, s, h - eps_h)) / eps_h**2,
             s=s, h=h, sigma1=sigma1, sigma_hat=sigma_hat, a=0.03, b=0.01,
         )
-        closed_ok = abs(out.residual) <= 1e-4
+        closed_ok = abs(residual) <= 1e-4
         report(
             f"C11 two-factor equation: degree-one residual {worst:.1e} (rounding only); "
-            f"homogeneous closed form residual {abs(out.residual):.1e} <= 1e-4 truncation bound",
+            f"homogeneous closed form residual {abs(residual):.1e} <= 1e-4 truncation bound",
             linear_ok and closed_ok,
         )

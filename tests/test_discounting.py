@@ -7,7 +7,6 @@ from gaugeport import (
     PricePanel,
     TimeGrid,
     empirical_pipeline,
-    forward_translate,
     gauge_discount,
     textbook_discount,
 )
@@ -118,26 +117,6 @@ class TestGaugeDiscount:
             gauge_discount(TimeGrid(0.1, 10), np.zeros(10), np.zeros(8), 0.0)
 
 
-class TestForwardTranslate:
-    def test_quantity_translation(self):
-        s = np.array([2.0, 2.5, 4.0])
-        # n0 s(0) = nT s(T): 10 units at price 2 become 5 units at price 4
-        assert forward_translate(10.0, s) == pytest.approx(5.0)
-
-    def test_rejects_nonpositive_prices(self):
-        with pytest.raises(ValueError, match="positive"):
-            forward_translate(1.0, np.array([1.0, 0.0]))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("at", [0, -1])
-    def test_rejects_nonfinite_prices(self, bad, at):
-        s = np.ones(2)
-        s[at] = bad
-        with pytest.raises(ValueError, match="positive and finite"):
-            forward_translate(1.0, s)
-
-
 class TestRollingDriftVol:
     def test_exponential_growth_recovered_exactly(self):
         grid = TimeGrid(1.0 / 252, 300)
@@ -170,6 +149,26 @@ class TestRollingDriftVol:
         with pytest.raises(ValueError, match="^values must hold one finite, positive value per grid point$"):
             rolling_drift_vol(TimeGrid(0.1, 3), np.array(values), 2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_rejects_a_window_below_one(self, window):
+        # an empty window gave all-NaN estimates with numpy warnings
+        with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
+            rolling_drift_vol(TimeGrid(0.1, 3), np.array([1.0, 1.1, 1.2, 1.3]), window)
+
+    @pytest.mark.parametrize("steps, window", [(40, 2), (100, 7), (315, 63), (30, 63), (1, 5)])
+    def test_matches_the_per_step_estimates(self, steps, window):
+        # each interval's estimate is that of its trailing window, or of the
+        # first window before one is full
+        grid = TimeGrid(0.01, steps)
+        values = np.exp(np.cumsum(np.random.default_rng(steps).normal(0.0, 0.01, steps + 1)))
+        mu, sigma = rolling_drift_vol(grid, values, window)
+        logret = np.diff(np.log(values))
+        for k in range(steps):
+            chunk = logret[k + 1 - window : k + 1] if k + 1 >= window else logret[:window]
+            assert sigma[k] == pytest.approx(np.std(chunk) / np.sqrt(grid.dt), rel=1e-12, abs=1e-15)
+            assert mu[k] == pytest.approx(np.mean(chunk) / grid.dt + 0.5 * sigma[k] ** 2, rel=1e-12, abs=1e-12)
+
 
 class TestEmpiricalPipeline:
     def test_flat_market_is_trivial(self):
@@ -193,11 +192,6 @@ class TestEmpiricalPipeline:
         assert report.metadata["cash_discount_windowed"] == pytest.approx(
             by_label["USD#cash"], rel=5e-3
         )
-
-    def test_table_rendering(self, fixture_panel):
-        table = empirical_pipeline(fixture_panel).as_table()
-        assert table.splitlines()[0] == "Final Asset Values"
-        assert any("risk-free portfolio" in line for line in table.splitlines())
 
     def test_reports_the_window_it_used(self):
         # 40 intervals: a 63-step window spans the panel, so 40 is the window used
@@ -229,21 +223,20 @@ class TestCashValueSeries:
     """The cash column in risk-free units, as the pipeline reports it."""
 
     def test_starts_at_one(self, fixture_panel):
-        series = empirical_pipeline(fixture_panel).cash_series
-        assert series.values[0] == pytest.approx(1.0, abs=1e-14)
-        assert series.times.shape == series.values.shape
-        assert "#cash" in series.label
+        report = empirical_pipeline(fixture_panel)
+        assert report.cash_values[0] == pytest.approx(1.0, abs=1e-14)
+        assert report.cash_values.shape == (fixture_panel.grid.n_points,)
+        assert report.metadata["cash_label"].endswith("#cash")
 
     def test_matches_pipeline_final_value(self, fixture_panel):
         report = empirical_pipeline(fixture_panel)
-        series = report.cash_series
         cash_final = dict(zip(report.asset_ids, report.final_values))["USD#cash"]
-        assert series.values[-1] == pytest.approx(cash_final, rel=1e-12)
+        assert report.cash_values[-1] == pytest.approx(cash_final, rel=1e-12)
         # cash over the equal-weight portfolio of the other columns, rebalanced every step
         prices = fixture_panel.prices
         gross = np.mean(prices[1:, :-1] / prices[:-1, :-1], axis=1)
         riskfree = np.concatenate([[1.0], np.cumprod(gross)])
-        np.testing.assert_allclose(series.values, prices[:, -1] / riskfree, rtol=1e-12)
+        np.testing.assert_allclose(report.cash_values, prices[:, -1] / riskfree, rtol=1e-12)
 
 
 class TestReportTypes:

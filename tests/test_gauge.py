@@ -15,7 +15,6 @@ from gaugeport import (
     apply_price_gauge,
     apply_trade_unit_gauge,
     nominal_return,
-    portfolio_value,
     portfolio_value_series,
     real_return,
     transform_gauge_a,
@@ -41,28 +40,25 @@ class TestPortfolioValue:
     def test_unit_case(self):
         grid = TimeGrid(1.0, 1)
         panel = PricePanel(grid, np.ones((2, 2)), np.ones((2, 2)))
-        assert portfolio_value(panel, 0) == 2.0
+        np.testing.assert_array_equal(portfolio_value_series(panel), [2.0, 2.0])
 
     def test_signed_dot_product(self):
         grid = TimeGrid(1.0, 1)
         panel = PricePanel(grid, [[2.0, 3.0]] * 2, [[1.0, -1.0]] * 2)
-        assert portfolio_value(panel, 0) == -1.0
+        np.testing.assert_array_equal(portfolio_value_series(panel), [-1.0, -1.0])
 
     def test_matches_per_term_summation(self):
         panel = random_panel(5, seed=11)
+        values = portfolio_value_series(panel)
+        assert values.shape == (GRID.n_points,)
         for k in (0, 30, GRID.steps):
             expected = sum(panel.prices[k, i] * panel.quantities[k, i] for i in range(5))
-            assert portfolio_value(panel, k) == pytest.approx(expected, rel=1e-14)
+            assert values[k] == pytest.approx(expected, rel=1e-14)
 
     def test_missing_quantities(self):
         panel = random_panel(3, seed=1, with_quantities=False)
         with pytest.raises(ValueError, match="no holdings"):
-            portfolio_value(panel, 0)
-
-    def test_index_bounds(self):
-        panel = random_panel(2, seed=2)
-        with pytest.raises(IndexError):
-            portfolio_value(panel, GRID.steps + 1)
+            portfolio_value_series(panel)
 
 
 class TestPriceGauge:
@@ -207,47 +203,48 @@ class TestGaugeFieldB:
 class TestReturns:
     def test_constant_series_zero_return(self):
         out = nominal_return(GRID, np.full(GRID.n_points, 3.7))
-        np.testing.assert_array_equal(out.values, 0.0)
-        assert out.kind == "nominal"
+        np.testing.assert_array_equal(out, np.zeros(GRID.steps))
 
     def test_exponential_growth_exact(self):
         g = 0.12
         out = nominal_return(GRID, np.exp(g * GRID.points()))
-        np.testing.assert_allclose(out.values, g, rtol=1e-10)
+        np.testing.assert_allclose(out, g, rtol=1e-10)
 
     def test_gauge_shift_is_discrete_phi_dot(self):
         values = np.exp(np.random.default_rng(5).normal(size=GRID.n_points))
         phi = random_phi(23)
         base = nominal_return(GRID, values)
         gauged = nominal_return(GRID, values * np.exp(phi.phi))
-        np.testing.assert_allclose(gauged.values - base.values, phi.rate(), atol=1e-10)
+        np.testing.assert_allclose(gauged - base, phi.rate(), atol=1e-10)
 
     def test_nonpositive_rejected(self):
         values = np.ones(GRID.n_points)
         values[3] = -1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly positive"):
             nominal_return(GRID, values)
+        with pytest.raises(ValueError, match="strictly positive"):
+            real_return(GRID, values, GaugeFieldA.zeros(GRID))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("function", [
         lambda values: nominal_return(TimeGrid(0.1, 3), values),
-    ], ids=["nominal_return"])
+        lambda values: real_return(TimeGrid(0.1, 3), values, GaugeFieldA.zeros(TimeGrid(0.1, 3))),
+    ], ids=["nominal_return", "real_return"])
     def test_nonfinite_rejected(self, function, bad):
         with pytest.raises(ValueError, match="strictly positive finite"):
             function(np.array([1.0, bad, 1.2, 1.3]))
 
     def test_real_return_trivial_zero(self):
         out = real_return(GRID, np.full(GRID.n_points, 2.0), GaugeFieldA.zeros(GRID))
-        np.testing.assert_array_equal(out.values, 0.0)
-        assert out.kind == "real"
+        np.testing.assert_array_equal(out, np.zeros(GRID.steps))
 
     def test_riskfree_portfolio_zero_real_return(self):
         r = 0.05
         values = np.exp(r * GRID.points())
         a = GaugeFieldA(GRID, np.full(GRID.steps, -r))
         out = real_return(GRID, values, a)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-10)
+        np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
     def test_real_return_gauge_invariant_fuzz(self):
         values = np.exp(np.random.default_rng(6).normal(0.0, 0.2, GRID.n_points))
@@ -256,4 +253,4 @@ class TestReturns:
         for seed in range(100):
             phi = random_phi(1000 + seed)
             gauged = real_return(GRID, values * np.exp(phi.phi), transform_gauge_a(a, phi))
-            np.testing.assert_allclose(gauged.values, base.values, atol=1e-10)
+            np.testing.assert_allclose(gauged, base, atol=1e-10)

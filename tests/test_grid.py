@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,11 @@ class TestRuleOfTime:
         out[0] = 9.0
         assert series[0] == 1.0
 
-    @pytest.mark.parametrize("value", [np.zeros(3), np.zeros(5), np.zeros(1)])
+    @pytest.mark.parametrize("value", [np.zeros(3), np.zeros(5), np.zeros(1), np.zeros((4, 1))])
     def test_per_interval_coverage_gap(self, value):
-        with pytest.raises(
-            ValueError, match=f"^coverage gap: r has {value.shape[0]} values for 4 intervals$"
-        ):
+        # an array of more than one dimension is named by its shape, not shape[0]
+        found = f"{value.size} values" if value.ndim == 1 else f"shape {value.shape}"
+        with pytest.raises(ValueError, match=f"^coverage gap: r has {re.escape(found)} for 4 intervals$"):
             TimeGrid(0.1, 4).per_interval(value, "r")
 
     @pytest.mark.filterwarnings("error")

@@ -670,13 +670,14 @@ class TestCli:
         "command, digest",
         [
             ("gauge", "876361c51917bc128e5cd27b66b3e25e80d995a6024d9039ff7701529f2351a7"),
-            ("discount", "9023009c9379485d310ea8b44919ab2b80365e9318d40e9ae7d98fd9e8e460ae"),
+            ("discount", "6eade9fc48043c9a3efc2f2c641490912dfc4802464a60163728f05a02d163ae"),
         ],
         ids=["gauge", "discount"],
     )
     def test_panel_report_is_unchanged(self, command, digest, fixture_csv, tmp_path):
         # the digests are of the report bodies written when B_N was still
-        # kept beside a dense [steps, N, N] field type
+        # kept beside a dense [steps, N, N] field type; the discount body
+        # without its plain-text table key
         out = tmp_path / "r.yaml"
         assert main([command, "--panel", str(fixture_csv), "--normalize", "--out", str(out)]) == EXIT_OK
         body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
@@ -704,7 +705,10 @@ class TestCli:
         report = doc["report"]
         assert report["asset_ids"][-1] == "risk-free portfolio"
         assert report["final_values"][-1] == 1.0
-        assert report["table"].startswith("Final Asset Values")
+        assert sorted(report) == [
+            "asset_ids", "cash_series_label", "cash_series_times", "cash_series_values",
+            "final_values", "metadata",
+        ]
 
     def test_discount_needs_a_non_cash_column(self, tmp_path, capsys):
         path = write_csv(tmp_path, "date,USD#cash\n2020-01-01,1.0\n2020-01-02,1.0001\n2020-01-03,1.0002\n")

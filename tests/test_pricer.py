@@ -465,14 +465,13 @@ class TestMertonResidual:
     def test_degree_one_candidates_solve_exactly(self, alpha, beta, s, h, a, b):
         # V = alpha s + beta H has no curvature and no net position term,
         # so the residual vanishes identically for every A and B
-        out = merton_residual(
+        residual = merton_residual(
             v=alpha * s + beta * h, dv_dt=0.0, dv_ds=alpha, dv_dh=beta,
             d2v_ds2=0.0, d2v_dh2=0.0, s=s, h=h,
             sigma1=0.3, sigma_hat=0.1, a=a, b=b,
         )
         scale = (1.0 + abs(alpha * s) + abs(beta * h)) * (1.0 + abs(a + b))
-        assert abs(out.residual) <= 1e-15 * scale
-        assert out.hedge_ratio == -beta
+        assert abs(residual) <= 1e-15 * scale
 
     def test_homogeneous_closed_form_solves(self):
         # V(t, s, H) = H c(s/H, tau) with c the zero-rate call at combined
@@ -491,12 +490,12 @@ class TestMertonResidual:
         dv_dh = (v(0, s, h + eps_h) - v(0, s, h - eps_h)) / (2 * eps_h)
         d2v_ds2 = (v(0, s + eps_s, h) - 2 * v(0, s, h) + v(0, s - eps_s, h)) / eps_s**2
         d2v_dh2 = (v(0, s, h + eps_h) - 2 * v(0, s, h) + v(0, s, h - eps_h)) / eps_h**2
-        out = merton_residual(
+        residual = merton_residual(
             v=v(0, s, h), dv_dt=dv_dt, dv_ds=dv_ds, dv_dh=dv_dh,
             d2v_ds2=d2v_ds2, d2v_dh2=d2v_dh2, s=s, h=h,
             sigma1=sigma1, sigma_hat=sigma_hat, a=0.03, b=0.01,
         )
-        assert abs(out.residual) < 1e-4
+        assert abs(residual) < 1e-4
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError, match="finite"):

@@ -16,9 +16,7 @@ from gaugeport import (
     apply_trade_unit_gauge,
     balance_residuals,
     constant_spec,
-    delta_hedge,
     extract_market_gauge,
-    insensitivity_residual,
     real_return,
     sensitivity_neutral_weights,
     simulate,
@@ -28,7 +26,6 @@ from gaugeport import (
 from gaugeport import riskfree
 from gaugeport.riskfree import (
     _prefix_log_return_moments,
-    is_price_insensitive,
     project_capped_simplex,
     projected_gradient,
     rebalanced_quantities,
@@ -97,40 +94,15 @@ class TestWeightVector:
 
 class TestPriceInsensitivity:
     def test_residual_of_cash_portfolio_scales_as_one_over_n(self):
-        # equal-weight portfolio of the assets themselves: residual_i = q_i,
-        # so sup_i |residual| ~ 1/N and doubles back when N halves
+        # equal-weight portfolio of the assets themselves: with identity
+        # deltas the insensitivity residual_i = sum_alpha K^alpha dP_alpha/ds_i
+        # is q_i, so sup_i |q| ~ 1/N and doubles back when N halves
         sups = []
         for n in (8, 16, 32, 64):
-            panel = random_panel(n, seed=n)
-            q, _values = rebalanced_quantities(panel, WeightVector.equal(n))
-            panel = PricePanel(grid=panel.grid, prices=panel.prices, quantities=q)
-            residual = insensitivity_residual(panel, np.eye(n))
-            sups.append(np.max(np.abs(residual)))
+            q, _values = rebalanced_quantities(random_panel(n, seed=n), WeightVector.equal(n))
+            sups.append(np.max(np.abs(q[0])))
         ratios = np.array(sups[:-1]) / np.array(sups[1:])
         assert np.all(ratios > 1.5) and np.all(ratios < 2.7)
-
-    def test_delta_hedged_book_is_insensitive(self):
-        # one option plus delta_hedge() of the underlying has zero net delta
-        option_delta = 0.63
-        q_asset = delta_hedge(option_delta, option_qty=1.0)
-        prices = np.linspace(1.0, 1.2, GRID.n_points)[:, None] * np.array([[100.0, 7.9]])
-        quantities = np.broadcast_to(np.array([q_asset, 1.0]), prices.shape)
-        panel = PricePanel(grid=GRID, prices=prices, quantities=quantities)
-        deltas = np.array([[1.0], [option_delta]])  # d(instrument)/d(underlying)
-        np.testing.assert_allclose(insensitivity_residual(panel, deltas), 0.0, atol=1e-15)
-        assert is_price_insensitive(panel, deltas)
-
-    def test_unhedged_book_is_sensitive(self):
-        prices = np.ones((GRID.n_points, 2))
-        quantities = np.broadcast_to(np.array([1.0, 1.0]), prices.shape)
-        panel = PricePanel(grid=GRID, prices=prices, quantities=quantities)
-        deltas = np.array([[1.0], [0.5]])
-        assert not is_price_insensitive(panel, deltas)
-
-    def test_requires_quantities(self):
-        panel = random_panel(2, seed=1)
-        with pytest.raises(ValueError, match="quantities"):
-            insensitivity_residual(panel, np.eye(2))
 
 
 class TestMarketGauge:
@@ -179,7 +151,7 @@ class TestMarketGauge:
         panel = random_panel(5, seed=4)
         result = extract_market_gauge(panel, WeightVector.equal(5))
         rr = real_return(GRID, result.portfolio_value_series, result.a)
-        np.testing.assert_allclose(rr.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rr, 0.0, atol=1e-12)
 
     def test_balance_residuals_vanish(self):
         panel = random_panel(5, seed=5)
