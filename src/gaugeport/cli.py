@@ -6,10 +6,10 @@ as the Monte Carlo blocks come in (:func:`gaugeport.sim.terminal_stats`),
 so it holds neither paths nor terminal prices.  Every run embeds the
 config hash and seed in its report.  Exit codes:
 0 success, 1 usage error, 2 computation error, a failed allocation
-included.  GAUGEPORT_THREADS (an integer >= 1, default 1) sets the Monte
-Carlo worker count of simulate and riskfree, whose reports do not depend
-on it; any other value is a usage error.  Nothing else reads the
-environment.
+included.  GAUGEPORT_THREADS (ASCII decimal digits for an integer >= 1,
+default 1) sets the Monte Carlo worker count of simulate and riskfree,
+whose reports do not depend on it; any other value is a usage error.
+Nothing else reads the environment.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ EXIT_COMPUTE = 2
 
 def _thread_count() -> int:
     raw = os.environ.get("GAUGEPORT_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
+    # ASCII digits only: int() also takes "1_0", " 2", "+3" and non-ASCII digits
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         raise UsageError(f"GAUGEPORT_THREADS must be an integer >= 1, got {raw!r}")
-    return count
+    return int(raw)
 
 
 def _sim_inputs(config: io.RunConfig):
@@ -168,6 +165,7 @@ def cmd_sensitivity(args, config: io.RunConfig) -> dict:
         "residual": result.residual,
         "exact": result.exact,
         "iterations": result.iterations,
+        "active_set_steps": result.active_set_steps,
         "duality_gap": result.duality_gap,
         "stop_reason": result.stop_reason,
         "equal_weight_residual": float(np.linalg.norm(gradients.T @ np.full(n, 1.0 / n))),

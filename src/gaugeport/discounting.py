@@ -20,7 +20,7 @@ import numpy as np
 
 from .gauge import PricePanel
 from .grid import TimeGrid
-from .riskfree import MarketGaugeResult, WeightVector, extract_market_gauge, to_riskfree_units
+from .riskfree import WeightVector, rebalanced_quantities
 
 CASH_TAG = "#cash"
 
@@ -98,9 +98,9 @@ def rolling_drift_vol(grid: TimeGrid, values: np.ndarray, window: int = 63) -> t
     return mu, sigma
 
 
-def _riskfree_gauge(panel: PricePanel) -> tuple[int, WeightVector, MarketGaugeResult]:
-    """Cash column, weights and market gauge of the risk-free portfolio, the
-    equal-weight portfolio of the panel's non-cash columns."""
+def _riskfree_values(panel: PricePanel) -> tuple[int, np.ndarray]:
+    """Cash column and value path of the risk-free portfolio, the equal-weight
+    portfolio of the panel's non-cash columns, rebalanced every step."""
     if panel.asset_ids is None:
         raise ValueError("panel must carry asset labels")
     cash_idx = find_cash_column(panel.asset_ids)
@@ -120,7 +120,8 @@ def _riskfree_gauge(panel: PricePanel) -> tuple[int, WeightVector, MarketGaugeRe
         prices=panel.prices[:, non_cash],
         asset_ids=tuple(panel.asset_ids[i] for i in non_cash),
     )
-    return cash_idx, weights, extract_market_gauge(riskfree_panel, weights)
+    _quantities, values = rebalanced_quantities(riskfree_panel, weights)
+    return cash_idx, values
 
 
 def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
@@ -128,24 +129,22 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
 
     The panel must carry exactly one cash column (unit price at inception)
     and every series must be normalized to 1 at inception.  The risk-free
-    portfolio is built from the non-cash columns, every instrument is quoted
-    in its units, and each asset's realized discount factor is its final
-    value in those units.  The report also carries the cash column over
-    time in those units.
+    portfolio is built from the non-cash columns, and each asset's realized
+    discount factor is its final value in its units.  The report also
+    carries the cash column over time in those units.  Only those prices
+    are converted, and of the market gauge only A = -d/dt ln(value) is formed.
     """
-    cash_idx, weights, gauge = _riskfree_gauge(panel)
-    converted = to_riskfree_units(panel, gauge.portfolio_value_series)
-
-    final_values = converted.prices[-1].copy()
+    cash_idx, values = _riskfree_values(panel)
     labels = list(panel.asset_ids)
     # The risk-free portfolio itself is the unit of account.
     labels.append("risk-free portfolio")
-    final_values = np.append(final_values, 1.0)
+    final_values = np.append(panel.prices[-1] / values[-1], 1.0)
 
     # a window longer than the panel spans all of it
     window = min(window, panel.grid.steps)
     cash_mu, cash_sigma = rolling_drift_vol(panel.grid, panel.prices[:, cash_idx], window)
-    windowed_cash_discount = gauge_discount(panel.grid, cash_mu, cash_sigma, gauge.a.a)
+    a_field = -panel.grid.rate(np.log(values))
+    windowed_cash_discount = gauge_discount(panel.grid, cash_mu, cash_sigma, a_field)
 
     metadata = {
         "cash_label": panel.asset_ids[cash_idx],
@@ -162,5 +161,5 @@ def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:
         asset_ids=tuple(labels),
         final_values=final_values,
         metadata=metadata,
-        cash_values=converted.prices[:, cash_idx].copy(),
+        cash_values=panel.prices[:, cash_idx] / values,
     )

@@ -6,8 +6,9 @@ a diagonal :class:`GaugeFieldB`, so extraction memory grows as O(steps N).
 The module also verifies the 1/sqrt(N) decay of portfolio volatility, and
 solves for weights whose expected return is insensitive to forecasting
 errors in the environment factors: accelerated projected gradient over the
-capped simplex, with an exact sort-based projection.  A Frank-Wolfe duality gap <= GAP_TOL * residual certifies the
-result (stop reason ``"gap"``): the residual is within GAP_TOL of the optimum.
+capped simplex, with an exact sort-based projection, finds the weights that
+sit at a bound, and a primal active-set method finishes the solve exactly.
+The Frank-Wolfe duality gap of the result is its certificate.
 
 :func:`riskfree_studies` runs the volatility-scaling and common-limit
 studies in one pass over one draw of the largest universe: every size is a
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,17 +37,12 @@ DIVERSIFICATION_C = 4.0
 #: How far the weights of a WeightVector may sum from one.
 WEIGHT_SUM_TOL = 1e-12
 
-#: projected_gradient stops once no weight moves by more than this in an iteration.
-MOVE_TOL = 1e-12
-
-#: projected_gradient stops once the best iterate's Frank-Wolfe gap is at most
-#: GAP_TOL times its residual: that residual is then within GAP_TOL of the optimum.
-GAP_TOL = 1e-6
-
-#: sensitivity_neutral_weights runs at most MAX_ITER projected-gradient
-#: iterations and calls its weights exact when ||w^T dmu_dxi|| <= NEUTRAL_TOL.
+#: projected_gradient stops once the weights at 0 and at the cap have stayed the
+#: same for SETTLE_ITER iterations; it and the active-set finish each take at
+#: most MAX_ITER iterations or steps.
+SETTLE_ITER = 10
 MAX_ITER = 2000
-NEUTRAL_TOL = 1e-8
+NEUTRAL_TOL = 1e-8  # the weights are exact when ||w^T dmu_dxi|| <= NEUTRAL_TOL
 
 
 @dataclass(frozen=True)
@@ -392,77 +388,84 @@ def _shift_clip(v: np.ndarray, cap: float, total: float) -> np.ndarray:
     return np.clip(v - tau, 0.0, cap)
 
 
-def _residual(g: np.ndarray, w: np.ndarray) -> float:
-    return float(np.linalg.norm(g.T @ w))
+def _held(w: np.ndarray, cap: float) -> np.ndarray:
+    """-1 for the weights at 0, 1 for those at the cap and 0 for the free ones."""
+    return (w == cap).astype(np.int8) - (w == 0.0)
 
 
-def _affine_polish(g: np.ndarray, w: np.ndarray, cap: float) -> Optional[np.ndarray]:
-    """Minimal-distance projection of w onto {sum w = 1, g^T w = 0}.
-
-    Returns None when the projected point violates the box constraints.
-    """
-    n = g.shape[0]
-    basis = np.column_stack([np.ones(n), g])  # constraints: basis^T w = (1, 0, ..)
-    rhs = np.concatenate([[1.0], np.zeros(g.shape[1])])
-    # w* = w - basis (basis^T basis)^+ (basis^T w - rhs)
-    gram = basis.T @ basis
-    correction = basis @ np.linalg.lstsq(gram, basis.T @ w - rhs, rcond=None)[0]
-    candidate = w - correction
-    if np.all(candidate >= -1e-14) and np.all(candidate <= cap + 1e-14):
-        return np.clip(candidate, 0.0, cap)
-    return None
-
-
-def projected_gradient(g: np.ndarray, w0: np.ndarray, cap: float) -> tuple[np.ndarray, int, str]:
+def projected_gradient(g: np.ndarray, w0: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
     """Accelerated projected gradient for min ||g^T w||^2 over the capped simplex.
 
-    Returns the best iterate, the number of iterations run and why the
-    iterations stopped, tested in this order: ``"residual"`` (best residual
-    below 1e-13), ``"move"`` (no weight moved by ``MOVE_TOL``), ``"gap"`` (see
-    ``GAP_TOL``) or ``"max_iter"``.  The gap test only adds a stop.  Any
-    feasible s bounds the gap below by 2 (|g^T w|^2 - <g^T w, g^T s>), so the
-    gap is formed only when neither the start nor the last vertex rules it out.
+    Returns the last iterate and the number of iterations, once the weights
+    at 0 and at the cap have stayed the same for ``SETTLE_ITER`` iterations
+    or after ``MAX_ITER``.
     """
     g2 = 2.0 * g  # grad f(w) = g2 @ (g^T w)
     step = 1.0 / max(2.0 * np.linalg.norm(g, 2) ** 2, 1e-300)
-    w = y = best = w0  # every iterate is a fresh array, never written in place
+    w = y = w0  # every iterate is a fresh array, never written in place
     t = 1.0
-    best_res = _residual(g, w)
-    gap = math.inf
-    g_start = g_vertex = g.T @ w0
-    iterations = 0
-    reason = "max_iter"
+    held, settled, iterations = _held(w0, cap), 0, 0
     for iterations in range(1, MAX_ITER + 1):
-        grad = g2 @ (g.T @ y)
-        w_new = project_capped_simplex(y - step * grad, cap)
+        w_new = project_capped_simplex(y - step * (g2 @ (g.T @ y)), cap)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
-        delta = w_new - w
-        y = w_new + ((t - 1.0) / t_new) * delta
-        move = np.abs(delta).max()
+        y = w_new + ((t - 1.0) / t_new) * (w_new - w)
         w, t = w_new, t_new
-        gw = g.T @ w
-        sq = gw @ gw
-        res = math.sqrt(sq)  # the bits of _residual: np.linalg.norm is sqrt(gw.dot(gw))
-        if res < best_res:
-            best, best_res, gap = w, res, math.inf
-            floor = sq - 0.5 * GAP_TOL * res  # gap <= GAP_TOL res needs gw . g^T s >= floor
-            if gw @ g_start >= floor and gw @ g_vertex >= floor:
-                gap, vertex = _frank_wolfe_gap(g2 @ gw, w, cap)
-                g_vertex = g.T @ vertex
-        if best_res < 1e-13:
-            reason = "residual"
+        held, before = _held(w, cap), held
+        settled = settled + 1 if np.array_equal(held, before) else 0
+        if settled == SETTLE_ITER:
             break
-        if move < MOVE_TOL:
-            reason = "move"
-            break
-        if gap <= GAP_TOL * best_res:
-            reason = "gap"
-            break
-    return best, iterations, reason
+    return w, iterations
 
 
-def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
-    """Duality gap <grad, w - s> of f(w) = ||g^T w||^2 on the capped simplex, and s.
+def _active_set_finish(g: np.ndarray, w: np.ndarray, cap: float) -> tuple[np.ndarray, int, str]:
+    """Primal active-set solve of min ||g^T w||^2 on the capped simplex from w.
+
+    The weights at a bound are held; the free ones take the minimum-norm step
+    to their face's minimizer (the face Hessian has rank <= n_factors), cut at
+    the first bound it crosses, whose weight is then held.  At a face
+    minimizer the free gradient entries share one value nu, and the held
+    weight with the most negative multiplier (grad - nu at 0, nu - grad at
+    the cap) is freed (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    16.5).  Returns the weights, the number of steps that held or freed a
+    weight, and ``"optimal"``, or ``"max_steps"`` after ``MAX_ITER``.
+    """
+    w = w.copy()
+    held = _held(w, cap)
+    if held.all():
+        # the sum fixes one weight at the cap: the one with the largest gradient is free
+        held[np.argmax(np.where(held > 0, g @ (g.T @ w), -np.inf))] = 0
+    eps = np.finfo(float).eps
+    noise = eps * np.abs(g).sum(axis=1).max() * np.abs(g).max()  # bounds the rounding of grad
+    for steps in range(MAX_ITER):
+        free = np.flatnonzero(held == 0)
+        centred = g[free] - g[free].mean(axis=0)
+        # singular values at the rounding level of g[free] count as 0: the centring
+        # leaves one along the ones, tied rows more, and the solve would blow them up
+        floor, size = eps * max(centred.shape) * np.linalg.norm(g[free]), np.linalg.norm(centred)
+        p = np.zeros(free.size)
+        if size > floor:
+            p = np.linalg.lstsq(centred.T, -(g.T @ w), rcond=floor / size)[0]
+            p -= p.mean()  # the sum of p is 0 up to rounding: keep it at 0
+        room = np.where(p < 0, 0.0, cap) - w[free]
+        crossing = np.flatnonzero(np.abs(room) < np.abs(p))
+        if crossing.size:
+            ratios = room[crossing] / p[crossing]
+            k = crossing[np.argmin(ratios)]
+            w[free] = np.clip(w[free] + ratios.min() * p, 0.0, cap)
+            w[free[k]], held[free[k]] = (0.0, -1) if p[k] < 0 else (cap, 1)
+            continue
+        w[free] = np.clip(w[free] + p, 0.0, cap)
+        grad = g @ (g.T @ w)
+        multipliers = held * (grad[free].mean() - grad)
+        j = np.argmin(multipliers)
+        if multipliers[j] >= -noise:
+            return w, steps, "optimal"
+        held[j] = 0
+    return w, MAX_ITER, "max_steps"
+
+
+def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray, cap: float) -> float:
+    """Duality gap <grad, w - s> of f(w) = ||g^T w||^2 on the capped simplex.
 
     grad is grad f(w).  s minimizes the linearization over the set: the most
     negative gradient entries filled up to the cap (Jaggi, ICML 2013).  By
@@ -475,7 +478,7 @@ def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray, cap: float) -> tuple[float
         order = np.argpartition(grad, n_full)
         s[order[n_full]] = 1.0 - n_full * cap
         s[order[n_full + 1 :]] = 0.0
-    return float(grad @ (w - s)), s
+    return float(grad @ (w - s))
 
 
 @dataclass(frozen=True)
@@ -484,37 +487,32 @@ class SensitivityResult:
     residual: float
     exact: bool  # residual below the neutrality tolerance
     iterations: int  # projected-gradient iterations
+    active_set_steps: int  # finish steps that held or freed a weight
     duality_gap: float  # Frank-Wolfe gap: residual - optimum <= min(residual, gap / residual)
-    # why the solve stopped: "zero_gradient" (the start is already neutral, no
-    # iterations) or projected_gradient's "residual", "move", "max_iter" or
-    # "gap", which certifies residual - optimum <= GAP_TOL
-    stop_reason: str
+    stop_reason: str  # "zero_gradient" (neutral start), "optimal" or "max_steps"
 
 
 def sensitivity_neutral_weights(problem: SensitivityProblem) -> SensitivityResult:
     """Weights minimizing the drift sensitivity ||w^T dmu_dxi|| on the capped simplex.
 
-    Deterministic initialization at equal weights, ``MAX_ITER`` iterations of
-    accelerated projected gradient at most, then a final projection onto
-    the exact-neutrality affine subspace when that projection stays feasible.
-    The returned residual never exceeds the starting point's; the result
-    carries the iteration count, the reason the iterations stopped and the
-    Frank-Wolfe duality gap of the returned weights.  The polish only lowers
-    a feasible residual, so a ``"gap"`` stop's certificate still holds.
+    From equal weights, projected gradient runs until the weights at the
+    bounds settle, and the active-set finish solves the problem exactly from
+    there.  The Frank-Wolfe gap of the result is reported as computed: at an
+    exact optimum it can round to just below 0.
     """
     g = problem.dmu_dxi
-    n = problem.n
-    w0 = project_capped_simplex(np.full(n, 1.0 / n), problem.cap)
-    if _residual(g, w0) == 0.0:
+    n, cap = problem.n, problem.cap
+    w = project_capped_simplex(np.full(n, 1.0 / n), cap)
+    if np.linalg.norm(g.T @ w) == 0.0:
         # zero residual means a zero gradient, so the gap is zero too
-        return SensitivityResult(WeightVector(w0), 0.0, True, 0, 0.0, "zero_gradient")
-    w, iterations, reason = projected_gradient(g, w0, problem.cap)
-    polished = _affine_polish(g, w, problem.cap)
-    if polished is not None:
-        polished = project_capped_simplex(polished, problem.cap)
-        if _residual(g, polished) < _residual(g, w):
-            w = polished
-    res = _residual(g, w)
-    gap, _vertex = _frank_wolfe_gap(2.0 * g @ (g.T @ w), w, problem.cap)
-    return SensitivityResult(WeightVector(w), res, res <= NEUTRAL_TOL, iterations, gap, reason)
-
+        return SensitivityResult(WeightVector(w), 0.0, True, 0, 0, 0.0, "zero_gradient")
+    iterations, steps, reason = 0, 0, "optimal"
+    if n * cap > 1.0:  # else the equal weights are the only feasible point
+        w, iterations = projected_gradient(g, w, cap)
+        w, steps, reason = _active_set_finish(g, w, cap)
+    gw = g.T @ w
+    res = float(np.linalg.norm(gw))
+    gap = _frank_wolfe_gap(2.0 * g @ gw, w, cap)
+    return SensitivityResult(
+        WeightVector(w), res, res <= NEUTRAL_TOL, iterations, steps, gap, reason
+    )

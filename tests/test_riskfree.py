@@ -563,7 +563,7 @@ class TestSensitivityNeutralWeights:
         # up to rounding in the last place of each side
         assert result.residual**2 - optimum**2 <= result.duality_gap + 1e-12
         assert result.residual - optimum <= result.duality_gap / result.residual + 1e-12
-        assert result.stop_reason == "gap" and result.duality_gap <= 1e-6 * result.residual
+        assert result.stop_reason == "optimal" and result.duality_gap <= 1e-10 * result.residual
 
     @pytest.mark.parametrize(
         "g,cap",
@@ -594,45 +594,84 @@ class TestSensitivityNeutralWeights:
 
     def test_zero_gradient_needs_no_iterations(self):
         result = sensitivity_neutral_weights(SensitivityProblem(np.zeros((8, 2)), cap=0.5))
-        assert result.iterations == 0 and result.duality_gap == 0.0
+        assert (result.iterations, result.active_set_steps, result.duality_gap) == (0, 0, 0.0)
         assert result.stop_reason == "zero_gradient"
 
-    def test_stops_on_residual_at_a_neutral_point(self):
+    def test_neutral_point_is_reached_exactly(self):
         g = np.array([[1.0], [-1.0], [0.5], [-0.4]])
         result = sensitivity_neutral_weights(SensitivityProblem(g, cap=0.5))
-        assert result.stop_reason == "residual"
-        assert 0 < result.iterations < 2000 and result.residual < 1e-13
+        assert result.stop_reason == "optimal" and result.exact
+        assert 0 < result.iterations < 100 and result.residual <= 1e-13
 
-    def test_stops_on_move_at_a_vertex(self):
-        # one positive factor: the optimum caps the two smallest gradients,
-        # and the iterates reach it exactly; its duality gap certifies it one
-        # iteration before the move test would stop the solve
+    def test_vertex_optimum_is_exact(self):
+        # one positive factor: the optimum caps the two smallest gradients
         g = np.array([[1.0], [2.0], [3.0], [4.0]])
         result = sensitivity_neutral_weights(SensitivityProblem(g, cap=0.5))
-        assert result.stop_reason == "gap"
-        assert 0 < result.iterations < 2000 and not result.exact
+        assert result.stop_reason == "optimal" and not result.exact
         np.testing.assert_array_equal(result.weights.w, [0.5, 0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [40, 49])
+    def test_cap_c_one_holds_equal_weights(self, n):
+        # cap 1/N leaves the equal weights as the only feasible point, also
+        # when 1/N is not a binary fraction (N * cap rounds to 1 at 40, below at 49)
+        g = np.random.default_rng(n).standard_normal((n, 3))
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=1.0 / n))
+        assert (result.iterations, result.active_set_steps, result.stop_reason) == (0, 0, "optimal")
+        np.testing.assert_allclose(result.weights.w, 1.0 / n, rtol=1e-15)
+
+    def test_finish_frees_a_held_weight(self):
+        # from the worst vertex every weight is held, and weight 3, held at 0,
+        # must end at the cap: the finish has to free it
+        g = np.array([[4.0], [3.0], [2.0], [1.0]])
+        w, steps, reason = riskfree._active_set_finish(g, np.array([0.5, 0.5, 0.0, 0.0]), 0.5)
+        assert reason == "optimal" and steps >= 2
+        np.testing.assert_array_equal(w, [0.0, 0.0, 0.5, 0.5])
 
     def test_stops_at_the_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(riskfree, "MAX_ITER", 3)
         g = np.random.default_rng(5).standard_normal((6, 3)) + 0.3
         w0 = np.full(6, 1.0 / 6)
-        _w, iterations, reason = projected_gradient(g, w0, cap=4.0 / 6)
-        assert (iterations, reason) == (3, "max_iter")
+        _w, iterations = projected_gradient(g, w0, cap=4.0 / 6)
+        assert iterations == 3
 
-    def test_gap_stop_keeps_the_iterates(self, monkeypatch):
-        # the benchmark's fixed problem stops on its gap; without the gap test
-        # and capped at the same iteration, the solve returns the same bits
+    def test_finish_stops_at_its_step_bound(self, monkeypatch):
+        # one projected-gradient iteration leaves the benchmark's fixed problem
+        # far from its optimal face, so one finish step cannot reach it
+        monkeypatch.setattr(riskfree, "MAX_ITER", 1)
+        problem = SensitivityProblem(philox_gradients(64, 32, 2), cap=2.0 / 64)
+        result = sensitivity_neutral_weights(problem)
+        assert (result.iterations, result.active_set_steps, result.stop_reason) == (1, 1, "max_steps")
+        w = result.weights.w
+        assert np.all(w >= 0.0) and np.all(w <= 2.0 / 64)
+
+    def test_projected_gradient_stops_once_the_bounds_settle(self, monkeypatch):
+        # the weights at 0 and at the cap are the same SETTLE_ITER iterations
+        # before the last one
         g = philox_gradients(64, 32, 2)
         cap = 2.0 / 64
         w0 = np.full(64, 1.0 / 64)
-        best, iterations, reason = projected_gradient(g, w0, cap)
-        assert reason == "gap" and iterations < 1000
-        monkeypatch.setattr(riskfree, "GAP_TOL", -np.inf)
-        monkeypatch.setattr(riskfree, "MAX_ITER", iterations)
-        capped, capped_iterations, capped_reason = projected_gradient(g, w0, cap)
-        assert (capped_iterations, capped_reason) == (iterations, "max_iter")
-        np.testing.assert_array_equal(capped, best)
+        w, iterations = projected_gradient(g, w0, cap)
+        assert riskfree.SETTLE_ITER < iterations < 100
+        monkeypatch.setattr(riskfree, "MAX_ITER", iterations - riskfree.SETTLE_ITER)
+        earlier, _ = projected_gradient(g, w0, cap)
+        np.testing.assert_array_equal(riskfree._held(earlier, cap), riskfree._held(w, cap))
+        assert np.any(riskfree._held(w, cap) != 0)
+
+    @pytest.mark.parametrize(
+        "n, k, cap_c, seed, residual",
+        [(256, 64, 1.2, 9, 0.2428788754082), (128, 100, 1.1, 11, 0.7099132329478)],
+        ids=["256x64", "128x100"],
+    )
+    def test_non_neutral_optimum_is_certified(self, n, k, cap_c, seed, residual):
+        # certified to 1e-10, at or below the residual that projected gradient
+        # alone reached with a 1e-6 gap; at the optimum the gap may round to
+        # just below 0.  The CLI tests take the 64 x 32 and 512 x 128 problems.
+        g = philox_gradients(n, k, seed)
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=cap_c / n))
+        grad = 2.0 * g @ (g.T @ result.weights.w)
+        assert result.stop_reason == "optimal" and not result.exact
+        assert -1e-15 * max(1.0, np.abs(grad).max()) <= result.duality_gap <= 1e-10 * result.residual
+        assert result.residual <= residual
 
     def test_matches_global_grid_oracle_small_n(self):
         # residual - optimum <= min(residual, gap / residual) is proven for any
