@@ -20,7 +20,7 @@ import numpy as np
 
 from .gauge import PricePanel
 from .grid import TimeGrid
-from .riskfree import WeightVector, rebalanced_quantities
+from .riskfree import WeightVector, rebalanced_values
 
 CASH_TAG = "#cash"
 
@@ -111,17 +111,9 @@ def _riskfree_values(panel: PricePanel) -> tuple[int, np.ndarray]:
             "panel is not normalized: scale every series to price 1 at inception "
             "(ingest with normalize=True)"
         )
-    non_cash = [i for i in range(panel.n_assets) if i != cash_idx]
-    weights = WeightVector.equal(len(non_cash))
+    weights = WeightVector.equal(panel.n_assets - 1)
     weights.require_riskfree()
-
-    riskfree_panel = PricePanel(
-        grid=panel.grid,
-        prices=panel.prices[:, non_cash],
-        asset_ids=tuple(panel.asset_ids[i] for i in non_cash),
-    )
-    _quantities, values = rebalanced_quantities(riskfree_panel, weights)
-    return cash_idx, values
+    return cash_idx, rebalanced_values(np.delete(panel.prices, cash_idx, axis=1), weights)
 
 
 def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:

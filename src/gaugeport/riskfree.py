@@ -3,6 +3,8 @@
 A diversified portfolio rebalanced to fixed positive weights defines the
 market gauge A(t) = -d/dt ln(s.q) and the trade-unit field B_N = q_dot/q,
 a diagonal :class:`GaugeFieldB`, so extraction memory grows as O(steps N).
+Its value path is one cumulative product of the weighted gross returns, and
+its holdings one broadcast of it.
 The module also verifies the 1/sqrt(N) decay of portfolio volatility, and
 solves for weights whose expected return is insensitive to forecasting
 errors in the environment factors: accelerated projected gradient over the
@@ -124,35 +126,34 @@ class SensitivityProblem:
 # Market gauge extraction
 # ---------------------------------------------------------------------------
 
-def rebalanced_quantities(panel: PricePanel, w: WeightVector) -> tuple[np.ndarray, np.ndarray]:
-    """Holdings and value path, from 1, of a portfolio rebalanced to w each step.
+def rebalanced_values(prices: np.ndarray, w: WeightVector) -> np.ndarray:
+    """Value path, from 1, of a portfolio of the price columns rebalanced to w each step.
 
-    q[k] = w * Pi[k] / s[k] immediately after the step-k rebalance;
-    Pi[k+1] = s[k+1] . q[k].  Rebalancing is cost neutral at current prices.
+    V[k+1] = V[k] * ((s[k+1] / s[k]) . w): rebalancing is cost neutral at
+    current prices, so each step's gross return is the weighted mean of the
+    assets' gross returns.
     """
-    if w.n != panel.n_assets:
+    if w.n != prices.shape[1]:
         raise ValueError("weight length does not match the panel")
-    n_points = panel.grid.n_points
-    values = np.empty(n_points)
-    quantities = np.empty_like(panel.prices)
+    values = np.empty(prices.shape[0])
     values[0] = 1.0
-    for k in range(n_points):
-        quantities[k] = w.w * values[k] / panel.prices[k]
-        if k + 1 < n_points:
-            values[k + 1] = panel.prices[k + 1] @ quantities[k]
+    np.cumprod((prices[1:] / prices[:-1]) @ w.w, out=values[1:])
     if np.any(values <= 0):
         raise ValueError("portfolio value hit zero or below")
-    return quantities, values
+    return values
 
 
 def extract_market_gauge(panel: PricePanel, w: WeightVector) -> MarketGaugeResult:
     """Market gauge A = -d/dt ln(s.q) and diagonal B_N = q_dot/q.
 
-    With vector holdings the defining relation s.q_dot = s.B_N.q is
-    under-determined and the diagonal entries q_dot^i / q^i are its minimal
-    solution, so memory is O(steps N).
+    The holdings after each rebalance are q[k] = w V[k] / s[k].  With vector
+    holdings the defining relation s.q_dot = s.B_N.q is under-determined and
+    the diagonal entries q_dot^i / q^i are its minimal solution, so memory is
+    O(steps N).
     """
-    quantities, values = rebalanced_quantities(panel, w)
+    values = rebalanced_values(panel.prices, w)
+    quantities = w.w * values[:, None]
+    quantities /= panel.prices
     grid = panel.grid
     a = GaugeFieldA(grid, -grid.rate(np.log(values)))
     # q_dot / q, divided in place
@@ -401,7 +402,9 @@ def projected_gradient(g: np.ndarray, w0: np.ndarray, cap: float) -> tuple[np.nd
     or after ``MAX_ITER``.
     """
     g2 = 2.0 * g  # grad f(w) = g2 @ (g^T w)
-    step = 1.0 / max(2.0 * np.linalg.norm(g, 2) ** 2, 1e-300)
+    # the simplex cannot move along the rows' common mean, so the step is set
+    # by the curvature of the centred gradients
+    step = 1.0 / max(2.0 * np.linalg.norm(g - g.mean(axis=0), 2) ** 2, 1e-300)
     w = y = w0  # every iterate is a fresh array, never written in place
     t = 1.0
     held, settled, iterations = _held(w0, cap), 0, 0

@@ -669,15 +669,15 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            ("gauge", "876361c51917bc128e5cd27b66b3e25e80d995a6024d9039ff7701529f2351a7"),
-            ("discount", "6eade9fc48043c9a3efc2f2c641490912dfc4802464a60163728f05a02d163ae"),
+            ("gauge", "2e25ed628088de2b3ff082f52ac4480f781af8491332a21e660cbcdc3744a60d"),
+            ("discount", "0233900a5ae84ed849ae14e31782c62c31061914be6b9d6bed8a713f52102a50"),
         ],
         ids=["gauge", "discount"],
     )
     def test_panel_report_is_unchanged(self, command, digest, fixture_csv, tmp_path):
-        # the digests are of the report bodies written when B_N was still
-        # kept beside a dense [steps, N, N] field type; the discount body
-        # without its plain-text table key
+        # the digests are of the report bodies written since the value path
+        # is one cumulative product of the weighted gross returns; the
+        # per-step loop gave the same arrays to 5.2e-14 of their largest entry
         out = tmp_path / "r.yaml"
         assert main([command, "--panel", str(fixture_csv), "--normalize", "--out", str(out)]) == EXIT_OK
         body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
@@ -721,10 +721,8 @@ class TestCli:
     def test_discount_extracts_the_gauge_once(self, fixture_csv, tmp_path, monkeypatch):
         # the risk-free portfolio is built once, and its value path gives A
         calls = []
-        build = discounting.rebalanced_quantities
-        monkeypatch.setattr(
-            discounting, "rebalanced_quantities", lambda *a: calls.append(1) or build(*a)
-        )
+        build = discounting.rebalanced_values
+        monkeypatch.setattr(discounting, "rebalanced_values", lambda *a: calls.append(1) or build(*a))
         out = tmp_path / "d.yaml"
         assert main(["discount", "--panel", str(fixture_csv), "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
@@ -841,19 +839,28 @@ class TestCli:
     )
     def test_overflow_is_a_one_line_error(self, command, message, threads, tmp_path):
         # exp overflows in the Monte Carlo tasks, an affine drift overflows in
-        # the process function before them, and large B or A overflow the PDE
-        # steps; no numpy warning may reach stderr ahead of the error,
-        # whichever thread formed the values
+        # the process function before them, a large B overflows the PDE steps,
+        # and a large A, sigma or tau the span of the price grid; no numpy
+        # warning may reach stderr ahead of the error, whichever thread formed
+        # the values
         riskfree = "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
-        texts = {"price": ["pde: {b: 1.0e+10}\n", "pde: {a: 1.0e+300}\n"]}.get(command, [
-            "simulate: {process_params: {mu: 100000.0}}\n" + riskfree,
-            "simulate: {xi: 1.0e+308, process: affine, process_params: {mu1: 10.0}}\n" + riskfree,
+        span = "price grid [K/span, K*span] is not finite"
+        texts = {
+            "price": [
+                ("pde: {b: 1.0e+10}\n", message),
+                ("pde: {a: 1.0e+300}\n", span),
+                ("pde: {sigma: 1.0e+10}\n", span),
+                ("pde: {tau: 1.0e+300}\n", span),
+            ],
+        }.get(command, [
+            ("simulate: {process_params: {mu: 100000.0}}\n" + riskfree, message),
+            ("simulate: {xi: 1.0e+308, process: affine, process_params: {mu1: 10.0}}\n" + riskfree, message),
         ])
         src = str(Path(gaugeport.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env.update(GAUGEPORT_THREADS=threads, PYTHONPATH=src)
         config = tmp_path / "run.yaml"
-        for text in texts:
+        for text, expected in texts:
             config.write_text(text)
             argv = [command, "--config", str(config), "--out", str(tmp_path / "r.yaml")]
             proc = subprocess.run(
@@ -861,7 +868,7 @@ class TestCli:
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert proc.returncode == EXIT_COMPUTE, text
-            assert proc.stderr.count("\n") == 1 and message in proc.stderr, (text, proc.stderr)
+            assert proc.stderr.count("\n") == 1 and expected in proc.stderr, (text, proc.stderr)
             assert not (tmp_path / "r.yaml").exists()
 
     def test_riskfree_report_does_not_depend_on_threads(self, tmp_path, monkeypatch):

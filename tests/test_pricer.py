@@ -94,7 +94,8 @@ class TestPdeSolver:
         assert abs(today.value_at(STRIKE) - exact) / exact < 1e-3
 
     def test_grid_span_follows_sigma_and_a(self):
-        # ln(span) = 8 sigma_max sqrt(tau) + int |A| dtau, clipped to [0.2, ln 8]
+        # ln(span) = max(8 sigma_max sqrt(tau) + int |A| dtau clipped to [0.2, ln 8],
+        # 5 sigma_max sqrt(tau) + int |A| dtau)
         sigma = np.full(400, 0.1)
         sigma[:100] = 0.15
         a_field = np.linspace(-0.05, 0.05, 400)
@@ -103,18 +104,37 @@ class TestPdeSolver:
         np.testing.assert_allclose([s[0], s[-1]], [STRIKE / span, STRIKE * span], rtol=1e-12)
         flat = vanilla_problem("put", STRIKE, 0.0, TAU).s_grid
         np.testing.assert_allclose(flat[-1] / flat[0], np.exp(0.4), rtol=1e-12)
-        # 8 sigma sqrt(tau) >= ln 8: exactly the [K/8, 8K] grid
+        # 8 sigma sqrt(tau) >= ln 8 > 5 sigma sqrt(tau): exactly the [K/8, 8K] grid
         wide = vanilla_problem("call", STRIKE, 0.4, TAU).s_grid
         assert np.array_equal(wide, log_price_grid(STRIKE, 400, 8.0))
+        # 5 sigma sqrt(tau) > ln 8: five log-price standard deviations
+        wider = vanilla_problem("call", STRIKE, 1.0, TAU, a_field=-0.05).s_grid
+        assert np.array_equal(wider, log_price_grid(STRIKE, 400, np.exp(5.05)))
+
+    @pytest.mark.parametrize("sigma, tol", [(1.0, 1e-3), (2.0, 1e-3), (5.0, 2e-2)])
+    def test_large_sigma_matches_closed_form(self, sigma, tol):
+        # the span grows with sigma sqrt(tau), so the Dirichlet truncation
+        # error does not: at 400^2 the ln 8 cap gave 2.7e-2 at sigma = 2
+        today = solve_today(vanilla_problem("call", STRIKE, sigma, TAU))
+        exact = bs_closed_form(STRIKE, STRIKE, sigma, TAU)
+        assert abs(today.value_at(STRIKE) - exact) / exact < tol
 
     @pytest.mark.parametrize("fields", [{"b_scalar": 1e10}, {"a_field": 1e300}])
     @pytest.mark.parametrize("solve", [solve_today])
     def test_overflow_is_degenerate_without_warnings(self, solve, fields):
+        # a large B overflows the solve; int |A| dtau = 1e300 already overflows the span
+        message = "price grid" if "a_field" in fields else "non-finite option values"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            problem = vanilla_problem("call", STRIKE, SIGMA, TAU, **fields)
-            with pytest.raises(DegenerateProblem, match="non-finite option values"):
-                solve(problem)
+            with pytest.raises(DegenerateProblem, match=message):
+                solve(vanilla_problem("call", STRIKE, SIGMA, TAU, **fields))
+
+    @pytest.mark.parametrize("sigma, tau", [(1e10, TAU), (SIGMA, 1e300)])
+    def test_span_that_overflows_is_degenerate_without_warnings(self, sigma, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateProblem, match=r"price grid \[K/span, K\*span\] is not finite"):
+                vanilla_problem("call", STRIKE, sigma, tau)
 
     def test_put_call_parity_with_fields(self):
         a, b = -0.03, 0.05

@@ -28,7 +28,7 @@ from gaugeport.riskfree import (
     _prefix_log_return_moments,
     project_capped_simplex,
     projected_gradient,
-    rebalanced_quantities,
+    rebalanced_values,
     riskfree_studies,
 )
 from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block, noise_stream
@@ -99,10 +99,50 @@ class TestPriceInsensitivity:
         # is q_i, so sup_i |q| ~ 1/N and doubles back when N halves
         sups = []
         for n in (8, 16, 32, 64):
-            q, _values = rebalanced_quantities(random_panel(n, seed=n), WeightVector.equal(n))
+            q = extract_market_gauge(random_panel(n, seed=n), WeightVector.equal(n)).quantities
             sups.append(np.max(np.abs(q[0])))
         ratios = np.array(sups[:-1]) / np.array(sups[1:])
         assert np.all(ratios > 1.5) and np.all(ratios < 2.7)
+
+
+def looped_holdings(prices: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference holdings and value path, one rebalance per step:
+    q[k] = w V[k] / s[k] and V[k+1] = s[k+1] . q[k], from V[0] = 1."""
+    values = np.empty(prices.shape[0])
+    quantities = np.empty_like(prices)
+    values[0] = 1.0
+    for k in range(prices.shape[0]):
+        quantities[k] = w * values[k] / prices[k]
+        if k + 1 < prices.shape[0]:
+            values[k + 1] = prices[k + 1] @ quantities[k]
+    return quantities, values
+
+
+class TestRebalancedValues:
+    @pytest.mark.parametrize("steps, n", [(1, 1), (1, 7), (40, 1), (40, 5), (500, 30), (250, 200)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_per_step_loop(self, steps, n, seed):
+        rng = np.random.default_rng([steps, n, seed])
+        prices = np.exp(np.cumsum(0.05 * rng.standard_normal((steps + 1, n)), axis=0))
+        w = rng.uniform(0.5, 1.5, n)
+        weights = WeightVector(w / w.sum())
+        q_ref, v_ref = looped_holdings(prices, weights.w)
+        values = rebalanced_values(prices, weights)
+        assert values[0] == 1.0
+        np.testing.assert_allclose(values, v_ref, rtol=1e-13, atol=0)
+        result = extract_market_gauge(PricePanel(TimeGrid(0.01, steps), prices), weights)
+        assert np.array_equal(result.portfolio_value_series, values)
+        np.testing.assert_allclose(result.quantities, q_ref, rtol=1e-13, atol=0)
+
+    def test_weight_length_must_match(self):
+        with pytest.raises(ValueError, match="weight length"):
+            rebalanced_values(np.ones((3, 2)), WeightVector.equal(3))
+
+    def test_value_hitting_zero_is_rejected(self):
+        # a short position that loses everything in the first step
+        prices = np.array([[1.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(ValueError, match="hit zero"):
+            rebalanced_values(prices, WeightVector(np.array([1.5, -0.5])))
 
 
 class TestMarketGauge:
@@ -672,6 +712,15 @@ class TestSensitivityNeutralWeights:
         assert result.stop_reason == "optimal" and not result.exact
         assert -1e-15 * max(1.0, np.abs(grad).max()) <= result.duality_gap <= 1e-10 * result.residual
         assert result.residual <= residual
+
+    def test_common_mean_does_not_shrink_the_step(self):
+        # rows that share a mean of 1 and differ by 1e-6: a step from ||g||
+        # barely moved the iterates, and the finish then held one weight a step
+        g = 1.0 + 1e-6 * np.random.default_rng(1).standard_normal((287, 236))
+        result = sensitivity_neutral_weights(SensitivityProblem(g, cap=1.5 / 287))
+        assert result.stop_reason == "optimal" and result.active_set_steps <= 5
+        assert result.iterations < 100
+        assert abs(result.duality_gap) <= 1e-10 * result.residual
 
     def test_matches_global_grid_oracle_small_n(self):
         # residual - optimum <= min(residual, gap / residual) is proven for any
