@@ -113,7 +113,9 @@ def _riskfree_values(panel: PricePanel) -> tuple[int, np.ndarray]:
         )
     weights = WeightVector.equal(panel.n_assets - 1)
     weights.require_riskfree()
-    return cash_idx, rebalanced_values(np.delete(panel.prices, cash_idx, axis=1), weights)
+    # the cash column is held at weight 0, so the prices are not copied
+    held = WeightVector(np.insert(weights.w, cash_idx, 0.0))
+    return cash_idx, rebalanced_values(panel.prices, held)
 
 
 def empirical_pipeline(panel: PricePanel, window: int = 63) -> DiscountReport:

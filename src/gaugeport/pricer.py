@@ -19,7 +19,13 @@ The floor keeps sigma = A = 0 on a strictly increasing grid, and wherever
 the second rule is below ln 8 the first alone sets the grid.  On the default
 400 x 400 grid an at-the-money call with tau = 1 is off the closed form by a
 relative 1.5e-4 at sigma = 1, 6.6e-4 at sigma = 2 and 1.6e-2 at sigma = 5.
-A span or grid end that is not finite raises :class:`DegenerateProblem`.
+A span or grid end that is not finite raises :class:`DegenerateProblem`,
+and so does a grid widened past [K/8, 8K] whose nodes are more than
+``MAX_LOG_STEP`` = 0.125 apart in ln s (sigma = 5 on 400 nodes) or whose
+sigma_max sqrt(tau) is above ``MAX_SIGMA_SQRT_TAU`` = 5.  Past that the
+drift sigma^2 tau / 2 of ln s outruns the five-deviation span: with nodes
+0.125 apart the call above is off by 5.8e-2 at sigma = 10 and 0.48 at
+sigma = 100, and on 400 nodes it read 1.6e-17 at sigma = 50.
 
 Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
 is LU-factored once with LAPACK ``dgttrf`` (again only where the
@@ -50,6 +56,11 @@ ArrayLike = Union[float, np.ndarray]
 
 #: Implicit-Euler start-up steps of the Crank-Nicolson solve.
 RANNACHER_STEPS = 2
+
+#: Widest node spacing in ln s, and largest sigma_max sqrt(tau), of a grid
+#: that :func:`vanilla_problem` widens past [K/8, 8K].
+MAX_LOG_STEP = 0.125
+MAX_SIGMA_SQRT_TAU = 5.0
 
 
 class DegenerateProblem(ValueError):
@@ -201,15 +212,24 @@ def vanilla_problem(
     sigma_max = np.max(grid.per_interval(sigma, "sigma"))
     with np.errstate(all="ignore"):  # an overflow is caught below
         int_abs_a = grid.integral(np.abs(grid.per_interval(a_field, "a_field")))
-        span = max(
-            min(8.0, np.exp(max(8.0 * sigma_max * np.sqrt(tau) + int_abs_a, 0.2))),
-            np.exp(5.0 * sigma_max * np.sqrt(tau) + int_abs_a),
-        )
+        spread = sigma_max * np.sqrt(tau)
+        ln_wide = 5.0 * spread + int_abs_a
+        span = max(min(8.0, np.exp(max(8.0 * spread + int_abs_a, 0.2))), np.exp(ln_wide))
         s = log_price_grid(strike, n_s, span)
     if not (0.0 < s[0] and s[-1] < np.inf):  # NaN fails this test
         raise DegenerateProblem(
             f"price grid [K/span, K*span] is not finite: sigma {sigma_max:g}, tau {tau:g}, "
             f"int |A| dtau {int_abs_a:g}"
+        )
+    if spread > MAX_SIGMA_SQRT_TAU:
+        raise DegenerateProblem(
+            f"sigma sqrt(tau) = {spread:g} is above {MAX_SIGMA_SQRT_TAU:g}: "
+            "the drift of ln s outruns the price grid"
+        )
+    if span > 8.0 and 2.0 * ln_wide / n_s > MAX_LOG_STEP:
+        raise DegenerateProblem(
+            f"price grid too coarse: ln(span) = {ln_wide:g} needs n_s >= "
+            f"{2 * int(np.ceil(ln_wide / MAX_LOG_STEP))} for nodes {MAX_LOG_STEP:g} apart in ln s"
         )
     if kind == "call":
         payoff = lambda sg: np.maximum(sg - strike, 0.0)

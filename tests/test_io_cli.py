@@ -670,7 +670,7 @@ class TestCli:
         "command, digest",
         [
             ("gauge", "2e25ed628088de2b3ff082f52ac4480f781af8491332a21e660cbcdc3744a60d"),
-            ("discount", "0233900a5ae84ed849ae14e31782c62c31061914be6b9d6bed8a713f52102a50"),
+            ("discount", "477efb017aeddde8d80a1aa9b2237f04daef9f29509bc880c84523eeffa08569"),
         ],
         ids=["gauge", "discount"],
     )
@@ -840,17 +840,20 @@ class TestCli:
     def test_overflow_is_a_one_line_error(self, command, message, threads, tmp_path):
         # exp overflows in the Monte Carlo tasks, an affine drift overflows in
         # the process function before them, a large B overflows the PDE steps,
-        # and a large A, sigma or tau the span of the price grid; no numpy
-        # warning may reach stderr ahead of the error, whichever thread formed
-        # the values
+        # and a large A, sigma or tau the span of the price grid, or a sigma
+        # whose drift outruns it; no numpy warning may reach stderr ahead of
+        # the error, whichever thread formed the values
         riskfree = "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
         span = "price grid [K/span, K*span] is not finite"
+        drift = "the drift of ln s outruns the price grid"
         texts = {
             "price": [
                 ("pde: {b: 1.0e+10}\n", message),
                 ("pde: {a: 1.0e+300}\n", span),
                 ("pde: {sigma: 1.0e+10}\n", span),
                 ("pde: {tau: 1.0e+300}\n", span),
+                ("pde: {sigma: 20.0}\n", drift),
+                ("pde: {sigma: 100.0}\n", drift),
             ],
         }.get(command, [
             ("simulate: {process_params: {mu: 100000.0}}\n" + riskfree, message),

@@ -136,6 +136,25 @@ class TestPdeSolver:
             with pytest.raises(DegenerateProblem, match=r"price grid \[K/span, K\*span\] is not finite"):
                 vanilla_problem("call", STRIKE, sigma, tau)
 
+    @pytest.mark.parametrize(
+        "sigma, n_s, message",
+        [
+            # the at-the-money call read 11.47 at sigma = 20 and 2.0e28 at sigma = 100
+            (20.0, 400, r"sigma sqrt\(tau\) = 20 is above 5"),
+            (100.0, 400, r"sigma sqrt\(tau\) = 100 is above 5"),
+            # ln(span) = 25 on 398 nodes is a step of 0.1256 in ln s
+            (5.0, 398, r"price grid too coarse: ln\(span\) = 25 needs n_s >= 400"),
+            (1.0, 78, r"needs n_s >= 80"),
+        ],
+    )
+    def test_widened_grid_past_its_bounds_is_degenerate(self, sigma, n_s, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateProblem, match=message):
+                vanilla_problem("call", STRIKE, sigma, TAU, n_s=n_s)
+        # a grid that stays within [K/8, 8K] keeps any node count
+        vanilla_problem("call", STRIKE, 0.4, TAU, n_s=10)
+
     def test_put_call_parity_with_fields(self):
         a, b = -0.03, 0.05
         call = solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=a, b_scalar=b))
