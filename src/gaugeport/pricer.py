@@ -24,8 +24,8 @@ and so does a grid widened past [K/8, 8K] whose nodes are more than
 ``MAX_LOG_STEP`` = 0.125 apart in ln s (sigma = 5 on 400 nodes) or whose
 sigma_max sqrt(tau) is above ``MAX_SIGMA_SQRT_TAU`` = 5.  Past that the
 drift sigma^2 tau / 2 of ln s outruns the five-deviation span: with nodes
-0.125 apart the call above is off by 5.8e-2 at sigma = 10 and 0.48 at
-sigma = 100, and on 400 nodes it read 1.6e-17 at sigma = 50.
+0.125 apart the call above would be off by 5.8e-2 at sigma = 10 and 0.48
+at sigma = 100, and 400 nodes would price it at 1.6e-17 at sigma = 50.
 
 Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
 is LU-factored once with LAPACK ``dgttrf`` (again only where the

@@ -152,8 +152,6 @@ class TestPdeSolver:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateProblem, match=message):
                 vanilla_problem("call", STRIKE, sigma, TAU, n_s=n_s)
-        # a grid that stays within [K/8, 8K] keeps any node count
-        vanilla_problem("call", STRIKE, 0.4, TAU, n_s=10)
 
     def test_put_call_parity_with_fields(self):
         a, b = -0.03, 0.05
