@@ -41,27 +41,23 @@ def _thread_count() -> int:
 def _sim_inputs(config: io.RunConfig):
     section = config.section("simulate")
     # load_config checks that horizon is a whole number of dt steps
-    steps = round(float(section["horizon"]) / float(section["dt"]))
-    grid = TimeGrid(dt=float(section["dt"]), steps=steps)
-    env = sim.EnvironmentSeries.constant(grid, float(section["xi"]))
+    steps = round(section["horizon"] / section["dt"])
+    grid = TimeGrid(dt=section["dt"], steps=steps)
+    env = sim.EnvironmentSeries.constant(grid, section["xi"])
     return section, grid, env
 
 
 def _process(section: dict, n_assets: int) -> sim.ProcessSpec:
-    if section["process"] == "constant":
-        for key, value in section["process_params"].items():
-            if type(value) is list and len(value) not in (1, n_assets):
-                raise UsageError(
-                    f"invalid config: simulate.process_params.{key} has {len(value)} values, "
-                    f"not 1 or one per asset of the run ({n_assets})"
-                )
-    return build_process(section["process"], section["process_params"], n_assets, section["noise"])
+    # load_config checked the parameters; what is left depends on the run's n_assets
+    try:
+        return build_process(section["process"], section["process_params"], n_assets, section["noise"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_simulate(args, config: io.RunConfig) -> dict:
     section, grid, env = _sim_inputs(config)
-    n_paths, n_assets = int(section["n_paths"]), int(section["n_assets"])
-    seed = int(section["seed"])
+    n_paths, n_assets, seed = section["n_paths"], section["n_assets"], section["seed"]
     # the paths start at 1, so the terminal prices are the gross returns
     stats = sim.terminal_stats(
         _process(section, n_assets), env, grid, n_paths, seed, n_jobs=_thread_count()
@@ -96,7 +92,7 @@ def cmd_gauge(args, config: io.RunConfig) -> dict:
 def cmd_riskfree(args, config: io.RunConfig) -> dict:
     section, grid, env = _sim_inputs(config)
     rf = config.section("riskfree")
-    seed = int(section["seed"])
+    seed = section["seed"]
     sizes = list(rf["sizes"])
     n_max = max(sizes)
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
@@ -104,7 +100,7 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
     w_b /= w_b.sum()
     study = riskfree.riskfree_studies(
         _process(section, n_max), env, grid, riskfree.WeightVector(w_b),
-        sizes, int(rf["n_paths"]), seed, n_jobs=_thread_count(),
+        sizes, rf["n_paths"], seed, n_jobs=_thread_count(),
     )
     body = {
         "sizes": list(study.sizes),
@@ -119,12 +115,11 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
 def cmd_price(args, config: io.RunConfig) -> dict:
     pde = config.section("pde")
     problem = pricer.vanilla_problem(
-        pde["payoff"], float(pde["strike"]), float(pde["sigma"]), float(pde["tau"]),
-        a_field=float(pde["a"]), b_scalar=float(pde["b"]),
-        n_s=int(pde["n_s"]), n_t=int(pde["n_t"]),
+        pde["payoff"], pde["strike"], pde["sigma"], pde["tau"],
+        a_field=pde["a"], b_scalar=pde["b"], n_s=pde["n_s"], n_t=pde["n_t"],
     )
     today = pricer.solve_today(problem)
-    strike = float(pde["strike"])
+    strike = pde["strike"]
     stride = max(1, today.s_grid.size // 32)
     body = {
         "at_the_money_value": today.value_at(strike),
@@ -140,7 +135,7 @@ def cmd_discount(args, config: io.RunConfig) -> dict:
         raise UsageError("discount requires --panel")
     disc = config.section("discount")
     panel = io.ingest(args.panel, normalize=args.normalize)
-    report = discounting.empirical_pipeline(panel, window=int(disc["window"]))
+    report = discounting.empirical_pipeline(panel, window=disc["window"])
     body = {
         "asset_ids": list(report.asset_ids),
         "final_values": report.final_values,
@@ -154,11 +149,10 @@ def cmd_discount(args, config: io.RunConfig) -> dict:
 
 def cmd_sensitivity(args, config: io.RunConfig) -> dict:
     sens = config.section("sensitivity")
-    n = int(sens["n_assets"])
-    seed = int(sens["seed"])
+    n, seed = sens["n_assets"], sens["seed"]
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    gradients = rng.standard_normal((n, int(sens["n_factors"])))
-    problem = riskfree.SensitivityProblem(gradients, cap=float(sens["cap_c"]) / n)
+    gradients = rng.standard_normal((n, sens["n_factors"]))
+    problem = riskfree.SensitivityProblem(gradients, cap=sens["cap_c"] / n)
     result = riskfree.sensitivity_neutral_weights(problem)
     body = {
         "weights": result.weights.w,

@@ -23,9 +23,7 @@ import json
 import math
 import re
 import secrets
-import sys
 import warnings
-from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, TextIO
@@ -34,7 +32,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .catalog import FAMILIES
+from .catalog import FAMILIES, family_params, finite_number
+from .discounting import CASH_TAG
 from .gauge import PricePanel
 from .grid import TimeGrid
 from .sim import NOISE_TAGS, SEED_LIMIT
@@ -64,8 +63,8 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
     labels = header[1:]
     if not labels:
         raise PanelFormatError(f"{path}: header must list a date column and at least one asset")
-    if sum(l.endswith("#cash") for l in labels) > 1:
-        raise PanelFormatError(f"{path}: at most one column may carry the #cash tag")
+    if sum(l.endswith(CASH_TAG) for l in labels) > 1:
+        raise PanelFormatError(f"{path}: at most one column may carry the {CASH_TAG} tag")
     dates: list[date] = []
     for r, line in enumerate(lines, start=1):
         cell = line.partition(",")[0]
@@ -156,7 +155,7 @@ _DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
         "dt": 1.0 / 64,
         "noise": "normal",
         "process": "constant",
-        "process_params": {"mu": 0.05, "sigma": 0.2},
+        "process_params": FAMILIES["constant"][0],
         "xi": 0.0,
     },
     "riskfree": {
@@ -178,34 +177,34 @@ _DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
 }
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Validated key-value configuration with per-command sections."""
+    """A run configuration: the user's sections in ``data``, and the
+    effective config built from them once, which the commands run and the
+    report's provenance hashes.  Raises ValueError for ``process_params``
+    that ``catalog.family_params`` rejects; :func:`load_config` checks the rest."""
 
-    data: dict[str, dict[str, Any]] = field(default_factory=dict)
+    def __init__(self, data: dict[str, dict[str, Any]]):
+        self.data = data
+        self._effective = {
+            name: {
+                key: float(value) if type(defaults[key]) is float else value
+                for key, value in {**defaults, **data.get(name, {})}.items()
+            }
+            for name, defaults in _DEFAULT_CONFIG.items()
+        }
+        sim = self._effective["simulate"]
+        # the user's parameters only: the default ones belong to the default family
+        params = data.get("simulate", {}).get("process_params", {})
+        sim["process_params"] = family_params(sim["process"], params)
 
     def section(self, name: str) -> dict[str, Any]:
-        merged = dict(_DEFAULT_CONFIG.get(name, {}))
-        merged.update(self.data.get(name, {}))
-        return merged
+        """One section of :meth:`effective`, the dict itself: do not mutate it."""
+        return self._effective[name]
 
     def effective(self) -> dict[str, dict[str, Any]]:
-        """Every section as the commands run it: the defaults under the
-        user's values, float keys as floats, and ``process_params`` as the
-        chosen family's parameters, each the given value or its default."""
-        config = {name: self.section(name) for name in _DEFAULT_CONFIG}
-        for name, section in config.items():
-            for key, value in section.items():
-                if type(_DEFAULT_CONFIG[name][key]) is float:
-                    section[key] = float(value)
-        sim = config["simulate"]
-        family = FAMILIES[sim["process"]][0]
-        params = {key: sim["process_params"].get(key, default) for key, default in family.items()}
-        sim["process_params"] = {
-            key: [float(v) for v in value] if type(value) is list else float(value)
-            for key, value in params.items()
-        }
-        return config
+        """Every section as the commands run it: the defaults under the user's values, float
+        keys as floats, and ``process_params`` as ``catalog.family_params`` completes them."""
+        return self._effective
 
     def sha256(self) -> str:
         """SHA-256 of the effective config, so restating a default keeps the hash."""
@@ -216,10 +215,10 @@ class RunConfig:
 
 #: Each key takes values of its default's type: an integer key rejects floats
 #: and bools, a float key takes any finite number.  ``process_params`` is a
-#: mapping checked against the chosen family in ``catalog.FAMILIES``.
+#: mapping that ``catalog.family_params`` checks against the chosen family.
 _KINDS = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    float: ("a finite number", finite_number),
     str: ("a string", lambda v: type(v) is str),
     list: ("a list", lambda v: type(v) is list),
     dict: ("a mapping", lambda v: type(v) is dict),
@@ -230,7 +229,8 @@ def load_config(path: Optional[str | Path]) -> RunConfig:
     """Load and validate a YAML RunConfig; a missing path or an empty file means all defaults.
 
     Raises ValueError with a one-line message for malformed YAML, unknown
-    sections or keys, values of the wrong type and out-of-range values.
+    sections or keys, values of the wrong type and out-of-range values, all
+    checked on the effective config the commands run, not on the file's text.
     """
     if path is None:
         return RunConfig({})
@@ -265,35 +265,6 @@ def _require(cond: bool, message: str) -> None:
 
 def _validate(config: RunConfig) -> None:
     sim = config.section("simulate")
-    _require(sim["process"] in FAMILIES, f"unknown process {sim['process']!r}")
-    # the user's process_params only (the defaults belong to the default family):
-    # the family's names, each a finite number or, if allowed, a nonempty list of them
-    params = config.data.get("simulate", {}).get("process_params", {})
-    names, lists = FAMILIES[sim["process"]]
-    unknown = sorted(set(params) - set(names), key=str)
-    _require(not unknown, f"unknown process_params for process {sim['process']}: {unknown}")
-    number = _KINDS[float][1]
-    kind = "a finite number or a nonempty list of them" if lists else "a finite number"
-    for key, value in params.items():
-        _require(
-            number(value) or (lists and type(value) is list and value and all(map(number, value))),
-            f"simulate.process_params.{key} must be {kind}, got {value!r}",
-        )
-    # constant and sector-block take sigma as given; affine clips its sigma at 0
-    for key in set(params) & {"sigma", "sigma_sectors"}:
-        value = params[key]
-        _require(
-            min(value if type(value) is list else [value]) >= 0,
-            f"simulate.process_params.{key} must be >= 0, got {value!r}",
-        )
-    if sim["process"] == "sector-block":
-        mus, sigmas = ({**names, **params}[k] for k in ("mu_sectors", "sigma_sectors"))
-        counts = [len(v) if type(v) is list else 1 for v in (mus, sigmas)]
-        _require(
-            counts[0] == counts[1],
-            "simulate.process_params.mu_sectors and sigma_sectors must have equal length, "
-            f"got {counts[0]} and {counts[1]}",
-        )
     _require(sim["n_assets"] >= 1, "simulate.n_assets must be >= 1")
     _require(sim["n_paths"] >= 1, "simulate.n_paths must be >= 1")
     _require(sim["horizon"] > 0, "simulate.horizon must be positive")

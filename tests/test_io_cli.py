@@ -257,8 +257,10 @@ class TestRunConfig:
                 "simulate: {process: affine, process_params: {mu0: 0, sigma0: 0.2}}\n",
                 "simulate: {process: affine}\n",
             ),
+            # restates sigma and leaves mu to the family's default, the default run's 0.05
+            ("simulate: {process_params: {sigma: 0.2}}\n", ""),
         ],
-        ids=["every-default", "ints-and-family-defaults", "affine-defaults"],
+        ids=["every-default", "ints-and-family-defaults", "affine-defaults", "restated-sigma"],
     )
     def test_restated_defaults_hash_like_no_config(self, text, plain, tmp_path):
         (tmp_path / "a.yaml").write_text(text)
@@ -267,6 +269,11 @@ class TestRunConfig:
         assert restated == load_config(tmp_path / "b.yaml").sha256()
         if not plain:
             assert restated == load_config(None).sha256()
+        # the same hash runs the same config: the reports match byte for byte
+        for name in ("a", "b"):
+            argv = ["simulate", "--config", str(tmp_path / f"{name}.yaml"), "--no-timestamp"]
+            assert main([*argv, "--out", str(tmp_path / f"{name}-report.yaml")]) == EXIT_OK
+        assert (tmp_path / "a-report.yaml").read_bytes() == (tmp_path / "b-report.yaml").read_bytes()
 
     def test_changing_any_default_changes_the_hash(self):
         base = RunConfig({}).sha256()

@@ -170,6 +170,26 @@ class TestProcessModel:
         spec = build_process("sector-block", {"mu_sectors": 0.04, "sigma_sectors": 0.3}, 3)
         assert_same_bits(spec.vol_matrix(ENV), np.full((GRID.steps, 3), 0.3))
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("constant", {"sigma": -0.2}, "simulate.process_params.sigma must be >= 0, got -0.2"),
+            (
+                "sector-block", {"mu_sectors": [0.1, 0.2]},
+                "simulate.process_params.mu_sectors and sigma_sectors must have equal length, got 2 and 1",
+            ),
+            (
+                "constant", {"mu": [0.1, 0.2]},
+                "simulate.process_params.mu has 2 values, not 1 or one per asset of the run (3)",
+            ),
+        ],
+        ids=["negative-sigma", "sector-lengths", "per-asset-length"],
+    )
+    def test_bad_params_raise_the_config_message(self, family, params, message):
+        with pytest.raises(ValueError) as raised:
+            build_process(family, params, 3)
+        assert str(raised.value) == f"invalid config: {message}"
+
     def test_unbroadcastable_shape_rejected(self):
         spec = ProcessSpec(3, mu=lambda x: np.zeros(2), sigma=lambda x: 0.1)
         with pytest.raises(ValueError, match="broadcastable"):
