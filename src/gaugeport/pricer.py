@@ -29,26 +29,31 @@ at sigma = 100, and 400 nodes would price it at 1.6e-17 at sigma = 50.
 
 Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
 is LU-factored once with LAPACK ``dgttrf`` (again only where the
-coefficients change between intervals).  With h = dt/2 the Crank-Nicolson
-step is M^-1 (I + hL) = 2 M^-1 - I, so each step is one ``dgttrs`` solve
-and two vector operations, no band product: w = M^-1 (2v) with the ends of
-the right-hand side set to bc + v, then v = w - v with its ends set to the
-Dirichlet data bc.  The ``RANNACHER_STEPS`` start-up steps are two
-implicit half steps each, with the same factors.  :func:`solve_today` is
-the one solve: it steps from expiry back to today holding two price rows
-and returns today's slice.  The steps run with floating-point warnings
-off, and a solve whose values overflow to inf or NaN raises
-:class:`DegenerateProblem`.  Deltas are differentiated from the values on
-demand.  scipy is imported inside the functions that use it, so importing
-the package does not load it.
+coefficients change between intervals).  ``dgttrf`` and ``dgttrs`` are
+bound through ctypes, on first use, from the OpenBLAS that numpy links
+(:func:`_lapack`), so the package loads no LAPACK of its own.  With
+h = dt/2 the Crank-Nicolson step is M^-1 (I + hL) = 2 M^-1 - I, so each
+step is one ``dgttrs`` solve and two vector operations, no band product:
+w = M^-1 (2v) with the ends of the right-hand side set to bc + v, then
+v = w - v with its ends set to the Dirichlet data bc.  The
+``RANNACHER_STEPS`` start-up steps are two implicit half steps each, with
+the same factors.  :func:`solve_today` is the one solve: it steps from
+expiry back to today holding two price rows and returns today's slice.
+The steps run with floating-point warnings off, and a solve whose values
+overflow to inf or NaN raises :class:`DegenerateProblem`.  Deltas are
+differentiated from the values on demand.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .grid import TimeGrid
 
@@ -61,6 +66,12 @@ RANNACHER_STEPS = 2
 #: that :func:`vanilla_problem` widens past [K/8, 8K].
 MAX_LOG_STEP = 0.125
 MAX_SIGMA_SQRT_TAU = 5.0
+
+#: numpy's linear-algebra extension: the OpenBLAS it links holds the LAPACK
+#: routines the solver binds, under the names of scipy-openblas64 (numpy >= 2.0
+#: wheels) with int64 integers.
+_LAPACK_LIBRARY = _umath_linalg.__file__
+_LAPACK_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_")
 
 
 class DegenerateProblem(ValueError):
@@ -169,17 +180,32 @@ def bs_closed_form(s: float, e: float, sigma: float, tau: float) -> float:
 
 
 def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) -> float:
-    """Textbook Black-Scholes call with constant rate r (reduction oracle)."""
-    from scipy.special import ndtr
+    """Textbook Black-Scholes call with constant rate r (reduction oracle).
 
-    if tau <= 0:
+    s and e must be positive, sigma and tau nonnegative, and all five
+    finite; anything else raises ValueError naming the argument.
+    """
+    for name, value, rule, ok in (
+        ("s", s, "positive and finite", s > 0),
+        ("e", e, "positive and finite", e > 0),
+        ("sigma", sigma, "nonnegative and finite", sigma >= 0),
+        ("tau", tau, "nonnegative and finite", tau >= 0),
+        ("r", r, "finite", True),
+    ):
+        if not (ok and math.isfinite(value)):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    if tau == 0:
         return max(s - e, 0.0)
-    if sigma <= 0:
-        return max(s - e * np.exp(-r * tau), 0.0)
-    st = sigma * np.sqrt(tau)
-    d1 = (np.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
+    if sigma == 0:
+        return max(s - e * math.exp(-r * tau), 0.0)
+    st = sigma * math.sqrt(tau)
+    d1 = (math.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
     d2 = d1 - st
-    return float(s * ndtr(d1) - e * np.exp(-r * tau) * ndtr(d2))
+    return s * _norm_cdf(d1) - e * math.exp(-r * tau) * _norm_cdf(d2)
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +309,79 @@ def _boundary_values(problem: PdeProblem, int_a_b: np.ndarray, int_b: np.ndarray
     return terminal[0] * growth_s, terminal[-1] * growth_s
 
 
+@functools.cache
+def _lapack():
+    """LAPACK ``dgttrf`` and ``dgttrs`` of the OpenBLAS numpy links, bound on first use.
+
+    Every argument is passed by address; ``dgttrs`` takes the length of its
+    TRANS string last.  A numpy whose LAPACK lacks the symbols raises
+    OSError naming them.
+    """
+    library = ctypes.CDLL(_LAPACK_LIBRARY)
+    try:
+        gttrf, gttrs = (getattr(library, name) for name in _LAPACK_SYMBOLS)
+    except AttributeError:
+        raise OSError(
+            f"numpy's LAPACK has no {' and '.join(_LAPACK_SYMBOLS)}: the pricer needs the "
+            "scipy-openblas64 that numpy >= 2.0 wheels link"
+        ) from None
+    gttrf.argtypes = [ctypes.c_void_p] * 7
+    gttrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+    gttrf.restype = gttrs.restype = None
+    return gttrf, gttrs
+
+
+def _require_vector(array: np.ndarray, size: int) -> None:
+    # LAPACK reads and writes size doubles from the array's address
+    if array.dtype != np.float64 or array.shape != (size,) or not array.flags.c_contiguous:
+        raise ValueError(f"LAPACK needs a contiguous float64 vector of {size}")
+
+
+def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """LAPACK ``dgttrf``: LU-factor the tridiagonal matrix with bands dl, d, du in place.
+
+    Returns the factors (dl, d, du, du2, ipiv) that :func:`_gttrs` solves
+    with.  A singular matrix raises :class:`DegenerateProblem`.
+    """
+    n = d.size
+    for band, size in ((dl, n - 1), (d, n), (du, n - 1)):
+        _require_vector(band, size)
+    du2 = np.empty(max(n - 2, 0))
+    ipiv = np.empty(n, dtype=np.int64)
+    info = ctypes.c_int64()
+    _lapack()[0](
+        ctypes.byref(ctypes.c_int64(n)), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
+        du2.ctypes.data, ipiv.ctypes.data, ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise DegenerateProblem("singular implicit step matrix")
+    return dl, d, du, du2, ipiv
+
+
+def _gttrs(factors, b: np.ndarray) -> Callable[[], None]:
+    """LAPACK ``dgttrs`` bound to ``_gttrf`` factors and to b: each call overwrites b with M^-1 b.
+
+    The addresses are taken here, once; the caller keeps ``factors`` and b
+    alive for as long as it calls the result.
+    """
+    n = factors[1].size
+    _require_vector(b, n)
+    size = ctypes.byref(ctypes.c_int64(n))
+    return functools.partial(
+        _lapack()[1], b"N", size, ctypes.byref(ctypes.c_int64(1)),
+        *(f.ctypes.data for f in factors), b.ctypes.data, size, ctypes.byref(ctypes.c_int64()), 1,
+    )
+
+
 def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n: int):
     """LU factors of (I - theta_dt L) with identity rows at the Dirichlet ends."""
-    from scipy.linalg.lapack import dgttrf
-
     dl = np.full(n - 1, -theta_dt * lower)
     d = np.full(n, 1.0 - theta_dt * diag)
     du = np.full(n - 1, -theta_dt * upper)
     dl[-1] = 0.0
     d[0] = d[-1] = 1.0
     du[0] = 0.0
-    *factors, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info != 0:
-        raise DegenerateProblem("singular implicit step matrix")
-    return factors
+    return _gttrf(dl, d, du)
 
 
 def solve_today(problem: PdeProblem) -> OptionSlice:
@@ -311,8 +396,6 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
     docstring).  Two price rows are held, so memory is O(n_s) for any
     number of steps.
     """
-    from scipy.linalg.lapack import dgttrs
-
     s = problem.s_grid
     dx = _log_step(s)
     dt = problem.t_grid.dt
@@ -328,29 +411,32 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
             [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
         )[::-1]
         bc_lo, bc_hi = _boundary_values(problem, int_ab_rev[:-1], int_b_rev[:-1])
+        bc_lo, bc_hi = bc_lo.tolist(), bc_hi.tolist()
 
         # refactor at the last interval and wherever (sigma, A, B) changes
         sig, a_f, b_f = problem.sigma, problem.a_field, problem.b_scalar
         refactor = np.ones(steps, dtype=bool)
         refactor[:-1] = (sig[:-1] != sig[1:]) | (a_f[:-1] != a_f[1:]) | (b_f[:-1] != b_f[1:])
 
+        # both rows are solved in place: their addresses hold for the whole loop
         v = np.array(problem.payoff(s), dtype=float)
         rhs = np.empty(n)
         for k in range(steps - 1, -1, -1):
             if refactor[k]:
                 factors = _factor_implicit(*_operator_bands(sig[k], a_f[k], b_f[k], dx), half_dt, n)
+                solve_v, solve_rhs = _gttrs(factors, v), _gttrs(factors, rhs)
             if steps - 1 - k < RANNACHER_STEPS:
                 # Rannacher start-up: two implicit-Euler half steps
                 for _ in range(2):
                     v[0], v[-1] = bc_lo[k], bc_hi[k]
-                    v = dgttrs(*factors, v, overwrite_b=1)[0]
+                    solve_v()
             else:
                 # (I - hL)^-1 (I + hL) v = 2 (I - hL)^-1 v - v: solve for
                 # w with right-hand side 2v, whose ends bc + v make the ends
                 # of w - v the Dirichlet data, then set them to it exactly
                 np.multiply(v, 2.0, out=rhs)
                 rhs[0], rhs[-1] = bc_lo[k] + v[0], bc_hi[k] + v[-1]
-                rhs = dgttrs(*factors, rhs, overwrite_b=1)[0]
+                solve_rhs()
                 np.subtract(rhs, v, out=v)
                 v[0], v[-1] = bc_lo[k], bc_hi[k]
     _require_finite(v)

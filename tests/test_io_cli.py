@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import gaugeport
 from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
-from gaugeport import cli, discounting, sim
+from gaugeport import cli, discounting, pricer, sim
 from gaugeport.sim import EnvironmentSeries
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
@@ -637,7 +637,7 @@ class TestCli:
         config = tmp_path / "run.yaml"
         config.write_text("pde: {n_s: 1600, n_t: 1600}\n")
         argv = ["price", "--config", str(config), "--out", str(tmp_path / "p.yaml")]
-        assert main(argv) == EXIT_OK  # imports scipy outside the traced run
+        assert main(argv) == EXIT_OK  # binds LAPACK outside the traced run
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -759,6 +759,49 @@ class TestCli:
         assert modules == "[]"
         assert code == str(EXIT_OK)
         assert read_report(tmp_path / "p.yaml")["report"]["at_the_money_value"] > 0
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_command_runs_without_scipy(self, command, fixture_csv, tmp_path):
+        # scipy is a test dependency only: with every scipy import made to
+        # fail, a command loads no scipy module and writes a normal run's bytes
+        argv = [command, "--no-timestamp"]
+        if command in ("gauge", "discount"):
+            argv += ["--panel", str(fixture_csv)]
+        normal, blocked = tmp_path / "normal.yaml", tmp_path / "blocked.yaml"
+        assert main([*argv, "--out", str(normal)]) == EXIT_OK
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gaugeport.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert [m for m in sys.modules if m.startswith('scipy')] == ['scipy']\n"
+            "raise SystemExit(code)\n"
+        )
+        src = str(Path(gaugeport.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(blocked)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert blocked.read_bytes() == normal.read_bytes()
+
+    def test_lapack_without_the_symbols_is_a_one_line_error(self, monkeypatch, tmp_path, capsys):
+        # a library whose dependencies hold no scipy-openblas64 stands in for
+        # a numpy that links another LAPACK
+        import _ctypes
+
+        monkeypatch.setattr(pricer, "_LAPACK_LIBRARY", _ctypes.__file__)
+        pricer._lapack.cache_clear()
+        try:
+            code = main(["price", "--out", str(tmp_path / "p.yaml")])
+        finally:
+            pricer._lapack.cache_clear()
+        err = capsys.readouterr().err
+        assert code == EXIT_COMPUTE
+        assert err.count("\n") == 1 and err.startswith("error: OSError: ")
+        assert "scipy_dgttrf_64_" in err and "scipy_dgttrs_64_" in err
+        assert not (tmp_path / "p.yaml").exists()
 
     def test_sensitivity_command(self, tmp_path):
         # the default problem, 64 assets x 3 factors at cap 4/N, has a neutral optimum

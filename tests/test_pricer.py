@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -17,6 +18,7 @@ from gaugeport import (
     solve_today,
     vanilla_problem,
 )
+from gaugeport import pricer
 from gaugeport.pricer import RANNACHER_STEPS, DegenerateProblem, PdeProblem, log_price_grid
 from gaugeport.sim import EnvironmentSeries
 
@@ -52,6 +54,38 @@ class TestClosedForms:
         assert bs_closed_form_rate(105, 100, 0.25, 0.7, 0.0) == pytest.approx(
             bs_closed_form(105, 100, 0.25, 0.7), rel=1e-14
         )
+
+    def test_erfc_form_matches_ndtr_form(self):
+        # the difference of the two terms cancels on out-of-the-money
+        # calls, so the forms' rounding is bounded against the spot, which
+        # bounds the call: relative to the value it reaches 2e-14 here
+        from scipy.special import ndtr
+
+        for s, e, sigma, tau, r in itertools.product(
+            (50.0, 80.0, 100.0, 125.0, 200.0), (80.0, 90.0, 100.0, 110.0, 125.0),
+            (0.05, 0.1, 0.2, 0.4, 1.0, 3.0), (0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 10.0),
+            (-0.05, 0.0, 0.03, 0.1),
+        ):
+            spread = sigma * np.sqrt(tau)
+            d1 = (np.log(s / e) + (r + 0.5 * sigma**2) * tau) / spread
+            ndtr_form = s * ndtr(d1) - e * np.exp(-r * tau) * ndtr(d1 - spread)
+            assert abs(bs_closed_form_rate(s, e, sigma, tau, r) - ndtr_form) <= 1e-15 * s
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((100.0, 100.0, np.nan, 1.0, 0.0), "sigma"),
+            ((100.0, 100.0, 0.2, np.nan, 0.0), "tau"),
+            ((100.0, 0.0, 0.2, 1.0, 0.0), "e"),
+            ((-1.0, 100.0, 0.2, 1.0, 0.0), "s"),
+            ((100.0, 100.0, -0.2, 1.0, 0.0), "sigma"),
+            ((100.0, 100.0, 0.2, -1.0, 0.0), "tau"),
+            ((100.0, 100.0, 0.2, 1.0, np.inf), "r"),
+        ],
+    )
+    def test_bad_inputs_raise_naming_the_argument(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bs_closed_form_rate(*args)
 
 
 class TestPdeSolver:
@@ -361,7 +395,7 @@ class TestRollingSolve:
         # a 1600 x 1600 surface would be 1601 rows; the solve holds
         # two price rows plus per-step boundary data and LU factors
         problem = vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=1600, n_t=n_t)
-        solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=10, n_t=2))  # imports scipy
+        solve_today(vanilla_problem("call", STRIKE, SIGMA, TAU, n_s=10, n_t=2))  # binds LAPACK
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -375,18 +409,58 @@ class TestRollingSolve:
     def test_one_lapack_solve_per_step(self, monkeypatch, steps):
         # each Rannacher step is two implicit half steps, every later
         # Crank-Nicolson step one solve with the same LU factors
-        import scipy.linalg.lapack
-
+        gttrf, gttrs = pricer._lapack()
         calls = []
-        dgttrs = scipy.linalg.lapack.dgttrs
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(None)
-            return dgttrs(*args, **kwargs)
+            return gttrs(*args)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counted)
+        monkeypatch.setattr(pricer, "_lapack", lambda: (gttrf, counted))
         solve_today(per_interval_problem("call", steps=steps))
         assert len(calls) == steps + RANNACHER_STEPS
+
+
+class TestLapackBinding:
+    """The ctypes dgttrf and dgttrs give scipy's factors and solutions, bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 401, 1601])
+    @pytest.mark.parametrize("dominant", [True, False])
+    def test_matches_scipy(self, n, dominant):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        rng = np.random.default_rng(n)
+        dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+        if dominant:
+            d += np.sign(d) * 4.0
+        *expected, info = dgttrf(dl, d, du)
+        assert info == 0
+        factors = pricer._gttrf(dl.copy(), d.copy(), du.copy())
+        for got, want in zip(factors, expected):
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
+        # LAPACK swaps rows where a sub-diagonal entry outweighs the pivot
+        ipiv = factors[-1]
+        assert np.array_equal(ipiv, np.arange(1, n + 1)) == dominant
+        b = rng.standard_normal(n)
+        want = dgttrs(*expected, b)[0]
+        pricer._gttrs(factors, b)()
+        assert b.tobytes() == want.tobytes()
+
+    def test_singular_matrix_raises(self):
+        # an interior row 1 - theta_dt * diag = 0 with no off-diagonal entries
+        with pytest.raises(DegenerateProblem, match="^singular implicit step matrix$"):
+            pricer._factor_implicit(0.0, 1.0, 0.0, 1.0, 5)
+        # B = 4 makes that row of M = I - (dt/2) L zero at dt = 1/2, sigma = A = 0
+        problem = vanilla_problem("call", STRIKE, 0.0, TAU, b_scalar=4.0, n_s=10, n_t=2)
+        with pytest.raises(DegenerateProblem, match="^singular implicit step matrix$"):
+            solve_today(problem)
+
+    def test_rejects_a_buffer_lapack_would_overrun(self):
+        factors = pricer._factor_implicit(1.0, -2.0, 1.0, 0.01, 5)
+        with pytest.raises(ValueError, match="contiguous float64 vector of 5"):
+            pricer._gttrs(factors, np.zeros(4))
+        with pytest.raises(ValueError, match="contiguous float64 vector of 4"):
+            pricer._gttrf(np.zeros(4), np.ones(5), np.zeros(3))
 
 
 class TestTwoOperatorOracle:
