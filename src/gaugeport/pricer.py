@@ -30,7 +30,7 @@ at sigma = 100, and 400 nodes would price it at 1.6e-17 at sigma = 50.
 Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
 is LU-factored once with LAPACK ``dgttrf`` (again only where the
 coefficients change between intervals).  ``dgttrf`` and ``dgttrs`` are
-bound through ctypes, on first use, from the OpenBLAS that numpy links
+bound through ctypes, on first use, from the LAPACK that numpy links
 (:func:`_lapack`), so the package loads no LAPACK of its own.  With
 h = dt/2 the Crank-Nicolson step is M^-1 (I + hL) = 2 M^-1 - I, so each
 step is one ``dgttrs`` solve and two vector operations, no band product:
@@ -49,8 +49,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -67,11 +68,16 @@ RANNACHER_STEPS = 2
 MAX_LOG_STEP = 0.125
 MAX_SIGMA_SQRT_TAU = 5.0
 
-#: numpy's linear-algebra extension: the OpenBLAS it links holds the LAPACK
-#: routines the solver binds, under the names of scipy-openblas64 (numpy >= 2.0
-#: wheels) with int64 integers.
-_LAPACK_LIBRARY = _umath_linalg.__file__
-_LAPACK_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_")
+#: Names of LAPACK ``dgttrf`` and ``dgttrs`` in the libraries numpy links,
+#: each pair with its integer type, in the order :func:`_lapack` tries them:
+#: the scipy-openblas64 of numpy >= 2.0 wheels, the scipy-openblas32 of
+#: wheels built with 32-bit integers, and the plain LP64 names (Accelerate,
+#: reference LAPACK, a distribution's OpenBLAS).
+_LAPACK_SYMBOLS = (
+    ("scipy_dgttrf_64_", "scipy_dgttrs_64_", ctypes.c_int64),
+    ("scipy_dgttrf_", "scipy_dgttrs_", ctypes.c_int32),
+    ("dgttrf_", "dgttrs_", ctypes.c_int32),
+)
 
 
 class DegenerateProblem(ValueError):
@@ -182,8 +188,9 @@ def bs_closed_form(s: float, e: float, sigma: float, tau: float) -> float:
 def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) -> float:
     """Textbook Black-Scholes call with constant rate r (reduction oracle).
 
-    s and e must be positive, sigma and tau nonnegative, and all five
-    finite; anything else raises ValueError naming the argument.
+    s and e must be positive, sigma and tau nonnegative, all five finite,
+    and exp(-r tau) finite; anything else raises ValueError naming the
+    argument.
     """
     for name, value, rule, ok in (
         ("s", s, "positive and finite", s > 0),
@@ -196,12 +203,18 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
             raise ValueError(f"{name} must be {rule}, got {value!r}")
     if tau == 0:
         return max(s - e, 0.0)
+    try:
+        discount = math.exp(-r * tau)
+    except OverflowError:
+        discount = math.inf
+    if discount == math.inf:
+        raise ValueError(f"r must be such that exp(-r tau) is finite, got r {r!r} with tau {tau!r}")
     if sigma == 0:
-        return max(s - e * math.exp(-r * tau), 0.0)
+        return max(s - e * discount, 0.0)
     st = sigma * math.sqrt(tau)
     d1 = (math.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
     d2 = d1 - st
-    return s * _norm_cdf(d1) - e * math.exp(-r * tau) * _norm_cdf(d2)
+    return s * _norm_cdf(d1) - e * discount * _norm_cdf(d2)
 
 
 def _norm_cdf(x: float) -> float:
@@ -309,26 +322,51 @@ def _boundary_values(problem: PdeProblem, int_a_b: np.ndarray, int_b: np.ndarray
     return terminal[0] * growth_s, terminal[-1] * growth_s
 
 
-@functools.cache
-def _lapack():
-    """LAPACK ``dgttrf`` and ``dgttrs`` of the OpenBLAS numpy links, bound on first use.
+class _Lapack(NamedTuple):
+    gttrf: Callable[..., None]
+    gttrs: Callable[..., None]
+    integer: type  # ctypes.c_int32 or ctypes.c_int64
 
-    Every argument is passed by address; ``dgttrs`` takes the length of its
-    TRANS string last.  A numpy whose LAPACK lacks the symbols raises
-    OSError naming them.
+
+def _lapack_libraries():
+    """Libraries that may hold numpy's LAPACK, in the order they are searched.
+
+    First numpy's linear-algebra extension: a symbol lookup in it searches
+    the libraries it links on Linux and macOS.  Then the BLAS libraries a
+    numpy wheel bundles, for Windows, where a lookup sees a library's own
+    exports only.
     """
-    library = ctypes.CDLL(_LAPACK_LIBRARY)
-    try:
-        gttrf, gttrs = (getattr(library, name) for name in _LAPACK_SYMBOLS)
-    except AttributeError:
-        raise OSError(
-            f"numpy's LAPACK has no {' and '.join(_LAPACK_SYMBOLS)}: the pricer needs the "
-            "scipy-openblas64 that numpy >= 2.0 wheels link"
-        ) from None
-    gttrf.argtypes = [ctypes.c_void_p] * 7
-    gttrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
-    gttrf.restype = gttrs.restype = None
-    return gttrf, gttrs
+    yield _umath_linalg.__file__
+    root = os.path.dirname(np.__file__)
+    for bundled in (os.path.join(root, os.pardir, "numpy.libs"), os.path.join(root, ".dylibs")):
+        if os.path.isdir(bundled):
+            yield from (os.path.join(bundled, f) for f in sorted(os.listdir(bundled)) if "blas" in f)
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """LAPACK ``dgttrf`` and ``dgttrs`` of the libraries numpy links, bound on first use.
+
+    The first library of :func:`_lapack_libraries` that exports a pair of
+    ``_LAPACK_SYMBOLS`` gives the binding.  Every argument is passed by
+    address; ``dgttrs`` takes the length of its TRANS string last.  Where
+    no library has a pair this raises OSError naming the symbols.
+    """
+    for path in _lapack_libraries():
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for factor_name, solve_name, integer in _LAPACK_SYMBOLS:
+            gttrf = getattr(library, factor_name, None)
+            gttrs = getattr(library, solve_name, None)
+            if gttrf is not None and gttrs is not None:
+                gttrf.argtypes = [ctypes.c_void_p] * 7
+                gttrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+                gttrf.restype = gttrs.restype = None
+                return _Lapack(gttrf, gttrs, integer)
+    names = ", ".join(f"{f}/{s}" for f, s, _ in _LAPACK_SYMBOLS)
+    raise OSError(f"numpy's libraries export no LAPACK dgttrf and dgttrs (looked for {names})")
 
 
 def _require_vector(array: np.ndarray, size: int) -> None:
@@ -346,11 +384,12 @@ def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     n = d.size
     for band, size in ((dl, n - 1), (d, n), (du, n - 1)):
         _require_vector(band, size)
+    lapack = _lapack()
     du2 = np.empty(max(n - 2, 0))
-    ipiv = np.empty(n, dtype=np.int64)
-    info = ctypes.c_int64()
-    _lapack()[0](
-        ctypes.byref(ctypes.c_int64(n)), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
+    ipiv = np.empty(n, dtype=lapack.integer)
+    info = lapack.integer()
+    lapack.gttrf(
+        ctypes.byref(lapack.integer(n)), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
         du2.ctypes.data, ipiv.ctypes.data, ctypes.byref(info),
     )
     if info.value != 0:
@@ -361,16 +400,19 @@ def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
 def _gttrs(factors, b: np.ndarray) -> Callable[[], None]:
     """LAPACK ``dgttrs`` bound to ``_gttrf`` factors and to b: each call overwrites b with M^-1 b.
 
-    The addresses are taken here, once; the caller keeps ``factors`` and b
-    alive for as long as it calls the result.
+    The addresses are taken here, once; the returned solve holds ``factors``
+    and b, so the memory at those addresses lives as long as it does.
     """
     n = factors[1].size
     _require_vector(b, n)
-    size = ctypes.byref(ctypes.c_int64(n))
-    return functools.partial(
-        _lapack()[1], b"N", size, ctypes.byref(ctypes.c_int64(1)),
-        *(f.ctypes.data for f in factors), b.ctypes.data, size, ctypes.byref(ctypes.c_int64()), 1,
+    lapack = _lapack()
+    size = ctypes.byref(lapack.integer(n))
+    solve = functools.partial(
+        lapack.gttrs, b"N", size, ctypes.byref(lapack.integer(1)),
+        *(f.ctypes.data for f in factors), b.ctypes.data, size, ctypes.byref(lapack.integer()), 1,
     )
+    solve.buffers = (factors, b)
+    return solve
 
 
 def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n: int):

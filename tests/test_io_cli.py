@@ -760,13 +760,20 @@ class TestCli:
         assert code == str(EXIT_OK)
         assert read_report(tmp_path / "p.yaml")["report"]["at_the_money_value"] > 0
 
-    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-    def test_command_runs_without_scipy(self, command, fixture_csv, tmp_path):
+    @pytest.mark.parametrize(
+        "command, config",
+        [pytest.param(command, None, id=command) for command in sorted(cli._COMMANDS)]
+        + [pytest.param("price", "pde: {n_s: 1600, n_t: 1600}\n", id="price-1600x1600")],
+    )
+    def test_command_runs_without_scipy(self, command, config, fixture_csv, tmp_path):
         # scipy is a test dependency only: with every scipy import made to
         # fail, a command loads no scipy module and writes a normal run's bytes
         argv = [command, "--no-timestamp"]
         if command in ("gauge", "discount"):
             argv += ["--panel", str(fixture_csv)]
+        if config is not None:
+            (tmp_path / "run.yaml").write_text(config)
+            argv += ["--config", str(tmp_path / "run.yaml")]
         normal, blocked = tmp_path / "normal.yaml", tmp_path / "blocked.yaml"
         assert main([*argv, "--out", str(normal)]) == EXIT_OK
         script = (
@@ -787,11 +794,11 @@ class TestCli:
         assert blocked.read_bytes() == normal.read_bytes()
 
     def test_lapack_without_the_symbols_is_a_one_line_error(self, monkeypatch, tmp_path, capsys):
-        # a library whose dependencies hold no scipy-openblas64 stands in for
-        # a numpy that links another LAPACK
+        # a library whose dependencies hold no LAPACK stands in for a numpy
+        # whose LAPACK the binding cannot find
         import _ctypes
 
-        monkeypatch.setattr(pricer, "_LAPACK_LIBRARY", _ctypes.__file__)
+        monkeypatch.setattr(pricer, "_lapack_libraries", lambda: [_ctypes.__file__])
         pricer._lapack.cache_clear()
         try:
             code = main(["price", "--out", str(tmp_path / "p.yaml")])
@@ -800,7 +807,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == EXIT_COMPUTE
         assert err.count("\n") == 1 and err.startswith("error: OSError: ")
-        assert "scipy_dgttrf_64_" in err and "scipy_dgttrs_64_" in err
+        assert "dgttrf_" in err and "dgttrs_" in err
         assert not (tmp_path / "p.yaml").exists()
 
     def test_sensitivity_command(self, tmp_path):

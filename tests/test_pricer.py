@@ -1,6 +1,11 @@
+import ctypes
+import gc
+import glob
 import itertools
+import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -81,6 +86,10 @@ class TestClosedForms:
             ((100.0, 100.0, -0.2, 1.0, 0.0), "sigma"),
             ((100.0, 100.0, 0.2, -1.0, 0.0), "tau"),
             ((100.0, 100.0, 0.2, 1.0, np.inf), "r"),
+            # exp(-r tau) overflows: math.exp raises, or takes inf to inf
+            ((100.0, 100.0, 0.2, 1.0, -800.0), "r"),
+            ((100.0, 100.0, 0.0, 1.0, -800.0), "r"),
+            ((100.0, 100.0, 0.2, 1e300, -1e10), "r"),
         ],
     )
     def test_bad_inputs_raise_naming_the_argument(self, args, name):
@@ -409,25 +418,62 @@ class TestRollingSolve:
     def test_one_lapack_solve_per_step(self, monkeypatch, steps):
         # each Rannacher step is two implicit half steps, every later
         # Crank-Nicolson step one solve with the same LU factors
-        gttrf, gttrs = pricer._lapack()
+        lapack = pricer._lapack()
         calls = []
 
         def counted(*args):
             calls.append(None)
-            return gttrs(*args)
+            return lapack.gttrs(*args)
 
-        monkeypatch.setattr(pricer, "_lapack", lambda: (gttrf, counted))
+        monkeypatch.setattr(pricer, "_lapack", lambda: lapack._replace(gttrs=counted))
         solve_today(per_interval_problem("call", steps=steps))
         assert len(calls) == steps + RANNACHER_STEPS
+
+
+def _scipy_openblas():
+    import scipy
+
+    scipy_libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    return glob.glob(os.path.join(scipy_libs, "*openblas*"))
+
+
+@pytest.fixture
+def rebind_lapack(monkeypatch):
+    """Bind LAPACK from the given libraries; the next test binds numpy's again."""
+
+    def rebind(libraries):
+        monkeypatch.setattr(pricer, "_lapack_libraries", lambda: libraries)
+        pricer._lapack.cache_clear()
+        return pricer._lapack()
+
+    yield rebind
+    pricer._lapack.cache_clear()
 
 
 class TestLapackBinding:
     """The ctypes dgttrf and dgttrs give scipy's factors and solutions, bit for bit."""
 
+    @pytest.mark.parametrize("library", ["numpy", "bundled", "scipy-openblas32"])
     @pytest.mark.parametrize("n", [5, 401, 1601])
     @pytest.mark.parametrize("dominant", [True, False])
-    def test_matches_scipy(self, n, dominant):
+    def test_matches_scipy(self, rebind_lapack, library, n, dominant):
         from scipy.linalg.lapack import dgttrf, dgttrs
+
+        import _ctypes
+
+        if library == "bundled":
+            # Windows looks a symbol up in a library's own exports, so there
+            # the BLAS a numpy wheel bundles, not numpy's extension, binds
+            bundled = list(pricer._lapack_libraries())[1:]
+            if not bundled:
+                pytest.skip("this numpy bundles no BLAS library")
+            rebind_lapack([_ctypes.__file__, *bundled])
+        elif library == "scipy-openblas32":
+            # the LP64 OpenBLAS scipy bundles stands in for a numpy whose
+            # LAPACK takes 32-bit integers
+            if not _scipy_openblas():
+                pytest.skip("this scipy bundles no OpenBLAS")
+            assert rebind_lapack(_scipy_openblas()).integer is ctypes.c_int32
 
         rng = np.random.default_rng(n)
         dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
@@ -454,6 +500,26 @@ class TestLapackBinding:
         problem = vanilla_problem("call", STRIKE, 0.0, TAU, b_scalar=4.0, n_s=10, n_t=2)
         with pytest.raises(DegenerateProblem, match="^singular implicit step matrix$"):
             solve_today(problem)
+
+    def test_solve_keeps_its_buffers(self):
+        # LAPACK reads the factors and writes b at addresses taken once:
+        # the solve holds the arrays, so dropping them frees nothing
+        b = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        alive = weakref.ref(b)
+        solve = pricer._gttrs(pricer._factor_implicit(1.0, -2.0, 1.0, 0.5, 5), b)
+        del b
+        gc.collect()
+        solve()
+        assert alive() is not None
+        np.testing.assert_allclose(alive(), [0.0, 1 / 7, 4 / 7, 1 / 7, 0.0], rtol=1e-15)
+
+    def test_names_every_symbol_where_no_library_has_them(self, rebind_lapack):
+        import _ctypes
+
+        with pytest.raises(OSError) as raised:
+            rebind_lapack([_ctypes.__file__, os.devnull])
+        for factor_name, solve_name, _ in pricer._LAPACK_SYMBOLS:
+            assert factor_name in str(raised.value) and solve_name in str(raised.value)
 
     def test_rejects_a_buffer_lapack_would_overrun(self):
         factors = pricer._factor_implicit(1.0, -2.0, 1.0, 0.01, 5)
