@@ -288,7 +288,7 @@ def _validate(config: RunConfig) -> None:
     _require(pde["payoff"] in ("call", "put"), f"unknown payoff {pde['payoff']!r}")
     _require(pde["strike"] > 0, "pde.strike must be positive")
     _require(pde["n_s"] >= 10 and pde["n_t"] >= 2, "pde grid too coarse")
-    _require(pde["n_s"] % 2 == 0, "pde.n_s must be even so the strike is a grid node")
+    _require(pde["n_s"] % 2 == 0, "pde.n_s must be even so the strike K exp(int A dtau) is a grid node")
     _require(pde["tau"] > 0, "pde.tau must be positive")
     _require(pde["sigma"] >= 0, "pde.sigma must be nonnegative")
     disc = config.section("discount")

@@ -4,44 +4,58 @@ The pricing equation
 
     dV/dt + (1/2) sigma^2 s^2 V_ss - s V_s A + V (A + B) = 0
 
-is solved backward in time on a log-price grid with Crank-Nicolson stepping
-and a Rannacher start-up (implicit-Euler half steps) to damp the payoff
-kink.  Setting A = -r, B = 0 recovers the textbook equation with rate r;
-the zero-rate closed form is the oracle for the A' = 0 gauge.
+reads the rate as a background gauge field A, and a gauge field can be
+transformed away.  With V(s, t) = exp(int_t^T (A + B)) U(s exp(-int_t^T A), t)
+it becomes the zero-rate equation U_t + (1/2) sigma^2 y^2 U_yy = 0 with the
+same payoff.  A call or put payoff is homogeneous of degree one in (s, K),
+so V_{A,B}(s; K) = exp(int B dtau) V_0(s; K exp(int A dtau)): a price
+depends on A and B only through their integrals over [0, T].  That is the
+paper's gauge symmetry, not an approximation.  :func:`vanilla_problem`
+folds both fields into the problem it builds, the strike as
+K' = K exp(int A dtau) and the factor exp(int B dtau) as ``scale``, so the
+solver only ever steps the zero-rate equation, already in the primed
+A' = 0 gauge.  Setting A = -r, B = 0 recovers the textbook equation with
+rate r.
 
-:func:`vanilla_problem` spans [K/span, K*span].  ln(span) is the larger of
-8 sigma_max sqrt(tau) + int |A| dtau clipped to [0.2, ln 8], and of
-5 sigma_max sqrt(tau) + int |A| dtau: five log-price standard deviations
-plus the drift (Kangro & Nicolaides, SIAM J. Numer. Anal. 38, 2000), with
-no cap: the Dirichlet truncation error no longer grows with sigma sqrt(tau),
-though at a fixed node count a wider grid is a coarser one.
-The floor keeps sigma = A = 0 on a strictly increasing grid, and wherever
-the second rule is below ln 8 the first alone sets the grid.  On the default
-400 x 400 grid an at-the-money call with tau = 1 is off the closed form by a
-relative 1.5e-4 at sigma = 1, 6.6e-4 at sigma = 2 and 1.6e-2 at sigma = 5.
-A span or grid end that is not finite raises :class:`DegenerateProblem`,
-and so does a grid widened past [K/8, 8K] whose nodes are more than
-``MAX_LOG_STEP`` = 0.125 apart in ln s (sigma = 5 on 400 nodes) or whose
-sigma_max sqrt(tau) is above ``MAX_SIGMA_SQRT_TAU`` = 5.  Past that the
-drift sigma^2 tau / 2 of ln s outruns the five-deviation span: with nodes
-0.125 apart the call above would be off by 5.8e-2 at sigma = 10 and 0.48
-at sigma = 100, and 400 nodes would price it at 1.6e-17 at sigma = 50.
+U is solved backward in time on a log-price grid with Crank-Nicolson
+stepping and a Rannacher start-up (implicit-Euler half steps) to damp the
+payoff kink.  At zero rates a payoff that is linear near the grid's ends
+(a call, a put, a forward) solves the equation there unchanged, so the
+Dirichlet data of every step are the payoff's end values.
+
+:func:`vanilla_problem` spans [K'/span, K'*span].  ln(span) is the larger of
+8 sigma_max sqrt(tau) clipped to [0.2, ln 8], and of 5 sigma_max sqrt(tau):
+five log-price standard deviations (Kangro & Nicolaides, SIAM J. Numer.
+Anal. 38, 2000), with no cap: the Dirichlet truncation error no longer grows
+with sigma sqrt(tau), though at a fixed node count a wider grid is a coarser
+one.  A and B do not widen it.  The floor keeps sigma = 0 on a strictly
+increasing grid, and wherever the second rule is below ln 8 the first alone
+sets the grid.  On the default 400 x 400 grid an at-the-money call with
+tau = 1 is off the closed form by a relative 1.5e-4 at sigma = 1, 6.6e-4 at
+sigma = 2 and 1.6e-2 at sigma = 5.  A span or grid end that is not finite
+raises :class:`DegenerateProblem`, and so does a grid widened past
+[K'/8, 8K'] whose nodes are more than ``MAX_LOG_STEP`` = 0.125 apart in
+ln s (sigma = 5 on 400 nodes) or whose sigma_max sqrt(tau) is above
+``MAX_SIGMA_SQRT_TAU`` = 5.  Past that the drift sigma^2 tau / 2 of ln s
+outruns the five-deviation span: with nodes 0.125 apart the call above
+would be off by 5.8e-2 at sigma = 10 and 0.48 at sigma = 100, and 400 nodes
+would price it at 1.6e-17 at sigma = 50.
 
 Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
-is LU-factored once with LAPACK ``dgttrf`` (again only where the
-coefficients change between intervals).  ``dgttrf`` and ``dgttrs`` are
-bound through ctypes, on first use, from the LAPACK that numpy links
-(:func:`_lapack`), so the package loads no LAPACK of its own.  With
-h = dt/2 the Crank-Nicolson step is M^-1 (I + hL) = 2 M^-1 - I, so each
-step is one ``dgttrs`` solve and two vector operations, no band product:
-w = M^-1 (2v) with the ends of the right-hand side set to bc + v, then
-v = w - v with its ends set to the Dirichlet data bc.  The
-``RANNACHER_STEPS`` start-up steps are two implicit half steps each, with
-the same factors.  :func:`solve_today` is the one solve: it steps from
-expiry back to today holding two price rows and returns today's slice.
-The steps run with floating-point warnings off, and a solve whose values
-overflow to inf or NaN raises :class:`DegenerateProblem`.  Deltas are
-differentiated from the values on demand.  Nothing here imports scipy.
+is LU-factored once with LAPACK ``dgttrf`` (again only where sigma changes
+between intervals).  ``dgttrf`` and ``dgttrs`` are bound through ctypes, on
+first use, from the LAPACK that numpy links (:func:`_lapack`), so the
+package loads no LAPACK of its own.  With h = dt/2 the Crank-Nicolson step
+is M^-1 (I + hL) = 2 M^-1 - I, so each step is one ``dgttrs`` solve and two
+vector operations, no band product: w = M^-1 (2v) with the ends of the
+right-hand side set to bc + v, then v = w - v with its ends set to the
+Dirichlet data bc.  The ``RANNACHER_STEPS`` start-up steps are two implicit
+half steps each, with the same factors.  :func:`solve_today` is the one
+solve: it steps from expiry back to today holding two price rows and
+returns today's slice times ``scale``.  The steps run with floating-point
+warnings off, and a solve whose values overflow to inf or NaN raises
+:class:`DegenerateProblem`.  Deltas are differentiated from the values on
+demand.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -51,7 +65,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -86,23 +100,21 @@ class DegenerateProblem(ValueError):
 
 @dataclass(frozen=True)
 class PdeProblem:
-    """Grid, coefficients, and terminal data for the pricing equation.
+    """Grid, volatility, terminal data and value scale of the zero-rate pricing equation.
 
     ``s_grid`` must be uniform in ln s, as :func:`log_price_grid` makes it.
-    ``sigma``, ``a_field`` and ``b_scalar`` are scalars or per-interval
-    series on ``t_grid``.  ``payoff`` maps the price grid to terminal values.
-    ``payoff_kind`` selects the asymptotic boundary data: "call", "put", or
-    "linear" (V proportional to s at both ends).
+    ``sigma`` is a scalar or a per-interval series on ``t_grid``.
+    ``payoff`` maps the price grid to terminal values; its two end values
+    are the Dirichlet data of every step, exact where it is linear near the
+    ends.  Today's values are multiplied by ``scale``: exp(int B dtau) in a
+    :func:`vanilla_problem`.
     """
 
     s_grid: np.ndarray
     t_grid: TimeGrid
     sigma: ArrayLike
-    a_field: ArrayLike
-    b_scalar: ArrayLike
     payoff: Callable[[np.ndarray], np.ndarray]
-    payoff_kind: str = "call"
-    strike: Optional[float] = None
+    scale: float = 1.0
 
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=float)
@@ -119,12 +131,7 @@ class PdeProblem:
         # a log_price_grid differ by at most 3 ulp of max |ln s|
         if np.ptp(x_steps) > 16.0 * np.finfo(float).eps * max(1.0, -x[0], x[-1]):
             raise ValueError("price grid must be uniform in log-price")
-        if self.payoff_kind not in ("call", "put", "linear"):
-            raise ValueError(f"unknown payoff_kind {self.payoff_kind!r}")
-        if self.payoff_kind in ("call", "put") and self.strike is None:
-            raise ValueError("call/put problems need a strike for boundary data")
-        for name in ("sigma", "a_field", "b_scalar"):
-            object.__setattr__(self, name, self.t_grid.per_interval(getattr(self, name), name))
+        object.__setattr__(self, "sigma", self.t_grid.per_interval(self.sigma, "sigma"))
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
         terminal = np.asarray(self.payoff(s), dtype=float)
@@ -190,7 +197,9 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
 
     s and e must be positive, sigma and tau nonnegative, all five finite,
     and exp(-r tau) finite; anything else raises ValueError naming the
-    argument.
+    argument.  Where (r + sigma^2 / 2) tau overflows, the value is the
+    call's limit s: either sigma sqrt(tau) > 1e154 and N(d2) = 0, or
+    exp(-r tau) = 0.
     """
     for name, value, rule, ok in (
         ("s", s, "positive and finite", s > 0),
@@ -209,10 +218,15 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
         discount = math.inf
     if discount == math.inf:
         raise ValueError(f"r must be such that exp(-r tau) is finite, got r {r!r} with tau {tau!r}")
-    if sigma == 0:
-        return max(s - e * discount, 0.0)
     st = sigma * math.sqrt(tau)
-    d1 = (math.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
+    if st == 0:  # sigma = 0, or sigma sqrt(tau) below the smallest float
+        return max(s - e * discount, 0.0)
+    try:
+        d1 = (math.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
+    except OverflowError:  # sigma**2; st * st keeps sigma^2 tau where it is finite
+        d1 = (math.log(s / e) + r * tau + 0.5 * st * st) / st
+    if not math.isfinite(d1):  # inf, or inf / inf
+        return float(s)
     d2 = d1 - st
     return s * _norm_cdf(d1) - e * discount * _norm_cdf(d2)
 
@@ -246,19 +260,25 @@ def vanilla_problem(
     n_s: int = 400,
     n_t: int = 400,
 ) -> PdeProblem:
-    """Standard call/put problem on a grid sized to sigma and A (see the module docstring)."""
+    """Call or put under the fields A and B as a zero-rate problem (see the module docstring).
+
+    The strike becomes K' = K exp(int A dtau), on which the grid is centred,
+    and ``scale`` is exp(int B dtau).
+    """
     grid = TimeGrid(dt=tau / n_t, steps=n_t)
     sigma_max = np.max(grid.per_interval(sigma, "sigma"))
-    with np.errstate(all="ignore"):  # an overflow is caught below
-        int_abs_a = grid.integral(np.abs(grid.per_interval(a_field, "a_field")))
+    with np.errstate(all="ignore"):  # an overflow is caught below or by the solve
+        int_a = grid.integral(grid.per_interval(a_field, "a_field"))
+        scale = np.exp(grid.integral(grid.per_interval(b_scalar, "b_scalar")))
+        shifted = strike * np.exp(int_a)
         spread = sigma_max * np.sqrt(tau)
-        ln_wide = 5.0 * spread + int_abs_a
-        span = max(min(8.0, np.exp(max(8.0 * spread + int_abs_a, 0.2))), np.exp(ln_wide))
-        s = log_price_grid(strike, n_s, span)
+        ln_wide = 5.0 * spread
+        span = max(min(8.0, np.exp(max(8.0 * spread, 0.2))), np.exp(ln_wide))
+        s = log_price_grid(shifted, n_s, span)
     if not (0.0 < s[0] and s[-1] < np.inf):  # NaN fails this test
         raise DegenerateProblem(
             f"price grid [K/span, K*span] is not finite: sigma {sigma_max:g}, tau {tau:g}, "
-            f"int |A| dtau {int_abs_a:g}"
+            f"int A dtau {int_a:g}"
         )
     if spread > MAX_SIGMA_SQRT_TAU:
         raise DegenerateProblem(
@@ -271,55 +291,23 @@ def vanilla_problem(
             f"{2 * int(np.ceil(ln_wide / MAX_LOG_STEP))} for nodes {MAX_LOG_STEP:g} apart in ln s"
         )
     if kind == "call":
-        payoff = lambda sg: np.maximum(sg - strike, 0.0)
+        payoff = lambda sg: np.maximum(sg - shifted, 0.0)
     elif kind == "put":
-        payoff = lambda sg: np.maximum(strike - sg, 0.0)
+        payoff = lambda sg: np.maximum(shifted - sg, 0.0)
     else:
         raise ValueError("kind must be 'call' or 'put'")
-    return PdeProblem(
-        s_grid=s, t_grid=grid, sigma=sigma, a_field=a_field, b_scalar=b_scalar,
-        payoff=payoff, payoff_kind=kind, strike=strike,
-    )
+    return PdeProblem(s_grid=s, t_grid=grid, sigma=sigma, payoff=payoff, scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
 
-def _operator_bands(sigma: float, a: float, b: float, dx: float):
-    """Tridiagonal coefficients of the spatial operator in x = ln s.
-
-    L V = (1/2) sigma^2 V_xx - (1/2 sigma^2 + a) V_x + (a + b) V.
-    """
+def _operator_bands(sigma: float, dx: float):
+    """Tridiagonal coefficients of L U = (1/2) sigma^2 (U_xx - U_x) in x = ln s."""
     diff = 0.5 * sigma**2 / dx**2
-    conv = (0.5 * sigma**2 + a) / (2.0 * dx)
-    lower = diff + conv
-    diag = -2.0 * diff + (a + b)
-    upper = diff - conv
-    return lower, diag, upper
-
-
-def _boundary_values(problem: PdeProblem, int_a_b: np.ndarray, int_b: np.ndarray):
-    """Dirichlet data at s_min/s_max from the exact asymptotic solutions.
-
-    For large s the equation is solved by s * exp(int B d tau); a constant
-    payoff piece grows as exp(int (A + B) d tau).  Takes and returns one
-    value per time step.
-    """
-    s_lo = problem.s_grid[0]
-    s_hi = problem.s_grid[-1]
-    # np.exp on unit-stride data gives the bits of np.exp on each element
-    # alone; a strided view, even of one element, takes another kernel whose
-    # last bit can differ, so exponentiate copies
-    growth_s = np.exp(int_b.copy())
-    growth_c = np.exp(int_a_b.copy())
-    if problem.payoff_kind == "call":
-        return np.zeros_like(growth_s), s_hi * growth_s - problem.strike * growth_c
-    if problem.payoff_kind == "put":
-        return problem.strike * growth_c - s_lo * growth_s, np.zeros_like(growth_s)
-    # linear: V proportional to s at both ends
-    terminal = problem.payoff(problem.s_grid)
-    return terminal[0] * growth_s, terminal[-1] * growth_s
+    conv = 0.5 * sigma**2 / (2.0 * dx)
+    return diff + conv, -2.0 * diff, diff - conv
 
 
 class _Lapack(NamedTuple):
@@ -427,16 +415,16 @@ def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n
 
 
 def solve_today(problem: PdeProblem) -> OptionSlice:
-    """Backward Crank-Nicolson solve of the gauge-field pricing equation: today's slice.
+    """Backward Crank-Nicolson solve of the zero-rate pricing equation: today's slice.
 
     The first ``RANNACHER_STEPS`` time steps run as pairs of implicit-Euler
     half steps; second-order accurate in space and time thereafter.  Every
     step solves with the matrix M = I - (dt/2) L, whose LU factors are
-    reused until an interval's (sigma, A, B) differs from the previous one:
+    reused until an interval's sigma differs from the previous one:
     a start-up step is two ``dgttrs`` solves, a Crank-Nicolson step one,
     v <- M^-1 (2v) - v with the Dirichlet data at the ends (module
     docstring).  Two price rows are held, so memory is O(n_s) for any
-    number of steps.
+    number of steps.  The values are multiplied by ``problem.scale`` last.
     """
     s = problem.s_grid
     dx = _log_step(s)
@@ -446,41 +434,35 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
     n = s.size
 
     with np.errstate(all="ignore"):
-        # Cumulative integrals of B and A+B over [t_k, T], then the boundary
-        # data of every step.
-        int_b_rev = np.concatenate([[0.0], np.cumsum((problem.b_scalar * dt)[::-1])])[::-1]
-        int_ab_rev = np.concatenate(
-            [[0.0], np.cumsum(((problem.a_field + problem.b_scalar) * dt)[::-1])]
-        )[::-1]
-        bc_lo, bc_hi = _boundary_values(problem, int_ab_rev[:-1], int_b_rev[:-1])
-        bc_lo, bc_hi = bc_lo.tolist(), bc_hi.tolist()
-
-        # refactor at the last interval and wherever (sigma, A, B) changes
-        sig, a_f, b_f = problem.sigma, problem.a_field, problem.b_scalar
+        # refactor at the last interval and wherever sigma changes
+        sig = problem.sigma
         refactor = np.ones(steps, dtype=bool)
-        refactor[:-1] = (sig[:-1] != sig[1:]) | (a_f[:-1] != a_f[1:]) | (b_f[:-1] != b_f[1:])
+        refactor[:-1] = sig[:-1] != sig[1:]
 
-        # both rows are solved in place: their addresses hold for the whole loop
+        # both rows are solved in place: their addresses hold for the whole
+        # loop; the Dirichlet data are the payoff's ends
         v = np.array(problem.payoff(s), dtype=float)
+        bc_lo, bc_hi = v[0].item(), v[-1].item()
         rhs = np.empty(n)
         for k in range(steps - 1, -1, -1):
             if refactor[k]:
-                factors = _factor_implicit(*_operator_bands(sig[k], a_f[k], b_f[k], dx), half_dt, n)
+                factors = _factor_implicit(*_operator_bands(sig[k], dx), half_dt, n)
                 solve_v, solve_rhs = _gttrs(factors, v), _gttrs(factors, rhs)
             if steps - 1 - k < RANNACHER_STEPS:
                 # Rannacher start-up: two implicit-Euler half steps
                 for _ in range(2):
-                    v[0], v[-1] = bc_lo[k], bc_hi[k]
+                    v[0], v[-1] = bc_lo, bc_hi
                     solve_v()
             else:
                 # (I - hL)^-1 (I + hL) v = 2 (I - hL)^-1 v - v: solve for
                 # w with right-hand side 2v, whose ends bc + v make the ends
                 # of w - v the Dirichlet data, then set them to it exactly
                 np.multiply(v, 2.0, out=rhs)
-                rhs[0], rhs[-1] = bc_lo[k] + v[0], bc_hi[k] + v[-1]
+                rhs[0], rhs[-1] = bc_lo + v[0], bc_hi + v[-1]
                 solve_rhs()
                 np.subtract(rhs, v, out=v)
-                v[0], v[-1] = bc_lo[k], bc_hi[k]
+                v[0], v[-1] = bc_lo, bc_hi
+        v *= problem.scale
     _require_finite(v)
     return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=v)
 
@@ -494,18 +476,16 @@ def _require_finite(values: np.ndarray) -> None:
 
 
 def solve_primed_gauge(problem: PdeProblem, sigma_hat: float = 0.0) -> OptionSlice:
-    """Solve in the primed A' = 0 gauge with the finite-N volatility bump.
+    """Solve with the finite-N volatility bump Sigma = sqrt(sigma^2 + sigma_hat^2).
 
-    Replaces sigma by Sigma = sqrt(sigma^2 + sigma_hat^2) and forces A = 0.
-    The only effect of discounting with an approximately risk-free portfolio
-    is this O(1/sqrt(N)) increase in volatility.
+    A problem is already in the primed A' = 0 gauge (module docstring), so
+    this is :func:`solve_today` at Sigma.  The only effect of discounting
+    with an approximately risk-free portfolio is this O(1/sqrt(N)) increase
+    in volatility.
     """
     if sigma_hat < 0:
         raise ValueError("sigma_hat must be nonnegative")
-    primed = replace(
-        problem, sigma=np.hypot(problem.sigma, sigma_hat), a_field=np.zeros(problem.t_grid.steps)
-    )
-    return solve_today(primed)
+    return solve_today(replace(problem, sigma=np.hypot(problem.sigma, sigma_hat)))
 
 
 # ---------------------------------------------------------------------------

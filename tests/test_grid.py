@@ -111,6 +111,5 @@ class TestRuleOfTime:
         with pytest.raises(ValueError, match="^coverage gap: sigma has 99 values for 100 intervals$"):
             PdeProblem(
                 s_grid=log_price_grid(100.0, 200), t_grid=TimeGrid(0.01, 100),
-                sigma=np.full(99, 0.2), a_field=0.0, b_scalar=0.0,
-                payoff=lambda sg: sg, payoff_kind="linear",
+                sigma=np.full(99, 0.2), payoff=lambda sg: sg,
             )

@@ -896,8 +896,9 @@ class TestCli:
     )
     def test_overflow_is_a_one_line_error(self, command, message, threads, tmp_path):
         # exp overflows in the Monte Carlo tasks, an affine drift overflows in
-        # the process function before them, a large B overflows the PDE steps,
-        # and a large A, sigma or tau the span of the price grid, or a sigma
+        # the process function before them, a large B overflows the factor
+        # exp(int B dtau) on the values, and a large A (through the strike it
+        # shifts), sigma or tau the ends of the price grid, or a sigma
         # whose drift outruns it; no numpy warning may reach stderr ahead of
         # the error, whichever thread formed the values
         riskfree = "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
