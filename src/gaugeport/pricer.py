@@ -28,14 +28,20 @@ Dirichlet data of every step are the payoff's end values.
 five log-price standard deviations (Kangro & Nicolaides, SIAM J. Numer.
 Anal. 38, 2000), with no cap: the Dirichlet truncation error no longer grows
 with sigma sqrt(tau), though at a fixed node count a wider grid is a coarser
-one.  A and B do not widen it.  The floor keeps sigma = 0 on a strictly
-increasing grid, and wherever the second rule is below ln 8 the first alone
-sets the grid.  On the default 400 x 400 grid an at-the-money call with
-tau = 1 is off the closed form by a relative 1.5e-4 at sigma = 1, 6.6e-4 at
-sigma = 2 and 1.6e-2 at sigma = 5.  A span or grid end that is not finite
-raises :class:`DegenerateProblem`, and so does a grid widened past
-[K'/8, 8K'] whose nodes are more than ``MAX_LOG_STEP`` = 0.125 apart in
-ln s (sigma = 5 on 400 nodes) or whose sigma_max sqrt(tau) is above
+one.  Prices are read at the strike K, |int A dtau| off the centre K' in
+ln s, so a third rule keeps K max(5 sigma_max sqrt(tau), 0.2) inside the
+grid's ends: ln(span) is at least |int A dtau| plus that.  It widens
+grids where A moves K near an end (sigma = 0 with int A dtau = -0.25, or
+sigma = 0.01, tau = 5, A = -0.05) and those the second rule sets; a grid
+with A = 0, and every A = -0.05 grid of sigma from 0.1 to 0.4 and tau = 1,
+is the sigma rules' alone.  B does not widen the grid.  The floor keeps sigma = 0 on a strictly increasing grid,
+and wherever the second rule is below ln 8 the first alone sets it.  On the
+default 400 x 400 grid an at-the-money call with tau = 1 is off the closed
+form by a relative 1.5e-4 at sigma = 1, 6.6e-4 at sigma = 2 and 1.6e-2 at
+sigma = 5.  A span or grid end that is not finite raises
+:class:`DegenerateProblem`, and so does a grid widened past [K'/8, 8K']
+whose nodes are more than ``MAX_LOG_STEP`` = 0.125 apart in ln s
+(sigma = 5 on 400 nodes) or whose sigma_max sqrt(tau) is above
 ``MAX_SIGMA_SQRT_TAU`` = 5.  Past that the drift sigma^2 tau / 2 of ln s
 outruns the five-deviation span: with nodes 0.125 apart the call above
 would be off by 5.8e-2 at sigma = 10 and 0.48 at sigma = 100, and 400 nodes
@@ -197,9 +203,9 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
 
     s and e must be positive, sigma and tau nonnegative, all five finite,
     and exp(-r tau) finite; anything else raises ValueError naming the
-    argument.  Where (r + sigma^2 / 2) tau overflows, the value is the
-    call's limit s: either sigma sqrt(tau) > 1e154 and N(d2) = 0, or
-    exp(-r tau) = 0.
+    argument, and so does a sigma whose square overflows (above 1.3e154).
+    Where (r + sigma^2 / 2) tau overflows, the value is the call's limit s:
+    N(d1) = 1 and either N(d2) = 0 or exp(-r tau) = 0.
     """
     for name, value, rule, ok in (
         ("s", s, "positive and finite", s > 0),
@@ -223,8 +229,8 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
         return max(s - e * discount, 0.0)
     try:
         d1 = (math.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
-    except OverflowError:  # sigma**2; st * st keeps sigma^2 tau where it is finite
-        d1 = (math.log(s / e) + r * tau + 0.5 * st * st) / st
+    except OverflowError:
+        raise ValueError(f"sigma must be such that sigma**2 is finite, got {sigma!r}") from None
     if not math.isfinite(d1):  # inf, or inf / inf
         return float(s)
     d2 = d1 - st
@@ -272,8 +278,11 @@ def vanilla_problem(
         scale = np.exp(grid.integral(grid.per_interval(b_scalar, "b_scalar")))
         shifted = strike * np.exp(int_a)
         spread = sigma_max * np.sqrt(tau)
-        ln_wide = 5.0 * spread
-        span = max(min(8.0, np.exp(max(8.0 * spread, 0.2))), np.exp(ln_wide))
+        # prices are read at K, |int A dtau| off the centre K' in ln s: K
+        # keeps max(5 sigma_max sqrt(tau), 0.2) of room to the grid's ends
+        ln_near = abs(int_a) + max(5.0 * spread, 0.2)
+        ln_span = max(min(np.log(8.0), max(8.0 * spread, 0.2)), 5.0 * spread, ln_near)
+        span = max(min(8.0, np.exp(max(8.0 * spread, 0.2))), np.exp(5.0 * spread), np.exp(ln_near))
         s = log_price_grid(shifted, n_s, span)
     if not (0.0 < s[0] and s[-1] < np.inf):  # NaN fails this test
         raise DegenerateProblem(
@@ -285,10 +294,10 @@ def vanilla_problem(
             f"sigma sqrt(tau) = {spread:g} is above {MAX_SIGMA_SQRT_TAU:g}: "
             "the drift of ln s outruns the price grid"
         )
-    if span > 8.0 and 2.0 * ln_wide / n_s > MAX_LOG_STEP:
+    if span > 8.0 and 2.0 * ln_span / n_s > MAX_LOG_STEP:
         raise DegenerateProblem(
-            f"price grid too coarse: ln(span) = {ln_wide:g} needs n_s >= "
-            f"{2 * int(np.ceil(ln_wide / MAX_LOG_STEP))} for nodes {MAX_LOG_STEP:g} apart in ln s"
+            f"price grid too coarse: ln(span) = {ln_span:g} needs n_s >= "
+            f"{2 * int(np.ceil(ln_span / MAX_LOG_STEP))} for nodes {MAX_LOG_STEP:g} apart in ln s"
         )
     if kind == "call":
         payoff = lambda sg: np.maximum(sg - shifted, 0.0)

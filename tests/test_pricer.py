@@ -99,6 +99,10 @@ class TestClosedForms:
             ((100.0, 100.0, 0.2, 1.0, -800.0), "r"),
             ((100.0, 100.0, 0.0, 1.0, -800.0), "r"),
             ((100.0, 100.0, 0.2, 1e300, -1e10), "r"),
+            # sigma**2 overflows, whatever tau is
+            ((100.0, 100.0, 1e200, 1.0, 0.0), "sigma"),
+            ((100.0, 100.0, 1e200, 1e300, 0.0), "sigma"),
+            ((100.0, 100.0, 1.4e154, 5e-324, 0.0), "sigma"),
         ],
     )
     def test_bad_inputs_raise_naming_the_argument(self, args, name):
@@ -108,9 +112,7 @@ class TestClosedForms:
     @pytest.mark.parametrize(
         "sigma, tau, r",
         [
-            (1e200, 1.0, 0.0),  # sigma**2 overflows
-            (1e150, 1e10, 0.0),  # sigma^2 tau overflows
-            (1e200, 1e300, 0.0),  # and sigma sqrt(tau) too
+            (1e150, 1e10, 0.0),  # sigma^2 tau overflows: N(d2) = 0
             (0.2, 1.0, 1e300),  # r tau overflows: exp(-r tau) = 0
         ],
     )
@@ -118,13 +120,6 @@ class TestClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert bs_closed_form_rate(100.0, 100.0, sigma, tau, r) == 100.0
-
-    def test_huge_sigma_over_a_tiny_tau_is_still_priced(self):
-        # sigma**2 overflows, but sigma sqrt(tau) = 3.1e-8: the at-the-money
-        # value is s sigma sqrt(tau) / sqrt(2 pi) to first order
-        st = 1.4e154 * np.sqrt(5e-324)
-        value = bs_closed_form_rate(100.0, 100.0, 1.4e154, 5e-324, 0.0)
-        assert value == pytest.approx(100.0 * st / np.sqrt(2.0 * np.pi), rel=1e-6)
 
 
 class TestPdeSolver:
@@ -168,7 +163,8 @@ class TestPdeSolver:
 
     def test_grid_span_follows_sigma_and_a(self):
         # ln(span) = max(8 sigma_max sqrt(tau) clipped to [0.2, ln 8],
-        # 5 sigma_max sqrt(tau)); the grid is centred on K' = K exp(int A dtau)
+        # 5 sigma_max sqrt(tau), |int A dtau| + max(5 sigma_max sqrt(tau), 0.2));
+        # the grid is centred on K' = K exp(int A dtau)
         sigma = np.full(400, 0.1)
         sigma[:100] = 0.15
         a_field = np.linspace(-0.05, 0.1, 400)
@@ -183,8 +179,16 @@ class TestPdeSolver:
         wide = vanilla_problem("call", STRIKE, 0.4, TAU).s_grid
         assert np.array_equal(wide, log_price_grid(STRIKE, 400, 8.0))
         # 5 sigma sqrt(tau) > ln 8: five log-price standard deviations
-        wider = vanilla_problem("call", STRIKE, 1.0, TAU, a_field=-0.05).s_grid
-        assert np.array_equal(wider, log_price_grid(STRIKE * np.exp(-0.05), 400, np.exp(5.0)))
+        wider = vanilla_problem("call", STRIKE, 1.0, TAU).s_grid
+        assert np.array_equal(wider, log_price_grid(STRIKE, 400, np.exp(5.0)))
+        # and five more around K, |int A dtau| = 0.05 off the centre
+        shifted = vanilla_problem("call", STRIKE, 1.0, TAU, a_field=-0.05).s_grid
+        np.testing.assert_allclose(
+            [shifted[0], shifted[-1]], STRIKE * np.exp([-0.05 - 5.05, -0.05 + 5.05]), rtol=1e-12
+        )
+        # sigma = 0 and int A dtau = -0.25: K stays 0.2 inside the top end
+        low = vanilla_problem("call", STRIKE, 0.0, TAU, a_field=-0.25).s_grid
+        np.testing.assert_allclose(low[-1], STRIKE * np.exp(0.2), rtol=1e-12)
 
     @pytest.mark.parametrize("kind, strike, sigma, a, n", LADDER)
     def test_benchmark_ladder_within_1e_3(self, kind, strike, sigma, a, n):
@@ -665,11 +669,26 @@ class TestGaugeCovariance:
         for s in (80.0, 100.0, 120.0):
             assert rescaled.value_at(s) == pytest.approx(plain.value_at(s), rel=1e-13, abs=0.0)
 
-    def test_zero_sigma_call_is_its_discounted_intrinsic_value(self):
-        # without diffusion the call under A = -0.05 is S - K exp(-0.05) at S = K
-        today = solve_today(vanilla_problem("call", STRIKE, 0.0, TAU, a_field=-0.05))
-        exact = STRIKE * -np.expm1(-0.05 * TAU)
+    @pytest.mark.parametrize(
+        "kind, a", [("call", -0.05), ("call", -0.25), ("put", 0.05), ("put", 0.25)]
+    )
+    def test_zero_sigma_is_the_discounted_intrinsic_value(self, kind, a):
+        # without diffusion the call is S - K exp(a tau) and the put
+        # K exp(a tau) - S at S = K; at |a| = 0.25, K' = K exp(a tau) is
+        # farther from K than the sigma rules alone would span
+        today = solve_today(vanilla_problem(kind, STRIKE, 0.0, TAU, a_field=a))
+        exact = STRIKE * abs(np.expm1(a * TAU))
         assert today.value_at(STRIKE) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind, a", [("call", -0.05), ("put", 0.05)])
+    def test_low_sigma_long_dated_matches_closed_form(self, kind, a):
+        # sigma = 0.01, tau = 5: int A dtau = -+0.25 is past the sigma rules' 0.2
+        sigma, tau = 0.01, 5.0
+        today = solve_today(vanilla_problem(kind, STRIKE, sigma, tau, a_field=a))
+        exact = bs_closed_form_rate(STRIKE, STRIKE, sigma, tau, -a)
+        if kind == "put":
+            exact += STRIKE * np.exp(a * tau) - STRIKE
+        assert abs(today.value_at(STRIKE) - exact) / exact < 1e-6
 
 
 class TestPrimedGauge:
