@@ -23,11 +23,9 @@ from .gauge import (
     transform_gauge_b,
 )
 from .sim import (
-    EnvironmentSeries,
     PathSet,
     ProcessSpec,
     TerminalStats,
-    constant_spec,
     cross_term,
     return_volatility,
     simulate,

@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .sim import ProcessSpec, constant_spec
+from .sim import ProcessSpec
 
 #: The one table of each family's parameters with their defaults, and whether
 #: its parameters also take lists of numbers (per asset for constant, per
@@ -59,12 +59,13 @@ def family_params(name: str, params: Mapping) -> dict:
 
 
 def build_process(
-    name: str, params: Mapping, n_assets: int, noise: str = "normal"
+    name: str, params: Mapping, n_assets: int, noise: str = "normal", xi: float = 0.0
 ) -> ProcessSpec:
-    """Instantiate a ProcessSpec from a catalog entry.
+    """Instantiate a ProcessSpec from a catalog entry, evaluated at the
+    environment factor ``xi``: every family is constant in time.
 
     constant:     mu, sigma (scalar or per-asset list)
-    affine:       mu = mu0 + mu1 * xi[0]; sigma = max(sigma0 + sigma1 * xi[0], 0)
+    affine:       mu = mu0 + mu1 * xi; sigma = max(sigma0 + sigma1 * xi, 0)
     sector-block: per-sector mu/sigma lists, assets assigned round-robin
 
     Raises ValueError with the config's message for what :func:`family_params`
@@ -79,19 +80,17 @@ def build_process(
                     f"invalid config: simulate.process_params.{key} has {np.size(value)} values, "
                     f"not 1 or one per asset of the run ({n_assets})"
                 )
-        return constant_spec(n_assets, p["mu"], p["sigma"], noise)
+        return ProcessSpec(n_assets, p["mu"], p["sigma"], noise)
 
     if name == "affine":
-        mu0, mu1, sigma0, sigma1 = (p[k] for k in ("mu0", "mu1", "sigma0", "sigma1"))
-
-        def sigma(xi):
-            s = sigma0 + sigma1 * xi[:, :1]
-            # max(s, 0.0) cell by cell; np.maximum would turn -0.0 into 0.0
-            return np.where(s < 0.0, 0.0, s)
-
-        return ProcessSpec(n_assets, lambda xi: mu0 + mu1 * xi[:, :1], sigma, noise)
+        # Python floats overflow to inf without a warning; the run's checks
+        # report an inf or NaN that reaches the paths
+        mu = p["mu0"] + p["mu1"] * float(xi)
+        sigma = p["sigma0"] + p["sigma1"] * float(xi)
+        # max(sigma, 0.0); np.maximum would turn -0.0 into 0.0
+        return ProcessSpec(n_assets, mu, 0.0 if sigma < 0.0 else sigma, noise)
 
     # sector-block
     mus, sigmas = (np.atleast_1d(p[k]) for k in ("mu_sectors", "sigma_sectors"))
     sector = np.arange(n_assets) % mus.size
-    return constant_spec(n_assets, mus[sector], sigmas[sector], noise)
+    return ProcessSpec(n_assets, mus[sector], sigmas[sector], noise)

@@ -42,26 +42,24 @@ def _sim_inputs(config: io.RunConfig):
     section = config.section("simulate")
     # load_config checks that horizon is a whole number of dt steps
     steps = round(section["horizon"] / section["dt"])
-    grid = TimeGrid(dt=section["dt"], steps=steps)
-    env = sim.EnvironmentSeries.constant(grid, section["xi"])
-    return section, grid, env
+    return section, TimeGrid(dt=section["dt"], steps=steps)
 
 
 def _process(section: dict, n_assets: int) -> sim.ProcessSpec:
     # load_config checked the parameters; what is left depends on the run's n_assets
     try:
-        return build_process(section["process"], section["process_params"], n_assets, section["noise"])
+        return build_process(
+            section["process"], section["process_params"], n_assets, section["noise"], section["xi"]
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_simulate(args, config: io.RunConfig) -> dict:
-    section, grid, env = _sim_inputs(config)
+    section, grid = _sim_inputs(config)
     n_paths, n_assets, seed = section["n_paths"], section["n_assets"], section["seed"]
     # the paths start at 1, so the terminal prices are the gross returns
-    stats = sim.terminal_stats(
-        _process(section, n_assets), env, grid, n_paths, seed, n_jobs=_thread_count()
-    )
+    stats = sim.terminal_stats(_process(section, n_assets), grid, n_paths, seed, n_jobs=_thread_count())
     body = {
         "n_paths": n_paths,
         "n_assets": n_assets,
@@ -90,7 +88,7 @@ def cmd_gauge(args, config: io.RunConfig) -> dict:
 
 
 def cmd_riskfree(args, config: io.RunConfig) -> dict:
-    section, grid, env = _sim_inputs(config)
+    section, grid = _sim_inputs(config)
     rf = config.section("riskfree")
     seed = section["seed"]
     sizes = list(rf["sizes"])
@@ -99,7 +97,7 @@ def cmd_riskfree(args, config: io.RunConfig) -> dict:
     w_b = rng.uniform(0.5, 1.5, n_max)
     w_b /= w_b.sum()
     study = riskfree.riskfree_studies(
-        _process(section, n_max), env, grid, riskfree.WeightVector(w_b),
+        _process(section, n_max), grid, riskfree.WeightVector(w_b),
         sizes, rf["n_paths"], seed, n_jobs=_thread_count(),
     )
     body = {

@@ -178,13 +178,12 @@ _DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
 
 
 class RunConfig:
-    """A run configuration: the user's sections in ``data``, and the
-    effective config built from them once, which the commands run and the
-    report's provenance hashes.  Raises ValueError for ``process_params``
-    that ``catalog.family_params`` rejects; :func:`load_config` checks the rest."""
+    """A run configuration: the effective config built once from the user's
+    sections ``data``, which the commands run and the report's provenance
+    hashes.  Raises ValueError for ``process_params`` that
+    ``catalog.family_params`` rejects; :func:`load_config` checks the rest."""
 
     def __init__(self, data: dict[str, dict[str, Any]]):
-        self.data = data
         self._effective = {
             name: {
                 key: float(value) if type(defaults[key]) is float else value
@@ -216,13 +215,7 @@ class RunConfig:
 #: Each key takes values of its default's type: an integer key rejects floats
 #: and bools, a float key takes any finite number.  ``process_params`` is a
 #: mapping that ``catalog.family_params`` checks against the chosen family.
-_KINDS = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", finite_number),
-    str: ("a string", lambda v: type(v) is str),
-    list: ("a list", lambda v: type(v) is list),
-    dict: ("a mapping", lambda v: type(v) is dict),
-}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "a mapping"}
 
 
 def load_config(path: Optional[str | Path]) -> RunConfig:
@@ -251,8 +244,9 @@ def load_config(path: Optional[str | Path]) -> RunConfig:
         unknown = set(section) - set(_DEFAULT_CONFIG[name])
         _require(not unknown, f"unknown keys in section {name}: {sorted(unknown, key=str)}")
         for key, value in section.items():
-            kind, accepts = _KINDS[type(_DEFAULT_CONFIG[name][key])]
-            _require(accepts(value), f"{name}.{key} must be {kind}, got {value!r}")
+            kind = type(_DEFAULT_CONFIG[name][key])
+            accepts = finite_number(value) if kind is float else type(value) is kind
+            _require(accepts, f"{name}.{key} must be {_KINDS[kind]}, got {value!r}")
     config = RunConfig(raw)
     _validate(config)
     return config

@@ -70,6 +70,7 @@ import ctypes
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Union
 
@@ -205,7 +206,9 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
     and exp(-r tau) finite; anything else raises ValueError naming the
     argument, and so does a sigma whose square overflows (above 1.3e154).
     Where (r + sigma^2 / 2) tau overflows, the value is the call's limit s:
-    N(d1) = 1 and either N(d2) = 0 or exp(-r tau) = 0.
+    N(d1) = 1 and either N(d2) = 0 or exp(-r tau) = 0.  An s / e below the
+    smallest normal float and an e exp(-r tau) above the largest float are
+    priced too.
     """
     for name, value, rule, ok in (
         ("s", s, "positive and finite", s > 0),
@@ -227,14 +230,20 @@ def bs_closed_form_rate(s: float, e: float, sigma: float, tau: float, r: float) 
     st = sigma * math.sqrt(tau)
     if st == 0:  # sigma = 0, or sigma sqrt(tau) below the smallest float
         return max(s - e * discount, 0.0)
+    moneyness = s / e
+    # s / e underflows for s far below e: take the logs apart there
+    log_moneyness = math.log(moneyness) if moneyness >= sys.float_info.min else math.log(s) - math.log(e)
     try:
-        d1 = (math.log(s / e) + (r + 0.5 * sigma**2) * tau) / st
+        d1 = (log_moneyness + (r + 0.5 * sigma**2) * tau) / st
     except OverflowError:
         raise ValueError(f"sigma must be such that sigma**2 is finite, got {sigma!r}") from None
     if not math.isfinite(d1):  # inf, or inf / inf
         return float(s)
     d2 = d1 - st
-    return s * _norm_cdf(d1) - e * discount * _norm_cdf(d2)
+    if e * discount < math.inf:
+        return s * _norm_cdf(d1) - e * discount * _norm_cdf(d2)
+    # e exp(-r tau) overflows, but the second term, at most the first, does not
+    return s * _norm_cdf(d1) - e * (discount * _norm_cdf(d2))
 
 
 def _norm_cdf(x: float) -> float:
@@ -281,8 +290,8 @@ def vanilla_problem(
         # prices are read at K, |int A dtau| off the centre K' in ln s: K
         # keeps max(5 sigma_max sqrt(tau), 0.2) of room to the grid's ends
         ln_near = abs(int_a) + max(5.0 * spread, 0.2)
-        ln_span = max(min(np.log(8.0), max(8.0 * spread, 0.2)), 5.0 * spread, ln_near)
         span = max(min(8.0, np.exp(max(8.0 * spread, 0.2))), np.exp(5.0 * spread), np.exp(ln_near))
+        ln_span = np.log(span)
         s = log_price_grid(shifted, n_s, span)
     if not (0.0 < s[0] and s[-1] < np.inf):  # NaN fails this test
         raise DegenerateProblem(
@@ -299,12 +308,12 @@ def vanilla_problem(
             f"price grid too coarse: ln(span) = {ln_span:g} needs n_s >= "
             f"{2 * int(np.ceil(ln_span / MAX_LOG_STEP))} for nodes {MAX_LOG_STEP:g} apart in ln s"
         )
-    if kind == "call":
-        payoff = lambda sg: np.maximum(sg - shifted, 0.0)
-    elif kind == "put":
-        payoff = lambda sg: np.maximum(shifted - sg, 0.0)
-    else:
+    if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
+
+    def payoff(sg: np.ndarray) -> np.ndarray:
+        return np.maximum(sg - shifted if kind == "call" else shifted - sg, 0.0)
+
     return PdeProblem(s_grid=s, t_grid=grid, sigma=sigma, payoff=payoff, scale=scale)
 
 

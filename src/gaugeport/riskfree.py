@@ -28,10 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .gauge import GaugeFieldA, GaugeFieldB, PricePanel
-from .grid import TimeGrid, require_same_grid
-from .sim import (
-    EnvironmentSeries, ProcessSpec, StepKernel, _map_gross, _merge_moments, _moments,
-)
+from .grid import TimeGrid
+from .sim import ProcessSpec, StepKernel, _map_gross, _merge_moments, _moments
 
 #: Diversification cap: risk-free weights must satisfy w_i <= DIVERSIFICATION_C / N.
 DIVERSIFICATION_C = 4.0
@@ -238,7 +236,7 @@ def _check_sizes(sizes: Sequence[int], n_assets: int, n_paths: int) -> tuple:
 
 
 def _prefix_log_return_moments(
-    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, rows: Sequence[np.ndarray],
+    spec: ProcessSpec, grid: TimeGrid, rows: Sequence[np.ndarray],
     sizes: tuple, n_paths: int, seed: int, n_jobs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum and M2 (sum of squared deviations from the mean) of per-step
@@ -255,9 +253,8 @@ def _prefix_log_return_moments(
     on neither the thread count nor the other rows.
     """
     n_max = sizes[-1]
-    require_same_grid(env.grid, grid, "environment/grid")
     kernel = StepKernel(
-        spec.drift_matrix(env)[:, :n_max], spec.vol_matrix(env)[:, :n_max], grid.dt, spec.noise
+        spec.drift_matrix(grid)[:, :n_max], spec.vol_matrix(grid)[:, :n_max], grid.dt, spec.noise
     )
     starts = (0,) + sizes[:-1]
     prefix_totals = [np.cumsum(np.add.reduceat(w[:n_max], starts)) for w in rows]
@@ -287,7 +284,7 @@ def _prefix_log_return_moments(
 
 
 def riskfree_studies(
-    spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, weights: WeightVector,
+    spec: ProcessSpec, grid: TimeGrid, weights: WeightVector,
     sizes: Sequence[int], n_paths: int, seed: int, n_jobs: int = 1,
 ) -> RiskfreeStudy:
     """Volatility scaling and common limit of nested prefix universes, from one draw.
@@ -296,7 +293,7 @@ def riskfree_studies(
     log-returns, annualized, from per-block moments merged by
     Chan-Golub-LeVeque, and ``slope`` fits log sigma_hat against log N.
     The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the
-    volatilities evaluated at the initial environment.  ``divergences`` are
+    volatilities of the first step.  ``divergences`` are
     the gaps between the mean cumulative log-returns of the equal-weight
     portfolio and of ``weights``, renormalized within each prefix: all
     positive-weight diversified averages share one limit, so they must decay
@@ -311,10 +308,10 @@ def riskfree_studies(
         raise ValueError("weight length does not match the asset universe")
     equal = np.full(sizes[-1], 1.0 / sizes[-1])
     total, m2 = _prefix_log_return_moments(
-        spec, env, grid, [equal, weights.w], sizes, n_paths, seed, n_jobs
+        spec, grid, [equal, weights.w], sizes, n_paths, seed, n_jobs
     )
     count = n_paths * grid.steps
-    sigma = spec.vol_matrix(env)[0]
+    sigma = spec.vol_matrix(grid)[0]
     # inf, 0 and NaN sums are left out of the fit, and too few points raise
     with np.errstate(all="ignore"):
         analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])

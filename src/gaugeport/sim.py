@@ -1,15 +1,17 @@
-"""Seeded Monte Carlo engine for environment-factor price processes.
+"""Seeded Monte Carlo engine for log-normal price processes.
 
 Each asset follows the exact log-normal step
 
-    s[k+1] = s[k] * exp((mu_i(xi_k) - sigma_i(xi_k)^2 / 2) dt
-                        + sigma_i(xi_k) sqrt(dt) z)
+    s[k+1] = s[k] * exp((mu[k, i] - sigma[k, i]^2 / 2) dt + sigma[k, i] sqrt(dt) z)
 
-with independent cross-asset noises.  Noise is drawn from SFC64 streams
-(Doty-Humphrey's Small Fast Chaotic generator), one per key block of
-``max(1, 2^18 // (steps * N))`` paths (about 2^18 cells, at least one path):
-block b of seed s draws from the stream that
-``SeedSequence([s, NOISE_KEY + b])`` seeds.  SFC64 draws faster than the
+with independent cross-asset noises.  A :class:`ProcessSpec` holds mu and
+sigma as arrays that broadcast to [steps, n_assets]; the catalog evaluates
+a family's dependence on the environment factor xi when it builds one.
+
+Noise is drawn from SFC64 streams (Doty-Humphrey's Small Fast Chaotic
+generator), one per key block of ``max(1, 2^18 // (steps * N))`` paths
+(about 2^18 cells, at least one path): block b of seed s draws from the
+stream that ``SeedSequence([s, NOISE_KEY + b])`` seeds.  SFC64 draws faster than the
 counter-based Philox, uniforms most of all.  Streams seeded through
 SeedSequence's hash are distinct with overwhelming probability, not by
 construction as keyed Philox streams are (numpy's "Parallel random number
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .grid import TimeGrid, require_same_grid
+from .grid import TimeGrid
 
 #: Cells per key block; a block holds max(1, BLOCK_CELLS // (steps * N))
 #: paths.  Part of the seeding scheme: changing it changes the sample, so it
@@ -115,42 +117,20 @@ def noise_block(gen: np.random.Generator, noise: str, out: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True)
-class EnvironmentSeries:
-    """Deterministic environment factors xi(t), shared by all paths."""
-
-    grid: TimeGrid
-    xi: np.ndarray  # [steps+1, n_factors]
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim == 1:
-            xi = xi[:, None]  # one factor
-        object.__setattr__(self, "xi", xi)
-        if xi.ndim != 2 or xi.shape[0] != self.grid.n_points:
-            raise ValueError("xi must hold one factor vector per grid point")
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("environment factors must be finite")
-
-    @staticmethod
-    def constant(grid: TimeGrid, value: float = 0.0) -> "EnvironmentSeries":
-        """One factor, held at ``value``."""
-        return EnvironmentSeries(grid, np.full((grid.n_points, 1), value))
-
-
-@dataclass(frozen=True)
 class ProcessSpec:
-    """Per-asset drift and volatility as array functions of the environment.
+    """Per-asset drift (1/yr) and volatility (1/sqrt(yr)) as float arrays.
 
-    ``mu(xi)`` and ``sigma(xi)`` map the factor rows ``xi`` [steps, n_factors]
-    to drifts (1/yr) and volatilities (1/sqrt(yr)) of shape [steps, n_assets],
-    or of any shape that broadcasts to it: a per-asset vector [n_assets], a
-    per-step column [steps, 1], a scalar.  ``noise`` is one of
+    ``mu`` and ``sigma`` broadcast to [steps, n_assets]: a scalar, a
+    per-asset vector [n_assets], a per-step column [steps, 1] or the full
+    matrix.  A model that depends on environment factors is evaluated
+    before it gets here: :func:`gaugeport.catalog.build_process` evaluates
+    each family at the config's ``xi``.  ``noise`` is one of
     :data:`NOISE_TAGS`, each a zero-mean, unit-variance law.
     """
 
     n_assets: int
-    mu: Callable[[np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
+    mu: np.ndarray
+    sigma: np.ndarray
     noise: str = "normal"
 
     def __post_init__(self):
@@ -158,40 +138,33 @@ class ProcessSpec:
             raise ValueError("n_assets must be >= 1")
         if self.noise not in NOISE_TAGS:
             raise ValueError(f"unknown noise tag {self.noise!r}; expected one of {NOISE_TAGS}")
+        for name in ("mu", "sigma"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.ndim > 2 or values.shape[-1:] not in ((), (1,), (self.n_assets,)):
+                raise ValueError(
+                    f"{name} of shape {values.shape} does not broadcast to [steps, {self.n_assets}]: "
+                    f"it needs at most 2 axes and a last axis of 1 or {self.n_assets}"
+                )
+            object.__setattr__(self, name, values)
+        if np.any(self.sigma < 0):
+            raise ValueError("sigma holds a negative volatility")
 
-    def _evaluate(self, fn: Callable, xi: np.ndarray) -> np.ndarray:
-        # warnings off here and in StepKernel, as in the Monte Carlo tasks:
-        # the callers check the paths and sums these values lead to for inf,
-        # 0 and NaN
-        with np.errstate(all="ignore"):
-            values = np.asarray(fn(xi), dtype=float)
-        shape = (xi.shape[0], self.n_assets)
+    def _matrix(self, name: str, grid: TimeGrid) -> np.ndarray:
+        values, shape = getattr(self, name), (grid.steps, self.n_assets)
         try:
             return np.broadcast_to(values, shape)
         except ValueError:
             raise ValueError(
-                f"process function returned shape {values.shape}, not broadcastable to {shape}"
+                f"{name} has shape {values.shape}, not broadcastable to {shape}"
             ) from None
 
-    def drift_matrix(self, env: EnvironmentSeries) -> np.ndarray:
-        """mu[k, i] at interval left endpoints, shape [steps, n_assets]."""
-        return self._evaluate(self.mu, env.xi[:-1])
+    def drift_matrix(self, grid: TimeGrid) -> np.ndarray:
+        """mu[k, i] of step k on ``grid``: a read-only [steps, n_assets] view."""
+        return self._matrix("mu", grid)
 
-    def vol_matrix(self, env: EnvironmentSeries) -> np.ndarray:
-        """sigma[k, i] at interval left endpoints; rejects negative values."""
-        sig = self._evaluate(self.sigma, env.xi[:-1])
-        if np.any(sig < 0):
-            raise ValueError("sigma returned a negative volatility")
-        return sig
-
-
-def constant_spec(
-    n_assets: int, mu: Union[float, np.ndarray], sigma: Union[float, np.ndarray], noise: str = "normal"
-) -> ProcessSpec:
-    """ProcessSpec with environment-independent per-asset mu and sigma."""
-    mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (n_assets,)).copy()
-    sigma_arr = np.broadcast_to(np.asarray(sigma, dtype=float), (n_assets,)).copy()
-    return ProcessSpec(n_assets, lambda xi: mu_arr, lambda xi: sigma_arr, noise)
+    def vol_matrix(self, grid: TimeGrid) -> np.ndarray:
+        """sigma[k, i] of step k on ``grid``: a read-only [steps, n_assets] view."""
+        return self._matrix("sigma", grid)
 
 
 def _unbroadcast(a: np.ndarray) -> np.ndarray:
@@ -221,9 +194,8 @@ class StepKernel:
         self.noise = noise
 
     @classmethod
-    def of(cls, spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid) -> "StepKernel":
-        require_same_grid(env.grid, grid, "environment/grid")
-        return cls(spec.drift_matrix(env), spec.vol_matrix(env), grid.dt, spec.noise)
+    def of(cls, spec: ProcessSpec, grid: TimeGrid) -> "StepKernel":
+        return cls(spec.drift_matrix(grid), spec.vol_matrix(grid), grid.dt, spec.noise)
 
     def gross(self, z: np.ndarray, step: int = 0) -> np.ndarray:
         """Gross step ratios s[k+1]/s[k] of noise z [paths, steps', n_assets]
@@ -321,16 +293,15 @@ def _map_gross(kernel: StepKernel, seed: int, n_paths: int, n_jobs: int, fn: Cal
     return _map_blocks(seed, n_paths, kernel.steps, kernel.n_assets, kernel.noise, n_jobs, gross)
 
 
-def _kernel(spec: ProcessSpec, env: EnvironmentSeries, grid: TimeGrid, n_paths: int) -> StepKernel:
+def _kernel(spec: ProcessSpec, grid: TimeGrid, n_paths: int) -> StepKernel:
     """The step kernel of a run of ``n_paths`` paths, checked."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return StepKernel.of(spec, env, grid)
+    return StepKernel.of(spec, grid)
 
 
 def simulate(
     spec: ProcessSpec,
-    env: EnvironmentSeries,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
@@ -338,7 +309,7 @@ def simulate(
     n_jobs: int = 1,
 ) -> PathSet:
     """Simulate asset price paths; bit-identical for any n_jobs."""
-    kernel = _kernel(spec, env, grid, n_paths)
+    kernel = _kernel(spec, grid, n_paths)
     s0 = np.broadcast_to(np.asarray(s0, dtype=float), (spec.n_assets,))
     if np.any(s0 <= 0):
         raise ValueError("initial prices must be strictly positive")
@@ -371,7 +342,6 @@ class TerminalStats:
 
 def terminal_stats(
     spec: ProcessSpec,
-    env: EnvironmentSeries,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
@@ -397,7 +367,7 @@ def terminal_stats(
     0, inf or NaN, or becomes NaN (0 * inf), up to the last step; so every
     value of a path is finite and > 0 exactly when its terminal value is.
     """
-    kernel = _kernel(spec, env, grid, n_paths)
+    kernel = _kernel(spec, grid, n_paths)
 
     def block_terminal(first: int, n: int, chunks: Iterator) -> np.ndarray:
         out = np.ones((n, spec.n_assets))

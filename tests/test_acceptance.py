@@ -11,12 +11,12 @@ from gaugeport import (
     GaugeFieldA,
     GaugeScalar,
     PricePanel,
+    ProcessSpec,
     TimeGrid,
     WeightVector,
     balance_residuals,
     bs_closed_form,
     bs_closed_form_rate,
-    constant_spec,
     cross_term,
     extract_market_gauge,
     gauge_discount,
@@ -31,7 +31,7 @@ from gaugeport import (
     vanilla_problem,
 )
 from gaugeport.riskfree import SensitivityProblem, riskfree_studies
-from gaugeport.sim import EnvironmentSeries, sample_joint_numeraire
+from gaugeport.sim import sample_joint_numeraire
 
 
 def report(line: str, ok: bool) -> None:
@@ -89,12 +89,11 @@ class TestAcceptance:
 
     def test_c03_volatility_scaling_inverse_sqrt_n(self):
         grid = TimeGrid(1.0 / 64, 8)
-        env = EnvironmentSeries.constant(grid)
         mus = np.random.default_rng(2024).uniform(0.0, 0.1, 4096)
-        spec = constant_spec(4096, mus, 0.25)
+        spec = ProcessSpec(4096, mus, 0.25)
         # the result does not depend on n_jobs: two threads only shorten the run
         result = riskfree_studies(
-            spec, env, grid, WeightVector.equal(4096), [16, 64, 256, 1024, 4096], 10_000,
+            spec, grid, WeightVector.equal(4096), [16, 64, 256, 1024, 4096], 10_000,
             seed=101, n_jobs=2,
         )
         slope_ok = -0.55 <= result.slope <= -0.45
@@ -107,16 +106,15 @@ class TestAcceptance:
 
     def test_c04_common_limit_across_weightings(self):
         grid = TimeGrid(1.0 / 64, 8)
-        env = EnvironmentSeries.constant(grid)
         n = 4096
         rng = np.random.default_rng(2024)
         sigmas = rng.uniform(0.1, 0.35, n)
         mus = rng.uniform(0.0, 0.1, n)
-        spec = constant_spec(n, mus, sigmas)
+        spec = ProcessSpec(n, mus, sigmas)
         wb = np.random.Generator(np.random.Philox(key=[77, 0])).uniform(0.5, 1.5, n)
         sizes, n_paths = [64, 256, 1024, 4096], 2000
         result = riskfree_studies(
-            spec, env, grid, WeightVector(wb / wb.sum()), sizes, n_paths, seed=202
+            spec, grid, WeightVector(wb / wb.sum()), sizes, n_paths, seed=202
         )
         # To first order in dt the mean cumulative log-return of weights w is
         # T (sum w mu - sum w^2 sigma^2 / 2), and the two weightings' per-path
@@ -164,8 +162,8 @@ class TestAcceptance:
 
     def test_c07_market_gauge_round_trip(self):
         grid = TimeGrid(0.01, 100)
-        spec = constant_spec(8, 0.05, 0.2)
-        paths = simulate(spec, EnvironmentSeries.constant(grid), grid, 1, seed=404)
+        spec = ProcessSpec(8, 0.05, 0.2)
+        paths = simulate(spec, grid, 1, seed=404)
         panel = PricePanel(grid=grid, prices=paths.paths[0])
         w = WeightVector.equal(8)
         result = extract_market_gauge(panel, w)
@@ -182,8 +180,8 @@ class TestAcceptance:
 
     def test_c08_discrete_balance_identities(self):
         grid = TimeGrid(0.01, 100)
-        spec = constant_spec(8, 0.05, 0.2)
-        paths = simulate(spec, EnvironmentSeries.constant(grid), grid, 1, seed=505)
+        spec = ProcessSpec(8, 0.05, 0.2)
+        paths = simulate(spec, grid, 1, seed=505)
         panel = PricePanel(grid=grid, prices=paths.paths[0])
         result = extract_market_gauge(panel, WeightVector.equal(8))
         r_const, r_self = balance_residuals(panel, result)

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import gaugeport
-from gaugeport import PricePanel, TimeGrid, constant_spec, simulate
+from gaugeport import PricePanel, ProcessSpec, TimeGrid, simulate
 from gaugeport import cli, discounting, pricer, sim
-from gaugeport.sim import EnvironmentSeries
 from gaugeport.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from gaugeport.io import (
     _DEFAULT_CONFIG,
@@ -494,7 +493,7 @@ class TestCli:
         # the report body and the report writer.
         grid = TimeGrid(dt=1.0 / 365.25, steps=400)
         n = 256
-        paths = simulate(constant_spec(n, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, 8)
+        paths = simulate(ProcessSpec(n, 0.05, 0.2), grid, 1, 8)
         labels = tuple(f"a{i:03d}" for i in range(n))
         csv_path = tmp_path / "wide.csv"
         export_panel(PricePanel(grid=grid, prices=paths.paths[0], asset_ids=labels), csv_path)
@@ -672,6 +671,44 @@ class TestCli:
         assert hashlib.sha256(body).hexdigest() == (
             "a6dbbbf04edca6582d18ee7fce48e9d3d250d833f62f4cb24f9997612f661ae4"
         )
+
+    AFFINE = "process: affine, process_params: {mu0: 0.05, mu1: 0.1, sigma0: 0.2, sigma1: 0.3}"
+
+    @pytest.mark.parametrize(
+        "command, text, digest",
+        [
+            (
+                "simulate",
+                "simulate: {n_assets: 3, n_paths: 200, noise: uniform, "
+                "process_params: {mu: [0.01, 0.05, -0.02], sigma: [0.1, 0.2, 0.3]}}\n",
+                "a040cd7fa7416217a48d75cdd935cc2d71938e50a8acc35fe47f338237002328",
+            ),
+            # 0.2 + 0.3 * -0.9 < 0: the affine volatility is clamped at 0
+            ("simulate", f"simulate: {{n_paths: 200, xi: -0.9, {AFFINE}}}\n", "5acdd22c2f1d3aa2bc39ef19c7996c21ed6a767948c40b2a68119c7ae7622f3b"),
+            ("simulate", f"simulate: {{n_paths: 200, xi: 0.7, {AFFINE}}}\n", "a0330ca5987f9e718f7a53fd668dc7c6923bfa4b186bb92fd60fc050cd9a8240"),
+            (
+                "simulate",
+                "simulate: {n_paths: 200, noise: two-point, process: sector-block, process_params: "
+                "{mu_sectors: [0.0, 0.05, 0.1], sigma_sectors: [0.1, 0.2, 0.3]}}\n",
+                "45800642dca1d64687a27eef1d0d671f98ceb22c54ab59cb7715edb445c6e231",
+            ),
+            (
+                "riskfree",
+                f"simulate: {{xi: 0.7, {AFFINE}}}\nriskfree: {{sizes: [16, 32, 64, 128], n_paths: 64}}\n",
+                "fb5e5068c262d4f16a3370e4460276003a0fa1cae9115bb2e05928d4acdb4aa3",
+            ),
+        ],
+        ids=["constant-list-uniform", "affine-clamped", "affine", "sector-block-two-point", "riskfree-affine"],
+    )
+    def test_process_family_report_is_unchanged(self, command, text, digest, tmp_path):
+        # the digests are of the report bodies written while the process
+        # model was a pair of functions of the environment factors xi
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        out = tmp_path / "r.yaml"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+        body = json.dumps(read_report(out)["report"], sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "command, digest",

@@ -5,11 +5,11 @@ import types
 import gaugeport
 
 PUBLIC_NAMES = [
-    "DiscountReport", "EnvironmentSeries", "GaugeFieldA", "GaugeFieldB", "GaugeScalar",
+    "DiscountReport", "GaugeFieldA", "GaugeFieldB", "GaugeScalar",
     "MarketGaugeResult", "OptionSlice", "PathSet", "PdeProblem", "PricePanel", "ProcessSpec",
     "SensitivityProblem", "TerminalStats", "TimeGrid", "TradeUnitMap", "WeightVector",
     "apply_price_gauge", "apply_trade_unit_gauge", "balance_residuals", "bs_closed_form",
-    "bs_closed_form_rate", "constant_spec", "cross_term", "empirical_pipeline",
+    "bs_closed_form_rate", "cross_term", "empirical_pipeline",
     "extract_market_gauge", "gauge_discount", "merton_residual", "nominal_return",
     "portfolio_value_series", "real_return", "return_volatility", "riskfree_studies",
     "sensitivity_neutral_weights", "simulate", "solve_primed_gauge", "solve_today",

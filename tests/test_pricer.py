@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeport import (
+    ProcessSpec,
     TimeGrid,
     bs_closed_form,
     bs_closed_form_rate,
-    constant_spec,
     merton_residual,
     simulate,
     solve_primed_gauge,
@@ -25,7 +25,6 @@ from gaugeport import (
 )
 from gaugeport import pricer
 from gaugeport.pricer import RANNACHER_STEPS, DegenerateProblem, PdeProblem, log_price_grid
-from gaugeport.sim import EnvironmentSeries
 
 STRIKE = 100.0
 SIGMA = 0.2
@@ -51,8 +50,8 @@ class TestClosedForms:
     def test_monte_carlo_agrees(self):
         # driftless log-normal terminal prices reproduce the zero-rate value
         grid = TimeGrid(1.0 / 64, 64)
-        spec = constant_spec(1, 0.0, SIGMA)
-        paths = simulate(spec, EnvironmentSeries.constant(grid), grid, 200_000, seed=55, s0=100.0)
+        spec = ProcessSpec(1, 0.0, SIGMA)
+        paths = simulate(spec, grid, 200_000, seed=55, s0=100.0)
         payoff = np.maximum(paths.paths[:, -1, 0] - STRIKE, 0.0)
         se = payoff.std(ddof=1) / np.sqrt(payoff.size)
         assert abs(payoff.mean() - bs_closed_form(100, 100, SIGMA, 1.0)) < 3 * se
@@ -110,16 +109,22 @@ class TestClosedForms:
             bs_closed_form_rate(*args)
 
     @pytest.mark.parametrize(
-        "sigma, tau, r",
+        "s, e, sigma, tau, r, value",
         [
-            (1e150, 1e10, 0.0),  # sigma^2 tau overflows: N(d2) = 0
-            (0.2, 1.0, 1e300),  # r tau overflows: exp(-r tau) = 0
+            # sigma^2 tau overflows: N(d2) = 0
+            pytest.param(100.0, 100.0, 1e150, 1e10, 0.0, 100.0, id="1e+150-10000000000.0-0.0"),
+            # r tau overflows: exp(-r tau) = 0
+            pytest.param(100.0, 100.0, 0.2, 1.0, 1e300, 100.0, id="0.2-1.0-1e+300"),
+            # e exp(-r tau) overflows where N(d2) = 0: inf * 0 was NaN
+            pytest.param(1.0, 1e300, 0.2, 1.0, -700.0, 0.0, id="strike-discount-overflows"),
+            # s / e underflows to 0: its log raised "math domain error"
+            pytest.param(1e-300, 1e300, 0.2, 1.0, 0.0, 0.0, id="moneyness-underflows"),
         ],
     )
-    def test_overflowing_variance_gives_the_limit(self, sigma, tau, r):
+    def test_overflowing_variance_gives_the_limit(self, s, e, sigma, tau, r, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bs_closed_form_rate(100.0, 100.0, sigma, tau, r) == 100.0
+            assert bs_closed_form_rate(s, e, sigma, tau, r) == value
 
 
 class TestPdeSolver:

@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from gaugeport import (
     PricePanel,
+    ProcessSpec,
     SensitivityProblem,
     TimeGrid,
     TradeUnitMap,
     WeightVector,
     apply_trade_unit_gauge,
     balance_residuals,
-    constant_spec,
     extract_market_gauge,
     real_return,
     sensitivity_neutral_weights,
@@ -31,7 +31,7 @@ from gaugeport.riskfree import (
     rebalanced_values,
     riskfree_studies,
 )
-from gaugeport.sim import EnvironmentSeries, StepKernel, block_paths, noise_block, noise_stream
+from gaugeport.sim import StepKernel, block_paths, noise_block, noise_stream
 
 GRID = TimeGrid(dt=0.01, steps=50)
 
@@ -57,9 +57,8 @@ def philox_gradients(n: int, k: int, seed: int) -> np.ndarray:
 
 
 def random_panel(n_assets: int, seed: int, grid: TimeGrid = GRID) -> PricePanel:
-    spec = constant_spec(n_assets, 0.05, 0.2)
-    env = EnvironmentSeries.constant(grid)
-    paths = simulate(spec, env, grid, n_paths=1, seed=seed)
+    spec = ProcessSpec(n_assets, 0.05, 0.2)
+    paths = simulate(spec, grid, n_paths=1, seed=seed)
     return PricePanel(grid=grid, prices=paths.paths[0])
 
 
@@ -206,7 +205,7 @@ class TestMarketGauge:
         # q' = b q, s' = s / b and B' from transform_gauge_b keep both
         # balances at round-off
         grid = TimeGrid(0.01, 100)
-        paths = simulate(constant_spec(8, 0.05, 0.2), EnvironmentSeries.constant(grid), grid, 1, seed=505)
+        paths = simulate(ProcessSpec(8, 0.05, 0.2), grid, 1, seed=505)
         panel = PricePanel(grid=grid, prices=paths.paths[0])
         result = extract_market_gauge(panel, WeightVector.equal(8))
         c = np.random.default_rng(505).normal(size=8)
@@ -232,10 +231,9 @@ class TestConvergenceStudy:
     GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
 
     def test_equal_vol_slope_is_minus_half(self):
-        spec = constant_spec(64, 0.05, 0.25)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(64, 0.05, 0.25)
         report = riskfree_studies(
-            spec, env, self.GRID8, WeightVector.equal(64), [8, 16, 32, 64], 2000, seed=10
+            spec, self.GRID8, WeightVector.equal(64), [8, 16, 32, 64], 2000, seed=10
         )
         # sigma_hat = sigma / sqrt(N) exactly, so the analytic fit is exact
         assert report.analytic_slope == pytest.approx(-0.5, abs=1e-12)
@@ -247,11 +245,10 @@ class TestConvergenceStudy:
         np.testing.assert_allclose(report.sigma_hats, report.analytic_sigma_hats, rtol=0.1)
 
     def test_thread_count_does_not_change_report(self):
-        spec = constant_spec(32, np.linspace(0.0, 0.1, 32), 0.25)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(32, np.linspace(0.0, 0.1, 32), 0.25)
         w = WeightVector.equal(32)
         runs = [
-            riskfree_studies(spec, env, self.GRID8, w, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
+            riskfree_studies(spec, self.GRID8, w, [4, 8, 16, 32], 1100, seed=3, n_jobs=jobs)
             for jobs in (1, 2)
         ]
         for report in runs[1:]:
@@ -259,79 +256,71 @@ class TestConvergenceStudy:
             assert report.slope == runs[0].slope
 
     def test_size_validation(self):
-        spec = constant_spec(16, 0.05, 0.25)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(16, 0.05, 0.25)
         w = WeightVector.equal(16)
         with pytest.raises(ValueError, match="increasing"):
-            riskfree_studies(spec, env, self.GRID8, w, [8, 8, 12, 16], 100, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [8, 8, 12, 16], 100, seed=0)
         with pytest.raises(ValueError, match="at least 4"):
-            riskfree_studies(spec, env, self.GRID8, w, [4, 8, 16], 100, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [4, 8, 16], 100, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            riskfree_studies(spec, env, self.GRID8, w, [4, 8, 16, 32], 100, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [4, 8, 16, 32], 100, seed=0)
 
 
 class TestEtemadi:
     GRID8 = TimeGrid(dt=1.0 / 64, steps=8)
 
     def test_identical_weights_have_zero_divergence(self):
-        spec = constant_spec(16, 0.05, 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(16, 0.05, 0.2)
         w = WeightVector.equal(16)
-        report = riskfree_studies(spec, env, self.GRID8, w, [2, 4, 8, 16], 500, seed=1)
+        report = riskfree_studies(spec, self.GRID8, w, [2, 4, 8, 16], 500, seed=1)
         np.testing.assert_allclose(report.divergences, 0.0, atol=1e-15)
 
     def test_divergence_decays_with_universe_size(self):
         n = 256
         mu = np.linspace(0.0, 0.1, n)
-        spec = constant_spec(n, mu, 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(n, mu, 0.2)
         rng = np.random.default_rng(7)
         wb = rng.uniform(0.5, 1.5, n)
         report = riskfree_studies(
-            spec, env, self.GRID8, WeightVector(wb / wb.sum()), [4, 16, 64, 256], 2000, seed=2
+            spec, self.GRID8, WeightVector(wb / wb.sum()), [4, 16, 64, 256], 2000, seed=2
         )
         assert report.divergences[-1] < report.divergences[0]
 
     def test_thread_count_does_not_change_divergences(self):
         n = 32
-        spec = constant_spec(n, np.linspace(0.0, 0.1, n), 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(n, np.linspace(0.0, 0.1, n), 0.2)
         wb = np.random.default_rng(5).uniform(0.5, 1.5, n)
-        args = (spec, env, self.GRID8, WeightVector(wb / wb.sum()), [4, 8, 16, 32], 1100)
+        args = (spec, self.GRID8, WeightVector(wb / wb.sum()), [4, 8, 16, 32], 1100)
         a = riskfree_studies(*args, seed=2, n_jobs=1)
         b = riskfree_studies(*args, seed=2, n_jobs=2)
         assert np.array_equal(a.divergences, b.divergences)
 
     def test_sizes_must_be_positive(self):
-        spec = constant_spec(16, 0.05, 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(16, 0.05, 0.2)
         w = WeightVector.equal(16)
         with pytest.raises(ValueError, match="positive"):
-            riskfree_studies(spec, env, self.GRID8, w, [0, 4, 8, 16], 100, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [0, 4, 8, 16], 100, seed=0)
 
     def test_sizes_must_increase(self):
-        spec = constant_spec(16, 0.05, 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(16, 0.05, 0.2)
         w = WeightVector.equal(16)
         for sizes in ([4, 8, 8, 16], [16, 8, 4, 2]):
             with pytest.raises(ValueError, match="increasing"):
-                riskfree_studies(spec, env, self.GRID8, w, sizes, 100, seed=0)
+                riskfree_studies(spec, self.GRID8, w, sizes, 100, seed=0)
         with pytest.raises(TypeError, match="integer"):
-            riskfree_studies(spec, env, self.GRID8, w, [2, 4.0, 8, 16], 100, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [2, 4.0, 8, 16], 100, seed=0)
 
     def test_needs_a_path(self):
-        spec = constant_spec(16, 0.05, 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(16, 0.05, 0.2)
         w = WeightVector.equal(16)
         with pytest.raises(ValueError, match="n_paths"):
-            riskfree_studies(spec, env, self.GRID8, w, [2, 4, 8, 16], 0, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [2, 4, 8, 16], 0, seed=0)
 
     def test_short_positions_rejected(self):
-        spec = constant_spec(4, 0.05, 0.2)
-        env = EnvironmentSeries.constant(self.GRID8)
+        spec = ProcessSpec(4, 0.05, 0.2)
         w = WeightVector(np.array([0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError, match="positive"):
-            riskfree_studies(spec, env, self.GRID8, w, [1, 2, 3, 4], 100, seed=0)
+            riskfree_studies(spec, self.GRID8, w, [1, 2, 3, 4], 100, seed=0)
 
 
 class TestSubBlockStreaming:
@@ -345,12 +334,11 @@ class TestSubBlockStreaming:
 
     def runs(self, tag, w):
         assert block_paths(self.GRID8.steps, self.N) == 100
-        env = EnvironmentSeries.constant(self.GRID8)
-        spec = constant_spec(
+        spec = ProcessSpec(
             self.N, np.linspace(0.0, 0.1, self.N), np.linspace(0.1, 0.3, self.N), tag
         )
         serial, *threaded = (
-            riskfree_studies(spec, env, self.GRID8, w, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
+            riskfree_studies(spec, self.GRID8, w, self.SIZES, self.N_PATHS, 4, n_jobs=n_jobs)
             for n_jobs in (1, 2, 3)
         )
         return serial, threaded
@@ -383,14 +371,13 @@ class TestPrefixReduction:
 
     def setup_method(self):
         rng = np.random.default_rng(3)
-        self.spec = constant_spec(self.N, rng.uniform(0.0, 0.1, self.N), rng.uniform(0.1, 0.4, self.N))
-        self.env = EnvironmentSeries.constant(self.GRID8)
+        self.spec = ProcessSpec(self.N, rng.uniform(0.0, 0.1, self.N), rng.uniform(0.1, 0.4, self.N))
         wb = rng.uniform(0.5, 1.5, self.N)
         self.weights = {"equal": np.full(self.N, 1.0 / self.N), "random": wb / wb.sum()}
 
     def reference_log_returns(self, w, spec=None):
         """Per-step log-returns [size, path, step] from each key block's noise and prefix gemv."""
-        kernel = StepKernel.of(spec or self.spec, self.env, self.GRID8)
+        kernel = StepKernel.of(spec or self.spec, self.GRID8)
         out = []
         size = block_paths(self.GRID8.steps, self.N)
         for block, first in enumerate(range(0, self.N_PATHS, size)):
@@ -406,7 +393,7 @@ class TestPrefixReduction:
         w = self.weights[name]
         logret = self.reference_log_returns(w)
         total, m2 = _prefix_log_return_moments(
-            self.spec, self.env, self.GRID8, [w], self.SIZES, self.N_PATHS, self.SEED, 2
+            self.spec, self.GRID8, [w], self.SIZES, self.N_PATHS, self.SEED, 2
         )
         np.testing.assert_allclose(total[0], logret.sum(axis=(1, 2)), rtol=1e-12)
         dev = logret - logret.mean(axis=(1, 2), keepdims=True)
@@ -417,11 +404,11 @@ class TestPrefixReduction:
         # to 6e-4 (N = 5): E[x^2] - E[x]^2 cancels (0.78 / 8e-5)^2 ~ 1e8 of
         # E[x^2]'s 16 digits; the merged block moments keep them
         rng = np.random.default_rng(5)
-        spec = constant_spec(self.N, 50.0 + rng.uniform(0.0, 1.0, self.N), 0.01)
+        spec = ProcessSpec(self.N, 50.0 + rng.uniform(0.0, 1.0, self.N), 0.01)
         logret = self.reference_log_returns(self.weights["equal"], spec)
         expected = logret.reshape(len(self.SIZES), -1).std(axis=1) / np.sqrt(self.GRID8.dt)
         study = riskfree_studies(
-            spec, self.env, self.GRID8, WeightVector.equal(self.N), self.SIZES, self.N_PATHS,
+            spec, self.GRID8, WeightVector.equal(self.N), self.SIZES, self.N_PATHS,
             self.SEED, n_jobs=2,
         )
         np.testing.assert_allclose(study.sigma_hats, expected, rtol=1e-12)
@@ -437,7 +424,7 @@ class TestPrefixReduction:
         cum_equal = equal.sum(axis=(1, 2)) / self.N_PATHS
         cum_random = random.sum(axis=(1, 2)) / self.N_PATHS
         study = riskfree_studies(
-            self.spec, self.env, self.GRID8, WeightVector(self.weights["random"]),
+            self.spec, self.GRID8, WeightVector(self.weights["random"]),
             self.SIZES, self.N_PATHS, self.SEED,
         )
         np.testing.assert_allclose(study.sigma_hats, sigma_hats, rtol=1e-12)

@@ -8,7 +8,6 @@ from gaugeport import (
     PathSet,
     TimeGrid,
     WeightVector,
-    constant_spec,
     cross_term,
     return_volatility,
     riskfree_studies,
@@ -21,7 +20,6 @@ from gaugeport.sim import (
     CHUNK_CELLS,
     NOISE_KEY,
     NOISE_TAGS,
-    EnvironmentSeries,
     ProcessSpec,
     StepKernel,
     block_paths,
@@ -33,13 +31,12 @@ from gaugeport.sim import (
 )
 
 GRID = TimeGrid(dt=1.0 / 64, steps=64)
-ENV = EnvironmentSeries.constant(GRID)
 
 
 class TestSimulate:
     def test_zero_vol_is_deterministic_exponential(self):
-        spec = constant_spec(3, np.array([0.05, 0.0, -0.02]), 0.0)
-        paths = simulate(spec, ENV, GRID, n_paths=4, seed=1)
+        spec = ProcessSpec(3, np.array([0.05, 0.0, -0.02]), 0.0)
+        paths = simulate(spec, GRID, n_paths=4, seed=1)
         t = GRID.points()
         expected = np.exp(np.outer(t, np.array([0.05, 0.0, -0.02])))
         np.testing.assert_allclose(
@@ -50,8 +47,8 @@ class TestSimulate:
         # Terminal log is N((mu - sigma^2/2) T, sigma^2 T); check mean and
         # variance against 3-standard-error Monte Carlo bands.
         mu, sigma, n = 0.07, 0.2, 100_000
-        spec = constant_spec(1, mu, sigma)
-        paths = simulate(spec, ENV, GRID, n_paths=n, seed=77)
+        spec = ProcessSpec(1, mu, sigma)
+        paths = simulate(spec, GRID, n_paths=n, seed=77)
         log_t = np.log(paths.paths[:, -1, 0])
         t_end = GRID.horizon
 
@@ -66,53 +63,45 @@ class TestSimulate:
         assert abs(terminal.mean() - np.exp(mu * t_end)) < 3 * term_se
 
     def test_thread_count_does_not_change_sample(self):
-        spec = constant_spec(4, 0.05, 0.25)
-        a = simulate(spec, ENV, GRID, n_paths=1200, seed=9, n_jobs=1)
-        b = simulate(spec, ENV, GRID, n_paths=1200, seed=9, n_jobs=8)
+        spec = ProcessSpec(4, 0.05, 0.25)
+        a = simulate(spec, GRID, n_paths=1200, seed=9, n_jobs=1)
+        b = simulate(spec, GRID, n_paths=1200, seed=9, n_jobs=8)
         assert np.array_equal(a.paths, b.paths)
 
     def test_seed_changes_sample(self):
-        spec = constant_spec(2, 0.05, 0.25)
-        a = simulate(spec, ENV, GRID, n_paths=10, seed=1)
-        b = simulate(spec, ENV, GRID, n_paths=10, seed=2)
+        spec = ProcessSpec(2, 0.05, 0.25)
+        a = simulate(spec, GRID, n_paths=10, seed=1)
+        b = simulate(spec, GRID, n_paths=10, seed=2)
         assert not np.array_equal(a.paths, b.paths)
 
     def test_custom_start_prices(self):
-        spec = constant_spec(2, 0.0, 0.0)
-        paths = simulate(spec, ENV, GRID, 1, seed=0, s0=np.array([10.0, 0.5]))
+        spec = ProcessSpec(2, 0.0, 0.0)
+        paths = simulate(spec, GRID, 1, seed=0, s0=np.array([10.0, 0.5]))
         np.testing.assert_allclose(paths.paths[0, -1], [10.0, 0.5], rtol=1e-12)
 
     def test_environment_dependent_drift(self):
+        # a drift that follows xi(t) at the steps' left ends: a per-step column
         xi = np.linspace(0.0, 1.0, GRID.n_points)[:, None]
-        env = EnvironmentSeries(GRID, xi)
-        spec = ProcessSpec(1, mu=lambda x: 0.1 * x[:, :1], sigma=lambda x: 0.0)
-        paths = simulate(spec, env, GRID, 1, seed=0)
+        spec = ProcessSpec(1, mu=0.1 * xi[:-1], sigma=0.0)
+        paths = simulate(spec, GRID, 1, seed=0)
         expected = np.exp(0.1 * np.sum(xi[:-1, 0]) * GRID.dt)
         np.testing.assert_allclose(paths.paths[0, -1, 0], expected, rtol=1e-12)
 
-    def test_environment_shape_rejected(self):
-        # a 1-D series is one factor; a 2-D one is taken as given, not transposed
-        assert EnvironmentSeries(GRID, np.zeros(GRID.n_points)).xi.shape == (GRID.n_points, 1)
-        grid = TimeGrid(0.1, 3)
-        for xi in (np.arange(4.0)[None, :], np.zeros((3, 1)), np.zeros((4, 1, 1)), 0.0):
-            with pytest.raises(ValueError, match="one factor vector per grid point"):
-                EnvironmentSeries(grid, xi)
-
     def test_negative_sigma_rejected(self):
-        spec = ProcessSpec(1, mu=lambda x: 0.0, sigma=lambda x: -0.1)
-        with pytest.raises(ValueError, match="negative"):
-            simulate(spec, ENV, GRID, 1, seed=0)
+        for sigma in (-0.1, [[0.2], [-0.1]], np.array([0.2, -1e-300])):
+            with pytest.raises(ValueError, match="^sigma holds a negative volatility$"):
+                ProcessSpec(2, 0.0, sigma)
+        assert np.signbit(ProcessSpec(2, 0.0, -0.0).sigma)  # -0.0 is not negative
 
     def test_peak_memory_is_output_plus_noise_blocks(self):
         # each of the 2 workers holds one 2^16-cell noise chunk at a time,
         # turned in place into ratios and multiplied into the output
         grid = TimeGrid(dt=1.0 / 64, steps=8)
-        spec = constant_spec(256, 0.05, 0.2)
-        env = EnvironmentSeries.constant(grid)
+        spec = ProcessSpec(256, 0.05, 0.2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            paths = simulate(spec, env, grid, n_paths=2048, seed=3, n_jobs=2)
+            paths = simulate(spec, grid, n_paths=2048, seed=3, n_jobs=2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -121,10 +110,9 @@ class TestSimulate:
         assert peak <= paths.paths.nbytes + 3 * CHUNK_CELLS * 8
 
 
-def per_cell(fn, env: EnvironmentSeries, n_assets: int) -> np.ndarray:
-    """The scalar process model: one fn(asset, factor row) call per cell."""
-    xi = env.xi[:-1]
-    return np.array([[fn(i, xi[k]) for i in range(n_assets)] for k in range(xi.shape[0])])
+def per_cell(fn, xi: float, n_assets: int, steps: int = GRID.steps) -> np.ndarray:
+    """The scalar process model: one fn(asset, xi) call per (step, asset) cell."""
+    return np.array([[fn(i, xi) for i in range(n_assets)] for _ in range(steps)])
 
 
 def assert_same_bits(a, b):
@@ -136,39 +124,45 @@ def assert_same_bits(a, b):
 class TestProcessModel:
     """Array-valued catalog families against the per-cell formulas they replace."""
 
-    XI = 1.5 * np.sin(np.linspace(0.0, 9.0, GRID.n_points))[:, None]
+    #: environment factors from -1.5 to 1.5, -0.0 and 0.0 among them
+    XI = [*(1.5 * np.sin(np.linspace(0.0, 9.0, 7))), -0.0]
 
     def test_constant_family(self):
         mu = [0.01, -0.02, 0.05, 0.0, 0.07]
         sigma = [0.1, 0.0, 0.3, 0.25, 0.2]
-        spec = build_process("constant", {"mu": mu, "sigma": sigma}, 5)
-        env = EnvironmentSeries(GRID, self.XI)
-        assert_same_bits(spec.drift_matrix(env), per_cell(lambda i, x: np.array(mu)[i], env, 5))
-        assert_same_bits(spec.vol_matrix(env), per_cell(lambda i, x: np.array(sigma)[i], env, 5))
+        for xi in self.XI:
+            spec = build_process("constant", {"mu": mu, "sigma": sigma}, 5, xi=xi)
+            assert_same_bits(spec.drift_matrix(GRID), per_cell(lambda i, x: np.array(mu)[i], xi, 5))
+            assert_same_bits(spec.vol_matrix(GRID), per_cell(lambda i, x: np.array(sigma)[i], xi, 5))
 
     def test_affine_family_with_vol_clamp(self):
-        p = {"mu0": 0.03, "mu1": -0.7, "sigma0": 0.1, "sigma1": 0.2}
-        spec = build_process("affine", p, 4)
-        env = EnvironmentSeries(GRID, self.XI)
-        sigma = spec.vol_matrix(env)
+        clamped = False
+        for p in (
+            {"mu0": 0.03, "mu1": -0.7, "sigma0": 0.1, "sigma1": 0.2},
+            {"mu0": 0.0, "mu1": 1.0, "sigma0": -0.0, "sigma1": 1.0},  # -0.0 at xi = -0.0
+        ):
+            for xi in self.XI:
+                spec = build_process("affine", p, 4, xi=xi)
+                sigma = spec.vol_matrix(GRID)
+                clamped |= p["sigma0"] + p["sigma1"] * xi < 0.0
+                drift_ref = per_cell(lambda i, x: p["mu0"] + p["mu1"] * x, xi, 4)
+                vol_ref = per_cell(lambda i, x: max(p["sigma0"] + p["sigma1"] * x, 0.0), xi, 4)
+                assert_same_bits(spec.drift_matrix(GRID), drift_ref)
+                assert_same_bits(sigma, vol_ref)
         # xi swings to -1.5, which drives sigma0 + sigma1 xi below 0 and onto the clamp
-        assert np.any(sigma == 0.0) and np.any(sigma > 0.1)
-        drift_ref = per_cell(lambda i, x: p["mu0"] + p["mu1"] * x[0], env, 4)
-        vol_ref = per_cell(lambda i, x: max(p["sigma0"] + p["sigma1"] * x[0], 0.0), env, 4)
-        assert_same_bits(spec.drift_matrix(env), drift_ref)
-        assert_same_bits(sigma, vol_ref)
+        assert clamped
 
     def test_sector_block_family(self):
         mus = [0.01, 0.05, 0.09]
         sigmas = [0.1, 0.2, 0.3]
-        spec = build_process("sector-block", {"mu_sectors": mus, "sigma_sectors": sigmas}, 8)
-        env = EnvironmentSeries(GRID, self.XI)
-        assert_same_bits(spec.drift_matrix(env), per_cell(lambda i, x: np.array(mus)[i % 3], env, 8))
-        assert_same_bits(spec.vol_matrix(env), per_cell(lambda i, x: np.array(sigmas)[i % 3], env, 8))
+        for xi in self.XI:
+            spec = build_process("sector-block", {"mu_sectors": mus, "sigma_sectors": sigmas}, 8, xi=xi)
+            assert_same_bits(spec.drift_matrix(GRID), per_cell(lambda i, x: np.array(mus)[i % 3], xi, 8))
+            assert_same_bits(spec.vol_matrix(GRID), per_cell(lambda i, x: np.array(sigmas)[i % 3], xi, 8))
 
     def test_scalar_sectors_are_one_sector(self):
         spec = build_process("sector-block", {"mu_sectors": 0.04, "sigma_sectors": 0.3}, 3)
-        assert_same_bits(spec.vol_matrix(ENV), np.full((GRID.steps, 3), 0.3))
+        assert_same_bits(spec.vol_matrix(GRID), np.full((GRID.steps, 3), 0.3))
 
     @pytest.mark.parametrize(
         "family, params, message",
@@ -191,42 +185,45 @@ class TestProcessModel:
         assert str(raised.value) == f"invalid config: {message}"
 
     def test_unbroadcastable_shape_rejected(self):
-        spec = ProcessSpec(3, mu=lambda x: np.zeros(2), sigma=lambda x: 0.1)
-        with pytest.raises(ValueError, match="broadcastable"):
-            spec.drift_matrix(ENV)
+        # the last axis holds one value or one per asset, checked when the spec is built
+        for mu in (np.zeros(2), np.zeros((GRID.steps, 2)), np.zeros((GRID.steps, 3, 1))):
+            with pytest.raises(ValueError, match=r"^mu of shape .* does not broadcast to \[steps, 3\]"):
+                ProcessSpec(3, mu, 0.1)
+        # the steps, checked against the grid
+        spec = ProcessSpec(3, 0.0, np.full((GRID.steps + 1, 1), 0.1))
+        with pytest.raises(ValueError, match=r"^sigma has shape \(65, 1\), not broadcastable to \(64, 3\)$"):
+            spec.vol_matrix(GRID)
 
 
 class TestStepKernel:
     """Kernel terms keep the shape the process values vary in, and a chunk
     at any step offset gets the ratios of the whole path."""
 
-    ENV = EnvironmentSeries(GRID, TestProcessModel.XI)
-
     @pytest.mark.parametrize(
         "family, params, shape",
         [
-            ("constant", {"mu": [0.01, 0.02, 0.03], "sigma": 0.2}, (1, 3)),
-            ("sector-block", {"mu_sectors": [0.01, 0.05], "sigma_sectors": [0.1, 0.2]}, (1, 3)),
-            ("affine", {"mu0": 0.03, "mu1": -0.7, "sigma0": 0.1, "sigma1": 0.2}, (GRID.steps, 1)),
+            # (drift shape, scale shape): a scalar sigma is one value for every cell
+            ("constant", {"mu": [0.01, 0.02, 0.03], "sigma": 0.2}, ((1, 3), (1, 1))),
+            ("sector-block", {"mu_sectors": [0.01, 0.05], "sigma_sectors": [0.1, 0.2]}, ((1, 3), (1, 3))),
+            ("affine", {"mu0": 0.03, "mu1": -0.7, "sigma0": 0.1, "sigma1": 0.2}, ((1, 1), (1, 1))),
         ],
     )
     def test_terms_keep_the_shape_their_values_vary_in(self, family, params, shape):
-        spec = build_process(family, params, 3)
-        kernel = StepKernel.of(spec, self.ENV, GRID)
+        spec = build_process(family, params, 3, xi=0.7)
+        kernel = StepKernel.of(spec, GRID)
         assert (kernel.steps, kernel.n_assets) == (GRID.steps, 3)
-        assert kernel.drift.shape == kernel.scale.shape == shape
+        assert (kernel.drift.shape, kernel.scale.shape) == shape
         # the values of the [steps, N] terms, formed as before
-        mu, sigma = spec.drift_matrix(self.ENV), spec.vol_matrix(self.ENV)
+        mu, sigma = spec.drift_matrix(GRID), spec.vol_matrix(GRID)
         drift = np.broadcast_to(kernel.drift, (GRID.steps, 3))
         assert_same_bits(drift, (mu - 0.5 * sigma**2) * GRID.dt)
         assert_same_bits(np.broadcast_to(kernel.scale, (GRID.steps, 3)), sigma * np.sqrt(GRID.dt))
 
     def test_chunks_at_step_offsets_give_the_path_ratios(self):
         # a per-step drift column and a per-step, per-asset volatility
-        spec = ProcessSpec(
-            4, mu=lambda x: 0.05 + 0.1 * x, sigma=lambda x: 0.2 + 0.1 * np.abs(x) * np.arange(4)
-        )
-        kernel = StepKernel.of(spec, self.ENV, GRID)
+        xi = 1.5 * np.sin(np.linspace(0.0, 9.0, GRID.steps))[:, None]
+        spec = ProcessSpec(4, mu=0.05 + 0.1 * xi, sigma=0.2 + 0.1 * np.abs(xi) * np.arange(4))
+        kernel = StepKernel.of(spec, GRID)
         assert kernel.drift.shape == kernel.scale.shape == (GRID.steps, 4)
         z = np.random.default_rng(2).standard_normal((2, GRID.steps, 4))
         whole = kernel.gross(z.copy())
@@ -354,10 +351,9 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("tag", NOISE_TAGS)
     def test_simulate_matches_whole_block_cumprod(self, tag):
-        spec = constant_spec(WIDE, np.linspace(-0.05, 0.1, WIDE), np.linspace(0.0, 0.4, WIDE), tag)
-        env = EnvironmentSeries.constant(GRID8)
+        spec = ProcessSpec(WIDE, np.linspace(-0.05, 0.1, WIDE), np.linspace(0.0, 0.4, WIDE), tag)
         s0 = np.linspace(0.5, 2.0, WIDE)
-        kernel = StepKernel.of(spec, env, GRID8)
+        kernel = StepKernel.of(spec, GRID8)
         expected = np.empty((RAGGED_PATHS, GRID8.n_points, WIDE))
         expected[:, 0] = s0
         for block, start, size in key_blocks(RAGGED_PATHS, GRID8.steps, WIDE):
@@ -366,22 +362,21 @@ class TestSubBlocks:
             z += kernel.drift
             expected[start : start + size, 1:] = np.cumprod(np.exp(z), axis=1) * s0
         for n_jobs in (1, 2, 3):
-            paths = simulate(spec, env, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
+            paths = simulate(spec, GRID8, RAGGED_PATHS, seed=7, s0=s0, n_jobs=n_jobs)
             assert_same_bits(paths.paths, expected)
 
     def test_studies_hold_a_few_blocks(self):
         # 1024 assets x 64 steps: a key block is 4 paths, 2 MiB of noise
         grid = TimeGrid(dt=1.0 / 64, steps=64)
         n = 1024
-        spec = constant_spec(n, 0.05, 0.2)
-        env = EnvironmentSeries.constant(grid)
+        spec = ProcessSpec(n, 0.05, 0.2)
         block_bytes = BLOCK_CELLS * 8
         wb = np.random.default_rng(1).uniform(0.5, 1.5, n)
         w = WeightVector(wb / wb.sum())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            riskfree_studies(spec, env, grid, w, [16, 64, 256, n], 256, seed=3, n_jobs=2)
+            riskfree_studies(spec, grid, w, [16, 64, 256, n], 256, seed=3, n_jobs=2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -394,12 +389,11 @@ class TestSubBlocks:
     def test_long_simulate_holds_output_plus_few_sub_blocks(self):
         # 1260 steps x 512 assets: a key block is one path of ten chunks
         grid = TimeGrid(dt=1.0 / 252, steps=1260)
-        spec = constant_spec(512, 0.05, 0.2)
-        env = EnvironmentSeries.constant(grid)
+        spec = ProcessSpec(512, 0.05, 0.2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            paths = simulate(spec, env, grid, n_paths=16, seed=3, n_jobs=2)
+            paths = simulate(spec, grid, n_paths=16, seed=3, n_jobs=2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -424,11 +418,10 @@ class TestTerminalPrices:
     )
     def test_matches_the_last_slice_of_simulate(self, tag, grid, n_assets, n_paths):
         mu, sigma = np.linspace(-0.05, 0.1, n_assets), np.linspace(0.0, 0.4, n_assets)
-        spec = constant_spec(n_assets, mu, sigma, tag)
-        env = EnvironmentSeries.constant(grid)
+        spec = ProcessSpec(n_assets, mu, sigma, tag)
         for n_jobs in (1, 2, 3):
-            terminal = simulate(spec, env, grid, n_paths, seed=7, s0=1.0, n_jobs=n_jobs).paths[:, -1]
-            stats = terminal_stats(spec, env, grid, n_paths, seed=7, n_jobs=n_jobs)
+            terminal = simulate(spec, grid, n_paths, seed=7, s0=1.0, n_jobs=n_jobs).paths[:, -1]
+            stats = terminal_stats(spec, grid, n_paths, seed=7, n_jobs=n_jobs)
             if n_assets > 1 or n_paths <= block_paths(grid.steps, n_assets):
                 # rows added in path order, as numpy adds them; a single
                 # column in one block is summed pairwise by both
@@ -447,11 +440,11 @@ class TestTerminalPrices:
         [(1e5, 0.2), (0.05, 1e3)],  # exp overflows to inf; exp underflows to 0
     )
     def test_rejects_what_simulate_rejects(self, mu, sigma):
-        spec = constant_spec(2, [0.05, mu], [0.2, sigma])
+        spec = ProcessSpec(2, [0.05, mu], [0.2, sigma])
         with pytest.raises(ValueError) as stored:
-            simulate(spec, ENV, GRID, 8, seed=1)
+            simulate(spec, GRID, 8, seed=1)
         with pytest.raises(ValueError) as streamed:
-            terminal_stats(spec, ENV, GRID, 8, seed=1)
+            terminal_stats(spec, GRID, 8, seed=1)
         assert str(streamed.value) == str(stored.value) == "paths must be finite and strictly positive"
 
     @pytest.mark.filterwarnings("error")  # no numpy warning escapes the fold
@@ -470,15 +463,14 @@ class TestTerminalPrices:
         # of the blocks in flight (at most 512 paths each) and the fold's two
         # block-sized temporaries; neither paths nor steps enter the bound
         bound = 8 * CHUNK_CELLS * 8
-        spec = constant_spec(64, 0.05, 0.2)
+        spec = ProcessSpec(64, 0.05, 0.2)
         peaks = {}
         for steps, n_paths in [(8, 4096), (8, 16384), (1260, 64)]:
             grid = TimeGrid(dt=1.0 / 252, steps=steps)
-            env = EnvironmentSeries.constant(grid)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                terminal_stats(spec, env, grid, n_paths, seed=3, n_jobs=2)
+                terminal_stats(spec, grid, n_paths, seed=3, n_jobs=2)
                 peaks[steps, n_paths] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -565,11 +557,11 @@ class TestNoiseTags:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="noise tag"):
-            constant_spec(1, 0.0, 0.1, noise="cauchy")
+            ProcessSpec(1, 0.0, 0.1, noise="cauchy")
 
     def test_two_point_simulation_runs(self):
-        spec = constant_spec(2, 0.05, 0.2, noise="two-point")
-        paths = simulate(spec, ENV, GRID, n_paths=100, seed=4)
+        spec = ProcessSpec(2, 0.05, 0.2, noise="two-point")
+        paths = simulate(spec, GRID, n_paths=100, seed=4)
         assert paths.paths.shape == (100, GRID.n_points, 2)
         # every step ratio takes one of exactly two values per asset
         ratios = paths.paths[:, 1, 0] / paths.paths[:, 0, 0]
