@@ -4,7 +4,9 @@ Subcommands: simulate, gauge, riskfree, price, discount, sensitivity.
 ``simulate`` reports per-asset statistics of the terminal prices, reduced
 as the Monte Carlo blocks come in (:func:`gaugeport.sim.terminal_stats`),
 so it holds neither paths nor terminal prices.  Every run embeds the
-config hash and seed in its report.  Exit codes:
+config hash and seed in its report.  Only gauge and discount read
+``--panel`` and ``--normalize``; either flag on another command is a usage
+error.  Exit codes:
 0 success, 1 usage error, 2 computation error, a failed allocation
 included.  GAUGEPORT_THREADS (ASCII decimal digits for an integer >= 1,
 default 1) sets the Monte Carlo worker count of simulate and riskfree,
@@ -169,6 +171,9 @@ class UsageError(ValueError):
     pass
 
 
+#: The commands that read ``--panel`` and ``--normalize``.
+_PANEL_COMMANDS = ("gauge", "discount")
+
 _COMMANDS = {
     "simulate": cmd_simulate,
     "gauge": cmd_gauge,
@@ -204,6 +209,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    if args.command not in _PANEL_COMMANDS:
+        for flag, given in (("--panel", args.panel is not None), ("--normalize", args.normalize)):
+            if given:
+                print(f"error: {args.command} does not read {flag}", file=sys.stderr)
+                return EXIT_USAGE
     try:
         config = io.load_config(args.config)
     except (ValueError, OSError) as exc:

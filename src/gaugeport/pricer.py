@@ -10,42 +10,34 @@ it becomes the zero-rate equation U_t + (1/2) sigma^2 y^2 U_yy = 0 with the
 same payoff.  A call or put payoff is homogeneous of degree one in (s, K),
 so V_{A,B}(s; K) = exp(int B dtau) V_0(s; K exp(int A dtau)): a price
 depends on A and B only through their integrals over [0, T].  That is the
-paper's gauge symmetry, not an approximation.  :func:`vanilla_problem`
-folds both fields into the problem it builds, the strike as
-K' = K exp(int A dtau) and the factor exp(int B dtau) as ``scale``, so the
-solver only ever steps the zero-rate equation, already in the primed
-A' = 0 gauge.  Setting A = -r, B = 0 recovers the textbook equation with
-rate r.
+paper's gauge symmetry, not an approximation.  A :class:`PdeProblem` is a
+log-price grid, sigma, the payoff's terminal values on the grid and a value
+scale.  :func:`vanilla_problem` folds both fields into the problem it
+builds, the strike as K' = K exp(int A dtau) and the factor
+exp(int B dtau) as ``scale``, so the solver only ever steps the zero-rate
+equation, already in the primed A' = 0 gauge.  Setting A = -r, B = 0
+recovers the textbook equation with rate r.
 
-U is solved backward in time on a log-price grid with Crank-Nicolson
-stepping and a Rannacher start-up (implicit-Euler half steps) to damp the
-payoff kink.  At zero rates a payoff that is linear near the grid's ends
-(a call, a put, a forward) solves the equation there unchanged, so the
-Dirichlet data of every step are the payoff's end values.
+U is solved backward in time with Crank-Nicolson stepping and a Rannacher
+start-up (implicit-Euler half steps) to damp the payoff kink.  At zero rates
+a payoff that is linear near the grid's ends (a call, a put, a forward)
+solves the equation there unchanged, so the Dirichlet data of every step are
+the terminal row's end values.  At sigma = 0 the operator is 0 and the solve
+returns the terminal row times ``scale``.
 
-:func:`vanilla_problem` spans [K'/span, K'*span].  ln(span) is the larger of
-8 sigma_max sqrt(tau) clipped to [0.2, ln 8], and of 5 sigma_max sqrt(tau):
-five log-price standard deviations (Kangro & Nicolaides, SIAM J. Numer.
-Anal. 38, 2000), with no cap: the Dirichlet truncation error no longer grows
-with sigma sqrt(tau), though at a fixed node count a wider grid is a coarser
-one.  Prices are read at the strike K, |int A dtau| off the centre K' in
-ln s, so a third rule keeps K max(5 sigma_max sqrt(tau), 0.2) inside the
-grid's ends: ln(span) is at least |int A dtau| plus that.  It widens
-grids where A moves K near an end (sigma = 0 with int A dtau = -0.25, or
-sigma = 0.01, tau = 5, A = -0.05) and those the second rule sets; a grid
-with A = 0, and every A = -0.05 grid of sigma from 0.1 to 0.4 and tau = 1,
-is the sigma rules' alone.  B does not widen the grid.  The floor keeps sigma = 0 on a strictly increasing grid,
-and wherever the second rule is below ln 8 the first alone sets it.  On the
-default 400 x 400 grid an at-the-money call with tau = 1 is off the closed
-form by a relative 1.5e-4 at sigma = 1, 6.6e-4 at sigma = 2 and 1.6e-2 at
-sigma = 5.  A span or grid end that is not finite raises
-:class:`DegenerateProblem`, and so does a grid widened past [K'/8, 8K']
-whose nodes are more than ``MAX_LOG_STEP`` = 0.125 apart in ln s
-(sigma = 5 on 400 nodes) or whose sigma_max sqrt(tau) is above
-``MAX_SIGMA_SQRT_TAU`` = 5.  Past that the drift sigma^2 tau / 2 of ln s
-outruns the five-deviation span: with nodes 0.125 apart the call above
-would be off by 5.8e-2 at sigma = 10 and 0.48 at sigma = 100, and 400 nodes
-would price it at 1.6e-17 at sigma = 50.
+:func:`vanilla_problem` spans [K'/span, K'*span].  ln(span) is the largest
+of three rules: 8 sigma_max sqrt(tau) clipped to [0.2, ln 8]; 5 sigma_max
+sqrt(tau), five log-price standard deviations (Kangro & Nicolaides, SIAM J.
+Numer. Anal. 38, 2000); and |int A dtau| + max(5 sigma_max sqrt(tau), 0.2),
+which keeps the strike K, where prices are read, that far inside the grid's
+ends.  B does not widen the grid.  On the default 400 x 400 grid an
+at-the-money call with tau = 1 is off the closed form by a relative 1.5e-4
+at sigma = 1, 6.6e-4 at sigma = 2 and 1.6e-2 at sigma = 5.  A span or grid
+end that is not finite raises :class:`DegenerateProblem`, and so does a grid
+widened past [K'/8, 8K'] whose nodes are more than ``MAX_LOG_STEP`` = 0.125
+apart in ln s (sigma = 5 on 400 nodes) or whose sigma_max sqrt(tau) is above
+``MAX_SIGMA_SQRT_TAU`` = 5, where the drift sigma^2 tau / 2 of ln s outruns
+the five-deviation span.
 
 Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
 is LU-factored once with LAPACK ``dgttrf`` (again only where sigma changes
@@ -107,20 +99,20 @@ class DegenerateProblem(ValueError):
 
 @dataclass(frozen=True)
 class PdeProblem:
-    """Grid, volatility, terminal data and value scale of the zero-rate pricing equation.
+    """Grid, volatility, terminal values and value scale of the zero-rate pricing equation.
 
     ``s_grid`` must be uniform in ln s, as :func:`log_price_grid` makes it.
     ``sigma`` is a scalar or a per-interval series on ``t_grid``.
-    ``payoff`` maps the price grid to terminal values; its two end values
-    are the Dirichlet data of every step, exact where it is linear near the
-    ends.  Today's values are multiplied by ``scale``: exp(int B dtau) in a
-    :func:`vanilla_problem`.
+    ``terminal`` holds the payoff's finite values on ``s_grid``; its two end
+    values are the Dirichlet data of every step, exact where the payoff is
+    linear near the ends.  Today's values are multiplied by ``scale``:
+    exp(int B dtau) in a :func:`vanilla_problem`.
     """
 
     s_grid: np.ndarray
     t_grid: TimeGrid
     sigma: ArrayLike
-    payoff: Callable[[np.ndarray], np.ndarray]
+    terminal: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self):
@@ -141,20 +133,10 @@ class PdeProblem:
         object.__setattr__(self, "sigma", self.t_grid.per_interval(self.sigma, "sigma"))
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
-        terminal = np.asarray(self.payoff(s), dtype=float)
+        terminal = np.asarray(self.terminal, dtype=float)
+        object.__setattr__(self, "terminal", terminal)
         if terminal.shape != s.shape or not np.all(np.isfinite(terminal)):
-            raise ValueError("payoff must be finite on the grid")
-        if np.max(self.sigma) == 0.0:
-            # without diffusion a genuine discontinuity never smooths out:
-            # flag payoffs whose largest node-to-node jump dwarfs the typical
-            # one, or whose jumps are confined to a few isolated nodes
-            jumps = np.abs(np.diff(terminal))
-            positive = jumps[jumps > 0]
-            if positive.size:
-                sparse = positive.size < 0.1 * jumps.size
-                spiky = np.max(jumps) > 20.0 * np.median(positive)
-                if sparse or spiky:
-                    raise DegenerateProblem("sigma = 0 with a discontinuous payoff")
+            raise ValueError("terminal values must be finite, one per price grid node")
 
 
 def _log_step(s: np.ndarray) -> float:
@@ -310,11 +292,8 @@ def vanilla_problem(
         )
     if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
-
-    def payoff(sg: np.ndarray) -> np.ndarray:
-        return np.maximum(sg - shifted if kind == "call" else shifted - sg, 0.0)
-
-    return PdeProblem(s_grid=s, t_grid=grid, sigma=sigma, payoff=payoff, scale=scale)
+    terminal = np.maximum(s - shifted if kind == "call" else shifted - s, 0.0)
+    return PdeProblem(s_grid=s, t_grid=grid, sigma=sigma, terminal=terminal, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +437,8 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
         refactor[:-1] = sig[:-1] != sig[1:]
 
         # both rows are solved in place: their addresses hold for the whole
-        # loop; the Dirichlet data are the payoff's ends
-        v = np.array(problem.payoff(s), dtype=float)
+        # loop; the Dirichlet data are the terminal row's ends
+        v = problem.terminal.copy()
         bc_lo, bc_hi = v[0].item(), v[-1].item()
         rhs = np.empty(n)
         for k in range(steps - 1, -1, -1):

@@ -293,7 +293,8 @@ def riskfree_studies(
     log-returns, annualized, from per-block moments merged by
     Chan-Golub-LeVeque, and ``slope`` fits log sigma_hat against log N.
     The analytic slope comes from sigma_hat^2 = sum w_i^2 sigma_i^2 with the
-    volatilities of the first step.  ``divergences`` are
+    volatilities of the first step; a size whose analytic sigma_hat is 0 has
+    no slope to fit and raises ValueError before any draw.  ``divergences`` are
     the gaps between the mean cumulative log-returns of the equal-weight
     portfolio and of ``weights``, renormalized within each prefix: all
     positive-weight diversified averages share one limit, so they must decay
@@ -306,15 +307,19 @@ def riskfree_studies(
         raise ValueError("weights must be strictly positive (no shorts, no leverage)")
     if weights.n != spec.n_assets:
         raise ValueError("weight length does not match the asset universe")
+    sigma = spec.vol_matrix(grid)[0]
+    with np.errstate(all="ignore"):
+        analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
+    if not np.all(analytic > 0):
+        n = sizes[np.argmin(analytic > 0)]
+        raise ValueError(f"degenerate fit: the first {n} assets have zero volatility")
     equal = np.full(sizes[-1], 1.0 / sizes[-1])
     total, m2 = _prefix_log_return_moments(
         spec, grid, [equal, weights.w], sizes, n_paths, seed, n_jobs
     )
     count = n_paths * grid.steps
-    sigma = spec.vol_matrix(grid)[0]
     # inf, 0 and NaN sums are left out of the fit, and too few points raise
     with np.errstate(all="ignore"):
-        analytic = np.array([np.sqrt(np.sum((sigma[:n] / n) ** 2)) for n in sizes])
         sigma_hats = np.sqrt(m2[0] / count) / np.sqrt(grid.dt)
         finite = np.isfinite(np.log(sigma_hats))
     if finite.sum() < 3:

@@ -108,8 +108,6 @@ class TestRuleOfTime:
 
     def test_pde_problem_reports_a_coverage_gap(self):
         # a wrong-length sigma gave numpy's broadcast error, naming no field
+        s = log_price_grid(100.0, 200)
         with pytest.raises(ValueError, match="^coverage gap: sigma has 99 values for 100 intervals$"):
-            PdeProblem(
-                s_grid=log_price_grid(100.0, 200), t_grid=TimeGrid(0.01, 100),
-                sigma=np.full(99, 0.2), payoff=lambda sg: sg,
-            )
+            PdeProblem(s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=np.full(99, 0.2), terminal=s)

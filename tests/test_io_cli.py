@@ -936,11 +936,17 @@ class TestCli:
         # the process function before them, a large B overflows the factor
         # exp(int B dtau) on the values, and a large A (through the strike it
         # shifts), sigma or tau the ends of the price grid, or a sigma
-        # whose drift outruns it; no numpy warning may reach stderr ahead of
-        # the error, whichever thread formed the values
+        # whose drift outruns it; an affine sigma clamped to 0 leaves riskfree
+        # no slope to fit; no numpy warning may reach stderr ahead of the
+        # error, whichever thread formed the values
         riskfree = "riskfree: {sizes: [16, 32, 64, 128], n_paths: 64}\n"
         span = "price grid [K/span, K*span] is not finite"
         drift = "the drift of ln s outruns the price grid"
+        monte_carlo = [
+            ("simulate: {process_params: {mu: 100000.0}}\n" + riskfree, message),
+            ("simulate: {xi: 1.0e+308, process: affine, process_params: {mu1: 10.0}}\n" + riskfree, message),
+        ]
+        clamp = "simulate: {process: affine, xi: -0.9, process_params: {mu0: 0.05, sigma0: 0.2, sigma1: 0.3}}\n"
         texts = {
             "price": [
                 ("pde: {b: 1.0e+10}\n", message),
@@ -950,10 +956,8 @@ class TestCli:
                 ("pde: {sigma: 20.0}\n", drift),
                 ("pde: {sigma: 100.0}\n", drift),
             ],
-        }.get(command, [
-            ("simulate: {process_params: {mu: 100000.0}}\n" + riskfree, message),
-            ("simulate: {xi: 1.0e+308, process: affine, process_params: {mu1: 10.0}}\n" + riskfree, message),
-        ])
+            "riskfree": monte_carlo + [(clamp + riskfree, "zero volatility")],
+        }.get(command, monte_carlo)
         src = str(Path(gaugeport.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env.update(GAUGEPORT_THREADS=threads, PYTHONPATH=src)
@@ -1110,10 +1114,22 @@ class TestCli:
         config = tmp_path / "run.yaml"
         config.write_text(text)
         out = tmp_path / "r.yaml"
-        argv = [command, "--config", str(config), "--panel", str(fixture_csv), "--out", str(out)]
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command in cli._PANEL_COMMANDS:
+            argv += ["--panel", str(fixture_csv)]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--panel", "missing.csv"], ["--normalize"]], ids=["panel", "normalize"])
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - set(cli._PANEL_COMMANDS)))
+    def test_panel_flags_are_rejected_where_unread(self, command, flags, tmp_path, capsys):
+        # these commands read no panel: the flags were silently ignored
+        out = tmp_path / "r.yaml"
+        assert main([command, *flags, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {command} does not read {flags[0]}\n"
         assert not out.exists()
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):

@@ -309,11 +309,11 @@ def banded_reference(problem, rannacher_steps=2):
     """Per-step reference solve in the one-operator form of solve_today.
 
     Each Crank-Nicolson step is w = solve(I - hL, 2v), with ends bc + v, and
-    then v = w - v with ends bc, the payoff's end values.  Returns today's
-    values, times the problem's scale, and their deltas.
+    then v = w - v with ends bc, the terminal row's end values.  Returns
+    today's values, times the problem's scale, and their deltas.
     """
     steps = problem.t_grid.steps
-    v = problem.payoff(problem.s_grid).copy()
+    v = problem.terminal.copy()
     bc = (v[0], v[-1])
     for k, solve in banded_steps(problem):
         if steps - 1 - k < rannacher_steps:
@@ -414,10 +414,10 @@ def per_interval_problem(kind, steps=120):
             kind, STRIKE, sigma, TAU, a_field=a_field, b_scalar=b_scalar, n_s=200, n_t=steps
         )
     # the forward has no strike for A to shift; B scales it
-    grid = TimeGrid(TAU / steps, steps)
+    grid, s = TimeGrid(TAU / steps, steps), log_price_grid(STRIKE, 200)
     return PdeProblem(
-        s_grid=log_price_grid(STRIKE, 200), t_grid=grid, sigma=sigma,
-        payoff=lambda sg: 2.0 * sg, scale=np.exp(grid.integral(b_scalar)),
+        s_grid=s, t_grid=grid, sigma=sigma,
+        terminal=2.0 * s, scale=np.exp(grid.integral(b_scalar)),
     )
 
 
@@ -634,17 +634,26 @@ class TestTwoOperatorOracle:
 class TestLinearPayoffs:
     def test_forward_contract_no_fields_is_exact(self):
         # payoff 2s with sigma = a = b = 0 propagates unchanged
+        s = log_price_grid(STRIKE, 200)
         problem = PdeProblem(
-            s_grid=log_price_grid(STRIKE, 200), t_grid=TimeGrid(TAU / 100, 100),
-            sigma=0.0, payoff=lambda s: 2.0 * s,
+            s_grid=s, t_grid=TimeGrid(TAU / 100, 100), sigma=0.0, terminal=2.0 * s,
         )
         today = solve_today(problem)
         np.testing.assert_allclose(today.values, 2.0 * today.s_grid, rtol=1e-12)
 
-    def test_diffusion_leaves_linear_payoff_almost_fixed(self):
+    def test_zero_vol_discontinuous_terminal_row_is_returned(self):
+        # sigma = 0 makes the operator 0: a jump needs no diffusion to be solved
+        s = log_price_grid(STRIKE, 200)
+        terminal = s + 100.0 * (s > STRIKE)
         problem = PdeProblem(
-            s_grid=log_price_grid(STRIKE, 400), t_grid=TimeGrid(TAU / 400, 400),
-            sigma=SIGMA, payoff=lambda s: 2.0 * s,
+            s_grid=s, t_grid=TimeGrid(TAU / 100, 100), sigma=0.0, terminal=terminal, scale=1.5,
+        )
+        assert solve_today(problem).values.tobytes() == (terminal * 1.5).tobytes()
+
+    def test_diffusion_leaves_linear_payoff_almost_fixed(self):
+        s = log_price_grid(STRIKE, 400)
+        problem = PdeProblem(
+            s_grid=s, t_grid=TimeGrid(TAU / 400, 400), sigma=SIGMA, terminal=2.0 * s,
         )
         today = solve_today(problem)
         np.testing.assert_allclose(today.values, 2.0 * today.s_grid, rtol=1e-6)
@@ -771,20 +780,17 @@ class TestMertonResidual:
 
 
 class TestDegenerateProblems:
-    def test_zero_vol_discontinuous_payoff_rejected(self):
+    @pytest.mark.parametrize("fault", ["wrong-length", "nan"])
+    def test_terminal_row_must_be_finite_on_the_grid(self, fault):
         s = log_price_grid(STRIKE, 200)
-        with pytest.raises(DegenerateProblem, match="discontinuous"):
-            PdeProblem(
-                s_grid=s, t_grid=TimeGrid(0.01, 100),
-                sigma=0.0, payoff=lambda sg: sg + 100.0 * (sg > STRIKE),
-            )
+        terminal = s[1:] if fault == "wrong-length" else np.where(s > STRIKE, np.nan, s)
+        with pytest.raises(ValueError, match="^terminal values must be finite, one per price grid node$"):
+            PdeProblem(s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=SIGMA, terminal=terminal)
 
     def test_tiny_grid_rejected(self):
+        s = np.array([90.0, 100.0, 110.0])
         with pytest.raises(DegenerateProblem, match="coarse"):
-            PdeProblem(
-                s_grid=np.array([90.0, 100.0, 110.0]), t_grid=TimeGrid(0.01, 10),
-                sigma=0.1, payoff=lambda sg: sg,
-            )
+            PdeProblem(s_grid=s, t_grid=TimeGrid(0.01, 10), sigma=0.1, terminal=s)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
     def test_expiry_must_be_positive_and_finite(self, tau):
@@ -805,7 +811,7 @@ class TestDegenerateProblems:
         with pytest.raises(ValueError, match="uniform in log-price"):
             PdeProblem(
                 s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=SIGMA,
-                payoff=lambda sg: np.maximum(sg - STRIKE, 0.0),
+                terminal=np.maximum(s - STRIKE, 0.0),
             )
 
     def test_infinite_grid_node_rejected(self):
@@ -813,7 +819,7 @@ class TestDegenerateProblems:
         s[-1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             PdeProblem(
-                s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=SIGMA, payoff=np.zeros_like,
+                s_grid=s, t_grid=TimeGrid(0.01, 100), sigma=SIGMA, terminal=np.zeros_like(s),
             )
 
     @pytest.mark.parametrize("strike", [1e-300, STRIKE, 1e300])
@@ -821,7 +827,5 @@ class TestDegenerateProblems:
     @pytest.mark.parametrize("span", [np.exp(0.2), 8.0])
     def test_log_price_grids_accepted(self, strike, n_s, span):
         # their log steps differ by rounding only, at any strike price accepts
-        PdeProblem(
-            s_grid=log_price_grid(strike, n_s, span), t_grid=TimeGrid(0.01, 1),
-            sigma=SIGMA, payoff=lambda sg: sg,
-        )
+        s = log_price_grid(strike, n_s, span)
+        PdeProblem(s_grid=s, t_grid=TimeGrid(0.01, 1), sigma=SIGMA, terminal=s)
