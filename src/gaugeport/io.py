@@ -83,7 +83,14 @@ def ingest(path: str | Path, normalize: bool = False) -> PricePanel:
     if prices is None or not _positive(prices) or lines[-1].count('"') % 2:
         raise _first_bad_field(path, labels, lines)
     if normalize:
-        prices /= prices[0]
+        with np.errstate(all="ignore"):  # a ratio past the float range is named below
+            prices /= prices[0]
+        if not _positive(prices):
+            r, c = np.argwhere(~((prices > 0) & (prices < np.inf)))[0]
+            cause = "overflows" if prices[r, c] else "underflows to 0"
+            raise ValueError(
+                f"{path}: normalizing row {r + 1}, column {labels[c]!r} by its first price {cause}"
+            )
     span_years = (dates[-1] - dates[0]).days / DAYS_PER_YEAR
     steps = len(dates) - 1
     grid = TimeGrid(dt=span_years / steps, steps=steps)

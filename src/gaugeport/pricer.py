@@ -39,35 +39,41 @@ apart in ln s (sigma = 5 on 400 nodes) or whose sigma_max sqrt(tau) is above
 ``MAX_SIGMA_SQRT_TAU`` = 5, where the drift sigma^2 tau / 2 of ln s outruns
 the five-deviation span.
 
-Every time step solves the same tridiagonal system M = I - (dt/2) L, so M
-is LU-factored once with LAPACK ``dgttrf`` (again only where sigma changes
-between intervals).  ``dgttrf`` and ``dgttrs`` are bound through ctypes, on
-first use, from the LAPACK that numpy links (:func:`_lapack`), so the
-package loads no LAPACK of its own.  With h = dt/2 the Crank-Nicolson step
-is M^-1 (I + hL) = 2 M^-1 - I, so each step is one ``dgttrs`` solve and two
-vector operations, no band product: w = M^-1 (2v) with the ends of the
-right-hand side set to bc + v, then v = w - v with its ends set to the
-Dirichlet data bc.  The ``RANNACHER_STEPS`` start-up steps are two implicit
-half steps each, with the same factors.  :func:`solve_today` is the one
-solve: it steps from expiry back to today holding two price rows and
-returns today's slice times ``scale``.  The steps run with floating-point
-warnings off, and a solve whose values overflow to inf or NaN raises
-:class:`DegenerateProblem`.  Deltas are differentiated from the values on
-demand.  Nothing here imports scipy.
+In x = ln s the zero-rate operator L = (1/2) sigma^2 (D_xx - D_x) has
+constant coefficients, so its central differences on the n - 2 interior
+nodes are diagonal in closed form: the Black-Scholes-to-heat change of
+variables, done on the grid.  With the unit-sigma bands a = 1/(2 dx^2) +
+1/(4 dx) below and c = 1/(2 dx^2) - 1/(4 dx) above the diagonal and
+rho = a / c = (2 + dx) / (2 - dx), mode k = 1..n-2 is rho^(j/2)
+sin(j k pi / (n - 1)) with eigenvalue lambda_k = -1/dx^2 + 2 sqrt(ac)
+cos(k pi / (n - 1)), below 0.  The Dirichlet data enter through
+p_j = bc_lo + (bc_hi - bc_lo) (rho^j - 1) / (rho^(n-1) - 1), which L maps
+to 0, so U - p evolves with zero ends.  With h = dt/2 a Crank-Nicolson step
+(I - hL)^-1 (I + hL) multiplies mode k by (1 + h sigma^2 lambda_k) /
+(1 - h sigma^2 lambda_k), and each of the ``RANNACHER_STEPS`` start-up
+steps, two implicit half steps, by (1 - h sigma^2 lambda_k)^-2.  Every sigma
+shares the modes, so :func:`solve_today` takes each mode's growth over all
+steps, one power per distinct sigma, and applies it between two discrete
+sine transforms (DST-I, from a zero-padded FFT): the Crank-Nicolson
+and Rannacher solution up to rounding, in O(n_s log n_s + n_t) time and
+O(n_s) memory.  The weights rho^(j/2) are centred on the middle node, so on
+a :func:`vanilla_problem` grid they span at most sqrt(span) either way.
+The grid's nodes must be less than 2 apart in ln s, where c turns
+negative.  The solve runs with floating-point warnings off, and a solve
+whose values overflow to inf or NaN raises :class:`DegenerateProblem`.
+Deltas are differentiated from the values on demand.  The pricer needs
+numpy only: nothing here imports scipy, and ``numpy.fft`` loads at the
+first solve.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Union
+from typing import Union
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .grid import TimeGrid
 
@@ -80,18 +86,6 @@ RANNACHER_STEPS = 2
 #: that :func:`vanilla_problem` widens past [K/8, 8K].
 MAX_LOG_STEP = 0.125
 MAX_SIGMA_SQRT_TAU = 5.0
-
-#: Names of LAPACK ``dgttrf`` and ``dgttrs`` in the libraries numpy links,
-#: each pair with its integer type, in the order :func:`_lapack` tries them:
-#: the scipy-openblas64 of numpy >= 2.0 wheels, the scipy-openblas32 of
-#: wheels built with 32-bit integers, and the plain LP64 names (Accelerate,
-#: reference LAPACK, a distribution's OpenBLAS).
-_LAPACK_SYMBOLS = (
-    ("scipy_dgttrf_64_", "scipy_dgttrs_64_", ctypes.c_int64),
-    ("scipy_dgttrf_", "scipy_dgttrs_", ctypes.c_int32),
-    ("dgttrf_", "dgttrs_", ctypes.c_int32),
-)
-
 
 class DegenerateProblem(ValueError):
     """Raised for PDE problems the scheme cannot resolve."""
@@ -130,6 +124,8 @@ class PdeProblem:
         # a log_price_grid differ by at most 3 ulp of max |ln s|
         if np.ptp(x_steps) > 16.0 * np.finfo(float).eps * max(1.0, -x[0], x[-1]):
             raise ValueError("price grid must be uniform in log-price")
+        if x_steps[0] >= 2.0:  # the upper band 1/(2 dx^2) - 1/(4 dx) of the operator is not positive
+            raise DegenerateProblem("price grid too coarse: nodes 2 or more apart in ln s")
         object.__setattr__(self, "sigma", self.t_grid.per_interval(self.sigma, "sigma"))
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
@@ -300,172 +296,62 @@ def vanilla_problem(
 # Solver
 # ---------------------------------------------------------------------------
 
-def _operator_bands(sigma: float, dx: float):
-    """Tridiagonal coefficients of L U = (1/2) sigma^2 (U_xx - U_x) in x = ln s."""
-    diff = 0.5 * sigma**2 / dx**2
-    conv = 0.5 * sigma**2 / (2.0 * dx)
-    return diff + conv, -2.0 * diff, diff - conv
+def _sine_transform(x: np.ndarray) -> np.ndarray:
+    """DST-I of x: row k = 1..m is sum_j x[j - 1] sin(j k pi / (m + 1)).
 
-
-class _Lapack(NamedTuple):
-    gttrf: Callable[..., None]
-    gttrs: Callable[..., None]
-    integer: type  # ctypes.c_int32 or ctypes.c_int64
-
-
-def _lapack_libraries():
-    """Libraries that may hold numpy's LAPACK, in the order they are searched.
-
-    First numpy's linear-algebra extension: a symbol lookup in it searches
-    the libraries it links on Linux and macOS.  Then the BLAS libraries a
-    numpy wheel bundles, for Windows, where a lookup sees a library's own
-    exports only.
+    Minus the imaginary part of the FFT of x after one zero, padded to
+    2(m + 1); applied twice it is (m + 1) / 2 times the identity.
     """
-    yield _umath_linalg.__file__
-    root = os.path.dirname(np.__file__)
-    for bundled in (os.path.join(root, os.pardir, "numpy.libs"), os.path.join(root, ".dylibs")):
-        if os.path.isdir(bundled):
-            yield from (os.path.join(bundled, f) for f in sorted(os.listdir(bundled)) if "blas" in f)
-
-
-@functools.cache
-def _lapack() -> _Lapack:
-    """LAPACK ``dgttrf`` and ``dgttrs`` of the libraries numpy links, bound on first use.
-
-    The first library of :func:`_lapack_libraries` that exports a pair of
-    ``_LAPACK_SYMBOLS`` gives the binding.  Every argument is passed by
-    address; ``dgttrs`` takes the length of its TRANS string last.  Where
-    no library has a pair this raises OSError naming the symbols.
-    """
-    for path in _lapack_libraries():
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for factor_name, solve_name, integer in _LAPACK_SYMBOLS:
-            gttrf = getattr(library, factor_name, None)
-            gttrs = getattr(library, solve_name, None)
-            if gttrf is not None and gttrs is not None:
-                gttrf.argtypes = [ctypes.c_void_p] * 7
-                gttrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
-                gttrf.restype = gttrs.restype = None
-                return _Lapack(gttrf, gttrs, integer)
-    names = ", ".join(f"{f}/{s}" for f, s, _ in _LAPACK_SYMBOLS)
-    raise OSError(f"numpy's libraries export no LAPACK dgttrf and dgttrs (looked for {names})")
-
-
-def _require_vector(array: np.ndarray, size: int) -> None:
-    # LAPACK reads and writes size doubles from the array's address
-    if array.dtype != np.float64 or array.shape != (size,) or not array.flags.c_contiguous:
-        raise ValueError(f"LAPACK needs a contiguous float64 vector of {size}")
-
-
-def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-    """LAPACK ``dgttrf``: LU-factor the tridiagonal matrix with bands dl, d, du in place.
-
-    Returns the factors (dl, d, du, du2, ipiv) that :func:`_gttrs` solves
-    with.  A singular matrix raises :class:`DegenerateProblem`.
-    """
-    n = d.size
-    for band, size in ((dl, n - 1), (d, n), (du, n - 1)):
-        _require_vector(band, size)
-    lapack = _lapack()
-    du2 = np.empty(max(n - 2, 0))
-    ipiv = np.empty(n, dtype=lapack.integer)
-    info = lapack.integer()
-    lapack.gttrf(
-        ctypes.byref(lapack.integer(n)), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
-        du2.ctypes.data, ipiv.ctypes.data, ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise DegenerateProblem("singular implicit step matrix")
-    return dl, d, du, du2, ipiv
-
-
-def _gttrs(factors, b: np.ndarray) -> Callable[[], None]:
-    """LAPACK ``dgttrs`` bound to ``_gttrf`` factors and to b: each call overwrites b with M^-1 b.
-
-    The addresses are taken here, once; the returned solve holds ``factors``
-    and b, so the memory at those addresses lives as long as it does.
-    """
-    n = factors[1].size
-    _require_vector(b, n)
-    lapack = _lapack()
-    size = ctypes.byref(lapack.integer(n))
-    solve = functools.partial(
-        lapack.gttrs, b"N", size, ctypes.byref(lapack.integer(1)),
-        *(f.ctypes.data for f in factors), b.ctypes.data, size, ctypes.byref(lapack.integer()), 1,
-    )
-    solve.buffers = (factors, b)
-    return solve
-
-
-def _factor_implicit(lower: float, diag: float, upper: float, theta_dt: float, n: int):
-    """LU factors of (I - theta_dt L) with identity rows at the Dirichlet ends."""
-    dl = np.full(n - 1, -theta_dt * lower)
-    d = np.full(n, 1.0 - theta_dt * diag)
-    du = np.full(n - 1, -theta_dt * upper)
-    dl[-1] = 0.0
-    d[0] = d[-1] = 1.0
-    du[0] = 0.0
-    return _gttrf(dl, d, du)
+    m = x.size
+    return -np.fft.rfft(np.concatenate(([0.0], x)), 2 * m + 2).imag[1:-1]
 
 
 def solve_today(problem: PdeProblem) -> OptionSlice:
     """Backward Crank-Nicolson solve of the zero-rate pricing equation: today's slice.
 
-    The first ``RANNACHER_STEPS`` time steps run as pairs of implicit-Euler
-    half steps; second-order accurate in space and time thereafter.  Every
-    step solves with the matrix M = I - (dt/2) L, whose LU factors are
-    reused until an interval's sigma differs from the previous one:
-    a start-up step is two ``dgttrs`` solves, a Crank-Nicolson step one,
-    v <- M^-1 (2v) - v with the Dirichlet data at the ends (module
-    docstring).  Two price rows are held, so memory is O(n_s) for any
-    number of steps.  The values are multiplied by ``problem.scale`` last.
+    The first ``RANNACHER_STEPS`` time steps are pairs of implicit-Euler
+    half steps; second-order accurate in space and time thereafter.  The
+    solve runs in the operator's eigenbasis (module docstring): the interior
+    values less the Dirichlet part p go through a sine transform, each mode
+    is multiplied by its growth over every step, one power per distinct
+    sigma, and a second transform returns them to the grid.  Memory is
+    O(n_s) for any number of steps.  The values are multiplied by
+    ``problem.scale`` last.
     """
-    s = problem.s_grid
-    dx = _log_step(s)
-    dt = problem.t_grid.dt
-    half_dt = 0.5 * dt
-    steps = problem.t_grid.steps
+    s, sig = problem.s_grid, problem.sigma
     n = s.size
-
+    values = problem.terminal.copy()
     with np.errstate(all="ignore"):
-        # refactor at the last interval and wherever sigma changes
-        sig = problem.sigma
-        refactor = np.ones(steps, dtype=bool)
-        refactor[:-1] = sig[:-1] != sig[1:]
-
-        # both rows are solved in place: their addresses hold for the whole
-        # loop; the Dirichlet data are the terminal row's ends
-        v = problem.terminal.copy()
-        bc_lo, bc_hi = v[0].item(), v[-1].item()
-        rhs = np.empty(n)
-        for k in range(steps - 1, -1, -1):
-            if refactor[k]:
-                factors = _factor_implicit(*_operator_bands(sig[k], dx), half_dt, n)
-                solve_v, solve_rhs = _gttrs(factors, v), _gttrs(factors, rhs)
-            if steps - 1 - k < RANNACHER_STEPS:
-                # Rannacher start-up: two implicit-Euler half steps
-                for _ in range(2):
-                    v[0], v[-1] = bc_lo, bc_hi
-                    solve_v()
-            else:
-                # (I - hL)^-1 (I + hL) v = 2 (I - hL)^-1 v - v: solve for
-                # w with right-hand side 2v, whose ends bc + v make the ends
-                # of w - v the Dirichlet data, then set them to it exactly
-                np.multiply(v, 2.0, out=rhs)
-                rhs[0], rhs[-1] = bc_lo + v[0], bc_hi + v[-1]
-                solve_rhs()
-                np.subtract(rhs, v, out=v)
-                v[0], v[-1] = bc_lo, bc_hi
-        v *= problem.scale
-    _require_finite(v)
-    return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=v)
+        if sig.any():  # at sigma = 0 the operator is 0 and the terminal row is today's
+            dx = _log_step(s)
+            j = np.arange(1, n - 1)
+            log_rho = 2.0 * np.arctanh(0.5 * dx)
+            weights = np.exp(0.5 * log_rho * (j - 0.5 * (n - 1)))
+            # z = h lambda_k at unit sigma, lambda_k = -gap / (2 dx^2) with the gap
+            # 2 - sqrt(4 - dx^2) cos(theta) written without its cancellation at small dx and theta
+            theta = np.pi / (n - 1) * j
+            gap = dx**2 * np.cos(theta) / (2.0 + np.sqrt(4.0 - dx**2)) + 4.0 * np.sin(0.5 * theta) ** 2
+            z = -0.25 * problem.t_grid.dt / dx**2 * gap
+            growth = np.ones(n - 2)
+            cn_steps = max(problem.t_grid.steps - RANNACHER_STEPS, 0)
+            for var in sig[cn_steps:] ** 2:
+                growth /= (1.0 - var * z) ** 2
+            for sigma, count in zip(*np.unique(sig[:cn_steps], return_counts=True)):
+                growth *= ((1.0 + sigma**2 * z) / (1.0 - sigma**2 * z)) ** count
+            # (rho^j - 1) / (rho^(n-1) - 1) as rho^(j-n+1) (1 - rho^-j) / (1 - rho^-(n-1)),
+            # which cannot overflow
+            lo, hi = values[0], values[-1]
+            ramp = np.exp(log_rho * (j - (n - 1))) * np.expm1(-log_rho * j) / np.expm1(-log_rho * (n - 1))
+            p = lo + (hi - lo) * ramp
+            modes = growth * _sine_transform((values[1:-1] - p) / weights)
+            values[1:-1] = p + weights * _sine_transform(modes) * (2.0 / (n - 1))
+        values *= problem.scale
+    _require_finite(values)
+    return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=values)
 
 
 def _require_finite(values: np.ndarray) -> None:
-    # the steps run with floating-point warnings off, and an overflow leaves
+    # the solve runs with floating-point warnings off, and an overflow leaves
     # inf or NaN in the result; two reductions, no result-sized temporary,
     # and a NaN makes both NaN
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):

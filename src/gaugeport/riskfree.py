@@ -135,9 +135,12 @@ def rebalanced_values(prices: np.ndarray, w: WeightVector) -> np.ndarray:
         raise ValueError("weight length does not match the panel")
     values = np.empty(prices.shape[0])
     values[0] = 1.0
-    np.cumprod((prices[1:] / prices[:-1]) @ w.w, out=values[1:])
-    if np.any(values <= 0):
-        raise ValueError("portfolio value hit zero or below")
+    with np.errstate(all="ignore"):  # a value past the float range is named below
+        np.cumprod((prices[1:] / prices[:-1]) @ w.w, out=values[1:])
+    bad = np.flatnonzero(~((values > 0) & (values < np.inf)))  # NaN is bad too
+    if bad.size:
+        cause = "hit zero or below" if values[bad[0]] <= 0 else "overflows the float range"
+        raise ValueError(f"portfolio value {cause} at step {bad[0]}")
     return values
 
 
@@ -150,13 +153,15 @@ def extract_market_gauge(panel: PricePanel, w: WeightVector) -> MarketGaugeResul
     O(steps N).
     """
     values = rebalanced_values(panel.prices, w)
-    quantities = w.w * values[:, None]
-    quantities /= panel.prices
     grid = panel.grid
     a = GaugeFieldA(grid, -grid.rate(np.log(values)))
-    # q_dot / q, divided in place
-    b = grid.rate(quantities)
-    b /= quantities[:-1]
+    # q_dot / q, divided in place; a holding or rate past the float range
+    # leaves inf or NaN, which GaugeFieldB rejects
+    with np.errstate(all="ignore"):
+        quantities = w.w * values[:, None]
+        quantities /= panel.prices
+        b = grid.rate(quantities)
+        b /= quantities[:-1]
     return MarketGaugeResult(
         a=a, b=GaugeFieldB(grid, b), portfolio_value_series=values, quantities=quantities
     )

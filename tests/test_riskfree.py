@@ -143,6 +143,12 @@ class TestRebalancedValues:
         with pytest.raises(ValueError, match="hit zero"):
             rebalanced_values(prices, WeightVector(np.array([1.5, -0.5])))
 
+    def test_value_past_the_float_range_is_rejected(self):
+        # a gross return of 1e400 is inf; the product used to pass it on
+        prices = np.array([[1e-200, 1.0], [1e200, 1.0], [1e200, 1.0]])
+        with pytest.raises(ValueError, match="^portfolio value overflows the float range at step 1$"):
+            rebalanced_values(prices, WeightVector.equal(2))
+
 
 class TestMarketGauge:
     def test_common_growth_gives_constant_gauge(self):
