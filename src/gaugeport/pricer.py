@@ -337,7 +337,7 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
             for var in sig[cn_steps:] ** 2:
                 growth /= (1.0 - var * z) ** 2
             for sigma, count in zip(*np.unique(sig[:cn_steps], return_counts=True)):
-                growth *= ((1.0 + sigma**2 * z) / (1.0 - sigma**2 * z)) ** count
+                growth *= _crank_nicolson_growth(z, sigma**2) ** count
             # (rho^j - 1) / (rho^(n-1) - 1) as rho^(j-n+1) (1 - rho^-j) / (1 - rho^-(n-1)),
             # which cannot overflow
             lo, hi = values[0], values[-1]
@@ -348,6 +348,11 @@ def solve_today(problem: PdeProblem) -> OptionSlice:
         values *= problem.scale
     _require_finite(values)
     return OptionSlice(s_grid=problem.s_grid, t_grid=problem.t_grid, values=values)
+
+
+def _crank_nicolson_growth(z: np.ndarray, var: float) -> np.ndarray:
+    """Each mode's growth over one Crank-Nicolson step at variance var; z = h lambda_k."""
+    return (1.0 + var * z) / (1.0 - var * z)
 
 
 def _require_finite(values: np.ndarray) -> None:

@@ -18,6 +18,7 @@ from gaugeport import (
     solve_today,
     vanilla_problem,
 )
+from gaugeport import pricer
 from gaugeport.pricer import RANNACHER_STEPS, DegenerateProblem, PdeProblem, log_price_grid
 
 STRIKE = 100.0
@@ -460,6 +461,47 @@ class TestRollingSolve:
         # spans of e^25 and e^24.6, the widest at 400 nodes: the eigenvector
         # weights span e^12.5 either way of the centre
         self.assert_row_zero(vanilla_problem("call", STRIKE, sigma, tau))
+
+    @pytest.mark.parametrize("steps", [2, 3, 120])
+    def test_one_lapack_solve_per_step(self, monkeypatch, steps):
+        # the reference solve_today is held to makes one LAPACK solve per
+        # Crank-Nicolson step and two per Rannacher step; solve_today, in the
+        # eigenbasis, makes none, so every call counted is the reference's
+        import scipy.linalg
+
+        solve_banded = scipy.linalg.solve_banded
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return solve_banded(*args)
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+        self.assert_row_zero(per_interval_problem("call", steps=steps))
+        assert len(calls) == steps + RANNACHER_STEPS
+
+    @pytest.mark.parametrize(
+        "problem, factorizations",
+        [
+            # A changes on every interval and sigma never: one growth power
+            (vanilla_problem("call", STRIKE, SIGMA, TAU, a_field=np.linspace(-0.1, 0.1, 400)), 1),
+            # sigma in 6 pieces, A in 4 and B in 3: one per sigma piece
+            (per_interval_problem("call"), 6),
+        ],
+    )
+    def test_factors_only_where_sigma_changes(self, monkeypatch, problem, factorizations):
+        # the eigenbasis solve raises each mode's Crank-Nicolson growth to a
+        # power once per distinct sigma, where a per-step solve would factor
+        growth = pricer._crank_nicolson_growth
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return growth(*args)
+
+        monkeypatch.setattr(pricer, "_crank_nicolson_growth", counted)
+        self.assert_row_zero(problem)
+        assert len(calls) == factorizations
 
     @pytest.mark.parametrize("n_t", [1600, 3200])
     def test_holds_a_few_rows(self, n_t):
